@@ -25,7 +25,7 @@ from .block_encoding import (
     uniform_pair,
     verify,
 )
-from .chebyshev import PhaseSequence, apply_phase_sequence, chebyshev_be, reflection
+from .chebyshev import PhaseSequence, apply_phase_sequence, chebyshev_be
 from .encoders import (
     encode_diagonal_exact,
     encode_from_stateprep,
@@ -60,10 +60,12 @@ from .operators import (
     LinearOperator,
     Multiplexed,
     Permutation,
+    Query,
     compose,
     controlled,
     hadamard_layer,
     kron,
+    query_counts,
     random_unitary,
     set_max_qubits,
     state_prep_unitary,

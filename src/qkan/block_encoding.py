@@ -6,17 +6,19 @@ to spectral error epsilon. Ancilla registers always occupy the most
 significant qubits, so the encoded block is literally the top-left corner
 of the dense matrix.
 
-Query accounting: every encoding carries a :class:`QueryLedger` holding the
-number of applications of each named primitive encoding that one application
-of this encoding entails. Combinators charge the ledger of the result while
-they assemble it; an application of an encoding, its adjoint, or any
-controlled version all count as one query to that encoding.
+Query accounting is read from the operator tree. A primitive encoding wraps
+its unitary in a :class:`~qkan.operators.Query` node tagged with its name,
+and :attr:`BlockEncoding.cost` sums the tags of every Query occurrence in the
+tree, so the counts describe the structure actually built. Combinators only
+build operators; they keep no counts of their own. An application of an
+encoding, its adjoint, or any controlled version all count as one query to
+that encoding.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,11 +30,13 @@ from .operators import (
     Identity,
     LinearOperator,
     Multiplexed,
+    Query,
     check_qubit_budget,
     compose,
     hadamard_layer,
     kron,
     permutation_from_map,
+    query_counts,
     random_unitary,
     state_prep_unitary,
 )
@@ -51,10 +55,6 @@ class QueryLedger:
             raise ContractViolationError("ledger counters are monotone")
         with self._lock:
             self._counts[key] = self._counts.get(key, 0) + times
-
-    def charge_map(self, counts: dict[str, int], times: int = 1) -> None:
-        for key, value in counts.items():
-            self.charge(key, value * times)
 
     def count(self, key: str) -> int:
         with self._lock:
@@ -88,7 +88,6 @@ class BlockEncoding:
     layout: RegisterLayout
     num_system: int
     diagonal_flag: bool = False
-    ledger: QueryLedger = field(default_factory=QueryLedger)
 
     def __post_init__(self):
         if self.alpha < 0 or self.epsilon < 0:
@@ -125,8 +124,14 @@ class BlockEncoding:
 
     @property
     def cost(self) -> dict[str, int]:
-        """Primitive queries consumed by one application of this encoding."""
-        return self.ledger.snapshot()
+        """Primitive queries consumed by one application of this encoding,
+        summed over the Query nodes of its operator tree."""
+        return dict(sorted(query_counts(self.op).items()))
+
+    @property
+    def ledger(self) -> QueryLedger:
+        """`cost` as a :class:`QueryLedger`."""
+        return QueryLedger(self.cost)
 
 
 def _unique_regs(groups: list[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
@@ -150,12 +155,8 @@ def _derived(
     aux_regs: list[tuple[str, int]],
     sys_regs: list[tuple[str, int]],
     diagonal: bool,
-    includes: list[tuple[BlockEncoding, int]],
 ) -> BlockEncoding:
     layout = RegisterLayout(_unique_regs(list(aux_regs) + list(sys_regs)))
-    ledger = QueryLedger()
-    for be, times in includes:
-        ledger.charge_map(be.ledger.snapshot(), times)
     num_aux = sum(size for _, size in aux_regs)
     return BlockEncoding(
         op=op,
@@ -165,7 +166,6 @@ def _derived(
         layout=layout,
         num_system=layout.n_qubits - num_aux,
         diagonal_flag=diagonal,
-        ledger=ledger,
     )
 
 
@@ -176,18 +176,17 @@ def primitive_encoding(
     name: str,
     epsilon: float = 0.0,
     diagonal: bool = False,
-    queries_per_application: int = 1,
 ) -> BlockEncoding:
-    """Wrap a unitary as a named primitive (1, num_aux, epsilon)-encoding."""
+    """Wrap a unitary as a named primitive (1, num_aux, epsilon)-encoding that
+    counts one query to `name` per application."""
     return BlockEncoding(
-        op=op,
+        op=Query(op, {name: 1}),
         alpha=1.0,
         num_aux=num_aux,
         epsilon=epsilon,
         layout=layout,
         num_system=layout.n_qubits - num_aux,
         diagonal_flag=diagonal,
-        ledger=QueryLedger({name: queries_per_application} if queries_per_application else {}),
     )
 
 
@@ -196,7 +195,7 @@ def identity_encoding(num_system: int, num_aux: int = 0) -> BlockEncoding:
     aux_regs = [("idle", num_aux)] if num_aux else []
     return _derived(
         Identity(num_aux + num_system), 1.0, 0.0,
-        aux_regs, [("sys", num_system)], diagonal=True, includes=[],
+        aux_regs, [("sys", num_system)], diagonal=True,
     )
 
 
@@ -251,7 +250,7 @@ def pad_aux(be: BlockEncoding, extra: int) -> BlockEncoding:
         op, be.alpha, be.epsilon,
         [("pad", extra)] + list(be.layout.registers[: _aux_reg_count(be)]),
         list(be.layout.registers[_aux_reg_count(be):]),
-        be.diagonal_flag, [(be, 1)],
+        be.diagonal_flag,
     )
 
 
@@ -278,7 +277,7 @@ def adjoint_encoding(be: BlockEncoding) -> BlockEncoding:
     """Encoding of the adjoint target; one query per application."""
     return _derived(
         be.op.adjoint(), be.alpha, be.epsilon,
-        _aux_regs(be), _sys_regs(be), be.diagonal_flag, [(be, 1)],
+        _aux_regs(be), _sys_regs(be), be.diagonal_flag,
     )
 
 
@@ -305,7 +304,6 @@ def product(be_a: BlockEncoding, be_b: BlockEncoding) -> BlockEncoding:
         _aux_regs(be_b) + _aux_regs(be_a),
         _sys_regs(be_a),
         be_a.diagonal_flag and be_b.diagonal_flag,
-        [(be_a, 1), (be_b, 1)],
     )
 
 
@@ -345,6 +343,14 @@ class StatePrepPair:
         return err
 
 
+def _checked_exact(pair: StatePrepPair, y: np.ndarray) -> StatePrepPair:
+    """The constructions below are exact; reject a pair that misses y."""
+    err = pair.check(y)
+    if err >= 1e-12:
+        raise ContractViolationError(f"state-prep pair misses its coefficients by {err:.3e}")
+    return pair
+
+
 def uniform_pair(m: int) -> StatePrepPair:
     """Equal-weight pair for m terms: Hadamards when m is a power of two,
     otherwise a completed unitary preparing the uniform superposition over the
@@ -358,9 +364,7 @@ def uniform_pair(m: int) -> StatePrepPair:
         vec = np.zeros(1 << b)
         vec[:m] = 1.0 / np.sqrt(m)
         prep = state_prep_unitary(vec)
-    pair = StatePrepPair(prep, prep, 1.0, b, 0.0)
-    assert pair.check(np.full(m, 1.0 / m)) < 1e-12  # construction is exact
-    return pair
+    return _checked_exact(StatePrepPair(prep, prep, 1.0, b, 0.0), np.full(m, 1.0 / m))
 
 
 def pair_for_weights(y: np.ndarray) -> StatePrepPair:
@@ -378,9 +382,7 @@ def pair_for_weights(y: np.ndarray) -> StatePrepPair:
     phases[: y.size][nz] = y[nz] / np.abs(y[nz])
     p_left = state_prep_unitary(mags)
     p_right = state_prep_unitary(mags * phases)
-    pair = StatePrepPair(p_left, p_right, beta, b, 0.0)
-    assert pair.check(y) < 1e-12  # construction is exact
-    return pair
+    return _checked_exact(StatePrepPair(p_left, p_right, beta, b, 0.0), y)
 
 
 def lcu(bes: list[BlockEncoding], pair: StatePrepPair) -> BlockEncoding:
@@ -421,7 +423,6 @@ def lcu(bes: list[BlockEncoding], pair: StatePrepPair) -> BlockEncoding:
         [("sel", pair.b)] + _aux_regs(padded[0]),
         _sys_regs(padded[0]),
         all(be.diagonal_flag for be in bes),
-        [(be, 1) for be in bes],
     )
 
 
@@ -454,7 +455,6 @@ def hadamard_product(be_a: BlockEncoding, be_b: BlockEncoding) -> BlockEncoding:
         _aux_regs(be_a) + _aux_regs(be_b) + [("syscopy", s)],
         _sys_regs(be_a),
         be_a.diagonal_flag or be_b.diagonal_flag,
-        [(be_a, 1), (be_b, 1)],
     )
 
 
@@ -470,7 +470,7 @@ def dilate(be: BlockEncoding, k: int) -> BlockEncoding:
     return _derived(
         op, be.alpha, be.epsilon,
         _aux_regs(be), _sys_regs(be) + [("dil", k)],
-        True, [(be, 1)],
+        True,
     )
 
 
@@ -489,7 +489,7 @@ def make_controlled(be: BlockEncoding, name: str = "ctrl") -> BlockEncoding:
     return _derived(
         op, be.alpha, be.epsilon,
         _aux_regs(be), [(name, 1)] + _sys_regs(be),
-        be.diagonal_flag, [(be, 1)],
+        be.diagonal_flag,
     )
 
 
@@ -519,6 +519,6 @@ def perturb(be: BlockEncoding, eps: float, seed: int) -> BlockEncoding:
     else:
         raise ContractViolationError(f"perturbation rescaling did not converge (dist={dist})")
     return _derived(
-        Dense(mat), be.alpha, be.epsilon + eps,
-        _aux_regs(be), _sys_regs(be), be.diagonal_flag, [(be, 1)],
+        Query(Dense(mat), be.cost), be.alpha, be.epsilon + eps,
+        _aux_regs(be), _sys_regs(be), be.diagonal_flag,
     )

@@ -51,11 +51,6 @@ class PhaseSequence:
         return cls(((1 - d) * np.pi / 2,) + (np.pi / 2,) * (d - 1))
 
 
-def reflection(aux_count: int) -> LinearOperator:
-    """2|0><0| - I on the ancilla register of an encoding."""
-    return reflection_about_zero(aux_count)
-
-
 def _require_hermitian_block(be: BlockEncoding) -> None:
     """Chebyshev transforms are stated for Hermitian targets; reject encodings
     whose block is further from Hermitian than the declared error allows."""
@@ -67,8 +62,7 @@ def _require_hermitian_block(be: BlockEncoding) -> None:
         )
 
 
-def _qsvt_shell(be: BlockEncoding, factors: list[LinearOperator], epsilon: float,
-                includes: list[tuple[BlockEncoding, int]]) -> BlockEncoding:
+def _qsvt_shell(be: BlockEncoding, factors: list[LinearOperator], epsilon: float) -> BlockEncoding:
     """Assemble a polynomial transform with one extra (idle) QSVT ancilla."""
     n = be.op.n + 1
     check_qubit_budget(n, "polynomial transform")
@@ -77,22 +71,22 @@ def _qsvt_shell(be: BlockEncoding, factors: list[LinearOperator], epsilon: float
     return _derived(
         op, be.alpha, epsilon,
         [("qsvt", 1)] + _aux_regs(be), _sys_regs(be),
-        be.diagonal_flag, includes,
+        be.diagonal_flag,
     )
 
 
 def chebyshev_be(be_x: BlockEncoding, r: int) -> BlockEncoding:
     """(1, a_x + 1, 4 r sqrt(eps_x))-encoding of diag(T_r(x_1), ..., T_r(x_N)).
 
-    Charges exactly r queries to the underlying encoding; r = 0 yields an
-    exact identity encoding at zero queries.
+    Applies the underlying encoding (or its adjoint) exactly r times; r = 0
+    yields an exact identity encoding at zero queries.
     """
     if r < 0:
         raise DomainError("Chebyshev degree must be non-negative")
     if not be_x.diagonal_flag:
         raise ContractViolationError("chebyshev_be requires a diagonal-flagged encoding")
     if r == 0:
-        return _qsvt_shell(be_x, [], 0.0, [])
+        return _qsvt_shell(be_x, [], 0.0)
     _require_hermitian_block(be_x)
     u = be_x.op
     z = Embedded(reflection_about_zero(be_x.num_aux), tuple(range(be_x.num_aux)), u.n)
@@ -100,7 +94,7 @@ def chebyshev_be(be_x: BlockEncoding, r: int) -> BlockEncoding:
     if r % 2:
         factors += [u, z]
     factors += [u.adjoint(), z, u, z] * (r // 2)
-    return _qsvt_shell(be_x, factors, 4.0 * r * np.sqrt(be_x.epsilon), [(be_x, r)])
+    return _qsvt_shell(be_x, factors, 4.0 * r * np.sqrt(be_x.epsilon))
 
 
 def apply_phase_sequence(be: BlockEncoding, seq: PhaseSequence) -> BlockEncoding:
@@ -118,4 +112,4 @@ def apply_phase_sequence(be: BlockEncoding, seq: PhaseSequence) -> BlockEncoding
     for j, phi in enumerate(seq.phases, start=1):
         factors.append(Embedded(phase_on_zero(phi, be.num_aux), aux_axes, u.n))
         factors.append(u if (d - j) % 2 == 0 else u.adjoint())
-    return _qsvt_shell(be, factors, 4.0 * d * np.sqrt(be.epsilon), [(be, d)])
+    return _qsvt_shell(be, factors, 4.0 * d * np.sqrt(be.epsilon))

@@ -244,6 +244,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    budget_before = operators.max_qubits()
     try:
         config = load_config(args.config, seed_override=args.seed)
         budget = args.max_qubits or config.max_qubits
@@ -262,6 +263,8 @@ def main(argv: list[str] | None = None) -> int:
     except QkanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    finally:
+        operators.set_max_qubits(budget_before)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ Schema (all sections optional unless a command needs them):
                   "node": int, "delta": float},
       "train": {"optimizer": ..., "eta": ..., "h": ..., "c": ...,
                 "iterations": ..., "seed": ..., "loss_goal": ...,
-                "readout": "exact" | "classical",
+                "readout": "exact" | "classical" | "shots", "shots": int,
                 "data": {"xs": [[...]], "ys": [[...]]}
                       | {"grid_points_per_axis": int,
                          "target": {"kind": "cheb2_mean", "scale": float}}},

@@ -181,7 +181,7 @@ def sum_over_inputs(be: BlockEncoding, n_inputs: int) -> BlockEncoding:
         compose(h_layer, be.op, h_layer),
         be.alpha, be.epsilon,
         _aux_regs(be) + absorbed, sys_regs,
-        be.diagonal_flag, [(be, 1)],
+        be.diagonal_flag,
     )
 
 
@@ -246,7 +246,7 @@ def build_layer(
     weight_encoder: WeightEncoder | None = None,
 ) -> BlockEncoding:
     """Diagonal (1, a_x + 1 + a_w + log2(d+1) + n, 4 d sqrt(eps_x) + eps_w)-
-    encoding of Phi(x), charging d(d+1)/2 input and d+1 weight queries."""
+    encoding of Phi(x), making d(d+1)/2 input and d+1 weight queries."""
     if be_x.num_system != spec.n_qubits_in:
         raise ContractViolationError(
             f"input encoding spans {be_x.num_system} qubits but the layer expects "

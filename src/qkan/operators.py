@@ -10,6 +10,7 @@ the most significant end, matching :class:`~qkan.registers.RegisterLayout`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -270,6 +271,61 @@ class Multiplexed(LinearOperator):
         return Multiplexed(
             {v: op.adjoint() for v, op in self.branches.items()}, self.selector_axes, self.n
         )
+
+
+@dataclass(frozen=True, eq=False)
+class Query(LinearOperator):
+    """One application of a block-encoding: applies `inner` and records the
+    primitive queries (name -> count) that one application makes.
+
+    A query is an application of U, U^dag or controlled-U, so the adjoint
+    keeps `counts`, and :func:`query_counts` reads them without looking
+    inside `inner`.
+    """
+
+    inner: LinearOperator
+    counts: Mapping[str, int]
+
+    def __post_init__(self):
+        counts = dict(self.counts)
+        if any(value < 0 for value in counts.values()):
+            raise ContractViolationError(f"negative query counts {counts}")
+        object.__setattr__(self, "counts", MappingProxyType(counts))
+        object.__setattr__(self, "n", self.inner.n)
+
+    def _apply(self, cols):
+        return self.inner._apply(cols)
+
+    def adjoint(self):
+        return Query(self.inner.adjoint(), self.counts)
+
+
+def query_counts(op: LinearOperator, memo: dict | None = None) -> dict[str, int]:
+    """Primitive queries one application of `op` makes: the `counts` of every
+    :class:`Query` occurrence under its Composed/Embedded/Multiplexed nodes,
+    summed. A subtree shared by several parents counts once per occurrence,
+    because each occurrence is applied; `memo` caches results by node."""
+    memo = {} if memo is None else memo
+    found = memo.get(op)
+    if found is not None:
+        return found
+    if isinstance(op, Query):
+        counts = dict(op.counts)
+    else:
+        if isinstance(op, Composed):
+            children = op.factors
+        elif isinstance(op, Embedded):
+            children = (op.inner,)
+        elif isinstance(op, Multiplexed):
+            children = tuple(op.branches.values())
+        else:
+            children = ()
+        counts = {}
+        for child in children:
+            for key, value in query_counts(child, memo).items():
+                counts[key] = counts.get(key, 0) + value
+    memo[op] = counts
+    return counts
 
 
 def kron(*ops: LinearOperator) -> LinearOperator:

@@ -102,7 +102,7 @@ def prepare_state_postselect(
 ) -> PreparedState:
     """Apply the encoding to |0>_aux |+>_k, project the ancillas onto |0>, and
     renormalize. `target` is the oracle output vector Phi(x); when given, the
-    report includes its l2 norm and the distance to the oracle state."""
+    report gives its l2 norm and the distance to the oracle state."""
     k_dim = be.system_dim
     state = np.zeros(be.op.dim, dtype=np.complex128)
     state[:k_dim] = 1.0 / np.sqrt(k_dim)  # |0>_aux |+>_k

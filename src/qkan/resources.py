@@ -1,7 +1,8 @@
-"""Analytic cost model and reconciliation against instrumented ledgers.
+"""Analytic cost model and reconciliation against the built operator trees.
 
 Two models are kept side by side: the exact model counts d(d+1)/2 input and
-d+1 weight applications per layer (what the simulator's ledgers record);
+d+1 weight applications per layer (what the Query nodes of a built encoding
+add up to, see :attr:`~qkan.block_encoding.BlockEncoding.cost`);
 the asymptotic model uses the d^2/2 and d coefficients of the layer-cost
 recursion C_x^(l+1) = (d^2/2) C_x^(l) + d C_w^(l). Acceptance is on the
 exact model; the asymptotic one is reported for comparison, with per-layer
@@ -145,7 +146,8 @@ class ReconcileResult:
 
 
 def reconcile(report: CostReport, ledger: QueryLedger | BlockEncoding) -> ReconcileResult:
-    """Exact-model counts must equal the instrumented ledger counts key by key."""
+    """Exact-model counts must equal the observed counts key by key; an
+    encoding is read through its tree-derived `cost`."""
     if isinstance(ledger, BlockEncoding):
         observed = ledger.cost
     else:

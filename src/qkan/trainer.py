@@ -133,9 +133,13 @@ def loss(
     readout: str = "exact",
     model: SimulatedModel | None = None,
     shots: int = 0,
-    seed: int | None = None,
+    seed: int | np.random.Generator | None = None,
 ) -> float:
-    """Mean squared error between model outputs and targets."""
+    """Mean squared error between model outputs and targets.
+
+    With shots readout each output is re-estimated from `shots` measurements
+    drawn from ``np.random.default_rng(seed)``; pass a Generator to draw
+    successive calls from one stream."""
     preds = model_outputs(spec, data.xs, readout=readout, model=model)
     if readout == "shots":
         if shots <= 0:
@@ -146,32 +150,29 @@ def loss(
     return float(np.mean((preds - data.ys) ** 2))
 
 
-def _loss_with_weights(
-    spec: QkanSpec,
-    data: Dataset,
-    layer: int,
-    weights: np.ndarray,
-    readout: str,
-    model: SimulatedModel | None,
-) -> float:
-    return loss(spec.with_layer_weights(layer, weights), data, readout=readout, model=model)
-
-
 def finite_diff_grad(
     spec: QkanSpec,
     data: Dataset,
     h: float,
     readout: str = "exact",
     model: SimulatedModel | None = None,
+    shots: int = 0,
+    seed: int | np.random.Generator | None = None,
 ) -> list[np.ndarray]:
-    """Central differences per weight; one-sided at the [-1, 1] boundary."""
+    """Central differences per weight; one-sided at the [-1, 1] boundary.
+    `shots` and `seed` are passed to every :func:`loss` call."""
     if model is None and readout != "classical":
         model = SimulatedModel(spec, data.xs)
+
+    def loss_at(candidate: QkanSpec) -> float:
+        return loss(candidate, data, readout=readout, model=model, shots=shots, seed=seed)
+
     base: float | None = None
     grads = []
     for layer_index, layer in enumerate(spec.layers):
         grad = np.zeros_like(layer.weights)
         flat = layer.weights.reshape(-1)
+        shape = layer.weights.shape
         for i in range(flat.size):
             w = flat[i]
             up = min(w + h, 1.0)
@@ -182,17 +183,15 @@ def finite_diff_grad(
                 minus = flat.copy()
                 minus[i] = down
                 val = (
-                    _loss_with_weights(spec, data, layer_index, plus.reshape(layer.weights.shape), readout, model)
-                    - _loss_with_weights(spec, data, layer_index, minus.reshape(layer.weights.shape), readout, model)
+                    loss_at(spec.with_layer_weights(layer_index, plus.reshape(shape)))
+                    - loss_at(spec.with_layer_weights(layer_index, minus.reshape(shape)))
                 ) / (up - down)
             else:
                 if base is None:
-                    base = loss(spec, data, readout=readout, model=model)
+                    base = loss_at(spec)
                 other = flat.copy()
                 other[i] = down if up == w else up
-                side = _loss_with_weights(
-                    spec, data, layer_index, other.reshape(layer.weights.shape), readout, model
-                )
+                side = loss_at(spec.with_layer_weights(layer_index, other.reshape(shape)))
                 val = (base - side) / (w - other[i])
             grad.reshape(-1)[i] = val
         grads.append(grad)
@@ -208,9 +207,12 @@ def spsa_step(
     c: float = 0.1,
     readout: str = "exact",
     model: SimulatedModel | None = None,
+    shots: int = 0,
 ) -> QkanSpec:
     """One Rademacher-perturbation SPSA update with the standard gain schedules
-    a_k = eta/(k+1)^0.602 and c_k = c/(k+1)^0.101; weights clamp to [-1, 1]."""
+    a_k = eta/(k+1)^0.602 and c_k = c/(k+1)^0.101; weights clamp to [-1, 1].
+    The perturbation and, with shots readout, the shot noise of both loss
+    evaluations come from ``default_rng([seed, iteration])``."""
     if model is None and readout != "classical":
         model = SimulatedModel(spec, data.xs)
     rng = np.random.default_rng([seed, iteration])
@@ -222,8 +224,8 @@ def spsa_step(
     for index, delta in enumerate(deltas):
         plus = plus.with_layer_weights(index, np.clip(spec.layers[index].weights + c_k * delta, -1, 1))
         minus = minus.with_layer_weights(index, np.clip(spec.layers[index].weights - c_k * delta, -1, 1))
-    diff = (loss(plus, data, readout=readout, model=model)
-            - loss(minus, data, readout=readout, model=model)) / (2.0 * c_k)
+    diff = (loss(plus, data, readout=readout, model=model, shots=shots, seed=rng)
+            - loss(minus, data, readout=readout, model=model, shots=shots, seed=rng)) / (2.0 * c_k)
     out = spec
     for index, delta in enumerate(deltas):
         updated = np.clip(spec.layers[index].weights - a_k * diff * delta, -1.0, 1.0)
@@ -249,8 +251,16 @@ def train(spec: QkanSpec, data: Dataset, config: TrainConfig) -> TrainResult:
     value for 50 consecutive iterations.
     """
     model = None if config.readout == "classical" else SimulatedModel(spec, data.xs)
+    # one shot-noise stream for the run's own loss calls and finite differences;
+    # spawned, so it never coincides with spsa_step's default_rng([seed, iteration])
+    noise = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
+
+    def run_loss(candidate: QkanSpec) -> float:
+        return loss(candidate, data, readout=config.readout, model=model,
+                    shots=config.shots, seed=noise)
+
     current = spec
-    losses = [loss(current, data, readout=config.readout, model=model)]
+    losses = [run_loss(current)]
     initial = losses[0]
     streak = 0
     stop_reason = "iterations"
@@ -266,7 +276,10 @@ def train(spec: QkanSpec, data: Dataset, config: TrainConfig) -> TrainResult:
                 stop_reason = "plateau"
                 break
         if config.optimizer == "finite_difference":
-            grads = finite_diff_grad(current, data, config.h, readout=config.readout, model=model)
+            grads = finite_diff_grad(
+                current, data, config.h, readout=config.readout, model=model,
+                shots=config.shots, seed=noise,
+            )
             for index, grad in enumerate(grads):
                 updated = np.clip(
                     current.layers[index].weights - config.eta * grad, -1.0, 1.0
@@ -276,8 +289,9 @@ def train(spec: QkanSpec, data: Dataset, config: TrainConfig) -> TrainResult:
             current = spsa_step(
                 current, data, iteration, config.seed,
                 eta=config.eta, c=config.c, readout=config.readout, model=model,
+                shots=config.shots,
             )
-        losses.append(loss(current, data, readout=config.readout, model=model))
+        losses.append(run_loss(current))
         if losses[-1] > DIVERGENCE_FACTOR * max(initial, 1e-30):
             streak += 1
             if streak >= DIVERGENCE_STREAK:
@@ -287,8 +301,6 @@ def train(spec: QkanSpec, data: Dataset, config: TrainConfig) -> TrainResult:
                 )
         else:
             streak = 0
-    else:
-        stop_reason = "iterations"
     if config.loss_goal is not None and losses[-1] < config.loss_goal:
         stop_reason = "loss_goal"
     return TrainResult(current, tuple(losses), stop_reason)

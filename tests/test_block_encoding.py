@@ -288,3 +288,10 @@ def test_aux_field_matches_layout():
     ):
         assert derived.num_aux + derived.num_system == derived.layout.n_qubits
         assert derived.op.n == derived.layout.n_qubits
+
+
+def test_cost_survives_perturb_adjoint_and_control():
+    be = qkan.chebyshev_be(qkan.encode_diagonal_exact(np.array([0.6, -0.2]), name="x"), 3)
+    assert be.cost == {"x": 3}
+    assert qkan.perturb(be, 1e-4, seed=2).cost == be.cost
+    assert qkan.adjoint_encoding(qkan.make_controlled(be)).cost == be.cost

@@ -8,7 +8,7 @@ from qkan.errors import ContractViolationError, DomainError
 
 
 def test_reflection_signs():
-    refl = qkan.reflection(2)
+    refl = ops.reflection_about_zero(2)
     dense = refl.dense()
     assert dense[0, 0] == 1.0
     assert np.allclose(np.diag(dense)[1:], -1.0)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qkan import operators
 from qkan.cli import main
 from qkan.config import ConfigError, load_config
 
@@ -87,6 +88,19 @@ def test_budget_exceeded_exits_3(tmp_path, capsys):
         },
     )
     assert main(["eval", "--config", path, "--max-qubits", "8"]) == 3
+
+
+def test_max_qubits_option_does_not_outlive_main(hand_config, tmp_path, capsys):
+    before = operators.max_qubits()
+    assert main(["eval", "--config", hand_config, "--max-qubits", "12"]) == 0
+    assert operators.max_qubits() == before
+    too_small = write_config(
+        tmp_path,
+        {"input": [0.1, 0.2], "layers": [{"in": 2, "out": 1, "degree": 3, "weight_seed": 1}]},
+        name="small.json",
+    )
+    assert main(["eval", "--config", too_small, "--max-qubits", "4"]) == 3
+    assert operators.max_qubits() == before
 
 
 def test_verify_command_passes(tmp_path, capsys):

@@ -121,3 +121,8 @@ def test_all_encoders_are_exact(rng):
     for be, target in zip(encoders, targets):
         assert qkan.verify(be, target) <= 1e-10
         assert be.epsilon == 0.0
+
+
+def test_real_weights_cost_is_two_queries():
+    be = qkan.encode_real_weights(qkan.stateprep_for_real_vector(np.array([0.5, -0.5])), name="w")
+    assert be.cost == {"w": 2}

@@ -179,3 +179,20 @@ def test_adjoint_inverts(op):
     vec = np.random.default_rng(7).normal(size=op.dim) + 0j
     vec /= np.linalg.norm(vec)
     assert np.max(np.abs(op.adjoint().apply(op.apply(vec)) - vec)) < 1e-10
+
+
+def test_query_counts_sum_every_occurrence():
+    q = ops.Query(ops.Dense(H), {"a": 1})
+    tree = ops.compose(
+        ops.controlled(q),
+        ops.kron(q, q.adjoint()),
+        ops.Query(ops.Identity(2), {"b": 2}),
+    )
+    assert ops.query_counts(tree) == {"a": 3, "b": 2}
+    h = ops.Dense(H)
+    assert np.allclose(tree.dense(), ops.compose(ops.controlled(h), ops.kron(h, h)).dense())
+    # a Query's counts stand for its whole application; its inner is not read
+    assert ops.query_counts(ops.Query(ops.compose(q, q), {"c": 1})) == {"c": 1}
+    assert ops.query_counts(ops.Dense(H)) == {}
+    with pytest.raises(ContractViolationError):
+        ops.Query(ops.Dense(H), {"a": -1})

@@ -99,3 +99,17 @@ def test_readout_query_section():
     assert report.readout["hadamard_test_sampling"] == pytest.approx(final / 1e-4)
     assert report.readout["hadamard_test_amplitude_estimation"] == pytest.approx(final / 1e-2)
     assert report.readout["state_prep_amplification"] == pytest.approx(final * np.sqrt(2) / 0.5)
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 3])
+def test_built_network_cost_matches_exact_model(layers, d):
+    dims = [2] * layers + [1]
+    spec = qkan.QkanSpec(tuple(
+        qkan.LayerSpec.random(n_in, n_out, d, seed=index)
+        for index, (n_in, n_out) in enumerate(zip(dims, dims[1:]))
+    ))
+    be_x = qkan.encode_diagonal_exact(np.array([0.3, -0.7]), name="x")
+    cost = qkan.build_network(be_x, spec).output.cost
+    assert cost == analytic_cost(spec).expected_ledger
+    assert cost["x"] == (d * (d + 1) // 2) ** layers

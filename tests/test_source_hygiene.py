@@ -1,0 +1,18 @@
+"""Source-level rules checked by parsing the package."""
+
+import ast
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "qkan").glob("*.py"))
+
+
+def test_no_assert_statements_in_package():
+    """`assert` disappears under `python -O`; runtime checks must raise."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert SOURCES
+    assert found == []

@@ -159,6 +159,23 @@ def test_train_spsa_reduces_loss(small_spec):
     assert result.final_loss < result.losses[0] * 0.5
 
 
+@pytest.mark.parametrize("optimizer", ["finite_difference", "spsa"])
+def test_train_shots_readout_is_seeded(optimizer):
+    spec = qkan.QkanSpec((qkan.LayerSpec(np.full((2, 2, 1), 0.3)),))
+    data = quadratic_target_dataset(points=2)
+    config = qkan.TrainConfig(
+        optimizer=optimizer, eta=0.1, iterations=2, readout="shots", shots=100, seed=4
+    )
+    first = qkan.train(spec, data, config)
+    assert len(first.losses) == 3
+    assert all(0.0 <= value <= 4.0 for value in first.losses)
+    assert qkan.train(spec, data, config).losses == first.losses
+    other = qkan.TrainConfig(
+        optimizer=optimizer, eta=0.1, iterations=2, readout="shots", shots=100, seed=5
+    )
+    assert qkan.train(spec, data, other).losses != first.losses
+
+
 def test_train_divergence_detected():
     spec = qkan.QkanSpec((qkan.LayerSpec(np.zeros((2, 2, 1))),))
     data = qkan.Dataset(np.array([[0.5, -0.5]]), np.array([[0.01]]))
