@@ -21,7 +21,9 @@ from .block_encoding import (
     pair_for_weights,
     perturb,
     product,
+    read_diagonal,
     remove_offdiagonal,
+    split_system,
     uniform_pair,
     verify,
 )
@@ -66,6 +68,7 @@ from .operators import (
     hadamard_layer,
     kron,
     query_counts,
+    qubit_budget,
     random_unitary,
     set_max_qubits,
     state_prep_unitary,

@@ -18,7 +18,7 @@ that encoding.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .operators import (
     check_qubit_budget,
     compose,
     hadamard_layer,
-    kron,
     permutation_from_map,
     query_counts,
     random_unitary,
@@ -78,7 +77,9 @@ class BlockEncoding:
 
     The layout lists ancilla registers first; `num_system` trailing qubits form
     the system. `diagonal_flag` marks encodings whose block is promised diagonal
-    (within epsilon).
+    (within epsilon). `check_results` keeps the outcome of expensive checks
+    of this encoding by name (floats only, never a dense block), so a check
+    made by several steps runs once.
     """
 
     op: LinearOperator
@@ -88,6 +89,7 @@ class BlockEncoding:
     layout: RegisterLayout
     num_system: int
     diagonal_flag: bool = False
+    check_results: dict[str, float] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.alpha < 0 or self.epsilon < 0:
@@ -229,6 +231,23 @@ def extract_diagonal(be: BlockEncoding) -> np.ndarray:
     return be.alpha * values
 
 
+def read_diagonal(be: BlockEncoding) -> np.ndarray:
+    """The diagonal of a diagonal-flagged block from one operator application.
+
+    Applied to |0>_aux (x) sum_j |j>, the encoding returns sum_j' B[j, j'] on
+    |0>_aux |j>, which is B[j, j] when the block is exactly diagonal
+    (epsilon == 0). An encoding with epsilon > 0 may carry off-diagonal
+    error, so it is read column by column with :func:`extract_diagonal`.
+    """
+    if not be.diagonal_flag:
+        raise ContractViolationError("read_diagonal requires a diagonal-flagged encoding")
+    if be.epsilon > 0:
+        return extract_diagonal(be)
+    column = np.zeros(be.op.dim, dtype=np.complex128)
+    column[: be.system_dim] = 1.0
+    return be.alpha * be.op.apply(column)[: be.system_dim]
+
+
 def verify(be: BlockEncoding, target: np.ndarray, cap_qubits: int = DENSE_CAP_QUBITS) -> float:
     """Distance between the encoded block and `target`: spectral norm in general,
     max-abs entry difference for diagonal-flagged encodings (equal for diagonals)."""
@@ -248,29 +267,32 @@ def pad_aux(be: BlockEncoding, extra: int) -> BlockEncoding:
     op = Embedded(be.op, tuple(range(extra, n)), n)
     return _derived(
         op, be.alpha, be.epsilon,
-        [("pad", extra)] + list(be.layout.registers[: _aux_reg_count(be)]),
-        list(be.layout.registers[_aux_reg_count(be):]),
+        [("pad", extra)] + _aux_regs(be),
+        _sys_regs(be),
         be.diagonal_flag,
     )
 
 
-def _aux_reg_count(be: BlockEncoding) -> int:
+def _split_regs(
+    regs: list[tuple[str, int]], qubits: int, what: str
+) -> tuple[list[tuple[str, int]], list[tuple[str, int]]]:
+    """The registers holding the first `qubits` qubits, and the rest."""
     running = 0
-    for i, (_, size) in enumerate(be.layout.registers):
-        if running == be.num_aux:
-            return i
+    for i, (_, size) in enumerate(regs):
+        if running == qubits:
+            return list(regs[:i]), list(regs[i:])
         running += size
-    if running == be.num_aux:
-        return len(be.layout.registers)
-    raise ContractViolationError("ancilla block does not align with register boundaries")
+    if running == qubits:
+        return list(regs), []
+    raise ContractViolationError(f"{what} does not align with register boundaries")
 
 
 def _aux_regs(be: BlockEncoding) -> list[tuple[str, int]]:
-    return list(be.layout.registers[: _aux_reg_count(be)])
+    return _split_regs(be.layout.registers, be.num_aux, "ancilla block")[0]
 
 
 def _sys_regs(be: BlockEncoding) -> list[tuple[str, int]]:
-    return list(be.layout.registers[_aux_reg_count(be):])
+    return _split_regs(be.layout.registers, be.num_aux, "ancilla block")[1]
 
 
 def adjoint_encoding(be: BlockEncoding) -> BlockEncoding:
@@ -458,19 +480,49 @@ def hadamard_product(be_a: BlockEncoding, be_b: BlockEncoding) -> BlockEncoding:
     )
 
 
-def dilate(be: BlockEncoding, k: int) -> BlockEncoding:
-    """Encoding of diag(x) (x) I_k: each entry repeated 2^k times; parameters unchanged."""
+def dilate(be: BlockEncoding, k: int, trailing: int = 0) -> BlockEncoding:
+    """Encoding of diag(x) (x) I_k: each entry repeated 2^k times; parameters unchanged.
+
+    The k new system qubits go ahead of the last `trailing` system qubits,
+    which must form whole registers: over a system [p | sample] the result
+    spans [p | k | sample] and carries x_(p, s) at every (p, q, s).
+    """
     if not be.diagonal_flag:
         raise ContractViolationError("dilate requires a diagonal-flagged encoding")
-    if k < 0:
-        raise ContractViolationError("dilation qubit count must be non-negative")
+    if k < 0 or not 0 <= trailing <= be.num_system:
+        raise ContractViolationError(
+            f"cannot dilate by {k} qubits ahead of {trailing} of {be.num_system} system qubits"
+        )
     if k == 0:
         return be
-    op = kron(be.op, Identity(k))
+    head, tail = _split_regs(_sys_regs(be), be.num_system - trailing, "dilation point")
+    n = be.op.n + k
+    check_qubit_budget(n, "dilated encoding")
+    split = be.op.n - trailing
+    op = Embedded(be.op, tuple(range(split)) + tuple(range(split + k, n)), n)
     return _derived(
         op, be.alpha, be.epsilon,
-        _aux_regs(be), _sys_regs(be) + [("dil", k)],
+        _aux_regs(be), head + [("dil", k)] + tail,
         True,
+    )
+
+
+def split_system(be: BlockEncoding, trailing: int) -> BlockEncoding:
+    """The same encoding with its last `trailing` system qubits relabelled as a
+    `sample` register of their own (cut from the last system register)."""
+    if trailing == 0:
+        return be
+    *head, (last, size) = _sys_regs(be)
+    if not 0 < trailing <= size:
+        raise ContractViolationError(
+            f"cannot split {trailing} qubits off the {size}-qubit register {last!r}"
+        )
+    if size > trailing:
+        head.append((last, size - trailing))
+    return _derived(
+        be.op, be.alpha, be.epsilon,
+        _aux_regs(be), head + [("sample", trailing)],
+        be.diagonal_flag,
     )
 
 

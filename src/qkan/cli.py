@@ -216,6 +216,13 @@ _COMMANDS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qkan",
@@ -230,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument("--no-timestamp", action="store_true", help="omit the timestamp field")
         cmd.add_argument(
-            "--max-qubits", type=int, default=None,
+            "--max-qubits", type=_positive_int, default=None,
             help=f"total qubit budget (default {operators.DEFAULT_MAX_QUBITS})",
         )
         if name == "train":
@@ -244,13 +251,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    budget_before = operators.max_qubits()
     try:
         config = load_config(args.config, seed_override=args.seed)
-        budget = args.max_qubits or config.max_qubits
-        if budget:
-            operators.set_max_qubits(budget)
-        code, report = _COMMANDS[args.command](config, args)
+        budget = args.max_qubits if args.max_qubits is not None else config.max_qubits
+        with operators.qubit_budget(operators.max_qubits() if budget is None else budget):
+            code, report = _COMMANDS[args.command](config, args)
         _emit(report, args.out, args.no_timestamp)
         return code
     except ConfigError as exc:
@@ -263,8 +268,6 @@ def main(argv: list[str] | None = None) -> int:
     except QkanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    finally:
-        operators.set_max_qubits(budget_before)
 
 
 if __name__ == "__main__":

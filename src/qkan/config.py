@@ -198,6 +198,10 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
         except QkanError as exc:
             raise ConfigError(str(exc)) from exc
     max_qubits = raw.get("max_qubits")
+    _require(
+        max_qubits is None or int(max_qubits) >= 1,
+        f"max_qubits must be a positive integer, got {max_qubits}",
+    )
     return RunConfig(
         input=x,
         spec=spec,

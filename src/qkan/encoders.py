@@ -15,6 +15,7 @@ from .errors import ContractViolationError, DomainError
 from .operators import (
     Dense,
     Embedded,
+    LabelReflection,
     LinearOperator,
     Permutation,
     compose,
@@ -35,16 +36,15 @@ def encode_diagonal_exact(x: np.ndarray, name: str = "x") -> BlockEncoding:
 
     Per basis label p the single ancilla carries the reflection block
     [[x_p, s_p], [s_p, -x_p]] with s_p = sqrt(1 - x_p^2); the full operator
-    is Hermitian and unitary, which the Chebyshev step relies on.
+    is Hermitian and unitary, which the Chebyshev step relies on. It is
+    stored as the N values, not as a dense 2N x 2N matrix.
     """
     x = np.asarray(x, dtype=np.float64)
     n = _log2_exact(x.size, "input vector")
     if np.any(np.abs(x) > 1.0):
         raise DomainError(f"entries outside [-1, 1]: max |x| = {np.max(np.abs(x))}")
-    s = np.sqrt(1.0 - x * x)
-    mat = np.block([[np.diag(x), np.diag(s)], [np.diag(s), -np.diag(x)]]).astype(np.complex128)
     layout = RegisterLayout((("enc", 1), ("sys", n)))
-    return primitive_encoding(Dense(mat), 1, layout, name, diagonal=True)
+    return primitive_encoding(LabelReflection(x), 1, layout, name, diagonal=True)
 
 
 def _copy_compare_permutation(n: int) -> Permutation:

@@ -187,7 +187,13 @@ def sum_over_inputs(be: BlockEncoding, n_inputs: int) -> BlockEncoding:
 
 class LayerAssembler:
     """Builds a layer for a fixed input encoding, reusing the input-dependent
-    Chebyshev encodings across weight updates (they are weight-independent)."""
+    Chebyshev encodings across weight updates (they are weight-independent).
+
+    With `sample_qubits` = m > 0 the last m system qubits of the input form a
+    sample register: the input spans [p | sample], DILATE inserts the k
+    output qubits ahead of it, every weight encoding W becomes W (x) I_sample,
+    and SUM leaves [k | sample], the input system of a next layer with the
+    same m. One application then evaluates the layer on all 2^m samples."""
 
     def __init__(
         self,
@@ -196,24 +202,26 @@ class LayerAssembler:
         degree: int,
         layer_index: int = 0,
         weight_encoder: WeightEncoder | None = None,
+        sample_qubits: int = 0,
     ):
         self.layer_index = layer_index
         self.degree = degree
-        self.n_in = 1 << be_x.num_system
+        self.sample_qubits = sample_qubits
+        self.n = be_x.num_system - sample_qubits
+        self.n_in = 1 << self.n
         self.n_out = n_out
         self.k = _log2_pow2(n_out, "output node count")
-        self.n = be_x.num_system
         self.weight_encoder: WeightEncoder = weight_encoder or (
             lambda vec, name: encode_diagonal_exact(vec, name=name)
         )
         selector = degree.bit_length()  # ceil(log2(d+1))
-        # total after SUM: selector + a_w + (a_x + 1) + n + k; probe a_w cheaply
+        # total after SUM: selector + a_w + (a_x + 1) + n + k + m; probe a_w cheaply
         probe = self.weight_encoder(np.zeros(self.n_in * n_out), "probe")
         check_qubit_budget(
-            selector + probe.num_aux + be_x.num_aux + 1 + self.n + self.k,
+            selector + probe.num_aux + be_x.num_aux + 1 + be_x.num_system + self.k,
             "CHEB-QKAN layer",
         )
-        self.dilated = dilate(be_x, self.k)
+        self.dilated = dilate(be_x, self.k, trailing=sample_qubits)
         self.cheb = [chebyshev_be(self.dilated, r) for r in range(degree + 1)]
         self.pair = uniform_pair(degree + 1)
 
@@ -234,7 +242,7 @@ class LayerAssembler:
                 raise ContractViolationError(
                     f"weight encoding spans {w_be.num_system} qubits, expected {self.n + self.k}"
                 )
-            terms.append(product(self.cheb[r], w_be))
+            terms.append(product(self.cheb[r], dilate(w_be, self.sample_qubits)))
         combined = lcu(terms, self.pair)
         return sum_over_inputs(combined, self.n)
 
@@ -244,15 +252,20 @@ def build_layer(
     spec: LayerSpec,
     layer_index: int = 0,
     weight_encoder: WeightEncoder | None = None,
+    sample_qubits: int = 0,
 ) -> BlockEncoding:
     """Diagonal (1, a_x + 1 + a_w + log2(d+1) + n, 4 d sqrt(eps_x) + eps_w)-
-    encoding of Phi(x), making d(d+1)/2 input and d+1 weight queries."""
-    if be_x.num_system != spec.n_qubits_in:
+    encoding of Phi(x), making d(d+1)/2 input and d+1 weight queries; with a
+    trailing sample register of `sample_qubits` qubits (see
+    :class:`LayerAssembler`), of Phi on every sample at once."""
+    if be_x.num_system - sample_qubits != spec.n_qubits_in:
         raise ContractViolationError(
-            f"input encoding spans {be_x.num_system} qubits but the layer expects "
-            f"{spec.n_qubits_in}"
+            f"input encoding spans {be_x.num_system - sample_qubits} qubits but the layer "
+            f"expects {spec.n_qubits_in}"
         )
-    assembler = LayerAssembler(be_x, spec.n_out, spec.degree, layer_index, weight_encoder)
+    assembler = LayerAssembler(
+        be_x, spec.n_out, spec.degree, layer_index, weight_encoder, sample_qubits
+    )
     return assembler.assemble(spec.weights)
 
 

@@ -9,9 +9,11 @@ the most significant end, matching :class:`~qkan.registers.RegisterLayout`.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -20,25 +22,42 @@ from .errors import ContractViolationError, ResourceLimitError
 DEFAULT_MAX_QUBITS = 22
 DENSE_CAP_QUBITS = 10
 
-_max_qubits = DEFAULT_MAX_QUBITS
+# construction budget (total qubits of any single operator) of the current context
+_max_qubits: ContextVar[int] = ContextVar("qkan_max_qubits", default=DEFAULT_MAX_QUBITS)
 
 
 def max_qubits() -> int:
-    return _max_qubits
+    return _max_qubits.get()
+
+
+def _require_positive_budget(n: int) -> None:
+    if n < 1:
+        raise ContractViolationError("qubit budget must be positive")
 
 
 def set_max_qubits(n: int) -> None:
-    """Set the global construction budget (total qubits of any single operator)."""
-    global _max_qubits
-    if n < 1:
-        raise ContractViolationError("qubit budget must be positive")
-    _max_qubits = n
+    """Set the construction budget of the current context (thread or task);
+    prefer :func:`qubit_budget`, which restores the previous one."""
+    _require_positive_budget(n)
+    _max_qubits.set(n)
+
+
+@contextmanager
+def qubit_budget(n: int) -> Iterator[int]:
+    """Construction budget of `n` qubits inside the block, restored on exit."""
+    _require_positive_budget(n)
+    token = _max_qubits.set(n)
+    try:
+        yield n
+    finally:
+        _max_qubits.reset(token)
 
 
 def check_qubit_budget(n: int, what: str = "operator") -> None:
-    if n > _max_qubits:
+    budget = _max_qubits.get()
+    if n > budget:
         raise ResourceLimitError(
-            f"{what} needs {n} qubits, exceeding the budget of {_max_qubits}",
+            f"{what} needs {n} qubits, exceeding the budget of {budget}",
             required_qubits=n,
         )
 
@@ -158,6 +177,35 @@ class Permutation(LinearOperator):
         inverse = np.empty_like(self.perm)
         inverse[self.perm] = np.arange(self.perm.shape[0])
         return Permutation(inverse)
+
+
+@dataclass(frozen=True, eq=False)
+class LabelReflection(LinearOperator):
+    """Real reflection [[x_j, s_j], [s_j, -x_j]], s_j = sqrt(1 - x_j^2), between
+    |0>|j> and |1>|j> for every label j of the trailing qubits. Hermitian and
+    unitary for x in [-1, 1], stored in O(2^n) memory."""
+
+    x: np.ndarray
+
+    def __post_init__(self):
+        x = np.asarray(self.x, dtype=np.float64)
+        labels = int(x.shape[0]) if x.ndim == 1 else 0
+        if labels & (labels - 1) or not labels:
+            raise ContractViolationError(f"label count {x.shape} is not a power of two")
+        if np.any(np.abs(x) > 1.0):
+            raise ContractViolationError("reflection entries must lie in [-1, 1]")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "n", labels.bit_length())
+        object.__setattr__(self, "_s", np.sqrt(1.0 - x * x))
+
+    def _apply(self, cols):
+        half = cols.shape[0] // 2
+        top, bottom = cols[:half], cols[half:]
+        x, s = self.x[:, None], self._s[:, None]
+        return np.concatenate((x * top + s * bottom, s * top - x * bottom))
+
+    def adjoint(self):
+        return self
 
 
 @dataclass(frozen=True, eq=False)

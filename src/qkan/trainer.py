@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_encoding import extract_diagonal
+from .block_encoding import read_diagonal, split_system
 from .encoders import encode_diagonal_exact
 from .errors import ContractViolationError, DivergenceError, DomainError
 from .network import (
@@ -21,6 +21,8 @@ from .network import (
     build_layer,
     classical_network_eval,
 )
+from .operators import DENSE_CAP_QUBITS, max_qubits
+from .resources import analytic_cost
 
 DIVERGENCE_FACTOR = 10.0
 DIVERGENCE_STREAK = 50
@@ -81,34 +83,80 @@ class Dataset:
         return cls(xs, ys)
 
 
+# log2 of the dense entries (operator dimension x block columns) that the
+# Chebyshev guard of a layer rebuilt on every evaluation may extract. Its cost
+# grows as 4^m per chunk, 2^m per sample; past about this size it outweighs
+# the per-chunk overhead that a wider register saves (measured on 2- and
+# 3-layer networks with d <= 3 on 64 samples).
+REBUILT_GUARD_QUBITS = 16
+
+
+def sample_register_width(spec: QkanSpec, samples: int) -> int:
+    """Qubits m of the sample register: the fewest that hold every sample,
+    capped so that every layer fits the qubit budget and every Chebyshev
+    Hermiticity guard, a dense block over the n + k + m system qubits of the
+    dilated input, fits DENSE_CAP_QUBITS (and REBUILT_GUARD_QUBITS for the
+    layers after the first). Samples beyond 2^m go to further chunks; m = 0
+    evaluates one sample at a time."""
+    width = max(0, (samples - 1).bit_length())
+    budget = max_qubits()
+    aux_totals = analytic_cost(spec).aux_totals  # ancillas before and after each layer
+    for index, layer in enumerate(spec.layers):
+        system = layer.n_qubits_in + layer.n_qubits_out
+        width = min(width, budget - aux_totals[index + 1] - layer.n_qubits_out)
+        if layer.degree:  # the layer runs a Chebyshev guard
+            width = min(width, DENSE_CAP_QUBITS - system)
+            if index:
+                width = min(width, (REBUILT_GUARD_QUBITS - aux_totals[index]) // 2 - system)
+    return max(width, 0)
+
+
 class SimulatedModel:
     """Network outputs on fixed sample inputs, evaluated through the simulator.
 
+    The samples are a register. Each chunk of 2^m samples (m from
+    :func:`sample_register_width`) is one diagonal input encoding over the
+    system [p | sample], diagonal index p * 2^m + s; every layer carries the
+    sample register as its trailing system qubits, and one application of
+    the network reads the outputs of the whole chunk (see
+    :func:`~qkan.block_encoding.read_diagonal`). The last chunk is padded
+    with x = 0 rows, whose outputs are dropped.
+
     The first layer's Chebyshev encodings depend only on the inputs, so they
-    are cached per sample and reused across weight updates; deeper layers are
-    rebuilt because their input encoding changes with the upstream weights.
+    are built once per chunk and reused across weight updates; deeper layers
+    are rebuilt because their input encoding changes with the upstream weights.
     """
 
     def __init__(self, spec: QkanSpec, xs: np.ndarray):
         self.spec = spec
-        self.xs = np.asarray(xs, dtype=np.float64)
-        self._assemblers = [
-            LayerAssembler(
-                encode_diagonal_exact(x, name="x"),
-                spec.layers[0].n_out,
-                spec.layers[0].degree,
-                layer_index=0,
+        self.xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+        self.sample_qubits = sample_register_width(spec, self.xs.shape[0])
+        chunk = 1 << self.sample_qubits
+        first = spec.layers[0]
+        self._assemblers = []
+        for start in range(0, self.xs.shape[0], chunk):
+            rows = np.zeros((chunk, first.n_in))
+            part = self.xs[start:start + chunk]
+            rows[: part.shape[0]] = part
+            be_x = encode_diagonal_exact(rows.T.reshape(-1), name="x")  # index p * 2^m + s
+            be_x = split_system(be_x, self.sample_qubits)
+            self._assemblers.append(
+                LayerAssembler(
+                    be_x, first.n_out, first.degree,
+                    layer_index=0, sample_qubits=self.sample_qubits,
+                )
             )
-            for x in self.xs
-        ]
 
     def outputs(self, spec: QkanSpec) -> np.ndarray:
+        chunk = 1 << self.sample_qubits
         out = np.empty((self.xs.shape[0], spec.dims[-1]))
-        for i, assembler in enumerate(self._assemblers):
+        for start, assembler in zip(range(0, out.shape[0], chunk), self._assemblers):
             be = assembler.assemble(spec.layers[0].weights)
             for index, layer in enumerate(spec.layers[1:], start=1):
-                be = build_layer(be, layer, layer_index=index)
-            out[i] = extract_diagonal(be).real
+                be = build_layer(be, layer, layer_index=index, sample_qubits=self.sample_qubits)
+            values = read_diagonal(be).real.reshape(-1, chunk).T  # diagonal index q * 2^m + s
+            rows = out[start:start + chunk]
+            rows[:] = values[: rows.shape[0]]
         return out
 
 

@@ -168,6 +168,20 @@ def test_dilate_repeats_entries():
     assert (dil.alpha, dil.num_aux, dil.epsilon) == (be.alpha, be.num_aux, be.epsilon)
 
 
+def test_dilate_ahead_of_trailing_register():
+    x = np.array([[0.3, -0.7], [0.1, 0.9]])  # x[p, s] over [p | sample]
+    be = qkan.split_system(qkan.encode_diagonal_exact(x.reshape(-1)), 1)
+    assert be.layout.registers == (("enc", 1), ("sys", 1), ("sample", 1))
+    dil = qkan.dilate(be, 1, trailing=1)
+    assert dil.layout.registers == (("enc", 1), ("sys", 1), ("dil", 1), ("sample", 1))
+    target = np.diag([x[p, s] for p in range(2) for q in range(2) for s in range(2)])
+    assert qkan.verify(dil, target) <= 1e-15
+    with pytest.raises(ContractViolationError):
+        qkan.dilate(qkan.encode_diagonal_exact(x.reshape(-1)), 1, trailing=1)  # splits "sys"
+    with pytest.raises(ContractViolationError):
+        qkan.split_system(be, 2)
+
+
 def test_dilate_preserves_error_bound():
     x = np.array([0.3, -0.7])
     shaken = qkan.perturb(qkan.encode_diagonal_exact(x), 1e-5, seed=1)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -140,3 +142,48 @@ def test_extracted_chebyshev_block_is_real(rng):
     for r in (2, 3):
         block = qkan.extract_block(qkan.chebyshev_be(be, r))
         assert np.max(np.abs(block.imag)) < 1e-12
+
+
+def _counting_extract_block(monkeypatch):
+    from qkan import chebyshev
+
+    calls = []
+    real = chebyshev.extract_block
+
+    def counted(be):
+        calls.append(be)
+        return real(be)
+
+    monkeypatch.setattr(chebyshev, "extract_block", counted)
+    return calls
+
+
+def test_hermiticity_guard_runs_once_per_encoding(monkeypatch):
+    from qkan.chebyshev import HERMITICITY_SLACK
+
+    x = np.random.default_rng(5).uniform(-1, 1, 8)
+    shaken = qkan.dilate(qkan.perturb(qkan.encode_diagonal_exact(x), 1e-4, seed=1), 3)
+    block = qkan.extract_block(shaken)
+    gap = block - block.conj().T
+    limit = 2 * shaken.epsilon + HERMITICITY_SLACK
+    # accepted by the spectral norm only: the Frobenius bound alone does not pass
+    assert np.linalg.norm(gap, 2) <= limit < np.linalg.norm(gap)
+    calls = _counting_extract_block(monkeypatch)
+    for r in (1, 2, 3):
+        qkan.chebyshev_be(shaken, r)
+    qkan.apply_phase_sequence(shaken, PhaseSequence.chebyshev(3))
+    assert calls == [shaken]
+    assert shaken.check_results["hermiticity_defect"] == pytest.approx(np.linalg.norm(gap, 2))
+
+
+def test_hermiticity_guard_rejects_with_the_spectral_defect(rng, monkeypatch):
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    psi /= np.linalg.norm(psi)
+    be = qkan.encode_from_stateprep(ops.state_prep_unitary(psi))
+    block = qkan.extract_block(be)
+    spectral = np.linalg.norm(block - block.conj().T, 2)
+    calls = _counting_extract_block(monkeypatch)
+    for r in (1, 2):
+        with pytest.raises(ContractViolationError, match=re.escape(f"defect {spectral:.3e},")):
+            qkan.chebyshev_be(be, r)
+    assert len(calls) == 1

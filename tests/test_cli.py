@@ -245,3 +245,26 @@ def test_config_error_messages(tmp_path):
     path = write_config(tmp_path, {"input": [0.1], "layers": []})
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_non_positive_max_qubits_option_exits_2(hand_config, value, capsys):
+    assert main(["eval", "--config", hand_config, "--max-qubits", value]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("value", [0, -3])
+def test_non_positive_max_qubits_in_config_exits_2(tmp_path, value, capsys):
+    path = write_config(
+        tmp_path,
+        {"input": [0.1, 0.2], "layers": [{"in": 2, "out": 1, "degree": 1}], "max_qubits": value},
+    )
+    assert main(["eval", "--config", path]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_max_qubits_in_config_is_the_budget(tmp_path, capsys):
+    payload = {"input": [0.1, 0.2], "layers": [{"in": 2, "out": 1, "degree": 3}], "max_qubits": 4}
+    assert main(["eval", "--config", write_config(tmp_path, payload)]) == 3
+    # the option overrides the config
+    assert main(["eval", "--config", write_config(tmp_path, payload), "--max-qubits", "22"]) == 0

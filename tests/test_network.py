@@ -288,3 +288,63 @@ def test_sum_over_inputs_absorbs_registers(rng):
     assert built.num_system == 1
     names = built.layout.names
     assert names[-1].startswith("dil")
+
+
+def _sample_register_input(xs):
+    """Exact input encoding over [p | sample] of 2^m samples, index p * 2^m + s."""
+    m = (len(xs) - 1).bit_length()
+    be = qkan.encode_diagonal_exact(np.asarray(xs).T.reshape(-1), name="x")
+    return qkan.split_system(be, m), m
+
+
+def test_batched_layers_carry_the_sample_register(rng):
+    qspec = qkan.QkanSpec(
+        (qkan.LayerSpec.random(2, 2, 3, seed=70), qkan.LayerSpec.random(2, 2, 1, seed=71))
+    )
+    xs = rng.uniform(-1, 1, (4, 2))
+    be, m = _sample_register_input(xs)
+    assert be.layout.registers[-2:] == (("sys", 1), ("sample", 2))
+    first = qkan.build_layer(be, qspec.layers[0], sample_qubits=m)
+    assert (first.num_system, first.layout.registers[-2:]) == (3, (("dil", 1), ("sample", 2)))
+    second = qkan.build_layer(first, qspec.layers[1], layer_index=1, sample_qubits=m)
+    assert (second.num_system, second.layout.registers[-2:]) == (3, (("dil.2", 1), ("sample", 2)))
+    want = np.array([qkan.classical_network_eval(x, qspec) for x in xs])  # (S, K)
+    got = qkan.extract_diagonal(second).real.reshape(2, 4).T  # index q * 2^m + s
+    assert np.max(np.abs(got - want)) <= 1e-12
+    # queries per application do not depend on the sample count
+    report = qkan.analytic_cost(qspec)
+    assert second.cost == report.expected_ledger
+    assert qkan.reconcile(report, second).ok
+    assert second.num_aux == report.aux_totals[-1]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_one_column_readout_matches_extract_diagonal(depth, rng):
+    dims = [4, 2, 2, 1][: depth] + [1]
+    qspec = qkan.QkanSpec(tuple(
+        qkan.LayerSpec.random(n_in, n_out, 2, seed=80 + i)
+        for i, (n_in, n_out) in enumerate(zip(dims, dims[1:]))
+    ))
+    x = rng.uniform(-1, 1, dims[0])
+    out = qkan.build_network(qkan.encode_diagonal_exact(x), qspec).output
+    assert out.epsilon == 0.0
+    got = qkan.read_diagonal(out)
+    assert np.max(np.abs(got - qkan.extract_diagonal(out))) <= 1e-12
+    assert np.max(np.abs(got.real - qkan.classical_network_eval(x, qspec))) <= 1e-12
+
+
+def test_one_column_readout_falls_back_when_epsilon_is_positive():
+    rng = np.random.default_rng(7)
+    unitary = qkan.random_unitary(3, rng)  # block over 2 system qubits, far from diagonal
+    from qkan.block_encoding import primitive_encoding
+    from qkan.registers import RegisterLayout
+
+    layout = RegisterLayout((("a", 1), ("sys", 2)))
+    noisy = primitive_encoding(qkan.Dense(unitary), 1, layout, "u", epsilon=0.5, diagonal=True)
+    diagonal = np.diag(unitary)[:4]
+    assert np.allclose(qkan.read_diagonal(noisy), diagonal, atol=1e-14)
+    assert np.allclose(qkan.extract_diagonal(noisy), diagonal, atol=1e-14)
+    # the one-column read would have summed the off-diagonal entries into each row
+    assert np.max(np.abs(unitary[:4, :4].sum(axis=1) - diagonal)) > 1e-2
+    with pytest.raises(ContractViolationError):
+        qkan.read_diagonal(primitive_encoding(qkan.Dense(unitary), 1, layout, "u"))

@@ -196,3 +196,50 @@ def test_query_counts_sum_every_occurrence():
     assert ops.query_counts(ops.Dense(H)) == {}
     with pytest.raises(ContractViolationError):
         ops.Query(ops.Dense(H), {"a": -1})
+
+
+def test_qubit_budget_is_scoped():
+    before = ops.max_qubits()
+    with ops.qubit_budget(4) as budget:
+        assert budget == ops.max_qubits() == 4
+        with pytest.raises(ResourceLimitError):
+            ops.kron(ops.Identity(3), ops.Identity(3))
+    assert ops.max_qubits() == before
+    ops.kron(ops.Identity(3), ops.Identity(3))
+    with pytest.raises(ContractViolationError):
+        with ops.qubit_budget(0):
+            pass
+    assert ops.max_qubits() == before
+
+
+def test_qubit_budget_does_not_leak_across_threads():
+    import threading
+
+    seen = []
+
+    def worker():
+        ops.set_max_qubits(5)
+        seen.append(ops.max_qubits())
+
+    before = ops.max_qubits()
+    thread = threading.Thread(target=worker)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert seen == [5]
+    assert ops.max_qubits() == before
+
+
+def test_label_reflection_matches_dense_blocks():
+    x = np.array([0.3, -1.0, 0.0, 0.8])
+    s = np.sqrt(1.0 - x * x)
+    op = ops.LabelReflection(x)
+    assert op.n == 3
+    want = np.block([[np.diag(x), np.diag(s)], [np.diag(s), -np.diag(x)]])
+    assert np.max(np.abs(op.dense() - want)) <= 1e-15
+    assert op.adjoint() is op
+    assert ops.unitarity_defect(op) <= 1e-15
+    with pytest.raises(ContractViolationError):
+        ops.LabelReflection(np.zeros(3))
+    with pytest.raises(ContractViolationError):
+        ops.LabelReflection(np.array([0.5, 1.5]))

@@ -189,3 +189,70 @@ def test_train_config_validation():
         qkan.TrainConfig(h=0.0)
     with pytest.raises(DomainError):
         qkan.TrainConfig(optimizer="adam")
+
+
+def _per_sample_outputs(spec, xs):
+    """One build_network and one extract_diagonal per sample."""
+    return np.array([
+        qkan.extract_diagonal(
+            qkan.build_network(qkan.encode_diagonal_exact(x, name="x"), spec).output
+        ).real
+        for x in xs
+    ])
+
+
+TWO_LAYER_K2 = qkan.QkanSpec(
+    (qkan.LayerSpec.random(2, 2, 3, seed=61, scale=0.8), qkan.LayerSpec.random(2, 1, 2, seed=62))
+)
+
+
+@pytest.mark.parametrize(
+    "spec, samples, width",
+    [
+        (qkan.QkanSpec((qkan.LayerSpec.random(2, 1, 3, seed=60),)), 5, 3),  # 3 padding rows
+        (TWO_LAYER_K2, 6, 3),  # DILATE of layer 0 goes ahead of the sample register
+        (TWO_LAYER_K2, 1, 0),  # one sample needs no register
+    ],
+)
+def test_batched_outputs_match_per_sample_builds(spec, samples, width, rng):
+    xs = rng.uniform(-1, 1, (samples, 2))
+    model = qkan.SimulatedModel(spec, xs)
+    assert model.sample_qubits == width
+    got = qkan.model_outputs(spec, xs, model=model)
+    assert got.shape == (samples, spec.dims[-1])
+    assert np.max(np.abs(got - _per_sample_outputs(spec, xs))) <= 1e-12
+    classical = qkan.model_outputs(spec, xs, readout="classical")
+    assert np.max(np.abs(got - classical)) <= 1e-12
+
+
+def test_lowered_budget_splits_samples_into_chunks(rng):
+    spec = qkan.QkanSpec((qkan.LayerSpec.random(2, 1, 3, seed=63, scale=0.5),))
+    data = qkan.Dataset(rng.uniform(-1, 1, (5, 2)), rng.uniform(-0.2, 0.2, (5, 1)))
+    config = qkan.TrainConfig(eta=10.0, iterations=3, readout="exact")
+    whole = qkan.train(spec, data, config)
+    # the layer needs 6 ancillas + k = 0 outputs, so 8 qubits leave m = 2
+    with qkan.qubit_budget(8):
+        model = qkan.SimulatedModel(spec, data.xs)
+        assert model.sample_qubits == 2  # chunks of 4: 4 samples, then 1 and 3 padding rows
+        got = qkan.model_outputs(spec, data.xs, model=model)
+        chunked = qkan.train(spec, data, config)
+    assert np.max(np.abs(got - _per_sample_outputs(spec, data.xs))) <= 1e-12
+    assert np.max(np.abs(np.subtract(chunked.losses, whole.losses))) <= 1e-12
+    classical = qkan.train(spec, data, qkan.TrainConfig(eta=10.0, iterations=3, readout="classical"))
+    assert np.max(np.abs(np.subtract(chunked.losses, classical.losses))) <= 1e-9
+
+
+def test_sample_register_width_limits():
+    one = qkan.QkanSpec((qkan.LayerSpec.random(2, 1, 3, seed=1),))
+    assert qkan.trainer.sample_register_width(one, 64) == 6
+    assert qkan.trainer.sample_register_width(one, 65) == 7
+    # every Chebyshev guard stays within the 10-qubit dense cap: n + k + m <= 10
+    assert qkan.trainer.sample_register_width(one, 10**6) == 9
+    with qkan.qubit_budget(7):
+        assert qkan.trainer.sample_register_width(one, 64) == 1
+    with qkan.qubit_budget(5):  # the layer does not fit: built one sample at a time, and refused
+        assert qkan.trainer.sample_register_width(one, 64) == 0
+        with pytest.raises(qkan.ResourceLimitError):
+            qkan.SimulatedModel(one, np.zeros((2, 2)))
+    # layers after the first rebuild their guard on every evaluation, which bounds m
+    assert qkan.trainer.sample_register_width(TWO_LAYER_K2, 64) == 4
