@@ -65,6 +65,8 @@ from .operators import (
     Query,
     compose,
     controlled,
+    describe,
+    describe_text,
     hadamard_layer,
     kron,
     query_counts,

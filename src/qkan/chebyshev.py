@@ -86,11 +86,15 @@ def _qsvt_shell(be: BlockEncoding, factors: list[LinearOperator], epsilon: float
     )
 
 
-def chebyshev_be(be_x: BlockEncoding, r: int) -> BlockEncoding:
+def chebyshev_be(
+    be_x: BlockEncoding, r: int, u_adjoint: LinearOperator | None = None
+) -> BlockEncoding:
     """(1, a_x + 1, 4 r sqrt(eps_x))-encoding of diag(T_r(x_1), ..., T_r(x_N)).
 
     Applies the underlying encoding (or its adjoint) exactly r times; r = 0
-    yields an exact identity encoding at zero queries.
+    yields an exact identity encoding at zero queries. `u_adjoint`, when
+    given, must be ``be_x.op.adjoint()``; callers building several degrees
+    pass one so that the adjoint tree is built once and shared.
     """
     if r < 0:
         raise DomainError("Chebyshev degree must be non-negative")
@@ -104,7 +108,9 @@ def chebyshev_be(be_x: BlockEncoding, r: int) -> BlockEncoding:
     factors: list[LinearOperator] = []
     if r % 2:
         factors += [u, z]
-    factors += [u.adjoint(), z, u, z] * (r // 2)
+    if r >= 2:
+        u_dag = u.adjoint() if u_adjoint is None else u_adjoint
+        factors += [u_dag, z, u, z] * (r // 2)
     return _qsvt_shell(be_x, factors, 4.0 * r * np.sqrt(be_x.epsilon))
 
 

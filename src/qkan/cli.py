@@ -30,7 +30,7 @@ from .operators import state_prep_unitary
 from .readout import estimate_all_outputs, hadamard_test, prepare_state_postselect
 from .resources import analytic_cost, reconcile
 from .trainer import train
-from .verification import run_verification
+from .verification import check_network_accounting, run_verification
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -91,6 +91,8 @@ def cmd_verify(config: RunConfig, args) -> tuple[int, dict]:
         eps_w=config.perturb.eps_w,
         seed=config.seed,
     )
+    if len(config.spec.layers) > 1:
+        results += check_network_accounting(config.spec, config.input)
     passed = all(r.passed for r in results)
     report = {
         "command": "verify",

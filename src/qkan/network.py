@@ -222,7 +222,9 @@ class LayerAssembler:
             "CHEB-QKAN layer",
         )
         self.dilated = dilate(be_x, self.k, trailing=sample_qubits)
-        self.cheb = [chebyshev_be(self.dilated, r) for r in range(degree + 1)]
+        # one adjoint of the (possibly deep) dilated input, shared by every degree
+        u_dag = self.dilated.op.adjoint() if degree >= 2 else None
+        self.cheb = [chebyshev_be(self.dilated, r, u_dag) for r in range(degree + 1)]
         self.pair = uniform_pair(degree + 1)
 
     def assemble(self, weights: np.ndarray) -> BlockEncoding:

@@ -12,8 +12,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -234,12 +235,46 @@ class Composed(LinearOperator):
         return Composed(tuple(op.adjoint() for op in reversed(self.factors)))
 
 
+class _AxisPlan(NamedTuple):
+    shape: tuple[int, ...]  # source view: merged qubit runs, then -1 for the batch
+    forward: tuple[int, ...]  # transposition bringing the moved axes to the front
+    moved: tuple[int, ...]  # shape after `forward`
+    inverse: tuple[int, ...]  # transposition undoing `forward`
+
+
+@lru_cache(maxsize=4096)
+def _axis_plan(axes: tuple[int, ...], n: int) -> _AxisPlan:
+    """Reshape/transpose plan that brings the qubit `axes` of a (2^n, batch)
+    array to the front, in order, ahead of the other qubits in ascending order.
+
+    Qubits that stay adjacent under the move form one dimension of the view,
+    and the batch joins a run that ends on the last qubit, so leading
+    contiguous axes give identity transpositions and zero-copy reshapes.
+    """
+    order = list(axes) + [q for q in range(n) if q not in axes] + [n]  # n: the batch
+    runs = [[order[0]]]
+    for q in order[1:]:
+        if q == runs[-1][-1] + 1:
+            runs[-1].append(q)
+        else:
+            runs.append([q])
+    sizes = [-1 if run[-1] == n else 1 << len(run) for run in runs]
+    source = sorted(range(len(runs)), key=lambda i: runs[i][0])  # runs in source order
+    return _AxisPlan(
+        shape=tuple(sizes[i] for i in source),
+        forward=tuple(source.index(i) for i in range(len(runs))),
+        moved=tuple(sizes),
+        inverse=tuple(source),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class Embedded(LinearOperator):
     """Apply `inner` on the listed qubit axes of an `n`-qubit space.
 
     The order of `axes` fixes which axis plays which role for `inner`
     (axes[0] is inner's most significant qubit); axes need not be contiguous.
+    An embedded `Embedded` is flattened into one node at construction.
     """
 
     inner: LinearOperator
@@ -248,7 +283,6 @@ class Embedded(LinearOperator):
 
     def __post_init__(self):
         axes = tuple(self.axes)
-        object.__setattr__(self, "axes", axes)
         if len(set(axes)) != len(axes):
             raise ContractViolationError(f"repeated axes {axes}")
         if self.inner.n != len(axes):
@@ -258,18 +292,17 @@ class Embedded(LinearOperator):
         if any(a < 0 or a >= self.n for a in axes):
             raise ContractViolationError(f"axes {axes} out of range for {self.n} qubits")
         check_qubit_budget(self.n)
+        if isinstance(self.inner, Embedded):
+            axes = tuple(axes[a] for a in self.inner.axes)
+            object.__setattr__(self, "inner", self.inner.inner)
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "_plan", _axis_plan(axes, self.n))
 
     def _apply(self, cols):
-        if not self.axes:
-            return cols
-        k = len(self.axes)
-        batch = cols.shape[1]
-        tensor = cols.reshape((2,) * self.n + (batch,))
-        tensor = np.moveaxis(tensor, self.axes, range(k))
-        trailing = tensor.shape[k:]
-        tensor = self.inner._apply(tensor.reshape(1 << k, -1)).reshape((2,) * k + trailing)
-        tensor = np.moveaxis(tensor, range(k), self.axes)
-        return tensor.reshape(1 << self.n, batch)
+        shape, forward, moved, inverse = self._plan
+        tensor = cols.reshape(shape).transpose(forward).reshape(self.inner.dim, -1)
+        tensor = self.inner._apply(tensor).reshape(moved).transpose(inverse)
+        return tensor.reshape(cols.shape)
 
     def adjoint(self):
         return Embedded(self.inner.adjoint(), self.axes, self.n)
@@ -297,23 +330,15 @@ class Multiplexed(LinearOperator):
                     f"branch for value {value} acts on {op.n} qubits, expected {rest}"
                 )
         check_qubit_budget(self.n)
+        object.__setattr__(self, "_plan", _axis_plan(axes, self.n))
 
     def _apply(self, cols):
-        b = len(self.selector_axes)
-        if b == 0:
-            op = self.branches.get(0)
-            return op._apply(cols) if op is not None else cols
-        batch = cols.shape[1]
-        tensor = cols.reshape((2,) * self.n + (batch,))
-        tensor = np.moveaxis(tensor, self.selector_axes, range(b))
-        tensor = tensor.reshape(1 << b, -1).copy()
-        rest_dim = tensor.shape[1] // batch
+        shape, forward, _, inverse = self._plan
+        tensor = np.array(cols.reshape(shape).transpose(forward), order="C")  # selector first
+        slabs = tensor.reshape(1 << len(self.selector_axes), -1, cols.shape[1])
         for value, op in self.branches.items():
-            slab = tensor[value].reshape(rest_dim, batch)
-            tensor[value] = op._apply(slab).reshape(-1)
-        tensor = tensor.reshape((2,) * self.n + (batch,))
-        tensor = np.moveaxis(tensor, range(b), self.selector_axes)
-        return tensor.reshape(1 << self.n, batch)
+            slabs[value] = op._apply(slabs[value])
+        return tensor.transpose(inverse).reshape(cols.shape)
 
     def adjoint(self):
         return Multiplexed(
@@ -348,6 +373,16 @@ class Query(LinearOperator):
         return Query(self.inner.adjoint(), self.counts)
 
 
+def _children(op: LinearOperator) -> tuple[LinearOperator, ...]:
+    if isinstance(op, Composed):
+        return op.factors
+    if isinstance(op, (Embedded, Query)):
+        return (op.inner,)
+    if isinstance(op, Multiplexed):
+        return tuple(op.branches.values())
+    return ()
+
+
 def query_counts(op: LinearOperator, memo: dict | None = None) -> dict[str, int]:
     """Primitive queries one application of `op` makes: the `counts` of every
     :class:`Query` occurrence under its Composed/Embedded/Multiplexed nodes,
@@ -360,20 +395,52 @@ def query_counts(op: LinearOperator, memo: dict | None = None) -> dict[str, int]
     if isinstance(op, Query):
         counts = dict(op.counts)
     else:
-        if isinstance(op, Composed):
-            children = op.factors
-        elif isinstance(op, Embedded):
-            children = (op.inner,)
-        elif isinstance(op, Multiplexed):
-            children = tuple(op.branches.values())
-        else:
-            children = ()
         counts = {}
-        for child in children:
+        for child in _children(op):
             for key, value in query_counts(child, memo).items():
                 counts[key] = counts.get(key, 0) + value
     memo[op] = counts
     return counts
+
+
+def describe(op: LinearOperator, memo: dict | None = None) -> dict:
+    """Nested view of an operator tree: for each node its `kind`, qubit count
+    `n`, `leaves` (leaf applications below it) and `children`, plus `axes`
+    (Embedded), `selector_axes` and branch `values` (Multiplexed) or `counts`
+    (Query). A subtree shared by several parents appears once per occurrence,
+    as its dict; `memo` caches the dicts by node."""
+    memo = {} if memo is None else memo
+    found = memo.get(op)
+    if found is not None:
+        return found
+    children = [describe(child, memo) for child in _children(op)]
+    node: dict = {"kind": type(op).__name__, "n": op.n}
+    if isinstance(op, Embedded):
+        node["axes"] = op.axes
+    elif isinstance(op, Multiplexed):
+        node["selector_axes"] = op.selector_axes
+        node["values"] = tuple(op.branches)
+    elif isinstance(op, Query):
+        node["counts"] = dict(op.counts)
+    node["leaves"] = sum(c["leaves"] for c in children) if children else 1
+    node["children"] = children
+    memo[op] = node
+    return node
+
+
+def describe_text(op: LinearOperator) -> str:
+    """:func:`describe` as an indented outline, one node per line."""
+    lines: list[str] = []
+
+    def walk(node: dict, depth: int) -> None:
+        fields = [f"{key}={node[key]}" for key in ("n", "axes", "selector_axes", "values", "counts")
+                  if key in node]
+        lines.append("  " * depth + " ".join([node["kind"], *fields, f"leaves={node['leaves']}"]))
+        for child in node["children"]:
+            walk(child, depth + 1)
+
+    walk(describe(op), 0)
+    return "\n".join(lines)
 
 
 def kron(*ops: LinearOperator) -> LinearOperator:

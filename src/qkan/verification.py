@@ -29,7 +29,14 @@ from .encoders import (
     encode_real_weights,
     stateprep_for_real_vector,
 )
-from .network import LayerSpec, QkanSpec, build_layer, classical_layer_eval
+from .network import (
+    LayerSpec,
+    QkanSpec,
+    build_layer,
+    build_network,
+    classical_layer_eval,
+    classical_network_eval,
+)
 from .operators import Dense, random_unitary, state_prep_unitary
 from .resources import analytic_cost, reconcile
 
@@ -170,6 +177,29 @@ def check_layer_accounting(spec: LayerSpec, x: np.ndarray) -> list[CheckResult]:
     oracle = classical_layer_eval(x, spec)
     results.append(_result("layer/oracle_match", verify(built, np.diag(oracle)), 1e-9))
     return results
+
+
+def check_network_accounting(spec: QkanSpec, x: np.ndarray) -> list[CheckResult]:
+    """Whole-network counterpart of :func:`check_layer_accounting`: the built
+    ancillas and ledger against the resource model, and the output diagonal
+    against the classical network oracle."""
+    built = build_network(encode_diagonal_exact(x), spec).output
+    report = analytic_cost(spec)
+    expected_aux = report.aux_totals[-1]
+    rec = reconcile(report, built)
+    error = float(np.max(np.abs(extract_diagonal(built) - classical_network_eval(x, spec))))
+    return [
+        _result(
+            "network/ancilla_count",
+            abs(built.num_aux - expected_aux),
+            0.0,
+            f"a = {built.num_aux}, formula = {expected_aux}",
+        ),
+        _result(
+            "network/query_reconcile", 0.0 if rec.ok else 1.0, 0.0, str(rec.diffs) if rec.diffs else ""
+        ),
+        _result("network/oracle_match", error, 1e-9, f"{len(spec.layers)} layers"),
+    ]
 
 
 def run_verification(

@@ -120,6 +120,35 @@ def test_verify_command_passes(tmp_path, capsys):
     assert bound_checks and bound_checks[0]["bound"] == pytest.approx(0.08, rel=1e-6)
 
 
+def test_verify_checks_the_whole_network_of_a_multilayer_config(tmp_path, hand_config, capsys):
+    from qkan.resources import analytic_cost
+
+    path = write_config(
+        tmp_path,
+        {
+            "input": [0.4, -0.8],
+            "layers": [
+                {"in": 2, "out": 2, "degree": 2, "weight_seed": 7},
+                {"in": 2, "out": 1, "degree": 3, "weight_seed": 8},
+            ],
+        },
+        name="two_layers.json",
+    )
+    code, report = run(["verify", "--config", path, "--no-timestamp"], capsys)
+    assert code == 0
+    checks = {c["name"]: c for c in report["results"]["checks"]}
+    network = [checks.get(name) for name in
+               ("network/ancilla_count", "network/query_reconcile", "network/oracle_match")]
+    assert all(c is not None and c["passed"] for c in network)
+    aux = analytic_cost(load_config(path).spec).aux_totals[-1]
+    assert checks["network/ancilla_count"]["detail"] == f"a = {aux}, formula = {aux}"
+    assert checks["network/oracle_match"]["bound"] == 1e-9
+    assert checks["network/oracle_match"]["measured"] <= 1e-9
+    # a single-layer config is covered by the layer checks alone
+    _, single = run(["verify", "--config", hand_config, "--no-timestamp"], capsys)
+    assert not [c for c in single["results"]["checks"] if c["name"].startswith("network/")]
+
+
 def test_resources_command(tmp_path, capsys):
     path = write_config(
         tmp_path,

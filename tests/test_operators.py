@@ -243,3 +243,143 @@ def test_label_reflection_matches_dense_blocks():
         ops.LabelReflection(np.zeros(3))
     with pytest.raises(ContractViolationError):
         ops.LabelReflection(np.array([0.5, 1.5]))
+
+
+def _move_to_front(axes, n):
+    """Permutation matrix P with P|b_0..b_{n-1}> = |b_axes..., b_rest...>,
+    the other qubits kept in ascending order."""
+    order = list(axes) + [q for q in range(n) if q not in axes]
+    p = np.zeros((1 << n, 1 << n))
+    for i in range(1 << n):
+        bits = [(i >> (n - 1 - q)) & 1 for q in range(n)]
+        j = 0
+        for q in order:
+            j = (j << 1) | bits[q]
+        p[j, i] = 1.0
+    return p
+
+
+def _random_matrix(k, rng):
+    dim = 1 << k
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+@st.composite
+def axis_orders(draw, max_qubits=6):
+    """(axes, n): contiguous, reversed, interleaved or empty axis orders."""
+    n = draw(st.integers(1, max_qubits))
+    kind = draw(st.sampled_from(["contiguous", "reversed", "interleaved", "empty"]))
+    if kind == "empty":
+        return (), n
+    k = draw(st.integers(1, n))
+    if kind == "interleaved":
+        return tuple(draw(st.permutations(range(n)))[:k]), n
+    start = draw(st.integers(0, n - k))
+    axes = tuple(range(start, start + k))
+    return (axes[::-1] if kind == "reversed" else axes), n
+
+
+def _check_against(op, want, rng):
+    assert np.max(np.abs(op.dense() - want)) <= 1e-12
+    batch = rng.normal(size=(op.dim, 3)) + 1j * rng.normal(size=(op.dim, 3))
+    assert np.max(np.abs(op.apply(batch) - want @ batch)) <= 1e-12
+    assert np.max(np.abs(op.apply(batch[:, 1]) - want @ batch[:, 1])) <= 1e-12
+
+
+@given(axis_orders(), st.integers(0, 2**16))
+def test_embedded_matches_kron_and_permutation_reference(case, seed):
+    axes, n = case
+    rng = np.random.default_rng(seed)
+    mat = _random_matrix(len(axes), rng)
+    p = _move_to_front(axes, n)
+    want = p.T @ np.kron(mat, np.eye(1 << (n - len(axes)))) @ p
+    _check_against(ops.Embedded(ops.Dense(mat), axes, n), want, rng)
+
+
+@given(axis_orders(max_qubits=5), st.integers(0, 2**16))
+def test_multiplexed_matches_block_diagonal_reference(case, seed):
+    axes, n = case
+    rng = np.random.default_rng(seed)
+    b = len(axes)
+    rest = n - b
+    values = [v for v in range(1 << b) if rng.random() < 0.6]  # missing branches stay identity
+    branches = {v: _random_matrix(rest, rng) for v in values}
+    select = np.zeros((1 << n, 1 << n), dtype=complex)
+    for v in range(1 << b):
+        unit = np.zeros((1 << b, 1 << b))
+        unit[v, v] = 1.0
+        select += np.kron(unit, branches.get(v, np.eye(1 << rest)))
+    p = _move_to_front(axes, n)
+    op = ops.Multiplexed({v: ops.Dense(m) for v, m in branches.items()}, axes, n)
+    _check_against(op, p.T @ select @ p, rng)
+
+
+def test_leading_contiguous_embedding_is_a_zero_copy_view():
+    cols = np.arange(16 * 2, dtype=complex).reshape(16, 2)
+    out = ops.Embedded(ops.Identity(2), (0, 1), 4).apply(cols)
+    assert np.shares_memory(out, cols)
+    assert np.array_equal(out, cols)
+
+
+@given(axis_orders(max_qubits=5), st.integers(0, 2**16))
+def test_nested_embedding_is_flattened(case, seed):
+    outer_axes, n = case
+    m = len(outer_axes)
+    rng = np.random.default_rng(seed)
+    inner_axes = tuple(rng.permutation(m)[: rng.integers(0, m + 1)])
+    query = ops.Query(ops.Dense(ops.random_unitary(len(inner_axes), rng)), {"u": 1})
+    inner = ops.Embedded(query, inner_axes, m)
+    nested = ops.Embedded(inner, outer_axes, n)
+    assert nested.inner is query
+    assert nested.axes == tuple(outer_axes[a] for a in inner_axes)
+    # reference: the inner embedding applied on the outer axes, not flattened
+    p = _move_to_front(outer_axes, n)
+    want = p.T @ np.kron(inner.dense(), np.eye(1 << (n - m))) @ p
+    assert np.max(np.abs(nested.dense() - want)) <= 1e-12
+    assert np.max(np.abs(nested.adjoint().dense() - want.conj().T)) <= 1e-12
+    assert ops.query_counts(nested) == ops.query_counts(inner) == {"u": 1}
+
+
+def test_flattening_stops_at_query_nodes():
+    rng = np.random.default_rng(5)
+    inner = ops.Embedded(ops.Dense(ops.random_unitary(1, rng)), (1,), 2)
+    wrapped = ops.Query(inner, {"q": 1})
+    outer = ops.Embedded(wrapped, (2, 0), 3)
+    assert outer.inner is wrapped and outer.axes == (2, 0)
+    assert wrapped.inner is inner
+    assert ops.query_counts(outer) == {"q": 1}
+    p = _move_to_front((2, 0), 3)
+    want = p.T @ np.kron(inner.dense(), np.eye(2)) @ p
+    assert np.max(np.abs(outer.dense() - want)) <= 1e-12
+
+
+def test_describe_single_layer_tree():
+    from qkan.encoders import encode_diagonal_exact
+    from qkan.network import LayerSpec, build_layer
+
+    layer = build_layer(encode_diagonal_exact(np.array([0.3, -0.5])), LayerSpec.random(2, 1, 1, seed=3))
+    tree = ops.describe(layer.op)
+    nodes = []
+
+    def walk(node):
+        nodes.append(node)
+        for child in node["children"]:
+            walk(child)
+
+    walk(tree)
+    assert tree["kind"] == "Composed" and tree["n"] == 5
+    # one Query per primitive application: x once (d = 1), each weight degree once
+    queries = sorted(tuple(sorted(n["counts"].items())) for n in nodes if n["kind"] == "Query")
+    assert queries == [(("w0[0]", 1),), (("w0[1]", 1),), (("x", 1),)]
+    # flattened: no Embedded directly holds an Embedded; the SUM Hadamard on
+    # input qubit 4 (built as an embedded 1-qubit kron) sits on axis 4 itself
+    embedded = [n for n in nodes if n["kind"] == "Embedded"]
+    assert all(n["children"][0]["kind"] != "Embedded" for n in embedded)
+    sums = [n for n in embedded if n["axes"] == (4,)]
+    assert len(sums) == 2 and all(n["children"][0]["kind"] == "Dense" for n in sums)
+    assert tree["leaves"] == sum(1 for n in nodes if not n["children"])
+    text = ops.describe_text(layer.op)
+    assert text.splitlines()[0] == f"Composed n=5 leaves={tree['leaves']}"
+    assert "Embedded n=5 axes=(4,) leaves=1" in text
+    assert text.count("Query") == 3 and "counts={'x': 1}" in text
+    assert "Multiplexed n=5 selector_axes=(0,) values=(0, 1)" in text

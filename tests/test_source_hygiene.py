@@ -16,3 +16,17 @@ def test_no_assert_statements_in_package():
     ]
     assert SOURCES
     assert found == []
+
+
+def test_no_moveaxis_in_package():
+    """Embedded/Multiplexed move axes by precomputed plans; np.moveaxis
+    normalises its axes on every call and must stay off the apply path."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr == "moveaxis")
+        or (isinstance(node, ast.ImportFrom) and any(a.name == "moveaxis" for a in node.names))
+    ]
+    assert SOURCES
+    assert found == []
