@@ -383,13 +383,17 @@ def _children(op: LinearOperator) -> tuple[LinearOperator, ...]:
     return ()
 
 
-def query_counts(op: LinearOperator, memo: dict | None = None) -> dict[str, int]:
+def query_counts(op: LinearOperator) -> dict[str, int]:
     """Primitive queries one application of `op` makes: the `counts` of every
     :class:`Query` occurrence under its Composed/Embedded/Multiplexed nodes,
     summed. A subtree shared by several parents counts once per occurrence,
-    because each occurrence is applied; `memo` caches results by node."""
-    memo = {} if memo is None else memo
-    found = memo.get(op)
+    because each occurrence is applied. Nodes are immutable, so each keeps
+    its counts after the first walk; every call returns a fresh dict."""
+    return dict(_query_counts(op))
+
+
+def _query_counts(op: LinearOperator) -> Mapping[str, int]:
+    found = op.__dict__.get("_query_counts")
     if found is not None:
         return found
     if isinstance(op, Query):
@@ -397,10 +401,11 @@ def query_counts(op: LinearOperator, memo: dict | None = None) -> dict[str, int]
     else:
         counts = {}
         for child in _children(op):
-            for key, value in query_counts(child, memo).items():
+            for key, value in _query_counts(child).items():
                 counts[key] = counts.get(key, 0) + value
-    memo[op] = counts
-    return counts
+    found = MappingProxyType(counts)
+    object.__setattr__(op, "_query_counts", found)
+    return found
 
 
 def describe(op: LinearOperator, memo: dict | None = None) -> dict:

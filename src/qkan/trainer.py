@@ -21,7 +21,7 @@ from .network import (
     build_layer,
     classical_network_eval,
 )
-from .operators import DENSE_CAP_QUBITS, max_qubits
+from .operators import max_qubits
 from .resources import analytic_cost
 
 DIVERGENCE_FACTOR = 10.0
@@ -83,32 +83,26 @@ class Dataset:
         return cls(xs, ys)
 
 
-# log2 of the dense entries (operator dimension x block columns) that the
-# Chebyshev guard of a layer rebuilt on every evaluation may extract. Its cost
-# grows as 4^m per chunk, 2^m per sample; past about this size it outweighs
-# the per-chunk overhead that a wider register saves (measured on 2- and
-# 3-layer networks with d <= 3 on 64 samples).
-REBUILT_GUARD_QUBITS = 16
+# Qubits of the last layer's operator (ancillas + outputs + sample register),
+# the largest state a loss evaluation applies. Past about this size the
+# evaluation is bound by memory bandwidth rather than per-chunk overhead. On
+# 64 samples (2-vCPU host), a 2->2->2->1 (d = 2) model took 1.13-1.25 s per
+# evaluation at m <= 2 and 1.56 s at m = 6, while a 2->2->2 (d = 3, 2) model
+# kept improving up to m = 6 (an 18-qubit last operator): 0.12 s at m = 3,
+# 0.10 s at m = 6.
+STATE_QUBITS = 18
 
 
 def sample_register_width(spec: QkanSpec, samples: int) -> int:
     """Qubits m of the sample register: the fewest that hold every sample,
-    capped so that every layer fits the qubit budget and every Chebyshev
-    Hermiticity guard, a dense block over the n + k + m system qubits of the
-    dilated input, fits DENSE_CAP_QUBITS (and REBUILT_GUARD_QUBITS for the
-    layers after the first). Samples beyond 2^m go to further chunks; m = 0
-    evaluates one sample at a time."""
+    capped so that the last layer's operator, the largest of the network,
+    fits both the qubit budget and STATE_QUBITS. Samples beyond 2^m go to
+    further chunks; m = 0 evaluates one sample at a time."""
     width = max(0, (samples - 1).bit_length())
-    budget = max_qubits()
-    aux_totals = analytic_cost(spec).aux_totals  # ancillas before and after each layer
-    for index, layer in enumerate(spec.layers):
-        system = layer.n_qubits_in + layer.n_qubits_out
-        width = min(width, budget - aux_totals[index + 1] - layer.n_qubits_out)
-        if layer.degree:  # the layer runs a Chebyshev guard
-            width = min(width, DENSE_CAP_QUBITS - system)
-            if index:
-                width = min(width, (REBUILT_GUARD_QUBITS - aux_totals[index]) // 2 - system)
-    return max(width, 0)
+    # ancillas after the last layer, plus its outputs; each layer adds more
+    # qubits than the previous one's outputs, so no earlier operator is larger
+    last = analytic_cost(spec).aux_totals[-1] + spec.layers[-1].n_qubits_out
+    return max(min(width, min(max_qubits(), STATE_QUBITS) - last), 0)
 
 
 class SimulatedModel:

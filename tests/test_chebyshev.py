@@ -187,3 +187,76 @@ def test_hermiticity_guard_rejects_with_the_spectral_defect(rng, monkeypatch):
         with pytest.raises(ContractViolationError, match=re.escape(f"defect {spectral:.3e},")):
             qkan.chebyshev_be(be, r)
     assert len(calls) == 1
+
+
+def _dilation(block):
+    """Unitary [[A, (I - A A^dag)^1/2], [(I - A^dag A)^1/2, -A^dag]] encoding a
+    contraction A with one ancilla."""
+
+    def root(gram):
+        vals, vecs = np.linalg.eigh(np.eye(len(gram)) - gram)
+        return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+
+    adj = block.conj().T
+    return np.block([[block, root(block @ adj)], [root(adj @ block), -adj]])
+
+
+def _encoding_of(block, epsilon=0.0):
+    from qkan.block_encoding import primitive_encoding
+    from qkan.registers import RegisterLayout
+
+    n = int(len(block)).bit_length() - 1
+    layout = RegisterLayout((("a", 1), ("sys", n)))
+    return primitive_encoding(ops.Dense(_dilation(block)), 1, layout, "a", epsilon=epsilon)
+
+
+def _hermitian(rng, dim):
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = (m + m.conj().T) / 2
+    return h / np.linalg.norm(h, 2)
+
+
+@pytest.mark.parametrize("qubits", [5, 7])
+def test_probe_and_dense_guard_decisions_agree(qubits, rng, monkeypatch):
+    from qkan.chebyshev import HERMITICITY_SLACK, _require_hermitian_block
+
+    dim = 1 << qubits
+    calls = _counting_extract_block(monkeypatch)
+    for _ in range(3):  # Hermitian blocks pass on the probe alone
+        be = _encoding_of(0.9 * _hermitian(rng, dim))
+        _require_hermitian_block(be)
+        assert be.check_results["hermiticity_defect"] <= 0.1 * HERMITICITY_SLACK
+    assert calls == []
+    for ratio in (0.9, 0.99, 1.01, 1.1):  # limit / ||B - B^dag||_2 near 1
+        block = 0.5 * _hermitian(rng, dim) + 0.4j * _hermitian(rng, dim)
+        spectral = np.linalg.norm(block - block.conj().T, 2)
+        be = _encoding_of(block, epsilon=(ratio * spectral - HERMITICITY_SLACK) / 2)
+        if ratio > 1:
+            _require_hermitian_block(be)
+        else:
+            with pytest.raises(ContractViolationError, match=re.escape(f"defect {spectral:.3e},")):
+                _require_hermitian_block(be)
+        assert be.check_results["hermiticity_defect"] == pytest.approx(spectral)
+    assert len(calls) == 4  # every probe failed over to the dense test
+
+
+def test_non_hermitian_block_above_the_dense_cap_is_rejected(rng):
+    from qkan.block_encoding import primitive_encoding
+    from qkan.registers import RegisterLayout
+
+    n = ops.DENSE_CAP_QUBITS + 1
+    phases = ops.Diagonal(np.exp(1j * rng.uniform(0, 2 * np.pi, 1 << n)))
+    layout = RegisterLayout((("a", 1), ("sys", n)))
+    op = ops.Embedded(phases, tuple(range(1, n + 1)), n + 1)
+    be = primitive_encoding(op, 1, layout, "z", diagonal=True)
+    with pytest.raises(ContractViolationError, match="probe estimate"):
+        qkan.chebyshev_be(be, 1)
+
+
+@pytest.mark.parametrize("size", [2, 32])  # the dense test, and the probe test
+def test_hermiticity_guard_rejects_nan(size):
+    x = np.full(size, 0.3)
+    x[1] = np.nan
+    be = qkan.encode_diagonal_exact(x)
+    with pytest.raises(ContractViolationError, match="not Hermitian"):
+        qkan.chebyshev_be(be, 2)

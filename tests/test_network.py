@@ -250,6 +250,17 @@ def test_build_network_mixed_degrees():
     assert reconcile(analytic_cost(qspec), net.output).ok
 
 
+def test_layer_wider_than_the_dense_cap_matches_the_oracle(rng):
+    # N = 1024, K = 4: the guarded dilated input spans n + k = 12 system qubits
+    spec = qkan.LayerSpec.random(1024, 4, 3, seed=71)
+    x = rng.uniform(-1, 1, 1024)
+    be = qkan.build_layer(qkan.encode_diagonal_exact(x, name="x"), spec)
+    assert be.op.n == 17
+    want = qkan.classical_layer_eval(x, spec)
+    assert np.max(np.abs(qkan.extract_diagonal(be) - want)) <= 1e-9
+    assert qkan.reconcile(qkan.analytic_cost(qkan.QkanSpec((spec,))), be).ok
+
+
 def test_build_layer_with_stateprep_input(rng):
     psi = rng.normal(size=4)
     psi /= np.linalg.norm(psi)

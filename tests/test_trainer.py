@@ -246,13 +246,18 @@ def test_sample_register_width_limits():
     one = qkan.QkanSpec((qkan.LayerSpec.random(2, 1, 3, seed=1),))
     assert qkan.trainer.sample_register_width(one, 64) == 6
     assert qkan.trainer.sample_register_width(one, 65) == 7
-    # every Chebyshev guard stays within the 10-qubit dense cap: n + k + m <= 10
-    assert qkan.trainer.sample_register_width(one, 10**6) == 9
+    # the last operator stays within STATE_QUBITS: 6 ancillas + k = 0 outputs + m <= 18
+    assert qkan.trainer.sample_register_width(one, 10**6) == 12
     with qkan.qubit_budget(7):
         assert qkan.trainer.sample_register_width(one, 64) == 1
     with qkan.qubit_budget(5):  # the layer does not fit: built one sample at a time, and refused
         assert qkan.trainer.sample_register_width(one, 64) == 0
         with pytest.raises(qkan.ResourceLimitError):
             qkan.SimulatedModel(one, np.zeros((2, 2)))
-    # layers after the first rebuild their guard on every evaluation, which bounds m
-    assert qkan.trainer.sample_register_width(TWO_LAYER_K2, 64) == 4
+    # 64 samples fit: the last operator has 11 ancillas + 0 outputs + 6 sample qubits
+    assert qkan.trainer.sample_register_width(TWO_LAYER_K2, 64) == 6
+    # 2->2->2->1 (d = 2): 16 ancillas + 0 outputs leave m = 2 of STATE_QUBITS
+    three = qkan.QkanSpec(
+        tuple(qkan.LayerSpec.random(2, k, 2, seed=i) for i, k in enumerate((2, 2, 1)))
+    )
+    assert qkan.trainer.sample_register_width(three, 64) == 2
