@@ -5,9 +5,10 @@
 Run from the root of a qkan checkout: that checkout, as it is on disk, is the
 change. The parent revision is exported with ``git archive`` into a temporary
 directory, so an interrupted run leaves nothing behind in the repository.
-For every seed, each workload runs ``qkanbench/run.py --trace 0`` once per
-side, parent first on even seed positions and change first on odd ones, one
-process at a time. The report holds the commits and seeds and, for each
+For every seed, each workload (all of them, or those given with
+``--workloads``) runs ``qkanbench/run.py --trace 0`` once per side for the
+benchmark's ``run_seconds``, parent first on even seed positions and change
+first on odd ones, one process at a time. The report holds the commits and seeds and, for each
 workload and each end-to-end metric of ``BENCHMARK.json``, every run and the
 median and quartiles of each side, plus the pairs the change won (lower is
 better for every metric; ties count for neither side).
@@ -89,7 +90,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--workloads", nargs="+", choices=names, default=names)
-    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     parser.add_argument("--out", type=Path, required=True, help="JSON report path")
     args = parser.parse_args(argv)
     metrics = [m["name"] for m in bench["end_to_end"]]
@@ -99,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
         "change": {"commit": git("rev-parse", "HEAD"),
                    "uncommitted_changes": bool(git("status", "--porcelain", "--", "src"))},
         "seeds": args.seeds,
-        "seconds": args.seconds,
+        "seconds": bench["run_seconds"],
         "command": bench["command"],
         "workloads": {},
     }
@@ -112,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
             for workload in args.workloads:
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_once(sides[side], workload, seed, args.seconds)
+                    pair[side] = run_once(sides[side], workload, seed, bench["run_seconds"])
                 pairs[workload].append(pair)
                 print(workload, seed, " ".join(
                     f"{side}:{pair[side]['metrics']['op_s.min']:.4f}" for side in order

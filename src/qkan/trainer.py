@@ -84,12 +84,12 @@ class Dataset:
 
 
 # Qubits of the last layer's operator (ancillas + outputs + sample register),
-# the largest state a loss evaluation applies. Past about this size the
-# evaluation is bound by memory bandwidth rather than per-chunk overhead. On
-# 64 samples (2-vCPU host), a 2->2->2->1 (d = 2) model took 1.13-1.25 s per
-# evaluation at m <= 2 and 1.56 s at m = 6, while a 2->2->2 (d = 3, 2) model
-# kept improving up to m = 6 (an 18-qubit last operator): 0.12 s at m = 3,
-# 0.10 s at m = 6.
+# the largest state a loss evaluation applies. 18 is the largest size measured
+# on the two models below, not a measured bandwidth limit. On 64 samples
+# (2-vCPU host, median of 5 rounds in alternating width order), a 2->2->2
+# (d = 3, 2) model took 0.164 s at m = 1, 0.067-0.087 s at m = 4-6 (an
+# 18-qubit last operator at m = 6), and a 2->2->2->1 (d = 2) model 0.87-0.94 s
+# at m <= 2 (18 qubits at m = 2) and 1.25-1.61 s at m = 3-6.
 STATE_QUBITS = 18
 
 

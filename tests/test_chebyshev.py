@@ -256,10 +256,47 @@ def test_non_hermitian_block_above_the_dense_cap_is_rejected(rng):
         qkan.chebyshev_be(be, 1)
 
 
-@pytest.mark.parametrize("size", [2, 32])  # the dense test, and the probe test
+# the dense test; a failing probe within the cap, then the dense test; above
+# the cap, the probe alone
+@pytest.mark.parametrize("size", [2, 32, 2 << ops.DENSE_CAP_QUBITS])
 def test_hermiticity_guard_rejects_nan(size):
     x = np.full(size, 0.3)
     x[1] = np.nan
     be = qkan.encode_diagonal_exact(x)
-    with pytest.raises(ContractViolationError, match="not Hermitian"):
+    wide = be.num_system > ops.DENSE_CAP_QUBITS
+    message = "probe estimate" if wide else r"not Hermitian \(defect"
+    with pytest.raises(ContractViolationError, match=message):
         qkan.chebyshev_be(be, 2)
+
+
+def test_probe_estimate_of_a_later_layer_above_the_dense_cap(rng, monkeypatch):
+    """The second layer's input is the first layer's output on 2^9 samples,
+    n + k + m = 11 system qubits; its U and U^dag trees differ, so rounding
+    reaches the estimate, which must stay far below the threshold."""
+    from qkan import chebyshev
+    from qkan.block_encoding import split_system
+
+    estimates = []
+
+    def recording(be, u_adjoint):
+        estimates.append(probe(be, u_adjoint))
+        return estimates[-1]
+
+    probe = chebyshev._probe_hermiticity_defect
+    monkeypatch.setattr(chebyshev, "_probe_hermiticity_defect", recording)
+    calls = _counting_extract_block(monkeypatch)
+    m = 9
+    spec = qkan.QkanSpec(
+        (qkan.LayerSpec.random(2, 2, 2, seed=1), qkan.LayerSpec.random(2, 2, 2, seed=2))
+    )
+    xs = rng.uniform(-1, 1, (1 << m, 2))
+    be = split_system(qkan.encode_diagonal_exact(xs.T.reshape(-1), name="x"), m)
+    be = qkan.build_layer(be, spec.layers[0], sample_qubits=m)
+    assert be.num_system == 1 + m
+    be = qkan.build_layer(be, spec.layers[1], layer_index=1, sample_qubits=m)
+    assert be.op.n == 21 and calls == []
+    assert len(estimates) == 2
+    assert estimates[1] <= 1e-3 * 0.1 * chebyshev.HERMITICITY_SLACK
+    got = qkan.read_diagonal(be).real.reshape(-1, 1 << m).T
+    want = np.array([qkan.classical_network_eval(x, spec) for x in xs])
+    assert np.max(np.abs(got - want)) <= 1e-9
