@@ -63,6 +63,7 @@ from .operators import (
     Multiplexed,
     Permutation,
     Query,
+    WalshHadamard,
     compose,
     controlled,
     describe,

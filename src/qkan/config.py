@@ -116,6 +116,7 @@ def _layer_from_dict(entry: dict, seed: int, index: int) -> LayerSpec:
             weights.shape == (degree + 1, n_in, n_out),
             f"layer {index} weights shape {weights.shape} != ({degree + 1}, {n_in}, {n_out})",
         )
+        _require(np.all(np.isfinite(weights)), f"layer {index} weights must be finite")
         return LayerSpec(weights)
     weight_seed = int(entry.get("weight_seed", seed + index))
     return LayerSpec.random(n_in, n_out, degree, seed=weight_seed)
@@ -158,6 +159,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     _require("input" in raw, "config is missing the input vector")
     x = np.asarray(raw["input"], dtype=np.float64)
     _require(x.ndim == 1 and x.size >= 1, "input must be a non-empty vector")
+    _require(np.all(np.isfinite(x)), "input entries must be finite")
     _require("layers" in raw and raw["layers"], "config needs at least one layer")
     layers = tuple(
         _layer_from_dict(entry, seed, i) for i, entry in enumerate(raw["layers"])

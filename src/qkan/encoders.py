@@ -19,6 +19,7 @@ from .operators import (
     LinearOperator,
     Permutation,
     compose,
+    outside_unit_interval,
     state_prep_unitary,
 )
 from .registers import RegisterLayout
@@ -41,7 +42,7 @@ def encode_diagonal_exact(x: np.ndarray, name: str = "x") -> BlockEncoding:
     """
     x = np.asarray(x, dtype=np.float64)
     n = _log2_exact(x.size, "input vector")
-    if np.any(np.abs(x) > 1.0):
+    if outside_unit_interval(x):
         raise DomainError(f"entries outside [-1, 1]: max |x| = {np.max(np.abs(x))}")
     layout = RegisterLayout((("enc", 1), ("sys", n)))
     return primitive_encoding(LabelReflection(x), 1, layout, name, diagonal=True)

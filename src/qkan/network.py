@@ -32,7 +32,7 @@ from .block_encoding import (
 from .chebyshev import chebyshev_be
 from .encoders import encode_diagonal_exact
 from .errors import ContractViolationError, DomainError
-from .operators import Embedded, check_qubit_budget, compose, hadamard_layer
+from .operators import WalshHadamard, check_qubit_budget, compose, outside_unit_interval
 
 WeightEncoder = Callable[[np.ndarray, str], BlockEncoding]
 
@@ -57,7 +57,7 @@ class LayerSpec:
         object.__setattr__(self, "weights", w)
         _log2_pow2(w.shape[1], "input node count")
         _log2_pow2(w.shape[2], "output node count")
-        if np.any(np.abs(w) > 1.0):
+        if outside_unit_interval(w):
             raise DomainError(f"weights outside [-1, 1]: max |w| = {np.max(np.abs(w))}")
 
     @property
@@ -142,7 +142,7 @@ def classical_layer_eval(x: np.ndarray, spec: LayerSpec) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (spec.n_in,):
         raise ContractViolationError(f"input shape {x.shape} does not match N = {spec.n_in}")
-    if np.any(np.abs(x) > 1.0):
+    if outside_unit_interval(x):
         raise DomainError(f"input outside [-1, 1]: max |x| = {np.max(np.abs(x))}")
     basis = chebyshev_basis(x, spec.degree)  # (d+1, N)
     return np.einsum("rp,rpq->q", basis, spec.weights) / (spec.n_in * (spec.degree + 1))
@@ -175,8 +175,7 @@ def sum_over_inputs(be: BlockEncoding, n_inputs: int) -> BlockEncoding:
         raise ContractViolationError("input qubits do not align with register boundaries")
     if n_inputs == 0:
         return be
-    axes = tuple(range(be.num_aux, be.num_aux + n_inputs))
-    h_layer = Embedded(hadamard_layer(n_inputs), axes, be.op.n)
+    h_layer = WalshHadamard(be.op.n, be.num_aux, n_inputs)
     return _derived(
         compose(h_layer, be.op, h_layer),
         be.alpha, be.epsilon,

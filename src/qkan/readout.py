@@ -15,10 +15,8 @@ import numpy as np
 
 from .block_encoding import BlockEncoding
 from .errors import DegenerateOutputError, DomainError
-from .operators import Dense, Embedded, Multiplexed
+from .operators import Multiplexed, WalshHadamard
 from .registers import RegisterLayout, StateVector
-
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,7 @@ def _hadamard_test_state(be: BlockEncoding, q: int) -> np.ndarray:
     """(H (x) I) CU (H (x) I) |0>|0>_aux|q>, control as the top qubit."""
     n = be.op.n + 1
     cu = Multiplexed({1: be.op}, (0,), n)
-    h_top = Embedded(Dense(_HADAMARD), (0,), n)
+    h_top = WalshHadamard(n, 0, 1)
     state = np.zeros(1 << n, dtype=np.complex128)
     state[q] = 1.0  # |0>_ctrl |0>_aux |q>
     return h_top.apply(cu.apply(h_top.apply(state)))

@@ -21,7 +21,7 @@ from .network import (
     build_layer,
     classical_network_eval,
 )
-from .operators import max_qubits
+from .operators import max_qubits, outside_unit_interval
 from .resources import analytic_cost
 
 DIVERGENCE_FACTOR = 10.0
@@ -67,7 +67,7 @@ class Dataset:
         object.__setattr__(self, "ys", ys)
         if xs.shape[0] != ys.shape[0]:
             raise ContractViolationError("sample count mismatch between inputs and targets")
-        if np.any(np.abs(xs) > 1.0) or np.any(np.abs(ys) > 1.0):
+        if outside_unit_interval(xs) or outside_unit_interval(ys):
             raise DomainError("dataset entries must lie in [-1, 1]")
 
     def __len__(self):

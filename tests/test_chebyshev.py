@@ -5,8 +5,10 @@ import pytest
 
 import qkan
 from qkan import operators as ops
+from qkan.block_encoding import primitive_encoding
 from qkan.chebyshev import PhaseSequence
 from qkan.errors import ContractViolationError, DomainError
+from qkan.registers import RegisterLayout
 
 
 def test_reflection_signs():
@@ -260,9 +262,12 @@ def test_non_hermitian_block_above_the_dense_cap_is_rejected(rng):
 # the cap, the probe alone
 @pytest.mark.parametrize("size", [2, 32, 2 << ops.DENSE_CAP_QUBITS])
 def test_hermiticity_guard_rejects_nan(size):
-    x = np.full(size, 0.3)
-    x[1] = np.nan
-    be = qkan.encode_diagonal_exact(x)
+    # the encoders reject NaN themselves, so the NaN enters through a bare
+    # diagonal primitive laid out like encode_diagonal_exact's
+    values = np.ones(2 * size)
+    values[1] = np.nan
+    layout = RegisterLayout((("enc", 1), ("sys", size.bit_length() - 1)))
+    be = primitive_encoding(ops.Diagonal(values), 1, layout, "x", diagonal=True)
     wide = be.num_system > ops.DENSE_CAP_QUBITS
     message = "probe estimate" if wide else r"not Hermitian \(defect"
     with pytest.raises(ContractViolationError, match=message):

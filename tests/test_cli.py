@@ -276,6 +276,23 @@ def test_config_error_messages(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("field", ["input", "weights"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_input_or_weights_exit_2(tmp_path, field, value, capsys):
+    """JSON as Python writes it accepts NaN and Infinity; the config rejects both."""
+    layer = {"in": 2, "out": 1, "degree": 1, "weights": [[[0.5], [0.5]], [[0.5], [0.5]]]}
+    payload = {"input": [0.1, 0.2], "layers": [layer]}
+    if field == "input":
+        payload["input"][1] = value
+    else:
+        layer["weights"][1][0][0] = value
+    path = write_config(tmp_path, payload)
+    with pytest.raises(ConfigError, match="finite"):
+        load_config(path)
+    assert main(["eval", "--config", path]) == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_non_positive_max_qubits_option_exits_2(hand_config, value, capsys):
     assert main(["eval", "--config", hand_config, "--max-qubits", value]) == 2

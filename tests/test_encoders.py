@@ -41,6 +41,11 @@ def test_exact_domain_errors():
         qkan.encode_diagonal_exact(np.array([0.1, 0.2, 0.3]))
 
 
+def test_exact_encoder_rejects_nan():
+    with pytest.raises(DomainError):
+        qkan.encode_diagonal_exact(np.array([0.3, np.nan]))
+
+
 @given(st.integers(0, 2**16))
 def test_exact_encoder_verifies_everywhere(seed):
     x = np.random.default_rng(seed).uniform(-1, 1, 4)

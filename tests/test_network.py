@@ -43,6 +43,15 @@ def test_classical_layer_domain():
         qkan.classical_layer_eval(np.array([1.5, 0.0]), spec)
 
 
+def test_nan_fails_the_domain_checks():
+    weights = np.zeros((2, 2, 1))
+    weights[1, 0, 0] = np.nan
+    with pytest.raises(DomainError):
+        qkan.LayerSpec(weights)
+    with pytest.raises(DomainError):
+        qkan.classical_layer_eval(np.array([np.nan, 0.0]), qkan.LayerSpec(np.zeros((2, 2, 1))))
+
+
 @given(st.integers(0, 2**16))
 def test_classical_outputs_bounded(seed):
     rng = np.random.default_rng(seed)

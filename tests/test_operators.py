@@ -372,14 +372,115 @@ def test_describe_single_layer_tree():
     queries = sorted(tuple(sorted(n["counts"].items())) for n in nodes if n["kind"] == "Query")
     assert queries == [(("w0[0]", 1),), (("w0[1]", 1),), (("x", 1),)]
     # flattened: no Embedded directly holds an Embedded; the SUM Hadamard on
-    # input qubit 4 (built as an embedded 1-qubit kron) sits on axis 4 itself
+    # input qubit 4 is one WalshHadamard leaf on the full space, both sides
     embedded = [n for n in nodes if n["kind"] == "Embedded"]
     assert all(n["children"][0]["kind"] != "Embedded" for n in embedded)
-    sums = [n for n in embedded if n["axes"] == (4,)]
-    assert len(sums) == 2 and all(n["children"][0]["kind"] == "Dense" for n in sums)
+    sums = [tree["children"][0], tree["children"][-1]]
+    assert all(n["kind"] == "WalshHadamard" and not n["children"] for n in sums)
+    assert all((n["n"], n["start"], n["count"]) == (5, 4, 1) for n in sums)
     assert tree["leaves"] == sum(1 for n in nodes if not n["children"])
     text = ops.describe_text(layer.op)
     assert text.splitlines()[0] == f"Composed n=5 leaves={tree['leaves']}"
-    assert "Embedded n=5 axes=(4,) leaves=1" in text
+    assert text.splitlines()[1] == "  WalshHadamard n=5 start=4 count=1 leaves=1"
     assert text.count("Query") == 3 and "counts={'x': 1}" in text
     assert "Multiplexed n=5 selector_axes=(0,) values=(0, 1)" in text
+
+
+def _hadamard_reference(n, start, count):
+    """The per-qubit construction: H^{(x)count} as an embedded kron of 2x2 gates."""
+    axes = tuple(range(start, start + count))
+    return ops.Embedded(ops.kron(*([ops.Dense(H)] * count)), axes, n)
+
+
+@pytest.mark.parametrize(
+    "n, start, count",
+    [(1, 0, 1), (4, 0, 4), (5, 0, 5), (9, 0, 9), (10, 0, 9), (10, 1, 9), (6, 2, 1), (8, 3, 4),
+     (9, 2, 5), (10, 5, 4)],
+)
+@pytest.mark.parametrize("batch", [1, 7])
+def test_walsh_hadamard_matches_per_qubit_hadamards(n, start, count, batch):
+    rng = np.random.default_rng(n * 100 + start * 10 + count)
+    op = ops.WalshHadamard(n, start, count)
+    want = _hadamard_reference(n, start, count)
+    cols = rng.normal(size=(1 << n, batch)) + 1j * rng.normal(size=(1 << n, batch))
+    before = cols.copy()
+    out = op.apply(cols)
+    assert np.array_equal(cols, before)  # the input is left as it was
+    assert np.max(np.abs(out - want.apply(cols))) <= 1e-13
+    strided = np.ascontiguousarray(cols.T).T  # a transposed view
+    assert batch == 1 or not strided.flags.c_contiguous
+    assert np.max(np.abs(op.apply(strided) - want.apply(cols))) <= 1e-13
+    assert np.array_equal(strided, before)
+    vec = cols[:, 0]
+    assert np.max(np.abs(op.apply(vec) - want.apply(vec))) <= 1e-13
+
+
+def test_walsh_hadamard_inside_embedded_and_multiplexed():
+    rng = np.random.default_rng(11)
+    cols = rng.normal(size=(1 << 7, 3)) + 1j * rng.normal(size=(1 << 7, 3))
+    inner = ops.WalshHadamard(5, 1, 3)
+    embedded = ops.Embedded(inner, (6, 0, 3, 5, 1), 7)  # the inner sees a strided view
+    want = ops.Embedded(_hadamard_reference(5, 1, 3), (6, 0, 3, 5, 1), 7)
+    assert np.max(np.abs(embedded.apply(cols) - want.apply(cols))) <= 1e-13
+    mux = ops.Multiplexed({1: ops.WalshHadamard(5)}, (2, 4), 7)
+    mux_want = ops.Multiplexed({1: _hadamard_reference(5, 0, 5)}, (2, 4), 7)
+    assert np.max(np.abs(mux.apply(cols) - mux_want.apply(cols))) <= 1e-13
+
+
+def test_walsh_hadamard_is_the_normalized_sylvester_matrix():
+    sylvester = np.array([[1.0]])
+    for n in range(1, 7):
+        sylvester = np.block([[sylvester, sylvester], [sylvester, -sylvester]])
+        op = ops.WalshHadamard(n)
+        assert op.adjoint() is op
+        assert np.max(np.abs(op.dense() - sylvester / 2 ** (n / 2))) <= 1e-14
+    assert ops.hadamard_layer(3).dense() == pytest.approx(ops.WalshHadamard(3).dense())
+
+
+@pytest.mark.parametrize("start, count", [(-1, 1), (0, 0), (2, 3), (0, 5)])
+def test_walsh_hadamard_rejects_qubits_out_of_range(start, count):
+    with pytest.raises(ContractViolationError):
+        ops.WalshHadamard(4, start, count)
+
+
+@pytest.mark.parametrize("n_in, n_out, degree", [
+    (n_in, n_out, degree) for n_in in (2, 16, 256) for n_out in (1, 4) for degree in (1, 3)
+])
+def test_built_layers_hold_no_dense_leaf(n_in, n_out, degree):
+    """The SUM and LCU Hadamards are WalshHadamard leaves, not per-qubit gates."""
+    from qkan.encoders import encode_diagonal_exact
+    from qkan.network import LayerSpec, build_layer
+
+    x = np.linspace(-0.9, 0.9, n_in)
+    layer = build_layer(encode_diagonal_exact(x), LayerSpec.random(n_in, n_out, degree, seed=n_in))
+    kinds = set()
+
+    def walk(node):
+        if not node["children"]:
+            kinds.add(node["kind"])
+        for child in node["children"]:
+            walk(child)
+
+    walk(ops.describe(layer.op))
+    assert "WalshHadamard" in kinds and "Dense" not in kinds
+
+
+def test_label_reflection_matches_the_two_half_formula_exactly():
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-1, 1, 64)
+    x[:3] = (-1.0, 0.0, 1.0)
+    op = ops.LabelReflection(x)
+    cols = rng.normal(size=(128, 5)) + 1j * rng.normal(size=(128, 5))
+    before = cols.copy()
+    top, bottom = cols[:64], cols[64:]
+    xs, s = x[:, None], np.sqrt(1.0 - x * x)[:, None]
+    want = np.concatenate((xs * top + s * bottom, s * top - xs * bottom))
+    assert np.array_equal(op.apply(cols), want)
+    assert np.array_equal(cols, before)
+    strided = np.ascontiguousarray(cols.T).T
+    assert np.array_equal(op.apply(strided), want)
+
+
+def test_label_reflection_rejects_nan():
+    with pytest.raises(ContractViolationError):
+        ops.LabelReflection(np.array([np.nan, 0.0]))

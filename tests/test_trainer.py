@@ -22,6 +22,8 @@ def small_spec():
 def test_dataset_validation():
     with pytest.raises(DomainError):
         qkan.Dataset(np.array([[1.5, 0.0]]), np.array([[0.0]]))
+    with pytest.raises(DomainError):
+        qkan.Dataset(np.array([[0.5, 0.0]]), np.array([[np.nan]]))
     data = quadratic_target_dataset(points=3)
     assert len(data) == 9
     assert data.xs.shape == (9, 2)
