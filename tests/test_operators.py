@@ -434,7 +434,8 @@ def test_walsh_hadamard_is_the_normalized_sylvester_matrix():
         op = ops.WalshHadamard(n)
         assert op.adjoint() is op
         assert np.max(np.abs(op.dense() - sylvester / 2 ** (n / 2))) <= 1e-14
-    assert ops.hadamard_layer(3).dense() == pytest.approx(ops.WalshHadamard(3).dense())
+    layer = ops.hadamard_layer(3)
+    assert isinstance(layer, ops.WalshHadamard) and (layer.start, layer.count) == (0, 3)
 
 
 @pytest.mark.parametrize("start, count", [(-1, 1), (0, 0), (2, 3), (0, 5)])
