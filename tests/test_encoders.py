@@ -39,9 +39,6 @@ def test_exact_domain_errors():
         qkan.encode_diagonal_exact(np.array([1.2, 0.0]))
     with pytest.raises(DomainError):
         qkan.encode_diagonal_exact(np.array([0.1, 0.2, 0.3]))
-
-
-def test_exact_encoder_rejects_nan():
     with pytest.raises(DomainError):
         qkan.encode_diagonal_exact(np.array([0.3, np.nan]))
 

@@ -243,6 +243,8 @@ def test_label_reflection_matches_dense_blocks():
         ops.LabelReflection(np.zeros(3))
     with pytest.raises(ContractViolationError):
         ops.LabelReflection(np.array([0.5, 1.5]))
+    with pytest.raises(ContractViolationError):
+        ops.LabelReflection(np.array([np.nan, 0.0]))
 
 
 def _move_to_front(axes, n):
@@ -480,8 +482,3 @@ def test_label_reflection_matches_the_two_half_formula_exactly():
     assert np.array_equal(cols, before)
     strided = np.ascontiguousarray(cols.T).T
     assert np.array_equal(op.apply(strided), want)
-
-
-def test_label_reflection_rejects_nan():
-    with pytest.raises(ContractViolationError):
-        ops.LabelReflection(np.array([np.nan, 0.0]))
