@@ -121,10 +121,6 @@ class BlockEncoding:
         return tuple(range(self.num_aux))
 
     @property
-    def system_axes(self) -> tuple[int, ...]:
-        return tuple(range(self.num_aux, self.op.n))
-
-    @property
     def cost(self) -> dict[str, int]:
         """Primitive queries consumed by one application of this encoding,
         summed over the Query nodes of its operator tree."""
@@ -215,18 +211,23 @@ def extract_block(be: BlockEncoding, cap_qubits: int = DENSE_CAP_QUBITS) -> np.n
     return be.alpha * out[:s_dim, :s_dim]
 
 
-def extract_diagonal(be: BlockEncoding) -> np.ndarray:
-    """Entries <0|_aux <j| U |0>_aux |j>, one operator application per entry."""
-    if not be.diagonal_flag:
-        raise ContractViolationError("extract_diagonal requires a diagonal-flagged encoding")
-    s_dim = be.system_dim
+def column_blocks(be: BlockEncoding, nodes: np.ndarray):
+    """Yield (j, U|0>_aux|j>) for the system states `nodes`, the columns applied
+    in blocks of at most 2^26 amplitudes."""
     chunk = max(1, (1 << 26) // be.op.dim)
-    values = np.empty(s_dim, dtype=np.complex128)
-    for start in range(0, s_dim, chunk):
-        idx = np.arange(start, min(start + chunk, s_dim))
+    for start in range(0, nodes.size, chunk):
+        idx = nodes[start : start + chunk]
         cols = np.zeros((be.op.dim, idx.size), dtype=np.complex128)
         cols[idx, np.arange(idx.size)] = 1.0
-        out = be.op.apply(cols)
+        yield idx, be.op.apply(cols)
+
+
+def extract_diagonal(be: BlockEncoding) -> np.ndarray:
+    """Entries <0|_aux <j| U |0>_aux |j>, one operator application per column block."""
+    if not be.diagonal_flag:
+        raise ContractViolationError("extract_diagonal requires a diagonal-flagged encoding")
+    values = np.empty(be.system_dim, dtype=np.complex128)
+    for idx, out in column_blocks(be, np.arange(be.system_dim)):
         values[idx] = out[idx, np.arange(idx.size)]
     return be.alpha * values
 

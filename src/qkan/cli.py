@@ -27,7 +27,7 @@ from .encoders import (
 from .errors import QkanError, ResourceLimitError
 from .network import build_network, classical_network_eval
 from .operators import state_prep_unitary
-from .readout import estimate_all_outputs, hadamard_test, prepare_state_postselect
+from .readout import prepare_state_postselect, read_outputs
 from .resources import analytic_cost, reconcile
 from .trainer import train
 from .verification import check_network_accounting, run_verification
@@ -107,7 +107,12 @@ def cmd_verify(config: RunConfig, args) -> tuple[int, dict]:
 
 def cmd_eval(config: RunConfig, args) -> tuple[int, dict]:
     build = build_network(_input_encoding(config), config.spec, _weight_encoder(config))
-    output = extract_diagonal(build.output).real
+    readout = config.readout
+    if readout.mode == "shots":
+        output, results = read_outputs(build.output, readout.shots, readout.seed, readout.node)
+    else:
+        output, results = extract_diagonal(build.output), None
+    output = output.real
     oracle = classical_network_eval(config.input, config.spec)
     section = {
         "output": output.tolist(),
@@ -116,18 +121,7 @@ def cmd_eval(config: RunConfig, args) -> tuple[int, dict]:
         "ancillas": build.output.num_aux,
         "ledger": build.output.cost,
     }
-    if config.readout.mode == "shots":
-        if config.readout.node is not None:
-            results = [
-                hadamard_test(
-                    build.output, config.readout.node,
-                    shots=config.readout.shots, seed=config.readout.seed,
-                )
-            ]
-        else:
-            results = estimate_all_outputs(
-                build.output, shots=config.readout.shots, seed=config.readout.seed
-            )
+    if results is not None:
         section["readout"] = [
             {"value": r.value, "stderr": r.stderr, "shots": r.shots} for r in results
         ]

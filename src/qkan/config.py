@@ -24,6 +24,7 @@ Schema (all sections optional unless a command needs them):
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -104,12 +105,28 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _int(value, what: str, low: int = 0, high: float = np.inf) -> int:
+    """`value` as an int in [low, high); bools, strings and non-integral floats are rejected."""
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    ok = number and value % 1 == 0 and low <= value < high
+    _require(ok, f"{what} must be an integer in [{low}, {high}), got {value!r}")
+    return int(value)
+
+
+def _real(value, what: str, positive: bool = False) -> float:
+    """`value` as a finite float, > 0 when `positive` and >= 0 otherwise."""
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool) and np.isfinite(value)
+    bound = "> 0" if positive else ">= 0"
+    _require(number and (value > 0 or value == 0 and not positive), f"{what} must be a finite number {bound}")
+    return float(value)
+
+
 def _layer_from_dict(entry: dict, seed: int, index: int) -> LayerSpec:
     _require(isinstance(entry, dict), f"layer {index} must be an object")
     for key in ("in", "out", "degree"):
         _require(key in entry, f"layer {index} is missing {key!r}")
-    n_in, n_out, degree = int(entry["in"]), int(entry["out"]), int(entry["degree"])
-    _require(degree >= 0, f"layer {index} has negative degree")
+    n_in, n_out = (_int(entry[key], f"layer {index} {key!r}", 1) for key in ("in", "out"))
+    degree = _int(entry["degree"], f"layer {index} 'degree'")
     if "weights" in entry:
         weights = np.asarray(entry["weights"], dtype=np.float64)
         _require(
@@ -118,36 +135,38 @@ def _layer_from_dict(entry: dict, seed: int, index: int) -> LayerSpec:
         )
         _require(np.all(np.isfinite(weights)), f"layer {index} weights must be finite")
         return LayerSpec(weights)
-    weight_seed = int(entry.get("weight_seed", seed + index))
+    weight_seed = _int(entry.get("weight_seed", seed + index), f"layer {index} 'weight_seed'")
     return LayerSpec.random(n_in, n_out, degree, seed=weight_seed)
 
 
-def _train_from_dict(section: dict, default_seed: int) -> tuple[TrainConfig, Dataset]:
+def _train_from_dict(section: dict, default_seed: int, dims) -> tuple[TrainConfig, Dataset]:
     data_section = section.get("data")
     _require(isinstance(data_section, dict), "train.data section is required")
     if "xs" in data_section:
-        dataset = Dataset(np.asarray(data_section["xs"]), np.asarray(data_section["ys"]))
+        dataset = Dataset(np.asarray(data_section["xs"]), np.asarray(data_section.get("ys", [])))
     else:
         target = data_section.get("target", {})
         kind = target.get("kind", "cheb2_mean")
         _require(kind == "cheb2_mean", f"unknown training target {kind!r}")
         scale = float(target.get("scale", 0.25))
-        points = int(data_section.get("grid_points_per_axis", 8))
-        n_in = int(data_section.get("n_in", 2))
+        points = _int(data_section.get("grid_points_per_axis", 8), "grid_points_per_axis", 1)
+        n_in = _int(data_section.get("n_in", 2), "train.data.n_in", 1)
 
         def fn(x):
             return np.array([scale * np.mean(np.cos(2 * np.arccos(x)))])
 
         dataset = Dataset.from_function(fn, n_in, points)
+    _require(dataset.xs.shape[1:] == (dims[0],) and dataset.ys.shape[1:] == (dims[-1],),
+             f"train data needs rows of {dims[0]} inputs and {dims[-1]} targets")
     config = TrainConfig(
         optimizer=section.get("optimizer", "finite_difference"),
         eta=float(section.get("eta", 25.0)),
         h=float(section.get("h", 1e-4)),
         c=float(section.get("c", 0.1)),
-        iterations=int(section.get("iterations", 200)),
-        seed=int(section.get("seed", default_seed)),
+        iterations=_int(section.get("iterations", 200), "train.iterations"),
+        seed=_int(section.get("seed", default_seed), "train.seed"),
         readout=section.get("readout", "exact"),
-        shots=int(section.get("shots", 0)),
+        shots=_int(section.get("shots", 0), "train.shots"),
         loss_goal=section.get("loss_goal"),
     )
     return config, dataset
@@ -155,7 +174,7 @@ def _train_from_dict(section: dict, default_seed: int) -> tuple[TrainConfig, Dat
 
 def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     _require(isinstance(raw, dict), "config root must be a JSON object")
-    seed = int(seed_override if seed_override is not None else raw.get("seed", 0))
+    seed = _int(seed_override if seed_override is not None else raw.get("seed", 0), "seed")
     _require("input" in raw, "config is missing the input vector")
     x = np.asarray(raw["input"], dtype=np.float64)
     _require(x.ndim == 1 and x.size >= 1, "input must be a non-empty vector")
@@ -179,31 +198,29 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     )
     perturb_raw = raw.get("perturb", {})
     perturb = PerturbConfig(
-        eps_x=float(perturb_raw.get("eps_x", 0.0)),
-        eps_w=float(perturb_raw.get("eps_w", 0.0)),
-        seed=int(perturb_raw.get("seed", seed)),
+        eps_x=_real(perturb_raw.get("eps_x", 0.0), "perturb.eps_x"),
+        eps_w=_real(perturb_raw.get("eps_w", 0.0), "perturb.eps_w"),
+        seed=_int(perturb_raw.get("seed", seed), "perturb.seed"),
     )
     readout_raw = raw.get("readout", {})
+    mode = readout_raw.get("mode", "exact")
+    _require(mode in ("exact", "shots"), f"unknown readout mode {mode!r}")
+    node, delta = readout_raw.get("node"), readout_raw.get("delta")
     readout = ReadoutConfig(
-        mode=readout_raw.get("mode", "exact"),
-        shots=int(readout_raw.get("shots", 0)),
-        seed=int(readout_raw.get("seed", seed)),
-        node=readout_raw.get("node"),
-        delta=readout_raw.get("delta"),
+        mode=mode,
+        shots=_int(readout_raw.get("shots", 0), "readout.shots", int(mode == "shots")),
+        seed=_int(readout_raw.get("seed", seed), "readout.seed"),
+        node=None if node is None else _int(node, "readout.node", high=spec.dims[-1]),
+        delta=None if delta is None else _real(delta, "readout.delta", positive=True),
     )
-    _require(readout.mode in ("exact", "shots"), f"unknown readout mode {readout.mode!r}")
     train_config = None
     dataset = None
     if "train" in raw:
         try:
-            train_config, dataset = _train_from_dict(raw["train"], seed)
+            train_config, dataset = _train_from_dict(raw["train"], seed, spec.dims)
         except QkanError as exc:
             raise ConfigError(str(exc)) from exc
     max_qubits = raw.get("max_qubits")
-    _require(
-        max_qubits is None or int(max_qubits) >= 1,
-        f"max_qubits must be a positive integer, got {max_qubits}",
-    )
     return RunConfig(
         input=x,
         spec=spec,
@@ -213,7 +230,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
         train=train_config,
         dataset=dataset,
         seed=seed,
-        max_qubits=None if max_qubits is None else int(max_qubits),
+        max_qubits=None if max_qubits is None else _int(max_qubits, "max_qubits", 1),
         raw=raw,
     )
 

@@ -80,13 +80,6 @@ class LayerSpec:
     def n_qubits_out(self) -> int:
         return _log2_pow2(self.n_out, "output node count")
 
-    def flat_weights(self, r: int) -> np.ndarray:
-        """Degree-r weights as a length-NK vector, index p*K + q."""
-        return self.weights[r].reshape(-1)
-
-    def with_weights(self, weights: np.ndarray) -> "LayerSpec":
-        return LayerSpec(weights)
-
     @classmethod
     def random(cls, n_in: int, n_out: int, degree: int, seed: int, scale: float = 1.0) -> "LayerSpec":
         rng = np.random.default_rng(seed)
@@ -121,7 +114,7 @@ class QkanSpec:
 
     def with_layer_weights(self, index: int, weights: np.ndarray) -> "QkanSpec":
         layers = list(self.layers)
-        layers[index] = layers[index].with_weights(weights)
+        layers[index] = LayerSpec(weights)
         return QkanSpec(tuple(layers))
 
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_encoding import BlockEncoding
+from .block_encoding import BlockEncoding, column_blocks
 from .errors import DegenerateOutputError, DomainError
-from .operators import Multiplexed, WalshHadamard
+from .operators import check_qubit_budget
 from .registers import RegisterLayout, StateVector
 
 
@@ -39,14 +39,27 @@ class PreparedState:
     norm_const: float | None
 
 
-def _hadamard_test_state(be: BlockEncoding, q: int) -> np.ndarray:
-    """(H (x) I) CU (H (x) I) |0>|0>_aux|q>, control as the top qubit."""
-    n = be.op.n + 1
-    cu = Multiplexed({1: be.op}, (0,), n)
-    h_top = WalshHadamard(n, 0, 1)
-    state = np.zeros(1 << n, dtype=np.complex128)
-    state[q] = 1.0  # |0>_ctrl |0>_aux |q>
-    return h_top.apply(cu.apply(h_top.apply(state)))
+def _branch_test(column: np.ndarray, q: int, shots: int, seed, delta_target: float) -> ReadoutResult:
+    """Hadamard test of node q from its column U|0>_aux|q>. H, controlled U and
+    H on a control qubit leave the control-0 branch (|0>_aux|q> + U|0>_aux|q>)/2,
+    whose |0>_aux|q> amplitude is (1 + <q|U|q>)/2 and whose squared norm is the
+    probability that the control reads 0."""
+    branch = 0.5 * column
+    branch[q] += 0.5
+    if shots == 0:
+        return ReadoutResult(float(2.0 * branch[q].real - 1.0), 0.0, 0, delta_target)
+    if shots < 0:
+        raise DomainError("shot count must be non-negative")
+    p_zero = float(np.clip(np.sum(np.abs(branch) ** 2), 0.0, 1.0))
+    p_hat = np.random.default_rng(seed).binomial(shots, p_zero) / shots
+    stderr = 2.0 * np.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / shots)
+    return ReadoutResult(float(2.0 * p_hat - 1.0), float(stderr), shots, delta_target)
+
+
+def _check_node(be: BlockEncoding, q: int | None) -> None:
+    if q is not None and not 0 <= q < be.system_dim:
+        raise DomainError(f"node index {q} out of range for {be.system_dim} outputs")
+    check_qubit_budget(be.op.n + 1, "Hadamard test")  # the control is a real qubit
 
 
 def hadamard_test(
@@ -56,28 +69,35 @@ def hadamard_test(
     seed: int | None = None,
     delta_target: float = 0.0,
 ) -> ReadoutResult:
-    """Estimate Re <0|_aux <q| U |0>_aux |q>.
+    """Estimate Re <0|_aux <q| U |0>_aux |q> from one application of U: exactly
+    (shots = 0) or from Bernoulli samples of the control qubit's Z value."""
+    _check_node(be, q)
+    ((_, out),) = column_blocks(be, np.array([q]))
+    return _branch_test(out[:, 0], q, shots, seed, delta_target)
 
-    Exact mode reads the amplitude (alpha_q + 1)/2 of the all-zero-ancilla
-    outcome; shots mode draws Bernoulli samples of the top-qubit Z value,
-    whose expectation is the same real part.
+
+def read_outputs(
+    be: BlockEncoding,
+    shots: int = 0,
+    seed: int | None = None,
+    node: int | None = None,
+    delta_target: float = 0.0,
+) -> tuple[np.ndarray, list[ReadoutResult]]:
+    """The diagonal alpha <0|_aux <j| U |0>_aux |j> of every output j and the
+    Hadamard test of `node` (seeded with `seed`), or of every node j (seeded
+    with [seed, j]) when `node` is None. Both come from one application of U
+    per block of columns |0>_aux|j>, the blocks of `extract_diagonal`.
     """
-    if not 0 <= q < be.system_dim:
-        raise DomainError(f"node index {q} out of range for {be.system_dim} outputs")
-    psi = _hadamard_test_state(be, q)
-    if shots == 0:
-        amp = psi[q]  # <0|<0|_aux<q| component
-        return ReadoutResult(float(2.0 * amp.real - 1.0), 0.0, 0, delta_target)
-    if shots < 0:
-        raise DomainError("shot count must be non-negative")
-    half = psi.size // 2
-    p_zero = float(np.clip(np.sum(np.abs(psi[:half]) ** 2), 0.0, 1.0))
-    rng = np.random.default_rng(seed)
-    hits = rng.binomial(shots, p_zero)
-    p_hat = hits / shots
-    value = 2.0 * p_hat - 1.0
-    stderr = 2.0 * np.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / shots)
-    return ReadoutResult(float(value), float(stderr), shots, delta_target)
+    _check_node(be, node)
+    values = np.empty(be.system_dim, dtype=np.complex128)
+    results = []
+    for idx, out in column_blocks(be, np.arange(be.system_dim)):
+        values[idx] = out[idx, np.arange(idx.size)]
+        for i, q in enumerate(idx.tolist()):
+            if node is None or q == node:
+                node_seed = [seed, q] if node is None and seed is not None else seed
+                results.append(_branch_test(out[:, i], q, shots, node_seed, delta_target))
+    return be.alpha * values, results
 
 
 def estimate_all_outputs(
@@ -87,11 +107,7 @@ def estimate_all_outputs(
     delta_target: float = 0.0,
 ) -> list[ReadoutResult]:
     """Elementwise Hadamard test over all output nodes, independent streams."""
-    results = []
-    for q in range(be.system_dim):
-        node_seed = None if seed is None else [seed, q]
-        results.append(hadamard_test(be, q, shots=shots, seed=node_seed, delta_target=delta_target))
-    return results
+    return read_outputs(be, shots, seed, delta_target=delta_target)[1]
 
 
 def prepare_state_postselect(
@@ -140,10 +156,7 @@ def check_stateprep_bound(
 ) -> bool:
     """Whether the state-preparation hypotheses hold:
     eps_x <= N^2 eps^2 / (144 K d^2) and eps_w <= N eps / (3 sqrt(K))."""
-    if not 0.0 < eps < 0.5:
-        raise DomainError("target error must lie in (0, 1/2)")
-    thr_x = np.inf if degree == 0 else norm_const**2 * eps**2 / (144.0 * k_out * degree**2)
-    thr_w = norm_const * eps / (3.0 * np.sqrt(k_out))
+    thr_x, thr_w = stateprep_thresholds(eps, degree, k_out, norm_const)
     return eps_x <= thr_x and eps_w <= thr_w
 
 

@@ -157,49 +157,30 @@ def check_layer_bound(eps_x: float, eps_w: float, spec: LayerSpec, x: np.ndarray
     return [_result("layer/error_bound", measured, bound + 1e-10, detail)]
 
 
-def check_layer_accounting(spec: LayerSpec, x: np.ndarray) -> list[CheckResult]:
-    be_x = encode_diagonal_exact(x)
-    built = build_layer(be_x, spec)
-    report = analytic_cost(QkanSpec((spec,)))
+def _accounting(prefix: str, built, report, error: float, detail: str = "") -> list[CheckResult]:
+    """Built ancillas and ledger against the resource model, and the oracle error."""
     expected_aux = report.aux_totals[-1]
-    results = [
-        _result(
-            "layer/ancilla_count",
-            abs(built.num_aux - expected_aux),
-            0.0,
-            f"a = {built.num_aux}, formula = {expected_aux}",
-        )
-    ]
     rec = reconcile(report, built)
-    results.append(
-        _result("layer/query_reconcile", 0.0 if rec.ok else 1.0, 0.0, str(rec.diffs) if rec.diffs else "")
-    )
-    oracle = classical_layer_eval(x, spec)
-    results.append(_result("layer/oracle_match", verify(built, np.diag(oracle)), 1e-9))
-    return results
+    return [
+        _result(f"{prefix}/ancilla_count", abs(built.num_aux - expected_aux), 0.0,
+                f"a = {built.num_aux}, formula = {expected_aux}"),
+        _result(f"{prefix}/query_reconcile", 0.0 if rec.ok else 1.0, 0.0, str(rec.diffs) if rec.diffs else ""),
+        _result(f"{prefix}/oracle_match", error, 1e-9, detail),
+    ]
+
+
+def check_layer_accounting(spec: LayerSpec, x: np.ndarray) -> list[CheckResult]:
+    built = build_layer(encode_diagonal_exact(x), spec)
+    error = verify(built, np.diag(classical_layer_eval(x, spec)))
+    return _accounting("layer", built, analytic_cost(QkanSpec((spec,))), error)
 
 
 def check_network_accounting(spec: QkanSpec, x: np.ndarray) -> list[CheckResult]:
-    """Whole-network counterpart of :func:`check_layer_accounting`: the built
-    ancillas and ledger against the resource model, and the output diagonal
-    against the classical network oracle."""
+    """Whole-network counterpart of :func:`check_layer_accounting`, with the
+    output diagonal against the classical network oracle."""
     built = build_network(encode_diagonal_exact(x), spec).output
-    report = analytic_cost(spec)
-    expected_aux = report.aux_totals[-1]
-    rec = reconcile(report, built)
     error = float(np.max(np.abs(extract_diagonal(built) - classical_network_eval(x, spec))))
-    return [
-        _result(
-            "network/ancilla_count",
-            abs(built.num_aux - expected_aux),
-            0.0,
-            f"a = {built.num_aux}, formula = {expected_aux}",
-        ),
-        _result(
-            "network/query_reconcile", 0.0 if rec.ok else 1.0, 0.0, str(rec.diffs) if rec.diffs else ""
-        ),
-        _result("network/oracle_match", error, 1e-9, f"{len(spec.layers)} layers"),
-    ]
+    return _accounting("network", built, analytic_cost(spec), error, f"{len(spec.layers)} layers")
 
 
 def run_verification(
