@@ -116,8 +116,8 @@ def _int(value, what: str, low: int = 0, high: float = np.inf) -> int:
 def _real(value, what: str, positive: bool = False) -> float:
     """`value` as a finite float, > 0 when `positive` and >= 0 otherwise."""
     number = isinstance(value, numbers.Real) and not isinstance(value, bool) and np.isfinite(value)
-    bound = "> 0" if positive else ">= 0"
-    _require(number and (value > 0 or value == 0 and not positive), f"{what} must be a finite number {bound}")
+    ok = number and (value > 0 if positive else value >= 0)
+    _require(ok, f"{what} must be a finite number {'> 0' if positive else '>= 0'}, got {value!r}")
     return float(value)
 
 

@@ -56,7 +56,7 @@ def _branch_test(column: np.ndarray, q: int, shots: int, seed, delta_target: flo
     return ReadoutResult(float(2.0 * p_hat - 1.0), float(stderr), shots, delta_target)
 
 
-def _check_node(be: BlockEncoding, q: int | None) -> None:
+def _check_hadamard_test(be: BlockEncoding, q: int | None) -> None:
     if q is not None and not 0 <= q < be.system_dim:
         raise DomainError(f"node index {q} out of range for {be.system_dim} outputs")
     check_qubit_budget(be.op.n + 1, "Hadamard test")  # the control is a real qubit
@@ -71,7 +71,7 @@ def hadamard_test(
 ) -> ReadoutResult:
     """Estimate Re <0|_aux <q| U |0>_aux |q> from one application of U: exactly
     (shots = 0) or from Bernoulli samples of the control qubit's Z value."""
-    _check_node(be, q)
+    _check_hadamard_test(be, q)
     ((_, out),) = column_blocks(be, np.array([q]))
     return _branch_test(out[:, 0], q, shots, seed, delta_target)
 
@@ -88,7 +88,7 @@ def read_outputs(
     with [seed, j]) when `node` is None. Both come from one application of U
     per block of columns |0>_aux|j>, the blocks of `extract_diagonal`.
     """
-    _check_node(be, node)
+    _check_hadamard_test(be, node)
     values = np.empty(be.system_dim, dtype=np.complex128)
     results = []
     for idx, out in column_blocks(be, np.arange(be.system_dim)):

@@ -79,3 +79,21 @@ def analytic_loss_gradient(weight_list, xs, ys):
 
 def binomial_ci_halfwidth(p, shots, z=1.96):
     return z * np.sqrt(p * (1 - p) / shots)
+
+
+def hadamard_test(u, q, shots=0, seed=None):
+    """(value, stderr) of the Hadamard test on column q of the dense unitary u.
+
+    The circuit (H (x) I) CU (H (x) I), control on the top qubit, acts on
+    |0>|q>; exact mode returns 2 Re <0|<q|psi> - 1, shots mode draws the
+    control-0 count from ``np.random.default_rng(seed)``."""
+    dim = u.shape[0]
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    h_top = np.kron(h, np.eye(dim))
+    cu = np.block([[np.eye(dim), np.zeros((dim, dim))], [np.zeros((dim, dim)), u]])
+    psi = h_top @ (cu @ h_top[:, q])
+    if shots == 0:
+        return 2.0 * psi[q].real - 1.0, 0.0
+    p_zero = min(max(float(np.sum(np.abs(psi[:dim]) ** 2)), 0.0), 1.0)
+    p_hat = np.random.default_rng(seed).binomial(shots, p_zero) / shots
+    return 2.0 * p_hat - 1.0, 2.0 * np.sqrt(p_hat * (1.0 - p_hat) / shots)

@@ -1,0 +1,50 @@
+"""Summary statistics of scripts/bench_pairs.py on synthetic pairs (no subprocess)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def side(op_s, rss, attempted=10, failed=0):
+    return {"metrics": {"op_s.min": op_s, "peak_rss_mb": rss},
+            "attempted": attempted, "failed": failed}
+
+
+def test_spread_of_one_pair_is_its_value(bench_pairs):
+    assert bench_pairs.spread([0.5]) == {
+        "median": 0.5, "q1": 0.5, "q3": 0.5, "iqr": 0.0, "runs": [0.5],
+    }
+
+
+def test_spread_quartiles_are_inclusive(bench_pairs):
+    out = bench_pairs.spread([5.0, 1.0, 4.0, 2.0, 3.0])
+    assert (out["q1"], out["median"], out["q3"], out["iqr"]) == (2.0, 3.0, 4.0, 2.0)
+    assert out["runs"] == [5.0, 1.0, 4.0, 2.0, 3.0]  # in run order
+
+
+def test_summarize_counts_strict_wins_only(bench_pairs):
+    pairs = [
+        {"first": "parent", "parent": side(0.30, 50.0), "change": side(0.20, 50.0)},  # win, tie
+        {"first": "change", "parent": side(0.30, 49.0), "change": side(0.40, 48.0, failed=1)},
+        {"first": "parent", "parent": side(0.25, 51.0, attempted=12), "change": side(0.25, 52.0)},
+    ]
+    out = bench_pairs.summarize(pairs, ["op_s.min", "peak_rss_mb"])
+    assert out["pairs"] == 3
+    assert out["change_wins"] == {"op_s.min": 1, "peak_rss_mb": 1}  # ties count for neither
+    assert out["parent"]["op_s.min"]["median"] == 0.30
+    assert out["change"]["op_s.min"]["median"] == 0.25
+    assert out["change"]["peak_rss_mb"]["runs"] == [50.0, 48.0, 52.0]
+    assert (out["parent"]["attempted"], out["parent"]["failed"]) == (32, 0)
+    assert (out["change"]["attempted"], out["change"]["failed"]) == (30, 1)
+    assert out["first"] == ["parent", "change", "parent"]

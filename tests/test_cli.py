@@ -1,9 +1,10 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 
-from qkan import operators
+from qkan import cli, operators
 from qkan.cli import main
 from qkan.config import ConfigError, load_config
 
@@ -314,3 +315,129 @@ def test_max_qubits_in_config_is_the_budget(tmp_path, capsys):
     assert main(["eval", "--config", write_config(tmp_path, payload)]) == 3
     # the option overrides the config
     assert main(["eval", "--config", write_config(tmp_path, payload), "--max-qubits", "22"]) == 0
+
+
+SHOTS_CONFIG = {
+    "input": [0.1, 0.2],
+    "layers": [{"in": 2, "out": 2, "degree": 1, "weight_seed": 1}],
+    "readout": {"mode": "shots", "shots": 100, "seed": 4},
+}
+
+
+def with_field(path, value):
+    """SHOTS_CONFIG with the entry at the dotted `path` set to `value`."""
+    payload = copy.deepcopy(SHOTS_CONFIG)
+    keys = [int(key) if key.isdigit() else key for key in path.split(".")]
+    target = payload
+    for key in keys[:-1]:
+        target = target[key] if isinstance(key, int) else target.setdefault(key, {})
+    target[keys[-1]] = value
+    return payload
+
+
+@pytest.mark.parametrize(
+    "command, field, value",
+    [
+        ("eval", "node", 1.5),
+        ("eval", "node", "a"),
+        ("eval", "node", 2),
+        ("eval", "node", -1),
+        ("eval", "node", True),
+        ("eval", "shots", -5),
+        ("eval", "shots", 0),
+        ("eval", "shots", 2.7),
+        ("eval", "seed", -1),
+        ("resources", "delta", "x"),
+        ("resources", "delta", -1),
+        ("resources", "delta", 0),
+        ("resources", "delta", float("nan")),
+    ],
+)
+def test_bad_readout_field_exits_2(tmp_path, command, field, value, capsys):
+    path = write_config(tmp_path, with_field(f"readout.{field}", value))
+    assert main([command, "--config", path, "--no-timestamp"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "command, path, value",
+    [
+        ("eval", "layers.0.degree", 1.5),
+        ("eval", "layers.0.weight_seed", 1.5),
+        ("eval", "layers.0.out", "2"),
+        ("eval", "seed", 1.5),
+        ("eval", "seed", True),
+        ("eval", "seed", -1),
+        ("verify", "seed", -1),
+        ("eval", "perturb.eps_x", -1e-3),
+        ("eval", "perturb.eps_x", float("nan")),
+        ("eval", "perturb.eps_w", -1e-3),
+        ("eval", "perturb.seed", 0.5),
+        ("eval", "max_qubits", 12.5),
+    ],
+)
+def test_non_strict_config_number_exits_2(tmp_path, command, path, value, capsys):
+    config = write_config(tmp_path, with_field(path, value))
+    assert main([command, "--config", config, "--no-timestamp"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_negative_seed_option_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, SHOTS_CONFIG)
+    assert main(["verify", "--config", path, "--seed", "-1"]) == 2
+
+
+def test_integral_float_numbers_are_accepted(tmp_path, capsys):
+    payload = with_field("readout.shots", 100.0)
+    payload["layers"][0]["degree"] = 1.0
+    code, report = run(["eval", "--config", write_config(tmp_path, payload), "--no-timestamp"], capsys)
+    assert code == 0
+    assert report["config"]["readout"]["shots"] == 100
+    assert report["config"]["layers"][0]["degree"] == 1
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{"xs": [], "ys": []}, {"xs": [[]], "ys": [[]]}, {"xs": [[0.1, 0.2]], "ys": []},
+     {"xs": [[0.1, 0.2, 0.3]], "ys": [[0.1, 0.2]]}, {"xs": [[0.1, 0.2]]}],
+)
+def test_train_data_of_the_wrong_shape_exits_2(tmp_path, data, capsys):
+    payload = with_field("train", {"iterations": 2, "data": data})
+    assert main(["train", "--config", write_config(tmp_path, payload)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("node", [None, 1])
+def test_eval_shots_applies_the_output_operator_once(tmp_path, monkeypatch, node, capsys):
+    """The diagonal and every Hadamard test come from one application of U."""
+    applied = []
+    real_build = cli.build_network
+
+    def counting_build(*args, **kwargs):
+        built = real_build(*args, **kwargs)
+        op = built.output.op
+        inner = op._apply
+
+        def counted(cols):
+            applied.append(cols.shape[1])
+            return inner(cols)
+
+        object.__setattr__(op, "_apply", counted)  # on this instance only
+        return built
+
+    monkeypatch.setattr(cli, "build_network", counting_build)
+    payload = with_field("readout.node", node) if node is not None else SHOTS_CONFIG
+    code, report = run(["eval", "--config", write_config(tmp_path, payload), "--no-timestamp"], capsys)
+    assert code == 0
+    assert applied == [2]  # one block holding both columns |0>_aux|j>
+    assert len(report["results"]["readout"]) == (2 if node is None else 1)
+
+
+def test_shots_eval_budget_counts_the_hadamard_control_qubit(tmp_path, capsys):
+    path = write_config(tmp_path, SHOTS_CONFIG)
+    config = load_config(path)
+    n = cli.build_network(cli._input_encoding(config), config.spec).output.op.n
+    assert main(["eval", "--config", path, "--max-qubits", str(n)]) == 3
+    assert main(["eval", "--config", path, "--max-qubits", str(n + 1)]) == 0
+    exact = write_config(tmp_path, with_field("readout.mode", "exact"), name="exact.json")
+    assert main(["eval", "--config", exact, "--max-qubits", str(n)]) == 0

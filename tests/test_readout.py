@@ -4,7 +4,8 @@ import pytest
 import qkan
 from qkan.errors import DegenerateOutputError, DomainError
 
-from oracles import binomial_ci_halfwidth
+from oracles import binomial_ci_halfwidth, hadamard_test as oracle_hadamard_test
+from qkan.readout import read_outputs
 
 
 @pytest.fixture
@@ -57,6 +58,63 @@ def test_estimate_all_outputs_exact(half_layer):
     values = np.array([r.value for r in results])
     assert np.max(np.abs(values - qkan.extract_diagonal(be).real)) <= 1e-12
     assert np.max(np.abs(values - oracle)) <= 1e-9
+
+
+def _readout_case(dims, degrees, eps=0.0):
+    """A built layer or network, optionally perturbed so the block has off-diagonal error."""
+    spec = qkan.QkanSpec(tuple(
+        qkan.LayerSpec.random(n_in, n_out, d, seed=40 + i)
+        for i, (n_in, n_out, d) in enumerate(zip(dims, dims[1:], degrees))
+    ))
+    x = np.linspace(-0.7, 0.6, dims[0])
+    be = qkan.build_network(qkan.encode_diagonal_exact(x), spec).output
+    return qkan.perturb(be, eps, seed=9) if eps else be
+
+
+@pytest.mark.parametrize(
+    "dims, degrees, eps",
+    [((2, 2), (1,), 0.0), ((2, 4), (1,), 0.0), ((4, 2), (1,), 0.0), ((2, 2), (2,), 0.0),
+     ((2, 2), (1,), 1e-2), ((2, 1, 1), (1, 1), 0.0)],
+)
+def test_hadamard_readout_matches_dense_circuit_oracle(dims, degrees, eps):
+    """Exact and seeded-shot readouts equal the dense (H x I) CU (H x I) circuit,
+    with the same binomial draws: per node, over all nodes and for one node."""
+    be = _readout_case(dims, degrees, eps)
+    assert be.op.n <= 8
+    u = be.op.dense()
+    nodes = range(be.system_dim)
+    for q in nodes:
+        assert abs(qkan.hadamard_test(be, q).value - oracle_hadamard_test(u, q)[0]) <= 1e-12
+        for shots, seed in ((1000, 5), (7, 11)):
+            got = qkan.hadamard_test(be, q, shots=shots, seed=seed)
+            assert np.allclose((got.value, got.stderr), oracle_hadamard_test(u, q, shots, seed),
+                               rtol=0.0, atol=1e-12)
+            _, (one,) = read_outputs(be, shots, seed, node=q)
+            assert one == got
+    for shots in (0, 1000):
+        results = qkan.estimate_all_outputs(be, shots=shots, seed=3)
+        want = [oracle_hadamard_test(u, q, shots, [3, q]) for q in nodes]
+        assert np.allclose([(r.value, r.stderr) for r in results], want, rtol=0.0, atol=1e-12)
+        values, same = read_outputs(be, shots, 3)
+        assert same == results
+        assert np.allclose(values, be.alpha * np.diag(u)[: be.system_dim], rtol=0.0, atol=1e-12)
+
+
+def test_read_outputs_diagonal_is_extract_diagonal_bit_for_bit():
+    be = _readout_case((2, 2, 2), (2, 1))
+    assert np.array_equal(read_outputs(be, 100, 1)[0], qkan.extract_diagonal(be))
+
+
+def test_hadamard_readout_counts_the_control_qubit(half_layer):
+    be, _ = half_layer
+    with qkan.qubit_budget(be.op.n):
+        with pytest.raises(qkan.ResourceLimitError):
+            qkan.hadamard_test(be, 0)
+        with pytest.raises(qkan.ResourceLimitError):
+            read_outputs(be, 100, 1)
+        qkan.extract_diagonal(be)  # the diagonal alone needs no control
+    with qkan.qubit_budget(be.op.n + 1):
+        assert len(qkan.estimate_all_outputs(be, shots=10, seed=1)) == be.system_dim
 
 
 def test_estimates_unbiased(half_layer):
