@@ -21,7 +21,6 @@ from .block_encoding import (
     pair_for_weights,
     perturb,
     product,
-    read_diagonal,
     remove_offdiagonal,
     split_system,
     uniform_pair,

@@ -223,30 +223,24 @@ def column_blocks(be: BlockEncoding, nodes: np.ndarray):
 
 
 def extract_diagonal(be: BlockEncoding) -> np.ndarray:
-    """Entries <0|_aux <j| U |0>_aux |j>, one operator application per column block."""
+    """Entries alpha <0|_aux <j| U |0>_aux |j> of a diagonal-flagged block.
+
+    Applied to |0>_aux (x) sum_j |j>, the encoding returns sum_j' B[j, j'] on
+    |0>_aux |j>, which is B[j, j] when the block is exactly diagonal
+    (epsilon == 0): one operator application. An encoding with epsilon > 0
+    may carry off-diagonal error, so it is read one column per entry, one
+    application per column block.
+    """
     if not be.diagonal_flag:
         raise ContractViolationError("extract_diagonal requires a diagonal-flagged encoding")
+    if be.epsilon == 0:
+        column = np.zeros(be.op.dim, dtype=np.complex128)
+        column[: be.system_dim] = 1.0
+        return be.alpha * be.op.apply(column)[: be.system_dim]
     values = np.empty(be.system_dim, dtype=np.complex128)
     for idx, out in column_blocks(be, np.arange(be.system_dim)):
         values[idx] = out[idx, np.arange(idx.size)]
     return be.alpha * values
-
-
-def read_diagonal(be: BlockEncoding) -> np.ndarray:
-    """The diagonal of a diagonal-flagged block from one operator application.
-
-    Applied to |0>_aux (x) sum_j |j>, the encoding returns sum_j' B[j, j'] on
-    |0>_aux |j>, which is B[j, j] when the block is exactly diagonal
-    (epsilon == 0). An encoding with epsilon > 0 may carry off-diagonal
-    error, so it is read column by column with :func:`extract_diagonal`.
-    """
-    if not be.diagonal_flag:
-        raise ContractViolationError("read_diagonal requires a diagonal-flagged encoding")
-    if be.epsilon > 0:
-        return extract_diagonal(be)
-    column = np.zeros(be.op.dim, dtype=np.complex128)
-    column[: be.system_dim] = 1.0
-    return be.alpha * be.op.apply(column)[: be.system_dim]
 
 
 def verify(be: BlockEncoding, target: np.ndarray, cap_qubits: int = DENSE_CAP_QUBITS) -> float:

@@ -105,6 +105,11 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _object(value, what: str) -> dict:
+    _require(isinstance(value, dict), f"{what} must be an object, got {value!r}")
+    return value
+
+
 def _int(value, what: str, low: int = 0, high: float = np.inf) -> int:
     """`value` as an int in [low, high); bools, strings and non-integral floats are rejected."""
     number = isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -122,7 +127,7 @@ def _real(value, what: str, positive: bool = False) -> float:
 
 
 def _layer_from_dict(entry: dict, seed: int, index: int) -> LayerSpec:
-    _require(isinstance(entry, dict), f"layer {index} must be an object")
+    _object(entry, f"layer {index}")
     for key in ("in", "out", "degree"):
         _require(key in entry, f"layer {index} is missing {key!r}")
     n_in, n_out = (_int(entry[key], f"layer {index} {key!r}", 1) for key in ("in", "out"))
@@ -140,12 +145,11 @@ def _layer_from_dict(entry: dict, seed: int, index: int) -> LayerSpec:
 
 
 def _train_from_dict(section: dict, default_seed: int, dims) -> tuple[TrainConfig, Dataset]:
-    data_section = section.get("data")
-    _require(isinstance(data_section, dict), "train.data section is required")
+    data_section = _object(_object(section, "train").get("data"), "train.data")
     if "xs" in data_section:
         dataset = Dataset(np.asarray(data_section["xs"]), np.asarray(data_section.get("ys", [])))
     else:
-        target = data_section.get("target", {})
+        target = _object(data_section.get("target", {}), "train.data.target")
         kind = target.get("kind", "cheb2_mean")
         _require(kind == "cheb2_mean", f"unknown training target {kind!r}")
         scale = float(target.get("scale", 0.25))
@@ -179,9 +183,10 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     x = np.asarray(raw["input"], dtype=np.float64)
     _require(x.ndim == 1 and x.size >= 1, "input must be a non-empty vector")
     _require(np.all(np.isfinite(x)), "input entries must be finite")
-    _require("layers" in raw and raw["layers"], "config needs at least one layer")
+    layers_raw = raw.get("layers")
+    _require(isinstance(layers_raw, list) and layers_raw, "config needs a non-empty layers list")
     layers = tuple(
-        _layer_from_dict(entry, seed, i) for i, entry in enumerate(raw["layers"])
+        _layer_from_dict(entry, seed, i) for i, entry in enumerate(layers_raw)
     )
     try:
         spec = QkanSpec(layers)
@@ -196,13 +201,13 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
         encoder in ("exact", "stateprep", "real_weights"),
         f"unknown encoder {encoder!r}",
     )
-    perturb_raw = raw.get("perturb", {})
+    perturb_raw = _object(raw.get("perturb", {}), "perturb")
     perturb = PerturbConfig(
         eps_x=_real(perturb_raw.get("eps_x", 0.0), "perturb.eps_x"),
         eps_w=_real(perturb_raw.get("eps_w", 0.0), "perturb.eps_w"),
         seed=_int(perturb_raw.get("seed", seed), "perturb.seed"),
     )
-    readout_raw = raw.get("readout", {})
+    readout_raw = _object(raw.get("readout", {}), "readout")
     mode = readout_raw.get("mode", "exact")
     _require(mode in ("exact", "shots"), f"unknown readout mode {mode!r}")
     node, delta = readout_raw.get("node"), readout_raw.get("delta")

@@ -86,7 +86,7 @@ def read_outputs(
     """The diagonal alpha <0|_aux <j| U |0>_aux |j> of every output j and the
     Hadamard test of `node` (seeded with `seed`), or of every node j (seeded
     with [seed, j]) when `node` is None. Both come from one application of U
-    per block of columns |0>_aux|j>, the blocks of `extract_diagonal`.
+    per block of columns |0>_aux|j> (`column_blocks`).
     """
     _check_hadamard_test(be, node)
     values = np.empty(be.system_dim, dtype=np.complex128)

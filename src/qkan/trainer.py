@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_encoding import read_diagonal, split_system
+from .block_encoding import extract_diagonal, split_system
 from .encoders import encode_diagonal_exact
 from .errors import ContractViolationError, DivergenceError, DomainError
 from .network import (
@@ -113,7 +113,7 @@ class SimulatedModel:
     system [p | sample], diagonal index p * 2^m + s; every layer carries the
     sample register as its trailing system qubits, and one application of
     the network reads the outputs of the whole chunk (see
-    :func:`~qkan.block_encoding.read_diagonal`). The last chunk is padded
+    :func:`~qkan.block_encoding.extract_diagonal`). The last chunk is padded
     with x = 0 rows, whose outputs are dropped.
 
     The first layer's Chebyshev encodings depend only on the inputs, so they
@@ -148,7 +148,7 @@ class SimulatedModel:
             be = assembler.assemble(spec.layers[0].weights)
             for index, layer in enumerate(spec.layers[1:], start=1):
                 be = build_layer(be, layer, layer_index=index, sample_qubits=self.sample_qubits)
-            values = read_diagonal(be).real.reshape(-1, chunk).T  # diagonal index q * 2^m + s
+            values = extract_diagonal(be).real.reshape(-1, chunk).T  # diagonal index q * 2^m + s
             rows = out[start:start + chunk]
             rows[:] = values[: rows.shape[0]]
         return out

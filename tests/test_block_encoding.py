@@ -45,6 +45,36 @@ def test_extract_diagonal_matches_and_requires_flag():
         qkan.extract_diagonal(nondiag)
 
 
+def _count_applied_columns(be):
+    """Record the column count of each application of `be.op` (on this instance only)."""
+    applied = []
+    inner = be.op._apply
+
+    def counted(cols):
+        applied.append(cols.shape[1])
+        return inner(cols)
+
+    object.__setattr__(be.op, "_apply", counted)
+    return applied
+
+
+def test_exact_diagonal_is_read_from_one_column():
+    spec = qkan.LayerSpec.random(2, 4, 1, seed=5)
+    be = qkan.build_layer(qkan.encode_diagonal_exact(np.array([0.3, -0.6])), spec)
+    assert (be.system_dim, be.epsilon) == (4, 0.0)
+    applied = _count_applied_columns(be)
+    qkan.extract_diagonal(be)
+    assert applied == [1]  # |0>_aux (x) sum_j |j>, one application
+
+
+def test_noisy_diagonal_is_read_one_column_per_entry():
+    be = qkan.perturb(qkan.encode_diagonal_exact(np.array([0.1, 0.9, -0.4, 0.0])), 1e-6, seed=2)
+    assert be.epsilon > 0
+    applied = _count_applied_columns(be)
+    qkan.extract_diagonal(be)
+    assert applied == [4]  # one block holding the columns |0>_aux|j>
+
+
 def test_verify_exact_and_perturbed():
     x = np.array([0.2, -0.5, 0.8, 0.0])
     be = qkan.encode_diagonal_exact(x)

@@ -302,6 +302,6 @@ def test_probe_estimate_of_a_later_layer_above_the_dense_cap(rng, monkeypatch):
     assert be.op.n == 21 and calls == []
     assert len(estimates) == 2
     assert estimates[1] <= 1e-3 * 0.1 * chebyshev.HERMITICITY_SLACK
-    got = qkan.read_diagonal(be).real.reshape(-1, 1 << m).T
+    got = qkan.extract_diagonal(be).real.reshape(-1, 1 << m).T
     want = np.array([qkan.classical_network_eval(x, spec) for x in xs])
     assert np.max(np.abs(got - want)) <= 1e-9

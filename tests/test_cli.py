@@ -407,6 +407,25 @@ def test_train_data_of_the_wrong_shape_exits_2(tmp_path, data, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("command", ["eval", "train"])
+@pytest.mark.parametrize(
+    "path, value, section",
+    [
+        ("readout", 5, "readout"),
+        ("perturb", [], "perturb"),
+        ("train", 5, "train"),
+        ("train", {"data": {"target": 3}}, "train.data.target"),
+        ("layers", 5, "layers"),
+    ],
+)
+def test_config_section_of_the_wrong_type_exits_2(tmp_path, command, path, value, section, capsys):
+    config = write_config(tmp_path, with_field(path, value))
+    assert main([command, "--config", config, "--no-timestamp"]) == 2
+    assert capsys.readouterr().out == ""
+    with pytest.raises(ConfigError, match=section):
+        load_config(config)
+
+
 @pytest.mark.parametrize("node", [None, 1])
 def test_eval_shots_applies_the_output_operator_once(tmp_path, monkeypatch, node, capsys):
     """The diagonal and every Hadamard test come from one application of U."""

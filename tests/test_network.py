@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qkan
+from qkan.block_encoding import column_blocks
 from qkan.errors import ContractViolationError, DomainError, ResourceLimitError
 
 from oracles import layer_forward, network_forward
@@ -333,6 +334,14 @@ def test_batched_layers_carry_the_sample_register(rng):
     assert second.num_aux == report.aux_totals[-1]
 
 
+def per_column_diagonal(be):
+    """The diagonal read one column |0>_aux|j> per entry, through `column_blocks`."""
+    values = np.empty(be.system_dim, dtype=np.complex128)
+    for idx, out in column_blocks(be, np.arange(be.system_dim)):
+        values[idx] = out[idx, np.arange(idx.size)]
+    return be.alpha * values
+
+
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_one_column_readout_matches_extract_diagonal(depth, rng):
     dims = [4, 2, 2, 1][: depth] + [1]
@@ -343,9 +352,62 @@ def test_one_column_readout_matches_extract_diagonal(depth, rng):
     x = rng.uniform(-1, 1, dims[0])
     out = qkan.build_network(qkan.encode_diagonal_exact(x), qspec).output
     assert out.epsilon == 0.0
-    got = qkan.read_diagonal(out)
-    assert np.max(np.abs(got - qkan.extract_diagonal(out))) <= 1e-12
+    got = qkan.extract_diagonal(out)
+    assert np.array_equal(got, per_column_diagonal(out))
     assert np.max(np.abs(got.real - qkan.classical_network_eval(x, qspec))) <= 1e-12
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+@pytest.mark.parametrize("k_out", [1, 2, 4, 8])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_one_column_read_equals_the_per_column_read(depth, k_out, degree, rng):
+    dims = [2, 2, 1][:depth] + [k_out]  # at most 18 qubits
+    qspec = qkan.QkanSpec(tuple(
+        qkan.LayerSpec.random(n_in, n_out, degree, seed=90 + i)
+        for i, (n_in, n_out) in enumerate(zip(dims, dims[1:]))
+    ))
+    x = rng.uniform(-1, 1, 2)
+    out = qkan.build_network(qkan.encode_diagonal_exact(x), qspec).output
+    assert out.epsilon == 0.0
+    assert np.array_equal(qkan.extract_diagonal(out), per_column_diagonal(out))
+
+
+@pytest.mark.parametrize("encoder", ["exact", "stateprep", "real_weights"])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_one_column_read_is_exact_for_every_input_encoder(encoder, depth, rng):
+    x = rng.uniform(-1, 1, 4)
+    if encoder == "exact":
+        be_x = qkan.encode_diagonal_exact(x, name="x")
+    elif encoder == "stateprep":
+        be_x = qkan.encode_from_stateprep(qkan.state_prep_unitary(x / np.linalg.norm(x)), name="x")
+    else:
+        be_x = qkan.encode_real_weights(qkan.stateprep_for_real_vector(x / 2), name="x")
+    dims = [4, 2, 2][: depth + 1]
+    qspec = qkan.QkanSpec(tuple(
+        qkan.LayerSpec.random(n_in, n_out, 2, seed=100 + i)
+        for i, (n_in, n_out) in enumerate(zip(dims, dims[1:]))
+    ))
+    out = qkan.build_network(be_x, qspec).output
+    assert out.epsilon == 0.0
+    assert np.array_equal(qkan.extract_diagonal(out), per_column_diagonal(out))
+
+
+def test_one_column_read_is_exact_with_a_sample_register(rng):
+    qspec = qkan.QkanSpec(
+        (qkan.LayerSpec.random(2, 2, 3, seed=110), qkan.LayerSpec.random(2, 2, 1, seed=111))
+    )
+    be, m = _sample_register_input(rng.uniform(-1, 1, (4, 2)))
+    assert m == 2
+    be = qkan.build_layer(be, qspec.layers[0], sample_qubits=m)
+    be = qkan.build_layer(be, qspec.layers[1], layer_index=1, sample_qubits=m)
+    assert np.array_equal(qkan.extract_diagonal(be), per_column_diagonal(be))
+
+
+def test_one_column_read_is_exact_on_the_widest_layer(rng):
+    spec = qkan.LayerSpec(rng.uniform(-1, 1, (4, 256, 4)))  # N = 256, K = 4, d = 3
+    be = qkan.build_layer(qkan.encode_diagonal_exact(rng.uniform(-1, 1, 256), name="x"), spec)
+    assert be.op.n == 15
+    assert np.array_equal(qkan.extract_diagonal(be), per_column_diagonal(be))
 
 
 def test_one_column_readout_falls_back_when_epsilon_is_positive():
@@ -357,9 +419,8 @@ def test_one_column_readout_falls_back_when_epsilon_is_positive():
     layout = RegisterLayout((("a", 1), ("sys", 2)))
     noisy = primitive_encoding(qkan.Dense(unitary), 1, layout, "u", epsilon=0.5, diagonal=True)
     diagonal = np.diag(unitary)[:4]
-    assert np.allclose(qkan.read_diagonal(noisy), diagonal, atol=1e-14)
     assert np.allclose(qkan.extract_diagonal(noisy), diagonal, atol=1e-14)
     # the one-column read would have summed the off-diagonal entries into each row
     assert np.max(np.abs(unitary[:4, :4].sum(axis=1) - diagonal)) > 1e-2
     with pytest.raises(ContractViolationError):
-        qkan.read_diagonal(primitive_encoding(qkan.Dense(unitary), 1, layout, "u"))
+        qkan.extract_diagonal(primitive_encoding(qkan.Dense(unitary), 1, layout, "u"))
