@@ -369,7 +369,9 @@ def test_one_column_read_equals_the_per_column_read(depth, k_out, degree, rng):
     x = rng.uniform(-1, 1, 2)
     out = qkan.build_network(qkan.encode_diagonal_exact(x), qspec).output
     assert out.epsilon == 0.0
-    assert np.array_equal(qkan.extract_diagonal(out), per_column_diagonal(out))
+    got = qkan.extract_diagonal(out)
+    assert np.array_equal(got, per_column_diagonal(out))
+    assert np.max(np.abs(got.real - qkan.classical_network_eval(x, qspec))) <= 1e-9
 
 
 @pytest.mark.parametrize("encoder", ["exact", "stateprep", "real_weights"])
