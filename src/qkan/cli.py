@@ -154,10 +154,13 @@ def cmd_train(config: RunConfig, args) -> tuple[int, dict]:
 
 
 def cmd_resources(config: RunConfig, args) -> tuple[int, dict]:
-    report_model = analytic_cost(config.spec)
+    be_x0 = _input_encoding(config)
+    # the stateprep and real_weights encoders have more ancillas, and real_weights
+    # queries x twice (psi and psi^dagger) per application
+    report_model = analytic_cost(config.spec, c_x0=be_x0.cost.get("x", 0), a_x0=be_x0.num_aux)
     if config.readout.delta:
         report_model = report_model.with_readout(config.readout.delta)
-    build = build_network(_input_encoding(config), config.spec, _weight_encoder(config))
+    build = build_network(be_x0, config.spec, _weight_encoder(config))
     rec = reconcile(report_model, build.output)
     section = {
         "per_layer": [

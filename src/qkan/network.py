@@ -131,17 +131,19 @@ def chebyshev_basis(x: np.ndarray, degree: int) -> np.ndarray:
 
 
 def classical_layer_eval(x: np.ndarray, spec: LayerSpec) -> np.ndarray:
-    """Exact double-precision Phi(x); the ground-truth oracle for the simulator."""
+    """Exact double-precision Phi(x); the ground-truth oracle for the simulator.
+    `x` is one input of shape (N,) or a batch of shape (S, N)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (spec.n_in,):
+    if x.ndim not in (1, 2) or x.shape[-1] != spec.n_in:
         raise ContractViolationError(f"input shape {x.shape} does not match N = {spec.n_in}")
     if outside_unit_interval(x):
         raise DomainError(f"input outside [-1, 1]: max |x| = {np.max(np.abs(x))}")
-    basis = chebyshev_basis(x, spec.degree)  # (d+1, N)
-    return np.einsum("rp,rpq->q", basis, spec.weights) / (spec.n_in * (spec.degree + 1))
+    basis = chebyshev_basis(x, spec.degree)  # (d+1, [S,] N)
+    return np.einsum("r...p,rpq->...q", basis, spec.weights) / (spec.n_in * (spec.degree + 1))
 
 
 def classical_network_eval(x: np.ndarray, spec: QkanSpec) -> np.ndarray:
+    """Phi of every layer in turn, on one input (N,) or a batch (S, N)."""
     value = np.asarray(x, dtype=np.float64)
     for layer in spec.layers:
         value = classical_layer_eval(value, layer)
@@ -181,6 +183,14 @@ class LayerAssembler:
     """Builds a layer for a fixed input encoding, reusing the input-dependent
     Chebyshev encodings across weight updates (they are weight-independent).
 
+    The MUL term of degree r is kept with the bytes of weight slice r that
+    built it and reused while that slice is unchanged, so a finite-difference
+    loss re-encodes one slice, not d + 1; LCU and SUM are rebuilt on every
+    call. Terms are immutable trees, so a reused assembly is the same as a
+    fresh one. This needs `weight_encoder` to be a pure function of
+    ``(vector, name)``, as the default exact encoder is; it is passed a
+    read-only vector.
+
     With `sample_qubits` = m > 0 the last m system qubits of the input form a
     sample register: the input spans [p | sample], DILATE inserts the k
     output qubits ahead of it, every weight encoding W becomes W (x) I_sample,
@@ -218,6 +228,8 @@ class LayerAssembler:
         u_dag = self.dilated.op.adjoint() if degree >= 2 else None
         self.cheb = [chebyshev_be(self.dilated, r, u_dag) for r in range(degree + 1)]
         self.pair = uniform_pair(degree + 1)
+        # per degree: (bytes of the weight slice, its MUL term), the last one built
+        self._terms: list[tuple[bytes, BlockEncoding] | None] = [None] * (degree + 1)
 
     def assemble(self, weights: np.ndarray) -> BlockEncoding:
         """MUL + LCU + SUM for the given weight tensor (d+1, N, K)."""
@@ -227,17 +239,19 @@ class LayerAssembler:
                 f"weight shape {weights.shape} does not match "
                 f"({self.degree + 1}, {self.n_in}, {self.n_out})"
             )
-        terms = []
         for r in range(self.degree + 1):
-            w_be = self.weight_encoder(
-                weights[r].reshape(-1), f"w{self.layer_index}[{r}]"
-            )
+            key = weights[r].tobytes()
+            cached = self._terms[r]
+            if cached is not None and cached[0] == key:
+                continue
+            # read from the key's immutable bytes, so no term aliases the caller's array
+            w_be = self.weight_encoder(np.frombuffer(key), f"w{self.layer_index}[{r}]")
             if w_be.num_system != self.n + self.k:
                 raise ContractViolationError(
                     f"weight encoding spans {w_be.num_system} qubits, expected {self.n + self.k}"
                 )
-            terms.append(product(self.cheb[r], dilate(w_be, self.sample_qubits)))
-        combined = lcu(terms, self.pair)
+            self._terms[r] = (key, product(self.cheb[r], dilate(w_be, self.sample_qubits)))
+        combined = lcu([term for _, term in self._terms], self.pair)
         return sum_over_inputs(combined, self.n)
 
 

@@ -83,7 +83,9 @@ def analytic_cost(
     """Closed-form cost of an L-layer build from per-primitive costs.
 
     `c_x0` is the cost of one application of the input encoding, `c_w[l]` of
-    one layer-l weight encoding; `a_x0`, `a_w[l]` are the ancilla counts.
+    one layer-l weight encoding; `a_x0`, `a_w[l]` are the ancilla counts. The
+    expected ledger counts `c_x0` queries of `input_primitive` per application
+    of the input encoding.
     """
     degrees = spec.degrees
     length = len(degrees)
@@ -121,7 +123,7 @@ def analytic_cost(
             expected[f"w{l}[{r}]"] = multiplier
         multiplier *= degrees[l] * (degrees[l] + 1) // 2
     if multiplier:
-        expected[input_primitive] = multiplier
+        expected[input_primitive] = round(multiplier * c_x0)
     expected = {k: v for k, v in expected.items() if v}
 
     return CostReport(

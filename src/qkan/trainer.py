@@ -51,6 +51,12 @@ class TrainConfig:
             raise DomainError(f"unknown optimizer {self.optimizer!r}")
         if self.readout not in ("exact", "classical", "shots"):
             raise DomainError(f"unknown readout mode {self.readout!r}")
+        if self.optimizer == "finite_difference" and self.readout == "shots":
+            raise DomainError(
+                "finite differences divide shot noise by 2h and send every weight to +-1; "
+                "train a shots readout with SPSA (optimizer 'spsa', Spall 1992), which is "
+                "built for noisy losses"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,8 +123,11 @@ class SimulatedModel:
     with x = 0 rows, whose outputs are dropped.
 
     The first layer's Chebyshev encodings depend only on the inputs, so they
-    are built once per chunk and reused across weight updates; deeper layers
-    are rebuilt because their input encoding changes with the upstream weights.
+    are built once per chunk and reused across weight updates, and so is its
+    MUL term of each degree whose weight slice is unchanged (see
+    :class:`~qkan.network.LayerAssembler`): a finite-difference loss
+    re-encodes one weight slice of the first layer. Deeper layers are rebuilt
+    because their input encoding changes with the upstream weights.
     """
 
     def __init__(self, spec: QkanSpec, xs: np.ndarray):
@@ -161,7 +170,7 @@ def model_outputs(
     model: SimulatedModel | None = None,
 ) -> np.ndarray:
     if readout == "classical":
-        return np.array([classical_network_eval(x, spec) for x in np.atleast_2d(xs)])
+        return classical_network_eval(np.atleast_2d(xs), spec)
     if readout in ("exact", "shots"):
         if model is None:
             model = SimulatedModel(spec, xs)
@@ -293,8 +302,8 @@ def train(spec: QkanSpec, data: Dataset, config: TrainConfig) -> TrainResult:
     value for 50 consecutive iterations.
     """
     model = None if config.readout == "classical" else SimulatedModel(spec, data.xs)
-    # one shot-noise stream for the run's own loss calls and finite differences;
-    # spawned, so it never coincides with spsa_step's default_rng([seed, iteration])
+    # one shot-noise stream for the run's own loss calls; spawned, so it never
+    # coincides with spsa_step's default_rng([seed, iteration])
     noise = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
 
     def run_loss(candidate: QkanSpec) -> float:
@@ -318,10 +327,7 @@ def train(spec: QkanSpec, data: Dataset, config: TrainConfig) -> TrainResult:
                 stop_reason = "plateau"
                 break
         if config.optimizer == "finite_difference":
-            grads = finite_diff_grad(
-                current, data, config.h, readout=config.readout, model=model,
-                shots=config.shots, seed=noise,
-            )
+            grads = finite_diff_grad(current, data, config.h, readout=config.readout, model=model)
             for index, grad in enumerate(grads):
                 updated = np.clip(
                     current.layers[index].weights - config.eta * grad, -1.0, 1.0

@@ -258,6 +258,40 @@ def test_alternate_encoder_routes(tmp_path, capsys):
     assert main(["eval", "--config", path, "--no-timestamp"]) == 2
 
 
+@pytest.mark.parametrize("encoder, x", [("stateprep", [3 / 5, 4 / 5]), ("real_weights", [0.3, -0.4])])
+def test_resources_reconciles_every_input_encoder(tmp_path, encoder, x, capsys):
+    payload = {
+        "input": x,
+        "encoder": encoder,
+        "layers": [
+            {"in": 2, "out": 2, "degree": 2, "weight_seed": 4},
+            {"in": 2, "out": 1, "degree": 1, "weight_seed": 5},
+        ],
+    }
+    code, report = run(["resources", "--config", write_config(tmp_path, payload), "--no-timestamp"], capsys)
+    results = report["results"]
+    assert code == 0 and results["reconciled"] and results["diffs"] == {}
+    assert results["built_ancillas"] == results["aux_totals"][-1]
+    assert results["observed_ledger"] == results["expected_ledger"]
+    queries = 2 if encoder == "real_weights" else 1  # psi and psi^dagger
+    assert results["expected_ledger"]["x"] == 3 * queries
+    assert isinstance(results["expected_ledger"]["x"], int)
+
+
+def test_finite_difference_training_with_shots_readout_exits_2(tmp_path, capsys):
+    payload = {
+        "input": [0.1, 0.2],
+        "layers": [{"in": 2, "out": 1, "degree": 1, "weight_seed": 1}],
+        "train": {"iterations": 2, "readout": "shots", "shots": 100,
+                  "data": {"grid_points_per_axis": 2}},
+    }
+    assert main(["train", "--config", write_config(tmp_path, payload)]) == 2
+    assert "SPSA" in capsys.readouterr().err
+    payload["train"]["optimizer"] = "spsa"
+    code, report = run(["train", "--config", write_config(tmp_path, payload), "--no-timestamp"], capsys)
+    assert code == 0 and report["results"]["iterations_run"] == 2
+
+
 def test_seed_override(tmp_path):
     payload = {
         "input": [0.1, 0.2],

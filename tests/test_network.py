@@ -81,6 +81,21 @@ def test_classical_network_composition(rng):
     assert np.allclose(qkan.classical_network_eval(x, spec), want)
 
 
+def test_classical_network_eval_takes_a_batch_of_samples(rng):
+    spec = qkan.QkanSpec(
+        (qkan.LayerSpec.random(4, 2, 3, seed=12), qkan.LayerSpec.random(2, 1, 2, seed=13))
+    )
+    xs = rng.uniform(-1, 1, (9, 4))
+    got = qkan.classical_network_eval(xs, spec)
+    assert got.shape == (9, 1)
+    want = np.array([qkan.classical_network_eval(x, spec) for x in xs])
+    assert np.max(np.abs(got - want)) <= 1e-15
+    with pytest.raises(ContractViolationError):
+        qkan.classical_network_eval(xs[:, :2], spec)
+    with pytest.raises(DomainError):
+        qkan.classical_network_eval(np.vstack([xs, np.full(4, 1.5)]), spec)
+
+
 def test_build_layer_zero_weights():
     spec = qkan.LayerSpec(np.zeros((2, 2, 2)))
     be = qkan.build_layer(qkan.encode_diagonal_exact(np.array([0.4, 0.9])), spec)
@@ -426,3 +441,43 @@ def test_one_column_readout_falls_back_when_epsilon_is_positive():
     assert np.max(np.abs(unitary[:4, :4].sum(axis=1) - diagonal)) > 1e-2
     with pytest.raises(ContractViolationError):
         qkan.extract_diagonal(primitive_encoding(qkan.Dense(unitary), 1, layout, "u"))
+
+
+def counting_encoder(calls):
+    """The default weight encoder, recording the name of every call."""
+    def encoder(vec, name):
+        calls.append(name)
+        return qkan.encode_diagonal_exact(vec, name=name)
+    return encoder
+
+
+def test_assembler_rebuilds_only_the_changed_weight_slices(rng):
+    x = rng.uniform(-1, 1, 2)
+    weights = qkan.LayerSpec.random(2, 2, 3, seed=120).weights.copy()
+    calls = []
+    assembler = qkan.LayerAssembler(
+        qkan.encode_diagonal_exact(x, name="x"), 2, 3, weight_encoder=counting_encoder(calls)
+    )
+    first = assembler.assemble(weights)
+    calls.clear()
+    again = assembler.assemble(weights.copy())  # equal bytes, another array
+    assert calls == []
+    assert np.array_equal(qkan.extract_diagonal(again), qkan.extract_diagonal(first))
+    weights[2, 1, 0] = -weights[2, 1, 0]  # in place: the same array with new bytes
+    edited = assembler.assemble(weights)
+    assert calls == ["w0[2]"]
+    want = qkan.classical_layer_eval(x, qkan.LayerSpec(weights))
+    assert np.max(np.abs(qkan.extract_diagonal(edited).real - want)) <= 1e-12
+    assert not np.allclose(qkan.extract_diagonal(edited), qkan.extract_diagonal(first))
+
+
+def test_reused_assembly_keeps_the_analytic_ledger(rng):
+    spec = qkan.LayerSpec.random(2, 2, 3, seed=121)
+    assembler = qkan.LayerAssembler(qkan.encode_diagonal_exact(rng.uniform(-1, 1, 2), name="x"), 2, 3)
+    assembler.assemble(spec.weights)
+    weights = spec.weights.copy()
+    weights[1] *= 0.5
+    reused = assembler.assemble(weights)  # degrees 0, 2 and 3 reused
+    report = qkan.analytic_cost(qkan.QkanSpec((qkan.LayerSpec(weights),)))
+    assert reused.cost == report.expected_ledger
+    assert reused.num_aux == report.aux_totals[-1]

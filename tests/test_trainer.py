@@ -161,19 +161,18 @@ def test_train_spsa_reduces_loss(small_spec):
     assert result.final_loss < result.losses[0] * 0.5
 
 
-@pytest.mark.parametrize("optimizer", ["finite_difference", "spsa"])
-def test_train_shots_readout_is_seeded(optimizer):
+def test_train_shots_readout_is_seeded():
     spec = qkan.QkanSpec((qkan.LayerSpec(np.full((2, 2, 1), 0.3)),))
     data = quadratic_target_dataset(points=2)
     config = qkan.TrainConfig(
-        optimizer=optimizer, eta=0.1, iterations=2, readout="shots", shots=100, seed=4
+        optimizer="spsa", eta=0.1, iterations=2, readout="shots", shots=100, seed=4
     )
     first = qkan.train(spec, data, config)
     assert len(first.losses) == 3
     assert all(0.0 <= value <= 4.0 for value in first.losses)
     assert qkan.train(spec, data, config).losses == first.losses
     other = qkan.TrainConfig(
-        optimizer=optimizer, eta=0.1, iterations=2, readout="shots", shots=100, seed=5
+        optimizer="spsa", eta=0.1, iterations=2, readout="shots", shots=100, seed=5
     )
     assert qkan.train(spec, data, other).losses != first.losses
 
@@ -191,6 +190,13 @@ def test_train_config_validation():
         qkan.TrainConfig(h=0.0)
     with pytest.raises(DomainError):
         qkan.TrainConfig(optimizer="adam")
+
+
+def test_finite_differences_refuse_shots_readout():
+    # shot noise over 2h would send every weight to +-1 in one step
+    with pytest.raises(DomainError, match="SPSA"):
+        qkan.TrainConfig(optimizer="finite_difference", readout="shots", shots=100)
+    qkan.TrainConfig(optimizer="spsa", readout="shots", shots=100)
 
 
 def _per_sample_outputs(spec, xs):
@@ -263,3 +269,53 @@ def test_sample_register_width_limits():
         tuple(qkan.LayerSpec.random(2, k, 2, seed=i) for i, k in enumerate((2, 2, 1)))
     )
     assert qkan.trainer.sample_register_width(three, 64) == 2
+
+
+class FreshModel:
+    """A :class:`qkan.SimulatedModel` built anew for every loss evaluation,
+    so no MUL term outlives one assembly."""
+
+    def __init__(self, spec, xs):
+        self.xs = xs
+
+    def outputs(self, spec):
+        return qkan.SimulatedModel(spec, self.xs).outputs(spec)
+
+
+def test_finite_differences_reencode_only_the_changed_weight_slices(monkeypatch):
+    spec = qkan.QkanSpec((qkan.LayerSpec.random(2, 1, 3, seed=130, scale=0.8),))
+    data = quadratic_target_dataset(points=8)  # 64 samples
+    model = qkan.SimulatedModel(spec, data.xs)
+    qkan.loss(spec, data, model=model)  # warm at the base weights
+    calls = []
+    encode = qkan.network.encode_diagonal_exact
+
+    def counting(vec, name):
+        calls.append(name)
+        return encode(vec, name=name)
+
+    monkeypatch.setattr(qkan.network, "encode_diagonal_exact", counting)
+    qkan.finite_diff_grad(spec, data, 1e-4, model=model)
+    # 2(d+1)NK losses, each changing one slice, plus one restore per new degree
+    assert len(calls) <= 2 * 4 * 2 * 1 + 3
+
+
+@pytest.mark.parametrize("spec", [
+    qkan.QkanSpec((qkan.LayerSpec.random(2, 1, 3, seed=131, scale=0.8),)),
+    TWO_LAYER_K2,
+])
+def test_reused_terms_train_bit_for_bit_like_fresh_builds(spec, monkeypatch):
+    data = quadratic_target_dataset(points=4)
+    reused = qkan.finite_diff_grad(spec, data, 1e-4, model=qkan.SimulatedModel(spec, data.xs))
+    fresh = qkan.finite_diff_grad(spec, data, 1e-4, model=FreshModel(spec, data.xs))
+    assert all(np.array_equal(a, b) for a, b in zip(reused, fresh))
+    step = qkan.spsa_step(spec, data, 2, seed=9, model=qkan.SimulatedModel(spec, data.xs))
+    fresh_step = qkan.spsa_step(spec, data, 2, seed=9, model=FreshModel(spec, data.xs))
+    assert all(np.array_equal(a.weights, b.weights) for a, b in zip(step.layers, fresh_step.layers))
+    config = qkan.TrainConfig(eta=10.0, iterations=3, plateau_window=0)
+    trained = qkan.train(spec, data, config)
+    monkeypatch.setattr(qkan.trainer, "SimulatedModel", FreshModel)
+    fresh_trained = qkan.train(spec, data, config)
+    assert trained.losses == fresh_trained.losses
+    assert all(np.array_equal(a.weights, b.weights)
+               for a, b in zip(trained.spec.layers, fresh_trained.spec.layers))
