@@ -17,7 +17,6 @@ from .block_encoding import (
     hadamard_product,
     identity_encoding,
     lcu,
-    make_controlled,
     pair_for_weights,
     perturb,
     product,
@@ -62,13 +61,14 @@ from .operators import (
     Multiplexed,
     Permutation,
     Query,
+    SystemBlocks,
     WalshHadamard,
     compose,
-    controlled,
     describe,
     describe_text,
     hadamard_layer,
     kron,
+    leaf_count,
     query_counts,
     qubit_budget,
     random_unitary,

@@ -18,7 +18,7 @@ that encoding.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,15 +31,25 @@ from .operators import (
     LinearOperator,
     Multiplexed,
     Query,
+    SystemBlocks,
     check_qubit_budget,
     compose,
     hadamard_layer,
+    leaf_count,
     permutation_from_map,
     query_counts,
     random_unitary,
     state_prep_unitary,
 )
 from .registers import RegisterLayout
+
+# largest eigenphase of a perturbation direction is pi minus this (see perturb)
+PERTURB_PHASE_MARGIN = 0.02
+PERTURB_BISECTION_STEPS = 200
+# largest entry deviation allowed between a compiled SystemBlocks leaf and the
+# tree it replaces, on one seeded column (see compile_system_blocks)
+COMPILE_CHECK_TOL = 1e-12
+COMPILE_CHECK_SEED = 0xB10C
 
 
 class QueryLedger:
@@ -241,6 +251,39 @@ def extract_diagonal(be: BlockEncoding) -> np.ndarray:
     for idx, out in column_blocks(be, np.arange(be.system_dim)):
         values[idx] = out[idx, np.arange(idx.size)]
     return be.alpha * values
+
+
+def compile_system_blocks(be: BlockEncoding) -> BlockEncoding:
+    """The same encoding with its operator read into one SystemBlocks leaf,
+    inside a Query that carries the counts of the tree it replaces.
+
+    Every factor of a built network acts block-diagonally over the system
+    register, so U = sum_j B_j (x) |j><j| with one 2^a x 2^a block B_j per
+    system state j. Applied to the 2^a columns |i>_aux (x) sum_j |j>, U
+    returns B_j[:, i] on the rows |.>_aux|j>: one application reads every
+    block. The same application carries one seeded Gaussian column, and the
+    leaf must reproduce the tree's result on it within COMPILE_CHECK_TOL;
+    otherwise the tree mixes the system register and ContractViolationError
+    is raised."""
+    aux, systems = 1 << be.num_aux, be.system_dim
+    cols = np.zeros((aux, systems, aux + 1), dtype=np.complex128)
+    cols[np.arange(aux), :, np.arange(aux)] = 1.0
+    rng = np.random.default_rng(COMPILE_CHECK_SEED)
+    probe = cols[:, :, aux]
+    probe[:] = rng.standard_normal(probe.shape) + 1j * rng.standard_normal(probe.shape)
+    out = be.op.apply(cols.reshape(be.op.dim, aux + 1)).reshape(aux, systems, aux + 1)
+    leaf = SystemBlocks(
+        np.ascontiguousarray(out[:, :, :aux].transpose(1, 0, 2)),
+        replaced_leaves=leaf_count(be.op),
+    )
+    expected = out[:, :, aux].reshape(-1)
+    deviation = float(np.max(np.abs(leaf.apply(probe.reshape(-1)) - expected)))
+    if not deviation <= COMPILE_CHECK_TOL:
+        raise ContractViolationError(
+            f"operator mixes its system register: system blocks miss a seeded column by "
+            f"{deviation:.3e}"
+        )
+    return replace(be, op=Query(leaf, query_counts(be.op)))
 
 
 def verify(be: BlockEncoding, target: np.ndarray, cap_qubits: int = DENSE_CAP_QUBITS) -> float:
@@ -527,44 +570,50 @@ def remove_offdiagonal(be: BlockEncoding) -> BlockEncoding:
     return hadamard_product(be, identity_encoding(be.num_system))
 
 
-def make_controlled(be: BlockEncoding, name: str = "ctrl") -> BlockEncoding:
-    """Controlled lifting: block-diag(I, A) with the control as the leading
-    system qubit. One application still counts as one query per primitive."""
-    n = be.op.n + 1
-    check_qubit_budget(n, "controlled encoding")
-    op = Multiplexed({1: be.op}, (be.num_aux,), n)
-    return _derived(
-        op, be.alpha, be.epsilon,
-        _aux_regs(be), [(name, 1)] + _sys_regs(be),
-        be.diagonal_flag,
-    )
-
-
 def perturb(be: BlockEncoding, eps: float, seed: int) -> BlockEncoding:
-    """Seeded unitary perturbation at spectral distance ~eps (within 10%, never
-    above eps); the epsilon field grows by eps. Drives error-bound tests."""
-    if eps < 0:
-        raise ContractViolationError("perturbation size must be non-negative")
+    """Seeded unitary perturbation at spectral distance within [0.9 eps,
+    0.999 eps], for eps in [0, 2); the epsilon field grows by eps. Drives
+    error-bound tests.
+
+    The perturbed unitary is the polar factor of U + t D with D = U W, that
+    is U polar(I + t W). W is a seeded unitary V diag(lambda) V^dag whose
+    eigenphases lie in [-(pi - m), pi - m], one of them at pi - m
+    (m = PERTURB_PHASE_MARGIN). The distance max_k |phase(1 + t lambda_k) - 1|
+    then rises continuously and monotonically from 0 to 2 cos(m / 2) > 1.9999
+    as t grows, so a bisection on t meets every eps below 2. Two unitaries
+    are never more than 2 apart, so eps >= 2 is rejected."""
+    if not 0.0 <= eps < 2.0:
+        raise ContractViolationError(f"perturbation size must lie in [0, 2), got {eps}")
     if eps == 0.0:
         return be
     base = be.op.dense(cap_qubits=DENSE_CAP_QUBITS)
     rng = np.random.default_rng(seed)
-    direction = random_unitary(be.op.n, rng)
+    basis = random_unitary(be.op.n, rng)
+    phases = (np.pi - PERTURB_PHASE_MARGIN) * rng.uniform(-1.0, 1.0, be.op.dim)
+    phases[0] = np.pi - PERTURB_PHASE_MARGIN
+    eigenvalues = np.exp(1j * phases)
 
-    def candidate(t: float) -> tuple[np.ndarray, float]:
-        u, _, vh = np.linalg.svd(base + t * direction)
-        mat = u @ vh  # polar projection back onto the unitary group
-        return mat, float(np.linalg.norm(mat - base, 2))
+    def rotation(t: float) -> np.ndarray:
+        """Eigenvalues of polar(I + t W)."""
+        z = 1.0 + t * eigenvalues
+        return z / np.abs(z)
 
-    t = eps
-    mat, dist = candidate(t)
-    for _ in range(40):
-        if 0.90 * eps <= dist <= 0.999 * eps:
+    def distance(t: float) -> float:
+        return float(np.max(np.abs(rotation(t) - 1.0)))
+
+    low, high = 0.0, eps
+    while distance(high) < 0.9 * eps:
+        low, high = high, 2.0 * high
+    t = high
+    for _ in range(PERTURB_BISECTION_STEPS):
+        dist = distance(t)
+        if 0.9 * eps <= dist <= 0.999 * eps:
             break
-        t *= 0.96 * eps / dist
-        mat, dist = candidate(t)
+        low, high = (t, high) if dist < 0.9 * eps else (low, t)
+        t = 0.5 * (low + high)
     else:
-        raise ContractViolationError(f"perturbation rescaling did not converge (dist={dist})")
+        raise ContractViolationError(f"perturbation bisection did not converge (dist={dist})")
+    mat = (base @ basis) * rotation(t) @ basis.conj().T
     return _derived(
         Query(Dense(mat), be.cost), be.alpha, be.epsilon + eps,
         _aux_regs(be), _sys_regs(be), be.diagonal_flag,

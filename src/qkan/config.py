@@ -207,6 +207,9 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
         eps_w=_real(perturb_raw.get("eps_w", 0.0), "perturb.eps_w"),
         seed=_int(perturb_raw.get("seed", seed), "perturb.seed"),
     )
+    # two unitaries are never more than 2 apart in spectral norm
+    _require(perturb.eps_x < 2 and perturb.eps_w < 2,
+             f"perturb.eps_x and perturb.eps_w must be below 2, got {perturb.eps_x}, {perturb.eps_w}")
     readout_raw = _object(raw.get("readout", {}), "readout")
     mode = readout_raw.get("mode", "exact")
     _require(mode in ("exact", "shots"), f"unknown readout mode {mode!r}")

@@ -14,8 +14,9 @@ via DILATE (append k output qubits), CHEB (degree-r transforms), MUL
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,17 +25,37 @@ from .block_encoding import (
     _aux_regs,
     _derived,
     _sys_regs,
+    compile_system_blocks,
     dilate,
     lcu,
     product,
     uniform_pair,
 )
-from .chebyshev import chebyshev_be
+from .chebyshev import HERMITICITY_PROBES, chebyshev_be
 from .encoders import encode_diagonal_exact
 from .errors import ContractViolationError, DomainError
-from .operators import WalshHadamard, check_qubit_budget, compose, outside_unit_interval
+from .operators import (
+    WalshHadamard,
+    check_qubit_budget,
+    compose,
+    leaf_count,
+    outside_unit_interval,
+)
 
 WeightEncoder = Callable[[np.ndarray, str], BlockEncoding]
+
+# Static cost model of compiling a layer output into one SystemBlocks leaf (see
+# compile_threshold), in seconds. Measured with one BLAS thread on a 2-vCPU x86-64
+# host (numpy 2.4): a leaf of a layer tree costs about 6.5 us per application
+# plus 2 ns per amplitude it passes; the batched block product 0.15 ns per
+# complex multiply-add; the compile, besides its tree application, 0.1 ms plus
+# 10 ns per block entry (reordering the blocks, their adjoint, the check).
+COMPILE_CALL_S = 6.5e-6
+COMPILE_AMP_S = 2e-9
+COMPILE_MAC_S = 1.5e-10
+COMPILE_ENTRY_S = 1e-8
+COMPILE_FIXED_S = 1e-4
+COMPILE_MAX_ENTRIES = 1 << 20  # 4^a 2^s block entries at most: 16 MiB, twice with the adjoint
 
 
 def _log2_pow2(value: int, what: str) -> int:
@@ -288,16 +309,83 @@ class NetworkBuild:
         return self.layer_outputs[-1]
 
 
+def compile_threshold(a: int, s: int, sites: Sequence[tuple[int, int]]) -> float:
+    """Leaf applications above which reading an exact encoding with `a`
+    ancillas and `s` system qubits into one SystemBlocks leaf saves time;
+    infinite when it never does.
+
+    `sites` lists where the encoding is applied later, as (uses, amplitudes):
+    that many occurrences of it, each applied to that many amplitudes (see
+    :func:`later_sites`). Per use, a tree of L leaves costs L (COMPILE_CALL_S
+    + amplitudes COMPILE_AMP_S), and the leaf COMPILE_CALL_S + amplitudes
+    (2^a COMPILE_MAC_S + COMPILE_AMP_S). The compile costs one application
+    of the tree to 2^a + 1 columns of 2^(a+s) amplitudes, plus
+    COMPILE_FIXED_S and COMPILE_ENTRY_S per block entry. Every term is linear
+    in L, so the compile pays exactly when L exceeds the returned threshold.
+    Blocks of more than COMPILE_MAX_ENTRIES entries never pay."""
+    entries = (4 ** a) << s
+    if entries > COMPILE_MAX_ENTRIES:
+        return math.inf
+    per_leaf = -(COMPILE_CALL_S + (((1 << a) + 1) << (a + s)) * COMPILE_AMP_S)
+    fixed = COMPILE_FIXED_S + entries * COMPILE_ENTRY_S
+    for uses, amplitudes in sites:
+        per_leaf += uses * (COMPILE_CALL_S + amplitudes * COMPILE_AMP_S)
+        fixed += uses * (COMPILE_CALL_S + amplitudes * ((1 << a) * COMPILE_MAC_S + COMPILE_AMP_S))
+    return fixed / per_leaf if per_leaf > 0 else math.inf
+
+
+def later_sites(a: int, s: int, later: Sequence[LayerSpec]) -> list[tuple[int, int]]:
+    """(uses, amplitudes) of every later application of a layer output with
+    `a` ancillas and `s` system qubits, followed by the layers `later`
+    (see :func:`compile_threshold`).
+
+    A later layer applies the previous output d(d+1)/2 times per application
+    of its own, inside the LCU select branches: each use sees the 1/2^b of
+    the state where the b selector qubits read its degree. Its Chebyshev
+    guard applies the dilated previous output to every system state (at
+    most 2 HERMITICITY_PROBES of them) or to HERMITICITY_PROBES probes with
+    U and U^dag once, and the last output is read from one column. Later
+    layers are assumed to use the exact weight encoder's one ancilla, and
+    the system register to hold the layer's outputs alone (no sample
+    register), as in :func:`build_network`."""
+    sites = []
+    uses, shift = 1, 0  # occurrences in the previous output, log2 of the state share of each
+    for layer in later:
+        terms, _, n_out = layer.weights.shape  # d + 1, N, K
+        k, select = n_out.bit_length() - 1, (terms - 1).bit_length()
+        if terms > 1:
+            states = 1 << (s + k)
+            columns = states if states <= 2 * HERMITICITY_PROBES else 2 * HERMITICITY_PROBES
+            sites.append((uses, (columns << (a + s + k)) >> shift))
+        uses *= terms * (terms - 1) // 2
+        shift += select
+        a, s = a + 2 + select + s, k
+    sites.append((uses, (1 << (a + s)) >> shift))
+    return sites
+
+
 def build_network(
     be_x0: BlockEncoding,
     spec: QkanSpec,
     weight_encoder: WeightEncoder | None = None,
 ) -> NetworkBuild:
     """Recursive composition: each layer's output encoding is the input
-    primitive of the next, so query costs multiply layer over layer."""
+    primitive of the next, so query costs multiply layer over layer.
+
+    An exact (epsilon = 0) output of a layer that is not the last is
+    replaced by one SystemBlocks leaf (:func:`compile_system_blocks`) when
+    its tree has more leaves than :func:`compile_threshold` gives. The leaf
+    sits in a Query with the counts of the tree it replaces, so `cost` and
+    the ledgers are unchanged."""
     outputs: list[BlockEncoding] = []
     be = be_x0
     for index, layer in enumerate(spec.layers):
         be = build_layer(be, layer, layer_index=index, weight_encoder=weight_encoder)
+        later = spec.layers[index + 1:]
+        if later and be.epsilon == 0:
+            sites = later_sites(be.num_aux, be.num_system, later)
+            threshold = compile_threshold(be.num_aux, be.num_system, sites)
+            if threshold < math.inf and leaf_count(be.op) > threshold:
+                be = compile_system_blocks(be)
         outputs.append(be)
     return NetworkBuild(tuple(outputs))

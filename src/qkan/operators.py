@@ -194,12 +194,15 @@ class Permutation(LinearOperator):
 class LabelReflection(LinearOperator):
     """Real reflection [[x_j, s_j], [s_j, -x_j]], s_j = sqrt(1 - x_j^2), between
     |0>|j> and |1>|j> for every label j of the trailing qubits. Hermitian and
-    unitary for x in [-1, 1], stored in O(2^n) memory."""
+    unitary for x in [-1, 1], stored in O(2^n) memory. `x` is a read-only
+    copy of the given values, so later edits of the caller's array do not
+    reach the operator."""
 
     x: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
+        x = np.array(self.x, dtype=np.float64)
+        x.setflags(write=False)
         labels = int(x.shape[0]) if x.ndim == 1 else 0
         if labels & (labels - 1) or not labels:
             raise ContractViolationError(f"label count {x.shape} is not a power of two")
@@ -291,6 +294,57 @@ class WalshHadamard(LinearOperator):
 
     def adjoint(self):
         return self
+
+
+@dataclass(frozen=True, eq=False)
+class SystemBlocks(LinearOperator):
+    """Block-diagonal operator over the trailing system qubits: the a leading
+    qubits get blocks[j] when the s trailing ones read j, a quantum
+    multiplexor (Shende, Bullock and Markov, quant-ph/0406176).
+
+    `blocks` has shape (2^s, 2^a, 2^a). The apply is one batched matmul on
+    the (2^a, 2^s, batch) view of the columns, transposed to put the system
+    first. `adjoint_blocks` holds the conjugate transposes, computed once
+    when not given; the adjoint swaps the two arrays, so every occurrence
+    shares them and no node refers back to another. `replaced_leaves` is
+    the leaf count of the tree the blocks were read from (see
+    :func:`describe`)."""
+
+    blocks: np.ndarray
+    adjoint_blocks: np.ndarray | None = None
+    replaced_leaves: int = 1
+
+    def __post_init__(self):
+        blocks = np.asarray(self.blocks, dtype=np.complex128)
+        s = int(blocks.shape[0]).bit_length() - 1 if blocks.ndim == 3 else -1
+        a = int(blocks.shape[1]).bit_length() - 1 if blocks.ndim == 3 else -1
+        if a < 0 or s < 0 or blocks.shape != (1 << s, 1 << a, 1 << a):
+            raise ContractViolationError(
+                f"system blocks need shape (2^s, 2^a, 2^a), got {blocks.shape}"
+            )
+        if self.adjoint_blocks is None:
+            adjoint = np.conjugate(blocks.transpose(0, 2, 1), out=np.empty_like(blocks))
+        else:
+            adjoint = np.asarray(self.adjoint_blocks, dtype=np.complex128)
+        if adjoint.shape != blocks.shape:
+            raise ContractViolationError(
+                f"adjoint blocks {adjoint.shape} do not match blocks {blocks.shape}"
+            )
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "adjoint_blocks", adjoint)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "n", a + s)
+
+    def _apply(self, cols):
+        systems, aux = self.blocks.shape[:2]
+        out = np.empty((aux, systems, cols.shape[1]), dtype=np.complex128)
+        view = cols.reshape(aux, systems, -1).transpose(1, 0, 2)
+        np.matmul(self.blocks, view, out=out.transpose(1, 0, 2))
+        return out.reshape(cols.shape)
+
+    def adjoint(self):
+        return SystemBlocks(self.adjoint_blocks, self.blocks, self.replaced_leaves)
 
 
 @dataclass(frozen=True, eq=False)
@@ -492,13 +546,27 @@ def _query_counts(op: LinearOperator) -> Mapping[str, int]:
     return found
 
 
+def leaf_count(op: LinearOperator, memo: dict | None = None) -> int:
+    """Leaf applications in one application of `op`, counting a subtree
+    shared by several parents once per occurrence; `memo` caches by node."""
+    memo = {} if memo is None else memo
+    found = memo.get(op)
+    if found is None:
+        found = 0
+        for child in _children(op):
+            found += leaf_count(child, memo)
+        found = memo[op] = found or 1
+    return found
+
+
 def describe(op: LinearOperator, memo: dict | None = None) -> dict:
     """Nested view of an operator tree: for each node its `kind`, qubit count
     `n`, `leaves` (leaf applications below it) and `children`, plus `axes`
     (Embedded), `selector_axes` and branch `values` (Multiplexed), `counts`
-    (Query) or `start` and `count` (WalshHadamard). A subtree shared by
-    several parents appears once per occurrence, as its dict; `memo` caches
-    the dicts by node."""
+    (Query), `start` and `count` (WalshHadamard) or `a`, `s` and
+    `replaced_leaves` (SystemBlocks). A subtree shared by several parents
+    appears once per occurrence, as its dict; `memo` caches the dicts by
+    node."""
     memo = {} if memo is None else memo
     found = memo.get(op)
     if found is not None:
@@ -515,13 +583,20 @@ def describe(op: LinearOperator, memo: dict | None = None) -> dict:
     elif isinstance(op, WalshHadamard):
         node["start"] = op.start
         node["count"] = op.count
+    elif isinstance(op, SystemBlocks):
+        node["a"] = op.a
+        node["s"] = op.s
+        node["replaced_leaves"] = op.replaced_leaves
     node["leaves"] = sum(c["leaves"] for c in children) if children else 1
     node["children"] = children
     memo[op] = node
     return node
 
 
-_DESCRIBED_FIELDS = ("n", "axes", "selector_axes", "values", "counts", "start", "count")
+_DESCRIBED_FIELDS = (
+    "n", "axes", "selector_axes", "values", "counts", "start", "count",
+    "a", "s", "replaced_leaves",
+)
 
 
 def describe_text(op: LinearOperator) -> str:
@@ -574,16 +649,6 @@ def compose(*ops: LinearOperator) -> LinearOperator:
     if len(flat) == 1:
         return flat[0]
     return Composed(tuple(flat))
-
-
-def controlled(op: LinearOperator, ctrl_qubits: int = 1, value: int = 1) -> LinearOperator:
-    """Prepend a control register (most significant); acts as `op` when the
-    control reads `value`, identity elsewhere."""
-    if not 0 <= value < (1 << ctrl_qubits):
-        raise ContractViolationError(f"control value {value} needs more than {ctrl_qubits} qubits")
-    n = op.n + ctrl_qubits
-    check_qubit_budget(n, "controlled operator")
-    return Multiplexed({value: op}, tuple(range(ctrl_qubits)), n)
 
 
 def reflection_about_zero(n: int) -> LinearOperator:

@@ -220,18 +220,6 @@ def test_dilate_preserves_error_bound():
     assert qkan.verify(dil, target) <= dil.epsilon
 
 
-def test_make_controlled_block():
-    x = np.array([0.25, -0.5])
-    be = qkan.encode_diagonal_exact(x)
-    ctrl = qkan.make_controlled(be)
-    block = qkan.extract_block(ctrl)
-    expected = np.block(
-        [[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), np.diag(x)]]
-    )
-    assert np.max(np.abs(block - expected)) < 1e-12
-    assert ctrl.cost == be.cost
-
-
 def test_ledger_counts_lcu_over_chebyshev_terms():
     x = np.array([0.6, -0.2])
     be = qkan.encode_diagonal_exact(x, name="x")
@@ -268,6 +256,27 @@ def test_perturb_distance_and_unitarity():
     assert ops.unitarity_defect(shaken.op) <= 1e-10
     dist = np.linalg.norm(shaken.op.dense() - be.op.dense(), 2)
     assert 0.9e-6 <= dist <= 1.1e-6
+
+
+@pytest.mark.parametrize("eps", [1e-9, 0.5, 1.0, 1.5, 1.9, 1.999])
+def test_perturb_meets_every_size_below_2(eps):
+    be = qkan.build_layer(
+        qkan.encode_diagonal_exact(np.array([0.3, -0.5])),
+        qkan.LayerSpec(np.array([[[0.1], [0.2]], [[0.3], [-0.4]], [[0.5], [0.6]]])),
+    )
+    for seed in range(8):
+        shaken = qkan.perturb(be, eps, seed=seed)
+        assert ops.unitarity_defect(shaken.op) <= 1e-12
+        dist = np.linalg.norm(shaken.op.dense() - be.op.dense(), 2)
+        assert 0.9 * eps <= dist <= 0.999 * eps * (1 + 1e-9)
+        assert shaken.epsilon == be.epsilon + eps
+
+
+@pytest.mark.parametrize("eps", [2.0, 2.5, -1e-3, float("nan")])
+def test_perturb_rejects_sizes_outside_0_to_2(eps):
+    be = qkan.encode_diagonal_exact(np.array([0.1, 0.2]))
+    with pytest.raises(ContractViolationError):
+        qkan.perturb(be, eps, seed=0)
 
 
 def test_product_error_bound_seeded_pairs(rng):
@@ -328,7 +337,6 @@ def test_aux_field_matches_layout():
         qkan.chebyshev_be(be, 2),
         qkan.product(be, qkan.encode_diagonal_exact(x, name="y")),
         qkan.lcu([be, be], qkan.uniform_pair(2)),
-        qkan.make_controlled(be),
     ):
         assert derived.num_aux + derived.num_system == derived.layout.n_qubits
         assert derived.op.n == derived.layout.n_qubits
@@ -338,4 +346,6 @@ def test_cost_survives_perturb_adjoint_and_control():
     be = qkan.chebyshev_be(qkan.encode_diagonal_exact(np.array([0.6, -0.2]), name="x"), 3)
     assert be.cost == {"x": 3}
     assert qkan.perturb(be, 1e-4, seed=2).cost == be.cost
-    assert qkan.adjoint_encoding(qkan.make_controlled(be)).cost == be.cost
+    assert qkan.adjoint_encoding(be).cost == be.cost
+    controlled = ops.Multiplexed({1: be.op}, (0,), be.op.n + 1)
+    assert ops.query_counts(controlled.adjoint()) == be.cost

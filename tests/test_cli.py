@@ -494,3 +494,30 @@ def test_shots_eval_budget_counts_the_hadamard_control_qubit(tmp_path, capsys):
     assert main(["eval", "--config", path, "--max-qubits", str(n + 1)]) == 0
     exact = write_config(tmp_path, with_field("readout.mode", "exact"), name="exact.json")
     assert main(["eval", "--config", exact, "--max-qubits", str(n)]) == 0
+
+
+# the perturbation example of the roadmap's known defects
+PERTURBED_LAYER = {
+    "input": [0.3, -0.5],
+    "layers": [{"in": 2, "out": 1, "degree": 2,
+                "weights": [[[0.1], [0.2]], [[0.3], [-0.4]], [[0.5], [0.6]]]}],
+}
+
+
+@pytest.mark.parametrize("field, eps", [("eps_x", 1.0), ("eps_w", 1.0), ("eps_w", 1.5)])
+def test_perturbation_below_2_evaluates(tmp_path, field, eps, capsys):
+    """These sizes made the proportional rescaling give up (exit 1)."""
+    path = write_config(tmp_path, {**PERTURBED_LAYER, "perturb": {field: eps}})
+    code, report = run(["eval", "--config", path, "--no-timestamp"], capsys)
+    assert code == 0
+    assert report["results"]["ledger"] == {"w0[0]": 1, "w0[1]": 1, "w0[2]": 1, "x": 3}
+
+
+@pytest.mark.parametrize("command", ["eval", "verify"])
+@pytest.mark.parametrize("field", ["eps_x", "eps_w"])
+@pytest.mark.parametrize("eps", [2.0, 2.5])
+def test_perturbation_of_2_or_more_exits_2(tmp_path, command, field, eps, capsys):
+    """Two unitaries are never more than 2 apart."""
+    path = write_config(tmp_path, {**PERTURBED_LAYER, "perturb": {field: eps}})
+    assert main([command, "--config", path, "--no-timestamp"]) == 2
+    assert "perturb" in capsys.readouterr().err

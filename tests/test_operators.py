@@ -63,7 +63,7 @@ def test_compose_dimension_mismatch():
 
 
 def test_controlled_off_and_on():
-    cx = ops.controlled(ops.Dense(X), 1, 1)
+    cx = ops.Multiplexed({1: ops.Dense(X)}, (0,), 2)
     off = np.zeros(4, dtype=complex)
     off[0] = 1.0  # |0>_c |0>
     assert np.allclose(cx.apply(off), off)
@@ -77,7 +77,7 @@ def test_controlled_off_and_on():
 
 def test_controlled_on_zero_value_dense():
     u = ops.Dense(H)
-    cu = ops.controlled(u, 1, 0)
+    cu = ops.Multiplexed({0: u}, (0,), 2)
     dense = cu.dense()
     expected = np.block([[H, np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]])
     assert np.allclose(dense, expected)
@@ -184,13 +184,14 @@ def test_adjoint_inverts(op):
 def test_query_counts_sum_every_occurrence():
     q = ops.Query(ops.Dense(H), {"a": 1})
     tree = ops.compose(
-        ops.controlled(q),
+        ops.Multiplexed({1: q}, (0,), 2),
         ops.kron(q, q.adjoint()),
         ops.Query(ops.Identity(2), {"b": 2}),
     )
     assert ops.query_counts(tree) == {"a": 3, "b": 2}
     h = ops.Dense(H)
-    assert np.allclose(tree.dense(), ops.compose(ops.controlled(h), ops.kron(h, h)).dense())
+    controlled_h = ops.Multiplexed({1: h}, (0,), 2)
+    assert np.allclose(tree.dense(), ops.compose(controlled_h, ops.kron(h, h)).dense())
     # a Query's counts stand for its whole application; its inner is not read
     assert ops.query_counts(ops.Query(ops.compose(q, q), {"c": 1})) == {"c": 1}
     assert ops.query_counts(ops.Dense(H)) == {}
@@ -245,6 +246,19 @@ def test_label_reflection_matches_dense_blocks():
         ops.LabelReflection(np.array([0.5, 1.5]))
     with pytest.raises(ContractViolationError):
         ops.LabelReflection(np.array([np.nan, 0.0]))
+
+
+def test_label_reflection_copies_its_input():
+    from qkan.block_encoding import extract_diagonal
+    from qkan.encoders import encode_diagonal_exact
+
+    x = np.array([0.3, -0.5])
+    be = encode_diagonal_exact(x)
+    x[:] = (2.0, 7.0)  # edited after encoding: the encoding must not change
+    assert ops.unitarity_defect(be.op) <= 1e-15
+    assert np.max(np.abs(extract_diagonal(be) - [0.3, -0.5])) <= 1e-15
+    with pytest.raises(ValueError):
+        be.op.inner.x[0] = 0.0
 
 
 def _move_to_front(axes, n):
