@@ -36,6 +36,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bench_pairs import ROOT, export, git, spread  # noqa: E402
 
+sys.path.insert(0, str(ROOT))
+
+from qkanbench import BLAS_THREAD_VARS  # noqa: E402
+
 # (dims, degree): the shapes the compile rule is calibrated on
 SHAPES = [
     ((2, 2, 2, 1), 3),
@@ -49,13 +53,6 @@ SHAPES = [
     ((2, 2, 1), 1),
     ((2, 2, 1), 0),
 ]
-BLAS_THREAD_VARS = (
-    "OPENBLAS_NUM_THREADS",
-    "OMP_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "BLIS_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
 
 
 def shape_name(dims: tuple[int, ...], degree: int) -> str:

@@ -48,3 +48,31 @@ def test_summarize_counts_strict_wins_only(bench_pairs):
     assert (out["parent"]["attempted"], out["parent"]["failed"]) == (32, 0)
     assert (out["change"]["attempted"], out["change"]["failed"]) == (30, 1)
     assert out["first"] == ["parent", "change", "parent"]
+
+
+def test_compile_shapes_summary_counts_wins_and_the_largest_deviation():
+    script = SCRIPT.with_name("compile_shapes.py")
+    spec = importlib.util.spec_from_file_location("compile_shapes", script)
+    compile_shapes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compile_shapes)
+
+    def worker_result(scale, diagonal):
+        return {
+            compile_shapes.shape_name(dims, degree): {
+                "min_s": scale * (index + 1), "leaves": 3, "diagonal": diagonal,
+            }
+            for index, (dims, degree) in enumerate(compile_shapes.SHAPES)
+        }
+
+    rounds = [
+        {"parent": worker_result(1.0, [[0.5, 0.0]]), "change": worker_result(0.5, [[0.5, 1e-16]])},
+        {"parent": worker_result(1.0, [[0.5, 0.0]]), "change": worker_result(2.0, [[0.5 + 3e-16, 0.0]])},
+        {"parent": worker_result(1.0, [[0.5, 0.0]]), "change": worker_result(1.0, [[0.5, 0.0]])},
+    ]
+    report = compile_shapes.summarize(rounds)
+    assert len(report) == len(compile_shapes.SHAPES)
+    first = report[compile_shapes.shape_name(*compile_shapes.SHAPES[0])]
+    assert first["change_wins"] == 1  # ties count for neither side
+    assert first["parent"]["runs"] == [1.0, 1.0, 1.0] and first["change"]["median"] == 1.0
+    assert first["median_ratio"] == 1.0 and first["change"]["leaves"] == 3
+    assert first["max_deviation"] == pytest.approx(3e-16)
