@@ -110,7 +110,7 @@ def test_compile_check_rejects_a_tree_that_mixes_the_system_register():
 
 @st.composite
 def exact_networks(draw):
-    depth = draw(st.integers(1, 3))
+    depth = draw(st.sampled_from((1, 2, 2, 3, 3)))
     dims = tuple(draw(st.sampled_from((1, 2, 4))) for _ in range(depth + 1))
     spec = random_spec(dims, draw(st.integers(0, 3)), draw(st.integers(0, 2**16)))
     assume(qkan.analytic_cost(spec).aux_totals[-1] + spec.layers[-1].n_qubits_out <= 14)
@@ -161,6 +161,10 @@ def test_cost_rule_decisions_on_the_measured_shapes(dims, degree, expected):
     x = np.random.default_rng(6).uniform(-1.0, 1.0, dims[0])
     built = qkan.build_network(qkan.encode_diagonal_exact(x), spec)
     assert tuple(is_compiled(be) for be in built.layer_outputs) == expected + (False,)
+    tree = tree_build(qkan.encode_diagonal_exact(x), spec)[-1]
+    assert built.output.cost == tree.cost
+    want = qkan.extract_diagonal(tree)
+    assert np.max(np.abs(qkan.extract_diagonal(built.output) - want)) <= 1e-12
 
 
 def test_cost_rule_declines_the_large_deep_cli_layer_and_perturbed_layers():
