@@ -7,13 +7,16 @@ change. The parent revision is exported with ``git archive`` into a temporary
 directory, as ``bench_pairs.py`` does. Each round starts one worker process
 per side, parent first on even rounds and change first on odd ones, with
 BLAS pinned to one thread. A worker times ``build_network`` plus
-``extract_diagonal`` on every shape of ``SHAPES`` (seeded weights and input)
-and keeps the minimum of ``--reps`` repetitions. The JSON report gives, per
-shape and side, the runs with their median and quartiles, the output tree's
-leaf count, the rounds the change won, and the largest entry difference
-between the two sides' diagonals.
+``extract_diagonal`` on every shape of ``SHAPES`` and
+``SimulatedModel.outputs`` (one training loss, the model built before the
+clock starts) on every row of ``TRAINING`` (seeded weights and inputs), and
+keeps the minimum of ``--reps`` repetitions. The JSON report gives, per row
+and side, the runs with their median and quartiles, the leaf count of the
+output tree (of the first chunk's, for a training row), the rounds the
+change won, and the largest entry difference between the two sides'
+diagonals (model outputs, for a training row).
 
-Round r runs both sides with ``PYTHONHASHSEED=r`` and the shapes in the
+Round r runs both sides with ``PYTHONHASHSEED=r`` and the rows in the
 order of a shuffle seeded with r. Heap layout alone moves the time of a
 sub-millisecond shape by up to about 15% between processes that run the
 same code, so each round gets another layout, the same on both sides, and
@@ -55,37 +58,75 @@ SHAPES = [
 ]
 
 
-def shape_name(dims: tuple[int, ...], degree: int) -> str:
-    return f"{'-'.join(map(str, dims))} d={degree}"
+# (dims, degree, samples): SimulatedModel.outputs, the training rows of the rule
+TRAINING = [
+    ((2, 2, 2, 1), 3, 4),
+    ((2, 2, 2, 1), 3, 64),
+    ((2, 2, 2, 1), 2, 4),
+    ((2, 2, 2, 1), 2, 64),
+    ((1, 1, 1, 1), 4, 4),
+    ((1, 1, 1, 1), 4, 64),
+    ((2, 2, 1), 3, 64),
+    ((2, 2, 2), 3, 64),
+    ((2, 2, 2), 3, 16),
+    ((4, 2, 1), 3, 4),
+    ((2, 2, 1), 3, 4),
+]
+
+
+def shape_name(dims: tuple[int, ...], degree: int, samples: int | None = None) -> str:
+    name = f"{'-'.join(map(str, dims))} d={degree}"
+    return name if samples is None else f"{name} train {samples}"
+
+
+ROWS = [shape_name(dims, degree) for dims, degree in SHAPES] + [shape_name(*row) for row in TRAINING]
 
 
 def worker(reps: int, order: int) -> dict:
-    """Time every shape with the qkan found on the path, in the order of a
+    """Time every row with the qkan found on the path, in the order of a
     shuffle seeded with `order`; one JSON-able dict."""
     import numpy as np
     import qkan
 
     out: dict = {"qkan_dir": str(Path(qkan.__file__).resolve().parent)}
-    indices = list(range(len(SHAPES)))
+    rows = [(dims, degree, None) for dims, degree in SHAPES] + TRAINING
+    indices = list(range(len(rows)))
     random.Random(order).shuffle(indices)
     for index in indices:
-        dims, degree = SHAPES[index]
+        dims, degree, samples = rows[index]
         rng = np.random.default_rng([index, 11])
         spec = qkan.QkanSpec(tuple(
             qkan.LayerSpec(rng.uniform(-1.0, 1.0, (degree + 1, n_in, n_out)))
             for n_in, n_out in zip(dims, dims[1:])
         ))
-        x = rng.uniform(-1.0, 1.0, dims[0])
+        if samples is None:
+            x = rng.uniform(-1.0, 1.0, dims[0])
+
+            def output():
+                return qkan.build_network(qkan.encode_diagonal_exact(x), spec).output
+
+            def run():
+                return qkan.extract_diagonal(output())
+        else:
+            model = qkan.SimulatedModel(spec, rng.uniform(-1.0, 1.0, (samples, dims[0])))
+
+            def output():
+                # a revision whose model keeps no network assemblers reports no leaves
+                assemblers = getattr(model, "assemblers", None)
+                return assemblers[0].build(spec).output if assemblers else None
+
+            def run():
+                return model.outputs(spec).reshape(-1)
         times = []
         for _ in range(reps):
             start = time.perf_counter()
-            build = qkan.build_network(qkan.encode_diagonal_exact(x), spec)
-            diagonal = qkan.extract_diagonal(build.output)
+            values = run()
             times.append(time.perf_counter() - start)
-        out[shape_name(dims, degree)] = {
+        built = output()
+        out[shape_name(dims, degree, samples)] = {
             "min_s": min(times),
-            "leaves": qkan.describe(build.output.op)["leaves"],
-            "diagonal": [[v.real, v.imag] for v in diagonal.tolist()],
+            "leaves": None if built is None else qkan.describe(built.op)["leaves"],
+            "diagonal": [[v.real, v.imag] for v in values.astype(complex).tolist()],
         }
     return out
 
@@ -108,8 +149,7 @@ def run_worker(checkout: Path, reps: int, layout: int) -> dict:
 
 def summarize(rounds: list[dict]) -> dict:
     report = {}
-    for dims, degree in SHAPES:
-        name = shape_name(dims, degree)
+    for name in ROWS:
         entry: dict = {}
         for side in ("parent", "change"):
             entry[side] = spread([r[side][name]["min_s"] for r in rounds])

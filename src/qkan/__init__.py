@@ -8,7 +8,6 @@ classical oracle, and trains the weight tensors numerically.
 
 from .block_encoding import (
     BlockEncoding,
-    QueryLedger,
     StatePrepPair,
     adjoint_encoding,
     dilate,

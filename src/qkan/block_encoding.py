@@ -17,7 +17,6 @@ that encoding.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,35 +49,6 @@ PERTURB_BISECTION_STEPS = 200
 # tree it replaces, on one seeded column (see compile_system_blocks)
 COMPILE_CHECK_TOL = 1e-12
 COMPILE_CHECK_SEED = 0xB10C
-
-
-class QueryLedger:
-    """Thread-safe monotone counters keyed by primitive-encoding name."""
-
-    def __init__(self, initial: dict[str, int] | None = None):
-        self._lock = threading.Lock()
-        self._counts: dict[str, int] = dict(initial or {})
-
-    def charge(self, key: str, times: int = 1) -> None:
-        if times < 0:
-            raise ContractViolationError("ledger counters are monotone")
-        with self._lock:
-            self._counts[key] = self._counts.get(key, 0) + times
-
-    def count(self, key: str) -> int:
-        with self._lock:
-            return self._counts.get(key, 0)
-
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return dict(sorted(self._counts.items()))
-
-    def total(self, prefix: str = "") -> int:
-        with self._lock:
-            return sum(v for k, v in self._counts.items() if k.startswith(prefix))
-
-    def __repr__(self):
-        return f"QueryLedger({self.snapshot()})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,11 +105,6 @@ class BlockEncoding:
         """Primitive queries consumed by one application of this encoding,
         summed over the Query nodes of its operator tree."""
         return dict(sorted(query_counts(self.op).items()))
-
-    @property
-    def ledger(self) -> QueryLedger:
-        """`cost` as a :class:`QueryLedger`."""
-        return QueryLedger(self.cost)
 
 
 def _unique_regs(groups: list[tuple[str, int]]) -> tuple[tuple[str, int], ...]:

@@ -22,6 +22,7 @@ from .encoders import (
     encode_diagonal_exact,
     encode_from_stateprep,
     encode_real_weights,
+    perturbed_weight_encoder,
     stateprep_for_real_vector,
 )
 from .errors import QkanError, ResourceLimitError
@@ -54,15 +55,7 @@ def _input_encoding(config: RunConfig) -> BlockEncoding:
 
 
 def _weight_encoder(config: RunConfig):
-    eps_w = config.perturb.eps_w
-
-    def encoder(vec, name):
-        be = encode_diagonal_exact(vec, name=name)
-        if eps_w > 0:
-            be = perturb(be, eps_w, config.perturb.seed + sum(name.encode()))
-        return be
-
-    return encoder
+    return perturbed_weight_encoder(config.perturb.eps_w, config.perturb.seed)
 
 
 def _emit(report: dict, out: str | None, no_timestamp: bool) -> None:

@@ -8,6 +8,7 @@ from .block_encoding import (
     BlockEncoding,
     adjoint_encoding,
     lcu,
+    perturb,
     primitive_encoding,
     uniform_pair,
 )
@@ -46,6 +47,19 @@ def encode_diagonal_exact(x: np.ndarray, name: str = "x") -> BlockEncoding:
         raise DomainError(f"entries outside [-1, 1]: max |x| = {np.max(np.abs(x))}")
     layout = RegisterLayout((("enc", 1), ("sys", n)))
     return primitive_encoding(LabelReflection(x), 1, layout, name, diagonal=True)
+
+
+def perturbed_weight_encoder(eps_w: float, seed: int):
+    """Weight encoder that encodes each vector exactly and, for eps_w > 0,
+    perturbs it by eps_w (:func:`~qkan.block_encoding.perturb`) seeded with
+    `seed` plus the byte sum of the encoding's name, a pure function of
+    ``(vector, name)``."""
+
+    def encoder(vec: np.ndarray, name: str) -> BlockEncoding:
+        be = encode_diagonal_exact(vec, name=name)
+        return perturb(be, eps_w, seed + sum(name.encode())) if eps_w > 0 else be
+
+    return encoder
 
 
 def _copy_compare_permutation(n: int) -> Permutation:

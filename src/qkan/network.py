@@ -276,6 +276,22 @@ class LayerAssembler:
         return sum_over_inputs(combined, self.n)
 
 
+def _layer_assembler(
+    be_x: BlockEncoding,
+    spec: LayerSpec,
+    layer_index: int,
+    weight_encoder: WeightEncoder | None,
+    sample_qubits: int,
+) -> LayerAssembler:
+    """A :class:`LayerAssembler` for `spec` on `be_x`, whose input width it checks."""
+    if be_x.num_system - sample_qubits != spec.n_qubits_in:
+        raise ContractViolationError(
+            f"input encoding spans {be_x.num_system - sample_qubits} qubits but the layer "
+            f"expects {spec.n_qubits_in}"
+        )
+    return LayerAssembler(be_x, spec.n_out, spec.degree, layer_index, weight_encoder, sample_qubits)
+
+
 def build_layer(
     be_x: BlockEncoding,
     spec: LayerSpec,
@@ -287,14 +303,7 @@ def build_layer(
     encoding of Phi(x), making d(d+1)/2 input and d+1 weight queries; with a
     trailing sample register of `sample_qubits` qubits (see
     :class:`LayerAssembler`), of Phi on every sample at once."""
-    if be_x.num_system - sample_qubits != spec.n_qubits_in:
-        raise ContractViolationError(
-            f"input encoding spans {be_x.num_system - sample_qubits} qubits but the layer "
-            f"expects {spec.n_qubits_in}"
-        )
-    assembler = LayerAssembler(
-        be_x, spec.n_out, spec.degree, layer_index, weight_encoder, sample_qubits
-    )
+    assembler = _layer_assembler(be_x, spec, layer_index, weight_encoder, sample_qubits)
     return assembler.assemble(spec.weights)
 
 
@@ -334,20 +343,24 @@ def compile_threshold(a: int, s: int, sites: Sequence[tuple[int, int]]) -> float
     return fixed / per_leaf if per_leaf > 0 else math.inf
 
 
-def later_sites(a: int, s: int, later: Sequence[LayerSpec]) -> list[tuple[int, int]]:
+def later_sites(
+    a: int, s: int, later: Sequence[LayerSpec], sample_qubits: int = 0
+) -> list[tuple[int, int]]:
     """(uses, amplitudes) of every later application of a layer output with
     `a` ancillas and `s` system qubits, followed by the layers `later`
-    (see :func:`compile_threshold`).
+    (see :func:`compile_threshold`). The last `sample_qubits` m of the
+    system qubits form the sample register, which every later layer keeps.
 
     A later layer applies the previous output d(d+1)/2 times per application
     of its own, inside the LCU select branches: each use sees the 1/2^b of
     the state where the b selector qubits read its degree. Its Chebyshev
     guard applies the dilated previous output to every system state (at
     most 2 HERMITICITY_PROBES of them) or to HERMITICITY_PROBES probes with
-    U and U^dag once, and the last output is read from one column. Later
-    layers are assumed to use the exact weight encoder's one ancilla, and
-    the system register to hold the layer's outputs alone (no sample
-    register), as in :func:`build_network`."""
+    U and U^dag once, and the last output is read from one column. SUM
+    absorbs the s - m input qubits, so the next output's system register
+    is its k outputs plus the m sample qubits. Later layers are assumed to
+    use the exact weight encoder's one ancilla, as :class:`NetworkAssembler`
+    does by default."""
     sites = []
     uses, shift = 1, 0  # occurrences in the previous output, log2 of the state share of each
     for layer in later:
@@ -359,9 +372,58 @@ def later_sites(a: int, s: int, later: Sequence[LayerSpec]) -> list[tuple[int, i
             sites.append((uses, (columns << (a + s + k)) >> shift))
         uses *= terms * (terms - 1) // 2
         shift += select
-        a, s = a + 2 + select + s, k
+        a, s = a + 2 + select + s - sample_qubits, k + sample_qubits
     sites.append((uses, (1 << (a + s)) >> shift))
     return sites
+
+
+class NetworkAssembler:
+    """The layer loop of a network on one input encoding: each layer's
+    output encoding is the input primitive of the next, so query costs
+    multiply layer over layer.
+
+    The first layer's :class:`LayerAssembler` is kept, so its Chebyshev
+    encodings and its unchanged MUL terms are reused across :meth:`build`
+    calls; deeper layers are rebuilt, because their input changes with the
+    upstream weights. With `sample_qubits` = m > 0 every layer carries the
+    trailing m-qubit sample register of the input (see
+    :class:`LayerAssembler`).
+
+    An exact (epsilon = 0) output of a layer that is not the last is
+    replaced by one SystemBlocks leaf (:func:`compile_system_blocks`) when
+    its tree has more leaves than :func:`compile_threshold` gives for the
+    later applications that :func:`later_sites` lists. The leaf sits in a
+    Query with the counts of the tree it replaces, so `cost` and the ledgers
+    are unchanged."""
+
+    def __init__(
+        self,
+        be_x0: BlockEncoding,
+        first: LayerSpec,
+        weight_encoder: WeightEncoder | None = None,
+        sample_qubits: int = 0,
+    ):
+        self.weight_encoder = weight_encoder
+        self.sample_qubits = sample_qubits
+        self.first = _layer_assembler(be_x0, first, 0, weight_encoder, sample_qubits)
+
+    def build(self, spec: QkanSpec) -> NetworkBuild:
+        """Every layer output of `spec`, whose first layer has the shape the
+        assembler was made for."""
+        outputs: list[BlockEncoding] = []
+        for index, layer in enumerate(spec.layers):
+            if index == 0:
+                be = self.first.assemble(layer.weights)
+            else:
+                be = build_layer(be, layer, index, self.weight_encoder, self.sample_qubits)
+            later = spec.layers[index + 1:]
+            if later and be.epsilon == 0:
+                sites = later_sites(be.num_aux, be.num_system, later, self.sample_qubits)
+                threshold = compile_threshold(be.num_aux, be.num_system, sites)
+                if threshold < math.inf and leaf_count(be.op) > threshold:
+                    be = compile_system_blocks(be)
+            outputs.append(be)
+        return NetworkBuild(tuple(outputs))
 
 
 def build_network(
@@ -369,23 +431,6 @@ def build_network(
     spec: QkanSpec,
     weight_encoder: WeightEncoder | None = None,
 ) -> NetworkBuild:
-    """Recursive composition: each layer's output encoding is the input
-    primitive of the next, so query costs multiply layer over layer.
-
-    An exact (epsilon = 0) output of a layer that is not the last is
-    replaced by one SystemBlocks leaf (:func:`compile_system_blocks`) when
-    its tree has more leaves than :func:`compile_threshold` gives. The leaf
-    sits in a Query with the counts of the tree it replaces, so `cost` and
-    the ledgers are unchanged."""
-    outputs: list[BlockEncoding] = []
-    be = be_x0
-    for index, layer in enumerate(spec.layers):
-        be = build_layer(be, layer, layer_index=index, weight_encoder=weight_encoder)
-        later = spec.layers[index + 1:]
-        if later and be.epsilon == 0:
-            sites = later_sites(be.num_aux, be.num_system, later)
-            threshold = compile_threshold(be.num_aux, be.num_system, sites)
-            if threshold < math.inf and leaf_count(be.op) > threshold:
-                be = compile_system_blocks(be)
-        outputs.append(be)
-    return NetworkBuild(tuple(outputs))
+    """The layer outputs of `spec` on the input `be_x0`, built once by a
+    :class:`NetworkAssembler`."""
+    return NetworkAssembler(be_x0, spec.layers[0], weight_encoder).build(spec)

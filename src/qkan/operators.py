@@ -631,7 +631,8 @@ def kron(*ops: LinearOperator) -> LinearOperator:
 
 
 def compose(*ops: LinearOperator) -> LinearOperator:
-    """Matrix product of equal-dimension operators (rightmost applied first)."""
+    """Matrix product of equal-dimension operators (rightmost applied first).
+    Identity factors, also embedded ones, are dropped."""
     if not ops:
         raise ContractViolationError("composition needs at least one factor")
     n = ops[0].n
@@ -642,7 +643,9 @@ def compose(*ops: LinearOperator) -> LinearOperator:
     for op in ops:
         if isinstance(op, Composed):
             flat.extend(op.factors)
-        elif not isinstance(op, Identity):
+        elif not isinstance(op, Identity) and not (
+            isinstance(op, Embedded) and isinstance(op.inner, Identity)
+        ):
             flat.append(op)
     if not flat:
         return Identity(n)

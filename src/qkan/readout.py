@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_encoding import BlockEncoding, column_blocks
+from .block_encoding import BlockEncoding, column_blocks, extract_diagonal
 from .errors import DegenerateOutputError, DomainError
 from .operators import check_qubit_budget
 from .registers import RegisterLayout, StateVector
@@ -39,18 +39,16 @@ class PreparedState:
     norm_const: float | None
 
 
-def _branch_test(column: np.ndarray, q: int, shots: int, seed, delta_target: float) -> ReadoutResult:
-    """Hadamard test of node q from its column U|0>_aux|q>. H, controlled U and
-    H on a control qubit leave the control-0 branch (|0>_aux|q> + U|0>_aux|q>)/2,
-    whose |0>_aux|q> amplitude is (1 + <q|U|q>)/2 and whose squared norm is the
-    probability that the control reads 0."""
-    branch = 0.5 * column
-    branch[q] += 0.5
+def _branch_test(entry: complex, shots: int, seed, delta_target: float) -> ReadoutResult:
+    """Hadamard test of a node q from u = <0|_aux <q| U |0>_aux |q>. H,
+    controlled U and H on a control qubit leave the control-0 branch
+    (|0>_aux|q> + U|0>_aux|q>)/2; U is unitary, so the control reads 0 with
+    probability (1 + Re u)/2."""
     if shots == 0:
-        return ReadoutResult(float(2.0 * branch[q].real - 1.0), 0.0, 0, delta_target)
+        return ReadoutResult(float(entry.real), 0.0, 0, delta_target)
     if shots < 0:
         raise DomainError("shot count must be non-negative")
-    p_zero = float(np.clip(np.sum(np.abs(branch) ** 2), 0.0, 1.0))
+    p_zero = float(np.clip((1.0 + entry.real) / 2.0, 0.0, 1.0))
     p_hat = np.random.default_rng(seed).binomial(shots, p_zero) / shots
     stderr = 2.0 * np.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / shots)
     return ReadoutResult(float(2.0 * p_hat - 1.0), float(stderr), shots, delta_target)
@@ -73,7 +71,7 @@ def hadamard_test(
     (shots = 0) or from Bernoulli samples of the control qubit's Z value."""
     _check_hadamard_test(be, q)
     ((_, out),) = column_blocks(be, np.array([q]))
-    return _branch_test(out[:, 0], q, shots, seed, delta_target)
+    return _branch_test(out[q, 0], shots, seed, delta_target)
 
 
 def read_outputs(
@@ -83,21 +81,20 @@ def read_outputs(
     node: int | None = None,
     delta_target: float = 0.0,
 ) -> tuple[np.ndarray, list[ReadoutResult]]:
-    """The diagonal alpha <0|_aux <j| U |0>_aux |j> of every output j and the
-    Hadamard test of `node` (seeded with `seed`), or of every node j (seeded
-    with [seed, j]) when `node` is None. Both come from one application of U
-    per block of columns |0>_aux|j> (`column_blocks`).
+    """The diagonal alpha <0|_aux <j| U |0>_aux |j> of every output j
+    (:func:`~qkan.block_encoding.extract_diagonal`) and the Hadamard test of
+    `node` (seeded with `seed`), or of every node j (seeded with [seed, j])
+    when `node` is None, drawn from that diagonal.
     """
     _check_hadamard_test(be, node)
-    values = np.empty(be.system_dim, dtype=np.complex128)
-    results = []
-    for idx, out in column_blocks(be, np.arange(be.system_dim)):
-        values[idx] = out[idx, np.arange(idx.size)]
-        for i, q in enumerate(idx.tolist()):
-            if node is None or q == node:
-                node_seed = [seed, q] if node is None and seed is not None else seed
-                results.append(_branch_test(out[:, i], q, shots, node_seed, delta_target))
-    return be.alpha * values, results
+    values = extract_diagonal(be)
+    nodes = range(be.system_dim) if node is None else (node,)
+    results = [
+        _branch_test(values[q] / be.alpha, shots,
+                     [seed, q] if node is None and seed is not None else seed, delta_target)
+        for q in nodes
+    ]
+    return values, results
 
 
 def estimate_all_outputs(

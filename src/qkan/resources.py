@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .block_encoding import BlockEncoding, QueryLedger
+from .block_encoding import BlockEncoding
 from .network import QkanSpec
 
 
@@ -147,13 +147,9 @@ class ReconcileResult:
         return self.ok
 
 
-def reconcile(report: CostReport, ledger: QueryLedger | BlockEncoding) -> ReconcileResult:
-    """Exact-model counts must equal the observed counts key by key; an
-    encoding is read through its tree-derived `cost`."""
-    if isinstance(ledger, BlockEncoding):
-        observed = ledger.cost
-    else:
-        observed = ledger.snapshot()
+def reconcile(report: CostReport, be: BlockEncoding) -> ReconcileResult:
+    """Exact-model counts must equal the tree-derived `cost` of `be` key by key."""
+    observed = be.cost
     diffs: dict[str, tuple[int, int]] = {}
     for key in sorted(set(report.expected_ledger) | set(observed)):
         want = report.expected_ledger.get(key, 0)

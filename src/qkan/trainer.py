@@ -15,12 +15,7 @@ import numpy as np
 from .block_encoding import extract_diagonal, split_system
 from .encoders import encode_diagonal_exact
 from .errors import ContractViolationError, DivergenceError, DomainError
-from .network import (
-    LayerAssembler,
-    QkanSpec,
-    build_layer,
-    classical_network_eval,
-)
+from .network import NetworkAssembler, QkanSpec, classical_network_eval
 from .operators import max_qubits, outside_unit_interval
 from .resources import analytic_cost
 
@@ -122,12 +117,11 @@ class SimulatedModel:
     :func:`~qkan.block_encoding.extract_diagonal`). The last chunk is padded
     with x = 0 rows, whose outputs are dropped.
 
-    The first layer's Chebyshev encodings depend only on the inputs, so they
-    are built once per chunk and reused across weight updates, and so is its
-    MUL term of each degree whose weight slice is unchanged (see
-    :class:`~qkan.network.LayerAssembler`): a finite-difference loss
-    re-encodes one weight slice of the first layer. Deeper layers are rebuilt
-    because their input encoding changes with the upstream weights.
+    Each chunk has its own :class:`~qkan.network.NetworkAssembler`, which
+    keeps the first layer's input-only Chebyshev encodings and its MUL term
+    of each degree whose weight slice is unchanged, and rebuilds the deeper
+    layers, whose input changes with the upstream weights: a
+    finite-difference loss re-encodes one weight slice of the first layer.
     """
 
     def __init__(self, spec: QkanSpec, xs: np.ndarray):
@@ -136,27 +130,20 @@ class SimulatedModel:
         self.sample_qubits = sample_register_width(spec, self.xs.shape[0])
         chunk = 1 << self.sample_qubits
         first = spec.layers[0]
-        self._assemblers = []
+        self.assemblers = []
         for start in range(0, self.xs.shape[0], chunk):
             rows = np.zeros((chunk, first.n_in))
             part = self.xs[start:start + chunk]
             rows[: part.shape[0]] = part
             be_x = encode_diagonal_exact(rows.T.reshape(-1), name="x")  # index p * 2^m + s
             be_x = split_system(be_x, self.sample_qubits)
-            self._assemblers.append(
-                LayerAssembler(
-                    be_x, first.n_out, first.degree,
-                    layer_index=0, sample_qubits=self.sample_qubits,
-                )
-            )
+            self.assemblers.append(NetworkAssembler(be_x, first, sample_qubits=self.sample_qubits))
 
     def outputs(self, spec: QkanSpec) -> np.ndarray:
         chunk = 1 << self.sample_qubits
         out = np.empty((self.xs.shape[0], spec.dims[-1]))
-        for start, assembler in zip(range(0, out.shape[0], chunk), self._assemblers):
-            be = assembler.assemble(spec.layers[0].weights)
-            for index, layer in enumerate(spec.layers[1:], start=1):
-                be = build_layer(be, layer, layer_index=index, sample_qubits=self.sample_qubits)
+        for start, assembler in zip(range(0, out.shape[0], chunk), self.assemblers):
+            be = assembler.build(spec).output
             values = extract_diagonal(be).real.reshape(-1, chunk).T  # diagonal index q * 2^m + s
             rows = out[start:start + chunk]
             rows[:] = values[: rows.shape[0]]

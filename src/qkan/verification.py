@@ -27,6 +27,7 @@ from .encoders import (
     encode_diagonal_exact,
     encode_from_stateprep,
     encode_real_weights,
+    perturbed_weight_encoder,
     stateprep_for_real_vector,
 )
 from .network import (
@@ -144,12 +145,7 @@ def check_layer_bound(eps_x: float, eps_w: float, spec: LayerSpec, x: np.ndarray
     be_x = encode_diagonal_exact(x)
     if eps_x > 0:
         be_x = perturb(be_x, eps_x, seed)
-
-    def encoder(vec, name):
-        be = encode_diagonal_exact(vec, name=name)
-        return perturb(be, eps_w, seed + sum(name.encode())) if eps_w > 0 else be
-
-    built = build_layer(be_x, spec, weight_encoder=encoder)
+    built = build_layer(be_x, spec, weight_encoder=perturbed_weight_encoder(eps_w, seed))
     oracle = classical_layer_eval(x, spec)
     measured = verify(built, np.diag(oracle))
     bound = 4.0 * spec.degree * np.sqrt(eps_x) + eps_w

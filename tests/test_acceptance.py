@@ -116,7 +116,7 @@ def test_criterion_5_resource_reconciliation():
         )
         rep = analytic_cost(spec)
         rec = reconcile(rep, built)
-        got_in = built.ledger.count("x")
+        got_in = built.cost.get("x", 0)
         got_w = sum(v for k, v in built.cost.items() if k.startswith("w0["))
         ratio = rep.per_layer[0].input_ratio_exact_over_asymptotic
         ok &= rec.ok and got_in == d * (d + 1) // 2 and got_w == d + 1
@@ -127,8 +127,8 @@ def test_criterion_5_resource_reconciliation():
     )
     net = qkan.build_network(qkan.encode_diagonal_exact(np.array([0.2, -0.4]), name="x"), two)
     rec2 = reconcile(analytic_cost(two), net.output)
-    ok &= rec2.ok and net.output.ledger.count("x") == 36  # (d(d+1)/2)^2
-    details.append(f"two-layer d=3: x={net.output.ledger.count('x')}")
+    ok &= rec2.ok and net.output.cost.get("x", 0) == 36  # (d(d+1)/2)^2
+    details.append(f"two-layer d=3: x={net.output.cost.get('x', 0)}")
     report("5 resource-reconciliation", ok, "; ".join(details))
     assert ok
 

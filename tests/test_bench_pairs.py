@@ -58,10 +58,8 @@ def test_compile_shapes_summary_counts_wins_and_the_largest_deviation():
 
     def worker_result(scale, diagonal):
         return {
-            compile_shapes.shape_name(dims, degree): {
-                "min_s": scale * (index + 1), "leaves": 3, "diagonal": diagonal,
-            }
-            for index, (dims, degree) in enumerate(compile_shapes.SHAPES)
+            name: {"min_s": scale * (index + 1), "leaves": 3, "diagonal": diagonal}
+            for index, name in enumerate(compile_shapes.ROWS)
         }
 
     rounds = [
@@ -70,7 +68,8 @@ def test_compile_shapes_summary_counts_wins_and_the_largest_deviation():
         {"parent": worker_result(1.0, [[0.5, 0.0]]), "change": worker_result(1.0, [[0.5, 0.0]])},
     ]
     report = compile_shapes.summarize(rounds)
-    assert len(report) == len(compile_shapes.SHAPES)
+    assert list(report) == compile_shapes.ROWS
+    assert len(report) == len(compile_shapes.SHAPES) + len(compile_shapes.TRAINING)
     first = report[compile_shapes.shape_name(*compile_shapes.SHAPES[0])]
     assert first["change_wins"] == 1  # ties count for neither side
     assert first["parent"]["runs"] == [1.0, 1.0, 1.0] and first["change"]["median"] == 1.0

@@ -225,24 +225,7 @@ def test_ledger_counts_lcu_over_chebyshev_terms():
     be = qkan.encode_diagonal_exact(x, name="x")
     terms = [qkan.chebyshev_be(be, r) for r in range(4)]
     combo = qkan.lcu(terms, qkan.uniform_pair(4))
-    assert combo.ledger.count("x") == 6  # sum r over 0..3
-
-
-def test_ledger_monotone():
-    ledger = qkan.QueryLedger()
-    ledger.charge("x", 2)
-    with pytest.raises(ContractViolationError):
-        ledger.charge("x", -1)
-    assert ledger.count("x") == 2
-
-
-def test_ledger_concurrent_increments():
-    from concurrent.futures import ThreadPoolExecutor
-
-    ledger = qkan.QueryLedger()
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        list(pool.map(lambda _: ledger.charge("x"), range(2000)))
-    assert ledger.count("x") == 2000
+    assert combo.cost.get("x", 0) == 6  # sum r over 0..3
 
 
 def test_perturb_zero_eps_is_identity():

@@ -64,7 +64,7 @@ def test_chebyshev_entries_stay_bounded(rng):
 def test_chebyshev_query_count():
     be = qkan.encode_diagonal_exact(np.array([0.5, 0.5]), name="x")
     for r in range(8):
-        assert qkan.chebyshev_be(be, r).ledger.count("x") == r
+        assert qkan.chebyshev_be(be, r).cost.get("x", 0) == r
 
 
 def test_chebyshev_aux_count():

@@ -482,7 +482,7 @@ def test_eval_shots_applies_the_output_operator_once(tmp_path, monkeypatch, node
     payload = with_field("readout.node", node) if node is not None else SHOTS_CONFIG
     code, report = run(["eval", "--config", write_config(tmp_path, payload), "--no-timestamp"], capsys)
     assert code == 0
-    assert applied == [2]  # one block holding both columns |0>_aux|j>
+    assert applied == [1]  # one column |0>_aux (x) sum_j |j> reads the whole diagonal
     assert len(report["results"]["readout"]) == (2 if node is None else 1)
 
 

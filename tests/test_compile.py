@@ -84,11 +84,11 @@ def test_compiled_layer_keeps_cost_and_describes_its_shape():
     assert (compiled.num_aux, compiled.num_system, compiled.layout) == (be.num_aux, be.num_system, be.layout)
     assert (compiled.alpha, compiled.epsilon, compiled.diagonal_flag) == (be.alpha, be.epsilon, be.diagonal_flag)
     assert np.max(np.abs(compiled.op.dense() - be.op.dense())) <= 1e-13
-    assert ops.leaf_count(compiled.op) == 1 and ops.leaf_count(be.op) == 21
+    assert ops.leaf_count(compiled.op) == 1 and ops.leaf_count(be.op) == 20
     text = ops.describe_text(compiled.op)
-    assert text.splitlines()[1] == "  SystemBlocks n=7 a=6 s=1 replaced_leaves=21 leaves=1"
+    assert text.splitlines()[1] == "  SystemBlocks n=7 a=6 s=1 replaced_leaves=20 leaves=1"
     node = ops.describe(compiled.op)["children"][0]
-    assert (node["a"], node["s"], node["replaced_leaves"]) == (6, 1, 21)
+    assert (node["a"], node["s"], node["replaced_leaves"]) == (6, 1, 20)
 
 
 def test_compile_check_rejects_a_tree_that_mixes_the_system_register():
@@ -114,13 +114,15 @@ def exact_networks(draw):
     dims = tuple(draw(st.sampled_from((1, 2, 4))) for _ in range(depth + 1))
     spec = random_spec(dims, draw(st.integers(0, 3)), draw(st.integers(0, 2**16)))
     assume(qkan.analytic_cost(spec).aux_totals[-1] + spec.layers[-1].n_qubits_out <= 14)
-    x = np.random.default_rng(draw(st.integers(0, 2**16))).uniform(-1.0, 1.0, dims[0])
-    return spec, x
+    xs = np.random.default_rng(draw(st.integers(0, 2**16))).uniform(
+        -1.0, 1.0, (draw(st.integers(1, 64)), dims[0]))
+    return spec, xs
 
 
 @given(exact_networks())
 def test_compiled_build_matches_the_tree(network_case):
-    spec, x = network_case
+    spec, xs = network_case
+    x = xs[0]
     be_x = qkan.encode_diagonal_exact(x)
     built = qkan.build_network(be_x, spec)
     trees = tree_build(be_x, spec)
@@ -136,6 +138,11 @@ def test_compiled_build_matches_the_tree(network_case):
             be = compile_system_blocks(be)
     assert be.cost == trees[-1].cost
     assert np.max(np.abs(qkan.extract_diagonal(be) - want)) <= 1e-12
+    # the training path, over a sample register, reads every sample's tree
+    got = qkan.SimulatedModel(spec, xs).outputs(spec)
+    for row, sample in zip(got, xs):
+        tree = tree_build(qkan.encode_diagonal_exact(sample), spec)[-1]
+        assert np.max(np.abs(row - qkan.extract_diagonal(tree).real)) <= 1e-12
 
 
 # (dims, degree, compiled layer outputs). The comments give build plus
@@ -167,6 +174,34 @@ def test_cost_rule_decisions_on_the_measured_shapes(dims, degree, expected):
     assert np.max(np.abs(qkan.extract_diagonal(built.output) - want)) <= 1e-12
 
 
+# (dims, degree, samples, sample qubits m, layer 1 compiled) of SimulatedModel.
+# The comments give SimulatedModel.outputs per loss in ms with the tree and
+# with layer 1 compiled (2-vCPU x86-64 host, one BLAS thread, minimum of 7)
+TRAINING_DECISIONS = [
+    ((2, 2, 2, 1), 3, 4, 2, True),  # 102.6 -> 82.7
+    ((2, 2, 2, 1), 3, 64, 2, True),  # 1903 -> 1484
+    ((2, 2, 2, 1), 2, 4, 2, True),  # 69.0 -> 50.3
+    ((2, 2, 2, 1), 2, 64, 2, True),  # 1013 -> 599
+    ((1, 1, 1, 1), 4, 4, 2, True),  # 121.9 -> 60.8
+    ((1, 1, 1, 1), 4, 64, 2, True),  # 1471 -> 732
+    ((2, 2, 1), 3, 64, 6, False),  # 29.4 -> 103.2: the compile applies the tree to more amplitudes than all later uses
+    ((2, 2, 2), 3, 64, 6, False),  # 74.7 -> 129.1
+    ((2, 2, 2), 3, 16, 4, False),  # 14.8 -> 29.1
+    ((4, 2, 1), 3, 4, 2, False),  # 8.1 -> 27.1
+    ((2, 2, 1), 3, 4, 2, False),  # 5.37 -> 5.30, a tie: threshold 127 against 20 leaves
+]
+
+
+@pytest.mark.parametrize("dims, degree, samples, m, compiled", TRAINING_DECISIONS)
+def test_cost_rule_decisions_on_the_training_shapes(dims, degree, samples, m, compiled):
+    spec = random_spec(dims, degree, seed=5)
+    xs = np.random.default_rng(6).uniform(-1.0, 1.0, (samples, dims[0]))
+    model = qkan.SimulatedModel(spec, xs)
+    assert model.sample_qubits == m
+    built = model.assemblers[0].build(spec)
+    assert tuple(is_compiled(be) for be in built.layer_outputs) == (compiled,) + (False,) * (len(dims) - 2)
+
+
 def test_cost_rule_declines_the_large_deep_cli_layer_and_perturbed_layers():
     spec = random_spec((2, 2, 2, 1), 3, seed=5)
     outputs = tree_build(qkan.encode_diagonal_exact(np.array([0.3, -0.5])), spec)
@@ -194,3 +229,19 @@ def test_later_sites_count_uses_and_state_shares():
     # the read: one 16-qubit column, 36 uses on a sixteenth each
     assert network.later_sites(6, 1, spec.layers[1:]) == [(1, 4 << 8), (6, (2 << 12) >> 2), (36, (1 << 16) >> 4)]
     assert network.later_sites(4, 1, random_spec((2, 2, 1), 0, seed=5).layers[1:]) == [(0, 1 << 7)]
+
+
+def test_later_sites_keep_the_sample_register():
+    spec = random_spec((2, 2, 2, 1), 3, seed=5)
+    # m = 2 sample qubits; layer 1's output has a = 6 and the system [k = 1 | m = 2].
+    # Layer 2's guard: 16 system states [1 | 1 | 2] of the 10-qubit dilated output,
+    # one use; SUM absorbs 1 input qubit, so layer 2's output has a = 11 and s = 3.
+    # Layer 3's guard: 8 states of 14 qubits, 6 uses on a quarter each; layer 3's
+    # output has a = 16 and s = 2. The read: one 18-qubit column, 36 uses on a sixteenth each
+    assert network.later_sites(6, 3, spec.layers[1:], 2) == [
+        (1, 16 << 10), (6, (8 << 14) >> 2), (36, (1 << 18) >> 4)
+    ]
+    # m = 6: layer 2's guard takes 8 probes with U and U^dag over 256 states
+    # of 14 qubits; its output (a = 11, s = 7) is read from one 18-qubit column
+    wide = random_spec((2, 2, 2), 3, seed=5)
+    assert network.later_sites(6, 7, wide.layers[1:], 6) == [(1, 16 << 14), (6, (1 << 18) >> 2)]

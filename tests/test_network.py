@@ -120,7 +120,7 @@ def test_build_layer_query_accounting():
     for d in (1, 2, 3):
         spec = qkan.LayerSpec.random(2, 2, d, seed=d)
         be = qkan.build_layer(qkan.encode_diagonal_exact(np.array([0.1, 0.7]), name="x"), spec)
-        assert be.ledger.count("x") == d * (d + 1) // 2
+        assert be.cost.get("x", 0) == d * (d + 1) // 2
         weight_total = sum(v for k, v in be.cost.items() if k.startswith("w0["))
         assert weight_total == d + 1
 
@@ -236,10 +236,10 @@ def test_build_network_recursive_query_counts():
     )
     net = qkan.build_network(qkan.encode_diagonal_exact(np.array([0.2, 0.3]), name="x"), qspec)
     unit = 1 * (1 + 1) // 2  # d(d+1)/2 = 1 per recursion step
-    assert net.layer_outputs[0].ledger.count("x") == unit
-    assert net.output.ledger.count("x") == unit**2
-    assert net.output.ledger.count("w0[0]") == unit  # layer-0 weights used once per inclusion
-    assert net.output.ledger.count("w1[0]") == 1
+    assert net.layer_outputs[0].cost.get("x", 0) == unit
+    assert net.output.cost.get("x", 0) == unit**2
+    assert net.output.cost.get("w0[0]", 0) == unit  # layer-0 weights used once per inclusion
+    assert net.output.cost.get("w1[0]", 0) == 1
 
 
 def test_build_network_three_layers():

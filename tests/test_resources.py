@@ -77,8 +77,10 @@ def test_reconcile_two_layers():
 def test_reconcile_detects_mismatch():
     spec = single_layer_spec(1)
     report = analytic_cost(spec)
-    ledger = qkan.QueryLedger({"x": 99})
-    result = reconcile(report, ledger)
+    # a degree-2 layer queries x three times, where the degree-1 model expects one
+    other = qkan.build_layer(qkan.encode_diagonal_exact(np.array([0.1, 0.2]), name="x"),
+                             qkan.LayerSpec.random(2, 1, 2, seed=0))
+    result = reconcile(report, other)
     assert not result.ok
     assert "x" in result.diffs
 
