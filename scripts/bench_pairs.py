@@ -3,9 +3,11 @@
     python scripts/bench_pairs.py --parent HEAD --seeds 4001 4002 4003 --out BENCH.json
 
 Run from the root of a qkan checkout: that checkout, as it is on disk, is the
-change. The parent revision is exported with ``git archive`` into a temporary
-directory, so an interrupted run leaves nothing behind in the repository.
-For every seed, each workload (all of them, or those given with
+change. The parent revision (``git archive``) and the change (the checkout's
+tracked files and the untracked ones git does not ignore, as they are on
+disk) are copied side by side under one temporary directory, so both sides
+run from the same filesystem and an interrupted run leaves nothing behind in
+the repository. For every seed, each workload (all of them, or those given with
 ``--workloads``) runs ``qkanbench/run.py --trace 0`` once per side for the
 benchmark's ``run_seconds``, parent first on even seed positions and change
 first on odd ones, one process at a time. The report holds the commits and seeds and, for each
@@ -18,11 +20,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,12 +38,41 @@ def git(*args: str) -> str:
     ).stdout.strip()
 
 
-def export(rev: str, dest: Path) -> None:
-    """The tree of `rev` under `dest`."""
+def export(rev: str, dest: Path, repo: Path = ROOT) -> None:
+    """The tree of `rev` in the repository `repo`, under `dest`."""
     archive = subprocess.run(
-        ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True
+        ["git", "archive", "--format=tar", rev], cwd=repo, check=True, capture_output=True
     ).stdout
+    dest.mkdir(parents=True, exist_ok=True)
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def export_worktree(dest: Path, repo: Path = ROOT) -> None:
+    """The files of the checkout `repo` as they are on disk, under `dest`:
+    the tracked ones, modified or not, and the untracked ones that git does
+    not ignore. A tracked file deleted from the disk is left out."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=repo, check=True, capture_output=True,
+    ).stdout.decode()
+    for name in filter(None, listed.split("\0")):
+        source = repo / name
+        if source.is_file():
+            target = dest / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
+
+
+@contextmanager
+def sides(parent: str, repo: Path = ROOT) -> Iterator[dict[str, Path]]:
+    """The revision `parent` and the checkout `repo` as it is on disk,
+    exported as ``parent/`` and ``change/`` under one temporary directory,
+    which is removed on exit."""
+    with tempfile.TemporaryDirectory(prefix="qkan-pairs-") as tmp:
+        paths = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        export(parent, paths["parent"], repo)
+        export_worktree(paths["change"], repo)
+        yield paths
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -104,15 +138,13 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": {},
     }
     pairs: dict[str, list] = {name: [] for name in args.workloads}
-    with tempfile.TemporaryDirectory(prefix="qkan-parent-") as tmp:
-        export(report["parent"]["commit"], Path(tmp))
-        sides = {"parent": Path(tmp), "change": ROOT}
+    with sides(report["parent"]["commit"]) as checkouts:
         for index, seed in enumerate(args.seeds):
             order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
             for workload in args.workloads:
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_once(sides[side], workload, seed, bench["run_seconds"])
+                    pair[side] = run_once(checkouts[side], workload, seed, bench["run_seconds"])
                 pairs[workload].append(pair)
                 print(workload, seed, " ".join(
                     f"{side}:{pair[side]['metrics']['op_s.min']:.4f}" for side in order

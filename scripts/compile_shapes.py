@@ -3,8 +3,8 @@
     python scripts/compile_shapes.py --parent HEAD --rounds 5 --out shapes.json
 
 Run from the root of a qkan checkout: that checkout, as it is on disk, is the
-change. The parent revision is exported with ``git archive`` into a temporary
-directory, as ``bench_pairs.py`` does. Each round starts one worker process
+change. Both sides are exported under one temporary directory, as
+``bench_pairs.py`` does. Each round starts one worker process
 per side, parent first on even rounds and change first on odd ones, with
 BLAS pinned to one thread. A worker times ``build_network`` plus
 ``extract_diagonal`` on every shape of ``SHAPES`` and
@@ -31,13 +31,12 @@ import os
 import random
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from bench_pairs import ROOT, export, git, spread  # noqa: E402
+from bench_pairs import ROOT, git, sides, spread  # noqa: E402
 
 sys.path.insert(0, str(ROOT))
 
@@ -190,12 +189,10 @@ def main(argv: list[str] | None = None) -> int:
         "reps": args.reps,
     }
     rounds = []
-    with tempfile.TemporaryDirectory(prefix="qkan-parent-") as tmp:
-        export(report["parent"]["commit"], Path(tmp))
-        sides = {"parent": Path(tmp), "change": ROOT}
+    with sides(report["parent"]["commit"]) as checkouts:
         for index in range(args.rounds):
             order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
-            rounds.append({side: run_worker(sides[side], args.reps, index) for side in order})
+            rounds.append({side: run_worker(checkouts[side], args.reps, index) for side in order})
     report["shapes"] = summarize(rounds)
     text = json.dumps(report, indent=2)
     if args.out:

@@ -24,7 +24,7 @@ from .block_encoding import (
     uniform_pair,
     verify,
 )
-from .chebyshev import PhaseSequence, apply_phase_sequence, chebyshev_be
+from .chebyshev import chebyshev_be
 from .encoders import (
     encode_diagonal_exact,
     encode_from_stateprep,
@@ -67,7 +67,6 @@ from .operators import (
     describe_text,
     hadamard_layer,
     kron,
-    leaf_count,
     query_counts,
     qubit_budget,
     random_unitary,

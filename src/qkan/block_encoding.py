@@ -34,7 +34,6 @@ from .operators import (
     check_qubit_budget,
     compose,
     hadamard_layer,
-    leaf_count,
     permutation_from_map,
     query_counts,
     random_unitary,
@@ -180,7 +179,7 @@ def extract_block(be: BlockEncoding, cap_qubits: int = DENSE_CAP_QUBITS) -> np.n
             required_qubits=be.num_system,
         )
     s_dim = be.system_dim
-    cols = np.zeros((be.op.dim, s_dim), dtype=np.complex128)
+    cols = np.zeros((be.op.dim, s_dim))
     cols[np.arange(s_dim), np.arange(s_dim)] = 1.0  # |0>_aux|j> has index j
     out = be.op.apply(cols)
     return be.alpha * out[:s_dim, :s_dim]
@@ -192,7 +191,7 @@ def column_blocks(be: BlockEncoding, nodes: np.ndarray):
     chunk = max(1, (1 << 26) // be.op.dim)
     for start in range(0, nodes.size, chunk):
         idx = nodes[start : start + chunk]
-        cols = np.zeros((be.op.dim, idx.size), dtype=np.complex128)
+        cols = np.zeros((be.op.dim, idx.size))
         cols[idx, np.arange(idx.size)] = 1.0
         yield idx, be.op.apply(cols)
 
@@ -209,7 +208,7 @@ def extract_diagonal(be: BlockEncoding) -> np.ndarray:
     if not be.diagonal_flag:
         raise ContractViolationError("extract_diagonal requires a diagonal-flagged encoding")
     if be.epsilon == 0:
-        column = np.zeros(be.op.dim, dtype=np.complex128)
+        column = np.zeros(be.op.dim)
         column[: be.system_dim] = 1.0
         return be.alpha * be.op.apply(column)[: be.system_dim]
     values = np.empty(be.system_dim, dtype=np.complex128)
@@ -239,7 +238,7 @@ def compile_system_blocks(be: BlockEncoding) -> BlockEncoding:
     out = be.op.apply(cols.reshape(be.op.dim, aux + 1)).reshape(aux, systems, aux + 1)
     leaf = SystemBlocks(
         np.ascontiguousarray(out[:, :, :aux].transpose(1, 0, 2)),
-        replaced_leaves=leaf_count(be.op),
+        replaced_leaves=be.op.leaves,
     )
     expected = out[:, :, aux].reshape(-1)
     deviation = float(np.max(np.abs(leaf.apply(probe.reshape(-1)) - expected)))

@@ -5,13 +5,10 @@ reflection about the ancilla |0> state: for even r apply
 (U^dag Z U Z)^{r/2}, for odd r apply U Z (U^dag Z U Z)^{floor(r/2)}.
 For an exact encoding of a Hermitian block this realizes T_r exactly, with
 no residual global phase under the register convention used here (asserted
-by the grid tests). A generic phase-sequence applicator cross-validates the
-reflection form against the e^{i phi sigma_z} product form.
+by the grid tests).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,34 +21,12 @@ from .operators import (
     LinearOperator,
     check_qubit_budget,
     compose,
-    phase_on_zero,
     reflection_about_zero,
 )
 
 HERMITICITY_SLACK = 1e-9
 HERMITICITY_PROBES = 8
 HERMITICITY_PROBE_SEED = 0x5EED
-
-
-@dataclass(frozen=True)
-class PhaseSequence:
-    """QSP phases in radians; the polynomial degree equals the phase count."""
-
-    phases: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
-
-    @property
-    def degree(self) -> int:
-        return len(self.phases)
-
-    @classmethod
-    def chebyshev(cls, d: int) -> "PhaseSequence":
-        """Preset realizing T_d: phi_1 = (1-d) pi/2, phi_i = pi/2 for i >= 2."""
-        if d < 1:
-            raise DomainError("Chebyshev preset needs degree >= 1")
-        return cls(((1 - d) * np.pi / 2,) + (np.pi / 2,) * (d - 1))
 
 
 def _dense_hermiticity_defect(be: BlockEncoding, limit: float) -> float:
@@ -160,21 +135,3 @@ def chebyshev_be(
         u_dag = u.adjoint() if u_adjoint is None else u_adjoint
         factors += [u_dag, z, u, z] * (r // 2)
     return _qsvt_shell(be_x, factors, 4.0 * r * np.sqrt(be_x.epsilon))
-
-
-def apply_phase_sequence(be: BlockEncoding, seq: PhaseSequence) -> BlockEncoding:
-    """Polynomial transform from explicit QSP phases, in the product form
-    prod_j e^{i phi_j (2|0><0|-I)} V_j with V_j alternating between the
-    encoding and its adjoint. With the Chebyshev preset the encoded block
-    matches :func:`chebyshev_be` to 1e-10."""
-    d = seq.degree
-    if d == 0:
-        raise DomainError("empty phase sequence")
-    _require_hermitian_block(be)
-    u = be.op
-    aux_axes = tuple(range(be.num_aux))
-    factors: list[LinearOperator] = []
-    for j, phi in enumerate(seq.phases, start=1):
-        factors.append(Embedded(phase_on_zero(phi, be.num_aux), aux_axes, u.n))
-        factors.append(u if (d - j) % 2 == 0 else u.adjoint())
-    return _qsvt_shell(be, factors, 4.0 * d * np.sqrt(be.epsilon))

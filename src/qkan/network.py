@@ -38,7 +38,6 @@ from .operators import (
     WalshHadamard,
     check_qubit_budget,
     compose,
-    leaf_count,
     outside_unit_interval,
 )
 
@@ -55,7 +54,7 @@ COMPILE_AMP_S = 2e-9
 COMPILE_MAC_S = 1.5e-10
 COMPILE_ENTRY_S = 1e-8
 COMPILE_FIXED_S = 1e-4
-COMPILE_MAX_ENTRIES = 1 << 20  # 4^a 2^s block entries at most: 16 MiB, twice with the adjoint
+COMPILE_MAX_ENTRIES = 1 << 20  # 4^a 2^s real block entries at most: 8 MiB, twice with the adjoint
 
 
 def _log2_pow2(value: int, what: str) -> int:
@@ -420,7 +419,7 @@ class NetworkAssembler:
             if later and be.epsilon == 0:
                 sites = later_sites(be.num_aux, be.num_system, later, self.sample_qubits)
                 threshold = compile_threshold(be.num_aux, be.num_system, sites)
-                if threshold < math.inf and leaf_count(be.op) > threshold:
+                if be.op.leaves > threshold:
                     be = compile_system_blocks(be)
             outputs.append(be)
         return NetworkBuild(tuple(outputs))

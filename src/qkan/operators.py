@@ -27,6 +27,9 @@ WALSH_BLOCK_QUBITS = 4
 # a WalshHadamard pass over rows of at most this many float64 values is one
 # matmul from the right, not one small matmul per row
 WALSH_ROW_WIDTH = 32
+# ... and so is a pass whose per-row products would have fewer than this many
+# values per row, for which OpenBLAS takes kernels that sum in another order
+WALSH_MIN_PRODUCT_WIDTH = 8
 
 # construction budget (total qubits of any single operator) of the current context
 _max_qubits: ContextVar[int] = ContextVar("qkan_max_qubits", default=DEFAULT_MAX_QUBITS)
@@ -74,7 +77,10 @@ def outside_unit_interval(x) -> bool:
 
 
 def _as_columns(vec: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(vec, dtype=np.complex128)
+    """`vec` as a (dim, batch) array of float64 when it is real, of complex128
+    otherwise, and whether it was one vector."""
+    arr = np.asarray(vec)
+    arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=False)
     if arr.shape == (dim,):
         return arr[:, None], True
     if arr.ndim == 2 and arr.shape[0] == dim:
@@ -82,10 +88,29 @@ def _as_columns(vec: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
     raise ContractViolationError(f"vector shape {arr.shape} incompatible with dim {dim}")
 
 
+def _real_if_exact(array) -> np.ndarray:
+    """`array` as float64 when it is real or its imaginary part is exactly
+    zero, as complex128 otherwise."""
+    arr = np.asarray(array)
+    if not np.iscomplexobj(arr):
+        return arr.astype(np.float64, copy=False)
+    if np.any(arr.imag):
+        return arr.astype(np.complex128, copy=False)
+    return np.ascontiguousarray(arr.real, dtype=np.float64)
+
+
 class LinearOperator:
-    """Base class; subclasses implement `_apply` on a (dim, batch) array."""
+    """Base class; subclasses implement `_apply` on a (dim, batch) array.
+
+    `_apply` keeps the dtype of its columns where the operator is real: a
+    float64 column stays float64 through real leaves, and numpy promotes it
+    to complex128 at the first complex one. :meth:`apply` returns complex128.
+    """
 
     n: int  # qubit count
+    # leaf applications in one application, counting a subtree shared by
+    # several parents once per occurrence; nodes set it at construction
+    leaves = 1
 
     @property
     def dim(self) -> int:
@@ -96,7 +121,7 @@ class LinearOperator:
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         cols, squeeze = _as_columns(vec, self.dim)
-        out = self._apply(cols)
+        out = self._apply(cols).astype(np.complex128, copy=False)
         return out[:, 0] if squeeze else out
 
     def adjoint(self) -> "LinearOperator":
@@ -130,7 +155,7 @@ class Dense(LinearOperator):
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.complex128)
+        mat = _real_if_exact(self.matrix)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ContractViolationError(f"dense operator must be square, got {mat.shape}")
         n = int(mat.shape[0]).bit_length() - 1
@@ -151,7 +176,7 @@ class Diagonal(LinearOperator):
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
+        vals = _real_if_exact(self.values)
         n = int(vals.shape[0]).bit_length() - 1
         if vals.ndim != 1 or 1 << n != vals.shape[0]:
             raise ContractViolationError(f"diagonal length {vals.shape} is not a power of two")
@@ -248,12 +273,17 @@ class WalshHadamard(LinearOperator):
 
     Applied as a fast Walsh-Hadamard transform in runs of up to
     WALSH_BLOCK_QUBITS qubits: each run is one real matmul of a Sylvester
-    block on a (2^q, 2^k, -1) float64 view of the complex columns, so the
-    interleaved real and imaginary parts go through the same GEMM. When the
-    rows of that view hold at most WALSH_ROW_WIDTH values (the last qubits
-    of a few columns), the 2^q stacked products would each be tiny, so the
-    rows are multiplied from the right by the block tensored with the
-    identity instead. It is real and symmetric, hence its own adjoint.
+    block on a (2^q, 2^k, -1) float64 view of the columns, so real columns
+    stay real and the interleaved real and imaginary parts of complex ones
+    go through the same GEMM. When the rows of that view hold at most
+    WALSH_ROW_WIDTH values (the last qubits of a few columns), the 2^q
+    stacked products would each be tiny, so the rows are multiplied from the
+    right by the block tensored with the identity instead; so they are when
+    a stacked product would have fewer than WALSH_MIN_PRODUCT_WIDTH values
+    per row, which OpenBLAS sums in another order than wider products and
+    rows from the right (measured). A column read alone then gets the bits
+    it gets among the other columns of a read. It is real and symmetric,
+    hence its own adjoint.
     """
 
     n: int
@@ -283,7 +313,7 @@ class WalshHadamard(LinearOperator):
             out = np.empty_like(x) if spare is None else spare
             src, dst = x.view(np.float64), out.view(np.float64)
             width = src.size // lead
-            if width <= WALSH_ROW_WIDTH:
+            if width <= WALSH_ROW_WIDTH or width >> k < WALSH_MIN_PRODUCT_WIDTH:
                 np.matmul(src.reshape(lead, width), _sylvester_block(k, width >> k),
                           out=dst.reshape(lead, width))
             else:
@@ -315,7 +345,7 @@ class SystemBlocks(LinearOperator):
     replaced_leaves: int = 1
 
     def __post_init__(self):
-        blocks = np.asarray(self.blocks, dtype=np.complex128)
+        blocks = _real_if_exact(self.blocks)
         s = int(blocks.shape[0]).bit_length() - 1 if blocks.ndim == 3 else -1
         a = int(blocks.shape[1]).bit_length() - 1 if blocks.ndim == 3 else -1
         if a < 0 or s < 0 or blocks.shape != (1 << s, 1 << a, 1 << a):
@@ -325,7 +355,7 @@ class SystemBlocks(LinearOperator):
         if self.adjoint_blocks is None:
             adjoint = np.conjugate(blocks.transpose(0, 2, 1), out=np.empty_like(blocks))
         else:
-            adjoint = np.asarray(self.adjoint_blocks, dtype=np.complex128)
+            adjoint = _real_if_exact(self.adjoint_blocks)
         if adjoint.shape != blocks.shape:
             raise ContractViolationError(
                 f"adjoint blocks {adjoint.shape} do not match blocks {blocks.shape}"
@@ -338,7 +368,7 @@ class SystemBlocks(LinearOperator):
 
     def _apply(self, cols):
         systems, aux = self.blocks.shape[:2]
-        out = np.empty((aux, systems, cols.shape[1]), dtype=np.complex128)
+        out = np.empty((aux, systems, cols.shape[1]), dtype=np.result_type(self.blocks, cols))
         view = cols.reshape(aux, systems, -1).transpose(1, 0, 2)
         np.matmul(self.blocks, view, out=out.transpose(1, 0, 2))
         return out.reshape(cols.shape)
@@ -356,13 +386,15 @@ class Composed(LinearOperator):
     def __post_init__(self):
         if not self.factors:
             raise ContractViolationError("composition needs at least one factor")
-        n = self.factors[0].n
+        n, leaves = self.factors[0].n, 0
         for op in self.factors:
             if op.n != n:
                 raise ContractViolationError(
                     f"composition dimension mismatch: {op.n} qubits vs {n}"
                 )
+            leaves += op.leaves
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "leaves", leaves)
 
     def _apply(self, cols):
         for op in reversed(self.factors):
@@ -435,6 +467,7 @@ class Embedded(LinearOperator):
             object.__setattr__(self, "inner", self.inner.inner)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "_plan", _axis_plan(axes, self.n))
+        object.__setattr__(self, "leaves", self.inner.leaves)
 
     def _apply(self, cols):
         shape, forward, moved, inverse = self._plan
@@ -459,7 +492,7 @@ class Multiplexed(LinearOperator):
         axes = tuple(self.selector_axes)
         object.__setattr__(self, "selector_axes", axes)
         object.__setattr__(self, "branches", dict(self.branches))
-        rest = self.n - len(axes)
+        rest, leaves = self.n - len(axes), 0
         for value, op in self.branches.items():
             if not 0 <= value < (1 << len(axes)):
                 raise ContractViolationError(f"selector value {value} out of range")
@@ -467,15 +500,21 @@ class Multiplexed(LinearOperator):
                 raise ContractViolationError(
                     f"branch for value {value} acts on {op.n} qubits, expected {rest}"
                 )
+            leaves += op.leaves
         check_qubit_budget(self.n)
         object.__setattr__(self, "_plan", _axis_plan(axes, self.n))
+        object.__setattr__(self, "leaves", leaves or 1)
 
     def _apply(self, cols):
         shape, forward, _, inverse = self._plan
         tensor = np.array(cols.reshape(shape).transpose(forward), order="C")  # selector first
         slabs = tensor.reshape(1 << len(self.selector_axes), -1, cols.shape[1])
         for value, op in self.branches.items():
-            slabs[value] = op._apply(slabs[value])
+            result = op._apply(slabs[value])
+            if result.dtype != tensor.dtype:  # a complex branch on real columns
+                tensor = tensor.astype(np.result_type(tensor, result))
+                slabs = tensor.reshape(slabs.shape)
+            slabs[value] = result
         return tensor.transpose(inverse).reshape(cols.shape)
 
     def adjoint(self):
@@ -503,6 +542,7 @@ class Query(LinearOperator):
             raise ContractViolationError(f"negative query counts {counts}")
         object.__setattr__(self, "counts", MappingProxyType(counts))
         object.__setattr__(self, "n", self.inner.n)
+        object.__setattr__(self, "leaves", self.inner.leaves)
 
     def _apply(self, cols):
         return self.inner._apply(cols)
@@ -546,22 +586,9 @@ def _query_counts(op: LinearOperator) -> Mapping[str, int]:
     return found
 
 
-def leaf_count(op: LinearOperator, memo: dict | None = None) -> int:
-    """Leaf applications in one application of `op`, counting a subtree
-    shared by several parents once per occurrence; `memo` caches by node."""
-    memo = {} if memo is None else memo
-    found = memo.get(op)
-    if found is None:
-        found = 0
-        for child in _children(op):
-            found += leaf_count(child, memo)
-        found = memo[op] = found or 1
-    return found
-
-
 def describe(op: LinearOperator, memo: dict | None = None) -> dict:
     """Nested view of an operator tree: for each node its `kind`, qubit count
-    `n`, `leaves` (leaf applications below it) and `children`, plus `axes`
+    `n`, `leaves` (:attr:`LinearOperator.leaves`) and `children`, plus `axes`
     (Embedded), `selector_axes` and branch `values` (Multiplexed), `counts`
     (Query), `start` and `count` (WalshHadamard) or `a`, `s` and
     `replaced_leaves` (SystemBlocks). A subtree shared by several parents
@@ -587,7 +614,7 @@ def describe(op: LinearOperator, memo: dict | None = None) -> dict:
         node["a"] = op.a
         node["s"] = op.s
         node["replaced_leaves"] = op.replaced_leaves
-    node["leaves"] = sum(c["leaves"] for c in children) if children else 1
+    node["leaves"] = op.leaves
     node["children"] = children
     memo[op] = node
     return node

@@ -115,7 +115,7 @@ def prepare_state_postselect(
     renormalize. `target` is the oracle output vector Phi(x); when given, the
     report gives its l2 norm and the distance to the oracle state."""
     k_dim = be.system_dim
-    state = np.zeros(be.op.dim, dtype=np.complex128)
+    state = np.zeros(be.op.dim)
     state[:k_dim] = 1.0 / np.sqrt(k_dim)  # |0>_aux |+>_k
     out = be.op.apply(state)
     projected = out[:k_dim]

@@ -1,6 +1,8 @@
-"""Summary statistics of scripts/bench_pairs.py on synthetic pairs (no subprocess)."""
+"""Summary statistics of scripts/bench_pairs.py on synthetic pairs, and its
+export of both sides; no benchmark run is started."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -75,3 +77,37 @@ def test_compile_shapes_summary_counts_wins_and_the_largest_deviation():
     assert first["parent"]["runs"] == [1.0, 1.0, 1.0] and first["change"]["median"] == 1.0
     assert first["median_ratio"] == 1.0 and first["change"]["leaves"] == 3
     assert first["max_deviation"] == pytest.approx(3e-16)
+
+
+def test_both_sides_are_exported_under_one_root(bench_pairs, tmp_path):
+    """The parent revision and the checkout as it is on disk land side by
+    side under one temporary root, which is removed afterwards."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=q", "-c", "user.email=q@example.com", *args],
+                       cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("*.log\n")
+    (repo / "src").mkdir()
+    (repo / "src" / "kept.py").write_text("parent\n")
+    (repo / "gone.py").write_text("parent\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    (repo / "src" / "kept.py").write_text("change\n")
+    (repo / "gone.py").unlink()
+    (repo / "new.py").write_text("change\n")
+    (repo / "run.log").write_text("ignored\n")
+
+    with bench_pairs.sides("HEAD", repo) as paths:
+        parent, change = paths["parent"].resolve(), paths["change"].resolve()
+        root = parent.parent
+        assert change.parent == root and not root.is_relative_to(repo)
+        assert (parent / "src" / "kept.py").read_text() == "parent\n"
+        assert (parent / "gone.py").is_file() and not (parent / "new.py").exists()
+        assert (change / "src" / "kept.py").read_text() == "change\n"
+        assert (change / "new.py").is_file() and not (change / "gone.py").exists()
+        assert not (change / "run.log").exists() and not (change / ".git").exists()
+    assert not root.exists()

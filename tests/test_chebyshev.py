@@ -1,14 +1,55 @@
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import qkan
 from qkan import operators as ops
-from qkan.block_encoding import primitive_encoding
-from qkan.chebyshev import PhaseSequence
+from qkan.block_encoding import BlockEncoding, primitive_encoding
+from qkan.chebyshev import _qsvt_shell, _require_hermitian_block
 from qkan.errors import ContractViolationError, DomainError
 from qkan.registers import RegisterLayout
+
+
+@dataclass(frozen=True)
+class PhaseSequence:
+    """QSP phases in radians; the polynomial degree equals the phase count."""
+
+    phases: tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
+
+    @property
+    def degree(self) -> int:
+        return len(self.phases)
+
+    @classmethod
+    def chebyshev(cls, d: int) -> "PhaseSequence":
+        """Preset realizing T_d: phi_1 = (1-d) pi/2, phi_i = pi/2 for i >= 2."""
+        if d < 1:
+            raise DomainError("Chebyshev preset needs degree >= 1")
+        return cls(((1 - d) * np.pi / 2,) + (np.pi / 2,) * (d - 1))
+
+
+def apply_phase_sequence(be: BlockEncoding, seq: PhaseSequence) -> BlockEncoding:
+    """Polynomial transform from explicit QSP phases, in the product form
+    prod_j e^{i phi_j (2|0><0|-I)} V_j with V_j alternating between the
+    encoding and its adjoint: the cross-check of the reflection form of
+    :func:`qkan.chebyshev_be`. Its phase factors are complex, so a real
+    column is promoted to complex128 inside the tree."""
+    d = seq.degree
+    if d == 0:
+        raise DomainError("empty phase sequence")
+    _require_hermitian_block(be)
+    u = be.op
+    aux_axes = tuple(range(be.num_aux))
+    factors: list[ops.LinearOperator] = []
+    for j, phi in enumerate(seq.phases, start=1):
+        factors.append(ops.Embedded(ops.phase_on_zero(phi, be.num_aux), aux_axes, u.n))
+        factors.append(u if (d - j) % 2 == 0 else u.adjoint())
+    return _qsvt_shell(be, factors, 4.0 * d * np.sqrt(be.epsilon))
 
 
 def test_reflection_signs():
@@ -120,7 +161,7 @@ def test_phase_sequence_matches_reflection_form(rng):
     x = rng.uniform(-1, 1, 4)
     be = qkan.encode_diagonal_exact(x)
     for d in (1, 2, 3, 5):
-        via_phases = qkan.extract_block(qkan.apply_phase_sequence(be, PhaseSequence.chebyshev(d)))
+        via_phases = qkan.extract_block(apply_phase_sequence(be, PhaseSequence.chebyshev(d)))
         via_reflections = qkan.extract_block(qkan.chebyshev_be(be, d))
         assert np.max(np.abs(via_phases - via_reflections)) <= 1e-10
 
@@ -128,14 +169,14 @@ def test_phase_sequence_matches_reflection_form(rng):
 def test_phase_sequence_zero_phases_degree_one(rng):
     x = rng.uniform(-1, 1, 2)
     be = qkan.encode_diagonal_exact(x)
-    block = qkan.extract_block(qkan.apply_phase_sequence(be, PhaseSequence((0.0,))))
+    block = qkan.extract_block(apply_phase_sequence(be, PhaseSequence((0.0,))))
     assert np.max(np.abs(block - np.diag(x))) < 1e-12
 
 
 def test_phase_sequence_empty_rejected():
     be = qkan.encode_diagonal_exact(np.array([0.5]))
     with pytest.raises(DomainError):
-        qkan.apply_phase_sequence(be, PhaseSequence(()))
+        apply_phase_sequence(be, PhaseSequence(()))
 
 
 def test_extracted_chebyshev_block_is_real(rng):
@@ -173,7 +214,7 @@ def test_hermiticity_guard_runs_once_per_encoding(monkeypatch):
     calls = _counting_extract_block(monkeypatch)
     for r in (1, 2, 3):
         qkan.chebyshev_be(shaken, r)
-    qkan.apply_phase_sequence(shaken, PhaseSequence.chebyshev(3))
+    apply_phase_sequence(shaken, PhaseSequence.chebyshev(3))
     assert calls == [shaken]
     assert shaken.check_results["hermiticity_defect"] == pytest.approx(np.linalg.norm(gap, 2))
 

@@ -84,11 +84,38 @@ def test_compiled_layer_keeps_cost_and_describes_its_shape():
     assert (compiled.num_aux, compiled.num_system, compiled.layout) == (be.num_aux, be.num_system, be.layout)
     assert (compiled.alpha, compiled.epsilon, compiled.diagonal_flag) == (be.alpha, be.epsilon, be.diagonal_flag)
     assert np.max(np.abs(compiled.op.dense() - be.op.dense())) <= 1e-13
-    assert ops.leaf_count(compiled.op) == 1 and ops.leaf_count(be.op) == 20
+    assert compiled.op.leaves == 1 and be.op.leaves == 20
     text = ops.describe_text(compiled.op)
     assert text.splitlines()[1] == "  SystemBlocks n=7 a=6 s=1 replaced_leaves=20 leaves=1"
     node = ops.describe(compiled.op)["children"][0]
     assert (node["a"], node["s"], node["replaced_leaves"]) == (6, 1, 20)
+
+
+def test_exact_build_stores_real_arrays():
+    """Every factor of an exact network is real: its Diagonal, Dense and
+    compiled SystemBlocks leaves hold float64 arrays, and a real column is
+    applied in float64 throughout."""
+    spec = random_spec((2, 2, 2, 1), 2, seed=5)  # 3 Chebyshev terms: a Dense state preparation
+    built = qkan.build_network(qkan.encode_diagonal_exact(np.array([0.3, -0.5])), spec)
+    assert is_compiled(built.layer_outputs[0])
+    arrays: dict[str, list[np.ndarray]] = {}
+
+    def walk(op):
+        if isinstance(op, ops.Diagonal):
+            arrays.setdefault("Diagonal", []).append(op.values)
+        elif isinstance(op, ops.Dense):
+            arrays.setdefault("Dense", []).append(op.matrix)
+        elif isinstance(op, ops.SystemBlocks):
+            arrays.setdefault("SystemBlocks", []).extend((op.blocks, op.adjoint_blocks))
+        for child in ops._children(op):
+            walk(child)
+
+    walk(built.output.op)
+    assert sorted(arrays) == ["Dense", "Diagonal", "SystemBlocks"]
+    assert all(array.dtype == np.float64 for found in arrays.values() for array in found)
+    column = np.zeros((built.output.op.dim, 1))
+    column[: built.output.system_dim] = 1.0
+    assert built.output.op._apply(column).dtype == np.float64
 
 
 def test_compile_check_rejects_a_tree_that_mixes_the_system_register():
@@ -127,7 +154,7 @@ def test_compiled_build_matches_the_tree(network_case):
     built = qkan.build_network(be_x, spec)
     trees = tree_build(be_x, spec)
     assert built.output.cost == trees[-1].cost
-    assert ops.leaf_count(built.output.op) <= ops.leaf_count(trees[-1].op)
+    assert built.output.op.leaves <= trees[-1].op.leaves
     want = qkan.extract_diagonal(trees[-1])
     assert np.max(np.abs(qkan.extract_diagonal(built.output) - want)) <= 1e-12
     # every non-last output compiled by force (within the entry cap) reads the same

@@ -120,6 +120,40 @@ def test_multiplexed_identity_on_missing_values():
     assert np.allclose(dense, expected)
 
 
+@pytest.mark.parametrize("complex_value", [0, 1])
+def test_multiplexed_keeps_the_imaginary_part_of_a_complex_branch(complex_value):
+    """A real column meets a complex branch: the slab buffer turns complex
+    before the branch result is written into it, whichever branch runs first."""
+    from qkan.encoders import perturbed_weight_encoder
+
+    noisy = perturbed_weight_encoder(0.5, seed=3)(np.array([0.2, -0.7]), "w").op
+    branches = {complex_value: noisy, 1 - complex_value: ops.WalshHadamard(2)}
+    mux = ops.Multiplexed(branches, (1,), 3)
+    column = np.random.default_rng(5).standard_normal(8)
+    want = mux.apply(column.astype(np.complex128))
+    assert np.max(np.abs(want.imag)) > 1e-2
+    got = mux.apply(column)
+    assert got.dtype == np.complex128
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_real_leaves_keep_real_columns_real():
+    rng = np.random.default_rng(8)
+    tree = ops.compose(
+        ops.Multiplexed({1: ops.Diagonal(rng.uniform(-1, 1, 4))}, (0,), 3),
+        ops.Embedded(ops.LabelReflection(rng.uniform(-1, 1, 2)), (2, 0), 3),
+        ops.WalshHadamard(3, 1),
+        ops.Dense(ops.random_unitary(3, rng).real),
+        ops.SystemBlocks(rng.standard_normal((2, 4, 4))),
+        ops.Permutation(rng.permutation(8)),
+    )
+    cols = rng.standard_normal((8, 3))
+    assert tree._apply(cols).dtype == np.float64
+    assert np.max(np.abs(tree.apply(cols) - tree.apply(cols.astype(np.complex128)))) <= 1e-15
+    assert ops.Diagonal(np.ones(4) + 0j).values.dtype == np.float64
+    assert ops.Diagonal(np.full(4, 1j)).values.dtype == np.complex128
+
+
 def test_permutation_adjoint_roundtrip():
     perm = ops.permutation_from_map(2, lambda i: (i + 1) % 4)
     assert np.allclose(ops.compose(perm, perm.adjoint()).dense(), np.eye(4))
@@ -379,8 +413,9 @@ def test_describe_single_layer_tree():
 
     def walk(node):
         nodes.append(node)
-        for child in node["children"]:
-            walk(child)
+        below = sum(walk(child) for child in node["children"]) or 1
+        assert node["leaves"] == below  # every node counts the leaves under it
+        return below
 
     walk(tree)
     assert tree["kind"] == "Composed" and tree["n"] == 5

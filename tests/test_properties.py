@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 import qkan
+from qkan.encoders import perturbed_weight_encoder
 
 vectors = st.integers(0, 2**16).map(
     lambda seed: np.random.default_rng(seed).uniform(-1, 1, 4)
@@ -58,11 +59,23 @@ def test_chebyshev_matches_cosine_form(x, r):
     assert np.max(np.abs(got - want)) <= 1e-10
 
 
-@given(st.integers(0, 2**16))
-def test_layer_oracle_equivalence_property(seed):
+@given(st.integers(0, 2**16), st.sampled_from(("exact", "perturbed", "real_weights")))
+def test_layer_oracle_equivalence_property(seed, kind):
+    """The layer matches the oracle within its epsilon, and a real column
+    gives what its complex copy gives: real leaves stay real, and complex
+    ones (the perturbed weights) promote the column."""
     rng = np.random.default_rng(seed)
     spec = qkan.LayerSpec.random(2, 2, int(rng.integers(0, 4)), seed=seed)
-    x = rng.uniform(-1, 1, 2)
-    built = qkan.build_layer(qkan.encode_diagonal_exact(x), spec)
+    x = rng.uniform(-1, 1, 2) / (2 if kind == "real_weights" else 1)
+    if kind == "real_weights":
+        be_x = qkan.encode_real_weights(qkan.stateprep_for_real_vector(x))
+    else:
+        be_x = qkan.encode_diagonal_exact(x)
+    encoder = perturbed_weight_encoder(0.1, seed) if kind == "perturbed" else None
+    built = qkan.build_layer(be_x, spec, weight_encoder=encoder)
     want = qkan.classical_layer_eval(x, spec)
-    assert np.max(np.abs(qkan.extract_diagonal(built) - want)) <= 1e-9
+    assert np.max(np.abs(qkan.extract_diagonal(built) - want)) <= 1e-9 + built.epsilon
+    column = rng.standard_normal(built.op.dim)
+    column /= np.linalg.norm(column)
+    complex_read = built.op.apply(column.astype(np.complex128))
+    assert np.max(np.abs(built.op.apply(column) - complex_read)) <= 1e-15
