@@ -13,6 +13,7 @@ from qkan import network
 from qkan import operators as ops
 from qkan.block_encoding import compile_system_blocks, primitive_encoding
 from qkan.errors import ContractViolationError
+from qkan.readout import prepare_state_postselect, read_outputs
 from qkan.registers import RegisterLayout
 
 
@@ -116,6 +117,11 @@ def test_exact_build_stores_real_arrays():
     column = np.zeros((built.output.op.dim, 1))
     column[: built.output.system_dim] = 1.0
     assert built.output.op._apply(column).dtype == np.float64
+    # the readers still return complex128
+    assert built.output.op.apply(column).dtype == np.complex128
+    assert qkan.extract_diagonal(built.output).dtype == np.complex128
+    assert read_outputs(built.output)[0].dtype == np.complex128
+    assert prepare_state_postselect(built.output).amplitudes.amplitudes.dtype == np.complex128
 
 
 def test_compile_check_rejects_a_tree_that_mixes_the_system_register():
