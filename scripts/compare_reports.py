@@ -1,0 +1,245 @@
+"""CLI reports of seeded configs, parent against change: exit codes, ledgers and
+resources reports must agree, and outputs may move by rounding only.
+
+    python scripts/compare_reports.py --parent HEAD --out reports.json
+
+Run from the root of a qkan checkout: that checkout, as it is on disk, is the
+change. Both sides are exported under one temporary directory, as
+``bench_pairs.py`` does, and one worker process per side (BLAS pinned to one
+thread) runs ``qkan eval``, ``resources``, ``verify`` and ``prepare-state`` on
+every config of :func:`configs`: each shape of ``compile_shapes.SHAPES`` with
+seeded weights and input, under the exact, stateprep and real_weights input
+encoders, exact and shots readout, unperturbed and perturbed, and under a
+tight qubit budget (exit 3 where the layout does not fit).
+
+The report lists every mismatch, which is any of:
+
+- unequal exit codes, or an exit 3 whose required qubits differ;
+- any unequal integer, string or boolean of a report (ledgers, ancilla
+  counts, check names and verdicts);
+- any unequal number of a ``resources`` report.
+
+It also gives the largest deviation between the sides of every other number,
+per report field (for example ``eval/output``, ``eval/readout/value`` or
+``prepare-state/amplitudes_real``). The script exits 1 when it finds a
+mismatch.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from bench_pairs import ROOT, git, sides  # noqa: E402
+from compile_shapes import SHAPES  # noqa: E402
+
+sys.path.insert(0, str(ROOT))
+
+from qkanbench import BLAS_THREAD_VARS  # noqa: E402
+
+COMMANDS = ("eval", "resources", "verify", "prepare-state")
+# (encoder, readout mode, perturbed, qubit budget or None) of every shape
+VARIANTS = [
+    ("exact", "exact", False, None),
+    ("exact", "shots", False, None),
+    ("exact", "shots", True, None),
+    ("stateprep", "exact", False, None),
+    ("real_weights", "exact", False, None),
+    ("real_weights", "shots", True, None),
+    ("exact", "shots", False, 14),
+]
+PERTURB = {"eps_x": 1e-3, "eps_w": 1e-3, "seed": 5}
+
+
+def configs(seed: int = 0) -> dict[str, dict]:
+    """Named run configurations: every shape of SHAPES under every variant."""
+    import numpy as np
+
+    out = {}
+    for index, (dims, degree) in enumerate(SHAPES):
+        rng = np.random.default_rng([seed, index])
+        layers = [
+            {"in": n_in, "out": n_out, "degree": degree,
+             "weights": rng.uniform(-1.0, 1.0, (degree + 1, n_in, n_out)).tolist()}
+            for n_in, n_out in zip(dims, dims[1:])
+        ]
+        x = rng.uniform(-1.0, 1.0, dims[0])
+        readout_seed = int(rng.integers(2**31))
+        for encoder, mode, perturbed, budget in VARIANTS:
+            if encoder == "stateprep":
+                vector = x / np.linalg.norm(x)  # a unit vector
+            elif encoder == "real_weights":
+                vector = x / (2.0 * np.linalg.norm(x))  # squares sum to 1/4
+            else:
+                vector = x
+            config = {
+                "input": vector.tolist(),
+                "layers": layers,
+                "encoder": encoder,
+                "readout": {"mode": mode, "shots": 1000 if mode == "shots" else 0,
+                            "seed": readout_seed, "delta": 0.05},
+                "seed": seed,
+            }
+            name = f"{'-'.join(map(str, dims))} d={degree} {encoder} {mode}"
+            if perturbed:
+                config["perturb"] = PERTURB
+                name += " perturbed"
+            if budget is not None:
+                config["max_qubits"] = budget
+                name += f" max_qubits={budget}"
+            out[name] = config
+    return out
+
+
+def worker(configs_path: Path) -> dict:
+    """Every command on every config with the qkan found on the path."""
+    import qkan
+    from qkan import cli
+
+    runs: dict = {"qkan_dir": str(Path(qkan.__file__).resolve().parent)}
+    named = json.loads(configs_path.read_text())
+    with tempfile.TemporaryDirectory(prefix="qkan-reports-") as tmp:
+        for name, config in named.items():
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config))
+            runs[name] = {}
+            for command in COMMANDS:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main([command, "--config", str(path), "--no-timestamp"])
+                text = out.getvalue()
+                runs[name][command] = {
+                    "code": code,
+                    "results": json.loads(text)["results"] if text.strip() else None,
+                    "stderr": err.getvalue(),
+                }
+    return runs
+
+
+def run_worker(checkout: Path, configs_path: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    env.update({var: "1" for var in BLAS_THREAD_VARS})
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--worker", str(configs_path)],
+        cwd=checkout, env=env, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"worker in {checkout} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if Path(result.pop("qkan_dir")) != (checkout / "src" / "qkan").resolve():
+        raise RuntimeError(f"worker in {checkout} imported another qkan")
+    return result
+
+
+def required_qubits(stderr: str) -> int | None:
+    """The qubit count an exit-3 message reports, if any."""
+    found = re.search(r"requires (\d+) qubits", stderr)
+    return int(found.group(1)) if found else None
+
+
+def _walk(parent, change, field: str, where: str, exact: bool,
+          mismatches: list[str], deviations: dict[str, float]) -> None:
+    """Compare two report values; `field` names them without list indices."""
+    if isinstance(parent, dict) and isinstance(change, dict):
+        if parent.keys() != change.keys():
+            mismatches.append(f"{where} {field}: keys {sorted(parent)} != {sorted(change)}")
+            return
+        for key in parent:
+            _walk(parent[key], change[key], f"{field}/{key}", where, exact, mismatches, deviations)
+    elif isinstance(parent, list) and isinstance(change, list):
+        if len(parent) != len(change):
+            mismatches.append(f"{where} {field}: {len(parent)} entries != {len(change)}")
+            return
+        for p, c in zip(parent, change):
+            _walk(p, c, field, where, exact, mismatches, deviations)
+    elif isinstance(parent, float) and isinstance(change, float) and not exact:
+        if parent == change or (math.isnan(parent) and math.isnan(change)):
+            deviation = 0.0
+        else:
+            deviation = abs(parent - change) if math.isfinite(parent - change) else math.inf
+        deviations[field] = max(deviations.get(field, 0.0), deviation)
+    elif type(parent) is not type(change) or parent != change:
+        mismatches.append(f"{where} {field}: {parent!r} != {change!r}")
+
+
+def compare(parent: dict, change: dict) -> dict:
+    """Mismatches and the largest deviation per report field of two workers'
+    runs (see the module docstring), with the count of compared runs and of
+    the change's runs per exit code."""
+    mismatches: list[str] = []
+    deviations: dict[str, float] = {}
+    runs = 0
+    for name in sorted(set(parent) | set(change)):
+        for command in COMMANDS:
+            p, c = parent.get(name, {}).get(command), change.get(name, {}).get(command)
+            where = f"{name} {command}"
+            if p is None or c is None:
+                mismatches.append(f"{where}: run on one side only")
+                continue
+            runs += 1
+            if p["code"] != c["code"]:
+                mismatches.append(f"{where}: exit {p['code']} != {c['code']}")
+                continue
+            if p["code"] == 3 and required_qubits(p["stderr"]) != required_qubits(c["stderr"]):
+                mismatches.append(f"{where}: exit 3 requires {required_qubits(p['stderr'])} "
+                                  f"!= {required_qubits(c['stderr'])} qubits")
+            _walk(p["results"], c["results"], command, where, command == "resources",
+                  mismatches, deviations)
+    codes: dict[str, int] = {}
+    for runs_of_config in change.values():
+        for run in runs_of_config.values():
+            codes[str(run["code"])] = codes.get(str(run["code"]), 0) + 1
+    return {
+        "runs": runs,
+        "exit_codes": dict(sorted(codes.items())),
+        "mismatches": mismatches,
+        "max_deviation": dict(sorted(deviations.items())),
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", help="git revision of the parent")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the configs")
+    parser.add_argument("--out", type=Path, default=None, help="also write the JSON report here")
+    parser.add_argument("--worker", type=Path, default=None, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker is not None:
+        print(json.dumps(worker(args.worker)))
+        return 0
+    if args.parent is None:
+        parser.error("--parent is required")
+
+    report = {
+        "parent": {"commit": git("rev-parse", args.parent)},
+        "change": {"commit": git("rev-parse", "HEAD"),
+                   "uncommitted_changes": bool(git("status", "--porcelain", "--", "src"))},
+        "seed": args.seed,
+    }
+    named = configs(args.seed)
+    with sides(report["parent"]["commit"]) as checkouts:
+        configs_path = checkouts["parent"].parent / "configs.json"
+        configs_path.write_text(json.dumps(named))
+        runs = {side: run_worker(checkouts[side], configs_path) for side in ("parent", "change")}
+    report["configs"] = len(named)
+    report.update(compare(runs["parent"], runs["change"]))
+    text = json.dumps(report, indent=2)
+    if args.out:
+        args.out.write_text(text + "\n")
+    print(text)
+    return 1 if report["mismatches"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,7 +9,8 @@ per side, parent first on even rounds and change first on odd ones, with
 BLAS pinned to one thread. A worker times ``build_network`` plus
 ``extract_diagonal`` on every shape of ``SHAPES`` and
 ``SimulatedModel.outputs`` (one training loss, the model built before the
-clock starts) on every row of ``TRAINING`` (seeded weights and inputs), and
+clock starts, the first layer's weights moved by a rounding-sized step per
+repetition) on every row of ``TRAINING`` (seeded weights and inputs), and
 keeps the minimum of ``--reps`` repetitions. The JSON report gives, per row
 and side, the runs with their median and quartiles, the leaf count of the
 output tree (of the first chunk's, for a training row), the rounds the
@@ -26,6 +27,7 @@ the medians over rounds average that out.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -108,6 +110,13 @@ def worker(reps: int, order: int) -> dict:
                 return qkan.extract_diagonal(output())
         else:
             model = qkan.SimulatedModel(spec, rng.uniform(-1.0, 1.0, (samples, dims[0])))
+            # each repetition scales the first layer's weights by another
+            # rounding-sized step, so a model that keeps the first layer's
+            # output still rebuilds it, as for a step of a first-layer weight
+            first = spec.layers[0].weights
+            moved = itertools.cycle(
+                [spec.with_layer_weights(0, first * (1.0 - rep * 2.0**-40)) for rep in range(reps)]
+            )
 
             def output():
                 # a revision whose model keeps no network assemblers reports no leaves
@@ -115,7 +124,7 @@ def worker(reps: int, order: int) -> dict:
                 return assemblers[0].build(spec).output if assemblers else None
 
             def run():
-                return model.outputs(spec).reshape(-1)
+                return model.outputs(next(moved)).reshape(-1)
         times = []
         for _ in range(reps):
             start = time.perf_counter()

@@ -18,6 +18,7 @@ that encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,14 @@ class BlockEncoding:
     (within epsilon). `check_results` keeps the outcome of expensive checks
     of this encoding by name (floats only, never a dense block), so a check
     made by several steps runs once.
+
+    `idle_registers` names ancilla registers of the layout that no factor
+    acts on (the QSVT ancilla of a Chebyshev transform). They count in
+    `num_aux`, in the layout and in every qubit budget, but `op` leaves them
+    out: it spans the other (live) qubits in layout order, so
+    ``op.n == layout.n_qubits - idle_aux``, and the encoding's unitary is the
+    identity on the idle qubits tensored with `op`. Reads, guards, compiles
+    and readouts only prepare states whose idle qubits read 0.
     """
 
     op: LinearOperator
@@ -68,36 +77,64 @@ class BlockEncoding:
     layout: RegisterLayout
     num_system: int
     diagonal_flag: bool = False
+    idle_registers: frozenset[str] = frozenset()
     check_results: dict[str, float] = field(default_factory=dict, init=False, repr=False)
+    # qubits of the idle registers, and how many registers hold the ancillas
+    idle_aux: int = field(init=False, repr=False)
+    _aux_count: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.alpha < 0 or self.epsilon < 0:
             raise ContractViolationError("alpha and epsilon must be non-negative")
-        if self.op.n != self.layout.n_qubits:
-            raise ContractViolationError(
-                f"operator acts on {self.op.n} qubits, layout has {self.layout.n_qubits}"
-            )
-        if self.num_aux + self.num_system != self.op.n:
-            raise ContractViolationError(
-                f"num_aux {self.num_aux} + num_system {self.num_system} != {self.op.n} qubits"
-            )
-        # ancilla/system boundary must fall on a register boundary
-        running = 0
-        boundary_ok = self.num_aux == 0
-        for _, size in self.layout.registers:
+        # the ancilla/system boundary must fall on a register boundary, and
+        # every idle register ahead of it
+        running = idle = found = 0
+        aux_count = 0 if self.num_aux == 0 else None
+        for index, (name, size) in enumerate(self.layout.registers):
+            if name in self.idle_registers:
+                if running >= self.num_aux:
+                    raise ContractViolationError(f"idle register {name!r} is not an ancilla")
+                idle += size
+                found += 1
             running += size
-            if running == self.num_aux:
-                boundary_ok = True
-        if not boundary_ok and self.num_aux != 0:
+            if running == self.num_aux and aux_count is None:
+                aux_count = index + 1
+        if self.num_aux + self.num_system != running:
+            raise ContractViolationError(
+                f"num_aux {self.num_aux} + num_system {self.num_system} != {running} layout qubits"
+            )
+        if aux_count is None:
             raise ContractViolationError("ancilla block does not align with register boundaries")
+        if found != len(self.idle_registers):
+            raise ContractViolationError(
+                f"idle registers {sorted(self.idle_registers)} are not all in the layout"
+            )
+        if self.op.n != running - idle:
+            raise ContractViolationError(
+                f"operator acts on {self.op.n} qubits, layout has {running} of which {idle} idle"
+            )
+        object.__setattr__(self, "idle_aux", idle)
+        object.__setattr__(self, "_aux_count", aux_count)
 
     @property
     def system_dim(self) -> int:
         return 1 << self.num_system
 
     @property
-    def aux_axes(self) -> tuple[int, ...]:
-        return tuple(range(self.num_aux))
+    def live_aux(self) -> int:
+        """Ancilla qubits that `op` acts on: its leading qubits."""
+        return self.num_aux - self.idle_aux
+
+    @cached_property
+    def live_qubits(self) -> tuple[int, ...]:
+        """Layout positions of the qubits that `op` spans, in order."""
+        positions: list[int] = []
+        offset = 0
+        for name, size in self.layout.registers:
+            if name not in self.idle_registers:
+                positions.extend(range(offset, offset + size))
+            offset += size
+        return tuple(positions)
 
     @property
     def cost(self) -> dict[str, int]:
@@ -106,38 +143,43 @@ class BlockEncoding:
         return dict(sorted(query_counts(self.op).items()))
 
 
-def _unique_regs(groups: list[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
-    taken: set[str] = set()
-    out = []
-    for name, size in groups:
-        candidate = name
-        k = 1
-        while candidate in taken:
-            k += 1
-            candidate = f"{name}.{k}"
-        taken.add(candidate)
-        out.append((candidate, size))
-    return tuple(out)
+# a register of a layout being derived: (name, size, idle), where idle marks
+# an idle ancilla (see BlockEncoding)
+_Reg = tuple[str, int, bool]
 
 
 def _derived(
     op: LinearOperator,
     alpha: float,
     epsilon: float,
-    aux_regs: list[tuple[str, int]],
-    sys_regs: list[tuple[str, int]],
+    aux_regs: list[_Reg],
+    sys_regs: list[_Reg],
     diagonal: bool,
 ) -> BlockEncoding:
-    layout = RegisterLayout(_unique_regs(list(aux_regs) + list(sys_regs)))
-    num_aux = sum(size for _, size in aux_regs)
+    """An encoding over the registers `aux_regs` then `sys_regs`; a repeated
+    register name gets the suffix .2, .3, ..."""
+    registers: list[tuple[str, int]] = []
+    taken: set[str] = set()
+    idle: set[str] = set()
+    for name, size, is_idle in aux_regs + sys_regs:
+        candidate, k = name, 1
+        while candidate in taken:
+            k += 1
+            candidate = f"{name}.{k}"
+        taken.add(candidate)
+        registers.append((candidate, size))
+        if is_idle:
+            idle.add(candidate)
+    num_aux = sum(size for _, size, _ in aux_regs)
     return BlockEncoding(
         op=op,
         alpha=alpha,
         num_aux=num_aux,
         epsilon=epsilon,
-        layout=layout,
-        num_system=layout.n_qubits - num_aux,
+        layout=RegisterLayout(tuple(registers)),
+        num_system=sum(size for _, size, _ in sys_regs),
         diagonal_flag=diagonal,
+        idle_registers=frozenset(idle),
     )
 
 
@@ -163,11 +205,12 @@ def primitive_encoding(
 
 
 def identity_encoding(num_system: int, num_aux: int = 0) -> BlockEncoding:
-    """Exact zero-cost encoding of the identity, with optional idle ancillas."""
-    aux_regs = [("idle", num_aux)] if num_aux else []
+    """Exact zero-cost encoding of the identity, with optional ancillas that
+    its operator acts on as the identity."""
+    aux_regs = [("idle", num_aux, False)] if num_aux else []
     return _derived(
         Identity(num_aux + num_system), 1.0, 0.0,
-        aux_regs, [("sys", num_system)], diagonal=True,
+        aux_regs, [("sys", num_system, False)], diagonal=True,
     )
 
 
@@ -223,13 +266,13 @@ def compile_system_blocks(be: BlockEncoding) -> BlockEncoding:
 
     Every factor of a built network acts block-diagonally over the system
     register, so U = sum_j B_j (x) |j><j| with one 2^a x 2^a block B_j per
-    system state j. Applied to the 2^a columns |i>_aux (x) sum_j |j>, U
-    returns B_j[:, i] on the rows |.>_aux|j>: one application reads every
-    block. The same application carries one seeded Gaussian column, and the
-    leaf must reproduce the tree's result on it within COMPILE_CHECK_TOL;
-    otherwise the tree mixes the system register and ContractViolationError
-    is raised."""
-    aux, systems = 1 << be.num_aux, be.system_dim
+    system state j, over the a live ancillas that `op` spans. Applied to the
+    2^a columns |i>_aux (x) sum_j |j>, U returns B_j[:, i] on the rows
+    |.>_aux|j>: one application reads every block. The same application
+    carries one seeded Gaussian column, and the leaf must reproduce the
+    tree's result on it within COMPILE_CHECK_TOL; otherwise the tree mixes
+    the system register and ContractViolationError is raised."""
+    aux, systems = 1 << be.live_aux, be.system_dim
     cols = np.zeros((aux, systems, aux + 1), dtype=np.complex128)
     cols[np.arange(aux), :, np.arange(aux)] = 1.0
     rng = np.random.default_rng(COMPILE_CHECK_SEED)
@@ -261,26 +304,25 @@ def verify(be: BlockEncoding, target: np.ndarray, cap_qubits: int = DENSE_CAP_QU
 
 
 def pad_aux(be: BlockEncoding, extra: int) -> BlockEncoding:
-    """Prepend idle ancilla qubits; the encoded block is unchanged."""
+    """Prepend ancilla qubits that the operator acts on as the identity; the
+    encoded block is unchanged."""
     if extra == 0:
         return be
+    check_qubit_budget(be.layout.n_qubits + extra, "padded encoding")
     n = be.op.n + extra
-    check_qubit_budget(n, "padded encoding")
     op = Embedded(be.op, tuple(range(extra, n)), n)
     return _derived(
         op, be.alpha, be.epsilon,
-        [("pad", extra)] + _aux_regs(be),
+        [("pad", extra, False)] + _aux_regs(be),
         _sys_regs(be),
         be.diagonal_flag,
     )
 
 
-def _split_regs(
-    regs: list[tuple[str, int]], qubits: int, what: str
-) -> tuple[list[tuple[str, int]], list[tuple[str, int]]]:
+def _split_regs(regs: list[_Reg], qubits: int, what: str) -> tuple[list[_Reg], list[_Reg]]:
     """The registers holding the first `qubits` qubits, and the rest."""
     running = 0
-    for i, (_, size) in enumerate(regs):
+    for i, (_, size, _) in enumerate(regs):
         if running == qubits:
             return list(regs[:i]), list(regs[i:])
         running += size
@@ -289,12 +331,21 @@ def _split_regs(
     raise ContractViolationError(f"{what} does not align with register boundaries")
 
 
-def _aux_regs(be: BlockEncoding) -> list[tuple[str, int]]:
-    return _split_regs(be.layout.registers, be.num_aux, "ancilla block")[0]
+def _aux_regs(be: BlockEncoding) -> list[_Reg]:
+    idle = be.idle_registers
+    return [(name, size, name in idle) for name, size in be.layout.registers[: be._aux_count]]
 
 
-def _sys_regs(be: BlockEncoding) -> list[tuple[str, int]]:
-    return _split_regs(be.layout.registers, be.num_aux, "ancilla block")[1]
+def _sys_regs(be: BlockEncoding) -> list[_Reg]:
+    return [(name, size, False) for name, size in be.layout.registers[be._aux_count:]]
+
+
+def _all_live(be: BlockEncoding) -> BlockEncoding:
+    """The same encoding with identity on its idle ancillas made part of `op`."""
+    if not be.idle_registers:
+        return be
+    op = Embedded(be.op, be.live_qubits, be.layout.n_qubits)
+    return replace(be, op=op, idle_registers=frozenset())
 
 
 def adjoint_encoding(be: BlockEncoding) -> BlockEncoding:
@@ -310,15 +361,16 @@ def product(be_a: BlockEncoding, be_b: BlockEncoding) -> BlockEncoding:
 
     Built as (I_b (x) U_A)(I_a (x) U_B) with B's ancillas outermost; each
     factor acts as identity on the other's ancillas, so the result is an
-    (alpha_a*alpha_b, a+b, alpha_a*eps_b + alpha_b*eps_a)-encoding.
+    (alpha_a*alpha_b, a+b, alpha_a*eps_b + alpha_b*eps_a)-encoding. Its
+    operator spans the live qubits of both (see :class:`BlockEncoding`).
     """
     if be_a.num_system != be_b.num_system:
         raise ContractViolationError(
             f"system size mismatch: {be_a.num_system} vs {be_b.num_system} qubits"
         )
-    a, b, s = be_a.num_aux, be_b.num_aux, be_a.num_system
+    check_qubit_budget(be_a.num_aux + be_b.num_aux + be_a.num_system, "product encoding")
+    a, b, s = be_a.live_aux, be_b.live_aux, be_a.num_system
     n = a + b + s
-    check_qubit_budget(n, "product encoding")
     emb_a = Embedded(be_a.op, tuple(range(b, n)), n)
     emb_b = Embedded(be_b.op, tuple(range(b)) + tuple(range(b + a, n)), n)
     return _derived(
@@ -413,7 +465,10 @@ def lcu(bes: list[BlockEncoding], pair: StatePrepPair) -> BlockEncoding:
     """Encoding of sum_j y_j A_j via select-and-prepare.
 
     The select operator applies the j-th encoding controlled on selector value
-    j and acts as identity on unused selector values.
+    j and acts as identity on unused selector values. Terms padded to a
+    common ancilla count keep their idle ancillas when those sit at the same
+    layout positions in every term; otherwise every term acts on all of its
+    qubits.
     """
     if not bes:
         raise ContractViolationError("lcu needs at least one encoding")
@@ -429,9 +484,11 @@ def lcu(bes: list[BlockEncoding], pair: StatePrepPair) -> BlockEncoding:
             f"{len(bes)} terms exceed the {1 << pair.b} selector values of the pair"
         )
     a = max(be.num_aux for be in bes)
+    check_qubit_budget(pair.b + a + s, "lcu encoding")
     padded = [pad_aux(be, a - be.num_aux) for be in bes]
-    n = pair.b + a + s
-    check_qubit_budget(n, "lcu encoding")
+    if any(be.live_qubits != padded[0].live_qubits for be in padded[1:]):
+        padded = [_all_live(be) for be in padded]
+    n = pair.b + padded[0].op.n
     sel_axes = tuple(range(pair.b))
     select = Multiplexed({j: be.op for j, be in enumerate(padded)}, sel_axes, n)
     op = compose(
@@ -444,7 +501,7 @@ def lcu(bes: list[BlockEncoding], pair: StatePrepPair) -> BlockEncoding:
         op,
         alpha * pair.beta,
         alpha * pair.eps_sp + pair.beta * eps_terms,
-        [("sel", pair.b)] + _aux_regs(padded[0]),
+        [("sel", pair.b, False)] + _aux_regs(padded[0]),
         _sys_regs(padded[0]),
         all(be.diagonal_flag for be in bes),
     )
@@ -460,9 +517,10 @@ def hadamard_product(be_a: BlockEncoding, be_b: BlockEncoding) -> BlockEncoding:
         raise ContractViolationError(
             f"system size mismatch: {be_a.num_system} vs {be_b.num_system} qubits"
         )
-    a, b, s = be_a.num_aux, be_b.num_aux, be_a.num_system
+    check_qubit_budget(be_a.num_aux + be_b.num_aux + 2 * be_a.num_system,
+                       "hadamard-product encoding")
+    a, b, s = be_a.live_aux, be_b.live_aux, be_a.num_system
     n = a + b + 2 * s
-    check_qubit_budget(n, "hadamard-product encoding")
     aux_a = tuple(range(a))
     aux_b = tuple(range(a, a + b))
     sys_b = tuple(range(a + b, a + b + s))  # becomes ancilla
@@ -476,7 +534,7 @@ def hadamard_product(be_a: BlockEncoding, be_b: BlockEncoding) -> BlockEncoding:
         compose(emb_p, emb_a, emb_b, emb_p),
         be_a.alpha * be_b.alpha,
         be_a.alpha * be_b.epsilon + be_b.alpha * be_a.epsilon,
-        _aux_regs(be_a) + _aux_regs(be_b) + [("syscopy", s)],
+        _aux_regs(be_a) + _aux_regs(be_b) + [("syscopy", s, False)],
         _sys_regs(be_a),
         be_a.diagonal_flag or be_b.diagonal_flag,
     )
@@ -498,13 +556,13 @@ def dilate(be: BlockEncoding, k: int, trailing: int = 0) -> BlockEncoding:
     if k == 0:
         return be
     head, tail = _split_regs(_sys_regs(be), be.num_system - trailing, "dilation point")
+    check_qubit_budget(be.layout.n_qubits + k, "dilated encoding")
     n = be.op.n + k
-    check_qubit_budget(n, "dilated encoding")
     split = be.op.n - trailing
     op = Embedded(be.op, tuple(range(split)) + tuple(range(split + k, n)), n)
     return _derived(
         op, be.alpha, be.epsilon,
-        _aux_regs(be), head + [("dil", k)] + tail,
+        _aux_regs(be), head + [("dil", k, False)] + tail,
         True,
     )
 
@@ -514,16 +572,16 @@ def split_system(be: BlockEncoding, trailing: int) -> BlockEncoding:
     `sample` register of their own (cut from the last system register)."""
     if trailing == 0:
         return be
-    *head, (last, size) = _sys_regs(be)
+    *head, (last, size, _) = _sys_regs(be)
     if not 0 < trailing <= size:
         raise ContractViolationError(
             f"cannot split {trailing} qubits off the {size}-qubit register {last!r}"
         )
     if size > trailing:
-        head.append((last, size - trailing))
+        head.append((last, size - trailing, False))
     return _derived(
         be.op, be.alpha, be.epsilon,
-        _aux_regs(be), head + [("sample", trailing)],
+        _aux_regs(be), head + [("sample", trailing, False)],
         be.diagonal_flag,
     )
 
@@ -545,7 +603,9 @@ def perturb(be: BlockEncoding, eps: float, seed: int) -> BlockEncoding:
     (m = PERTURB_PHASE_MARGIN). The distance max_k |phase(1 + t lambda_k) - 1|
     then rises continuously and monotonically from 0 to 2 cos(m / 2) > 1.9999
     as t grows, so a bisection on t meets every eps below 2. Two unitaries
-    are never more than 2 apart, so eps >= 2 is rejected."""
+    are never more than 2 apart, so eps >= 2 is rejected. The perturbation
+    acts on `op`, so idle ancillas stay idle and the distance of the whole
+    unitary is that of `op`."""
     if not 0.0 <= eps < 2.0:
         raise ContractViolationError(f"perturbation size must lie in [0, 2), got {eps}")
     if eps == 0.0:

@@ -5,7 +5,9 @@ reflection about the ancilla |0> state: for even r apply
 (U^dag Z U Z)^{r/2}, for odd r apply U Z (U^dag Z U Z)^{floor(r/2)}.
 For an exact encoding of a Hermitian block this realizes T_r exactly, with
 no residual global phase under the register convention used here (asserted
-by the grid tests).
+by the grid tests). Z reflects about |0> on the ancillas that U acts on;
+the one QSVT ancilla each transform adds to the layout is idle in this
+form, so it is counted but not simulated (see BlockEncoding).
 """
 
 from __future__ import annotations
@@ -97,14 +99,14 @@ def _require_hermitian_block(be: BlockEncoding, u_adjoint: LinearOperator | None
 
 
 def _qsvt_shell(be: BlockEncoding, factors: list[LinearOperator], epsilon: float) -> BlockEncoding:
-    """Assemble a polynomial transform with one extra (idle) QSVT ancilla."""
-    n = be.op.n + 1
-    check_qubit_budget(n, "polynomial transform")
-    shifted = [Embedded(f, tuple(range(1, n)), n) for f in factors]
-    op = compose(*shifted) if shifted else Identity(n)
+    """Assemble a polynomial transform from `factors`, which act on the qubits
+    of `be.op`. The layout gains the QSVT ancilla of the transform, which the
+    reflection form never acts on: it is idle (see :class:`BlockEncoding`)."""
+    check_qubit_budget(be.layout.n_qubits + 1, "polynomial transform")
+    op = compose(*factors) if factors else Identity(be.op.n)
     return _derived(
         op, be.alpha, epsilon,
-        [("qsvt", 1)] + _aux_regs(be), _sys_regs(be),
+        [("qsvt", 1, True)] + _aux_regs(be), _sys_regs(be),
         be.diagonal_flag,
     )
 
@@ -127,7 +129,7 @@ def chebyshev_be(
         return _qsvt_shell(be_x, [], 0.0)
     _require_hermitian_block(be_x, u_adjoint)
     u = be_x.op
-    z = Embedded(reflection_about_zero(be_x.num_aux), tuple(range(be_x.num_aux)), u.n)
+    z = Embedded(reflection_about_zero(be_x.live_aux), tuple(range(be_x.live_aux)), u.n)
     factors: list[LinearOperator] = []
     if r % 2:
         factors += [u, z]

@@ -178,19 +178,18 @@ def sum_over_inputs(be: BlockEncoding, n_inputs: int) -> BlockEncoding:
             f"cannot absorb {n_inputs} qubits from a {be.num_system}-qubit system"
         )
     sys_regs = _sys_regs(be)
-    absorbed: list[tuple[str, int]] = []
+    absorbed = []
     running = 0
     while running < n_inputs:
         if not sys_regs:
             break
-        name, size = sys_regs.pop(0)
-        absorbed.append((name, size))
-        running += size
+        absorbed.append(sys_regs.pop(0))
+        running += absorbed[-1][1]
     if running != n_inputs:
         raise ContractViolationError("input qubits do not align with register boundaries")
     if n_inputs == 0:
         return be
-    h_layer = WalshHadamard(be.op.n, be.num_aux, n_inputs)
+    h_layer = WalshHadamard(be.op.n, be.live_aux, n_inputs)
     return _derived(
         compose(h_layer, be.op, h_layer),
         be.alpha, be.epsilon,
@@ -383,9 +382,12 @@ class NetworkAssembler:
 
     The first layer's :class:`LayerAssembler` is kept, so its Chebyshev
     encodings and its unchanged MUL terms are reused across :meth:`build`
-    calls; deeper layers are rebuilt, because their input changes with the
-    upstream weights. With `sample_qubits` = m > 0 every layer carries the
-    trailing m-qubit sample register of the input (see
+    calls, and so is the first layer's last output (compiled or not), keyed
+    on the bytes of its weights and the shapes of the later layers, which
+    the compile rule reads: a finite-difference step of a deeper weight
+    builds on it again. Deeper layers are rebuilt, because their input
+    changes with the upstream weights. With `sample_qubits` = m > 0 every
+    layer carries the trailing m-qubit sample register of the input (see
     :class:`LayerAssembler`).
 
     An exact (epsilon = 0) output of a layer that is not the last is
@@ -405,24 +407,30 @@ class NetworkAssembler:
         self.weight_encoder = weight_encoder
         self.sample_qubits = sample_qubits
         self.first = _layer_assembler(be_x0, first, 0, weight_encoder, sample_qubits)
+        self._first_output: tuple[tuple, BlockEncoding] | None = None  # (key, output)
 
     def build(self, spec: QkanSpec) -> NetworkBuild:
         """Every layer output of `spec`, whose first layer has the shape the
         assembler was made for."""
-        outputs: list[BlockEncoding] = []
-        for index, layer in enumerate(spec.layers):
-            if index == 0:
-                be = self.first.assemble(layer.weights)
-            else:
-                be = build_layer(be, layer, index, self.weight_encoder, self.sample_qubits)
-            later = spec.layers[index + 1:]
-            if later and be.epsilon == 0:
-                sites = later_sites(be.num_aux, be.num_system, later, self.sample_qubits)
-                threshold = compile_threshold(be.num_aux, be.num_system, sites)
-                if be.op.leaves > threshold:
-                    be = compile_system_blocks(be)
-            outputs.append(be)
+        first, later = spec.layers[0], spec.layers[1:]
+        key = (first.weights.shape, first.weights.tobytes(),
+               tuple(layer.weights.shape for layer in later))
+        if self._first_output is None or self._first_output[0] != key:
+            self._first_output = (key, self._compiled(self.first.assemble(first.weights), later))
+        outputs = [self._first_output[1]]
+        for index, layer in enumerate(later, start=1):
+            be = build_layer(outputs[-1], layer, index, self.weight_encoder, self.sample_qubits)
+            outputs.append(self._compiled(be, spec.layers[index + 1:]))
         return NetworkBuild(tuple(outputs))
+
+    def _compiled(self, be: BlockEncoding, later: Sequence[LayerSpec]) -> BlockEncoding:
+        """`be`, read into one SystemBlocks leaf when the compile rule says
+        the applications by the layers `later` repay it."""
+        if later and be.epsilon == 0:
+            sites = later_sites(be.num_aux, be.num_system, later, self.sample_qubits)
+            if be.op.leaves > compile_threshold(be.num_aux, be.num_system, sites):
+                return compile_system_blocks(be)
+        return be
 
 
 def build_network(

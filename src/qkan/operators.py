@@ -30,6 +30,10 @@ WALSH_ROW_WIDTH = 32
 # ... and so is a pass whose per-row products would have fewer than this many
 # values per row, for which OpenBLAS takes kernels that sum in another order
 WALSH_MIN_PRODUCT_WIDTH = 8
+# a SystemBlocks product over fewer columns is padded to this many: OpenBLAS
+# sums a one-column (gemv) and a 2-4 column real product in another order than
+# wider ones, which all agree (measured up to 4099 columns, blocks up to 256)
+SYSTEM_BLOCKS_MIN_COLUMNS = 8
 
 # construction budget (total qubits of any single operator) of the current context
 _max_qubits: ContextVar[int] = ContextVar("qkan_max_qubits", default=DEFAULT_MAX_QUBITS)
@@ -334,9 +338,11 @@ class SystemBlocks(LinearOperator):
 
     `blocks` has shape (2^s, 2^a, 2^a). The apply is one batched matmul on
     the (2^a, 2^s, batch) view of the columns, transposed to put the system
-    first. `adjoint_blocks` holds the conjugate transposes, computed once
-    when not given; the adjoint swaps the two arrays, so every occurrence
-    shares them and no node refers back to another. `replaced_leaves` is
+    first; a batch narrower than SYSTEM_BLOCKS_MIN_COLUMNS is padded with
+    zero columns, so a column gets the same bits in any batch.
+    `adjoint_blocks` holds the conjugate transposes, computed once when not
+    given; the adjoint swaps the two arrays, so every occurrence shares them
+    and no node refers back to another. `replaced_leaves` is
     the leaf count of the tree the blocks were read from (see
     :func:`describe`)."""
 
@@ -368,10 +374,16 @@ class SystemBlocks(LinearOperator):
 
     def _apply(self, cols):
         systems, aux = self.blocks.shape[:2]
-        out = np.empty((aux, systems, cols.shape[1]), dtype=np.result_type(self.blocks, cols))
-        view = cols.reshape(aux, systems, -1).transpose(1, 0, 2)
+        batch = cols.shape[1]
+        view = cols.reshape(aux, systems, batch).transpose(1, 0, 2)
+        if batch < SYSTEM_BLOCKS_MIN_COLUMNS:
+            view = np.concatenate(
+                [view, np.zeros((systems, aux, SYSTEM_BLOCKS_MIN_COLUMNS - batch), cols.dtype)],
+                axis=2,
+            )
+        out = np.empty((aux, systems, view.shape[2]), dtype=np.result_type(self.blocks, cols))
         np.matmul(self.blocks, view, out=out.transpose(1, 0, 2))
-        return out.reshape(cols.shape)
+        return out[:, :, :batch].reshape(cols.shape)
 
     def adjoint(self):
         return SystemBlocks(self.adjoint_blocks, self.blocks, self.replaced_leaves)

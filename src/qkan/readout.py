@@ -57,7 +57,8 @@ def _branch_test(entry: complex, shots: int, seed, delta_target: float) -> Reado
 def _check_hadamard_test(be: BlockEncoding, q: int | None) -> None:
     if q is not None and not 0 <= q < be.system_dim:
         raise DomainError(f"node index {q} out of range for {be.system_dim} outputs")
-    check_qubit_budget(be.op.n + 1, "Hadamard test")  # the control is a real qubit
+    # the control is a real qubit; the budget counts the layout, idle ancillas too
+    check_qubit_budget(be.layout.n_qubits + 1, "Hadamard test")
 
 
 def hadamard_test(

@@ -84,8 +84,10 @@ class Dataset:
         return cls(xs, ys)
 
 
-# Qubits of the last layer's operator (ancillas + outputs + sample register),
-# the largest state a loss evaluation applies. 18 is the largest size measured
+# Layout qubits of the last layer's output encoding (ancillas + outputs + sample
+# register), the largest of a loss evaluation. The state it applies is one
+# qubit per layer smaller: the idle QSVT ancillas are counted, not simulated
+# (see BlockEncoding). 18 is the largest size measured
 # on the two models below, not a measured bandwidth limit. On 64 samples
 # (2-vCPU host, median of 5 rounds in alternating width order), a 2->2->2
 # (d = 3, 2) model took 0.164 s at m = 1, 0.067-0.087 s at m = 4-6 (an

@@ -68,7 +68,7 @@ def test_criterion_3_two_layer_recursion():
     got = qkan.extract_diagonal(net.output).real
     want = qkan.classical_network_eval(x, qspec)
     err = float(np.max(np.abs(got - want)))
-    qubits = net.output.op.n
+    qubits = net.output.layout.n_qubits
     ok = err <= 1e-9 and qubits <= 22
     report("3 two-layer-recursion", ok, f"err {err:.2e}, {qubits} qubits")
     assert err <= 1e-9

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import oracles
 import qkan
 from qkan import operators as ops
-from qkan.block_encoding import primitive_encoding
+from qkan.block_encoding import BlockEncoding, pad_aux, primitive_encoding
 from qkan.errors import ContractViolationError
 from qkan.registers import RegisterLayout
 
@@ -315,14 +316,15 @@ def test_extract_block_cap():
 def test_aux_field_matches_layout():
     x = np.array([0.3, -0.7])
     be = qkan.encode_diagonal_exact(x)
-    for derived in (
-        qkan.dilate(be, 1),
-        qkan.chebyshev_be(be, 2),
-        qkan.product(be, qkan.encode_diagonal_exact(x, name="y")),
-        qkan.lcu([be, be], qkan.uniform_pair(2)),
+    for derived, idle in (
+        (qkan.dilate(be, 1), 0),
+        (qkan.chebyshev_be(be, 2), 1),  # the QSVT ancilla
+        (qkan.product(be, qkan.encode_diagonal_exact(x, name="y")), 0),
+        (qkan.lcu([be, be], qkan.uniform_pair(2)), 0),
     ):
         assert derived.num_aux + derived.num_system == derived.layout.n_qubits
-        assert derived.op.n == derived.layout.n_qubits
+        assert derived.idle_aux == idle
+        assert derived.op.n == derived.layout.n_qubits - idle
 
 
 def test_cost_survives_perturb_adjoint_and_control():
@@ -332,3 +334,36 @@ def test_cost_survives_perturb_adjoint_and_control():
     assert qkan.adjoint_encoding(be).cost == be.cost
     controlled = ops.Multiplexed({1: be.op}, (0,), be.op.n + 1)
     assert ops.query_counts(controlled.adjoint()) == be.cost
+
+
+def test_idle_qsvt_ancilla_is_counted_but_not_simulated():
+    x = np.array([0.3, -0.7])
+    be = qkan.encode_diagonal_exact(x)
+    cheb = qkan.chebyshev_be(be, 3)
+    assert cheb.layout.names == ("qsvt", "enc", "sys") and cheb.idle_registers == {"qsvt"}
+    assert (cheb.num_aux, cheb.idle_aux, cheb.live_aux, cheb.op.n) == (2, 1, 1, 2)
+    assert cheb.live_qubits == (1, 2)
+    # the identity on the idle qubit tensored with op: the full-space unitary
+    # reads the same block at |0>_qsvt
+    full = np.kron(np.eye(2), cheb.op.dense())
+    assert np.allclose(np.diag(full)[:2], oracles.chebyshev_values(x, 3)[3], atol=1e-12)
+    with pytest.raises(ContractViolationError):
+        BlockEncoding(cheb.op, 1.0, 2, 0.0, cheb.layout, 1)  # op misses a layout qubit
+    with pytest.raises(ContractViolationError):
+        BlockEncoding(be.op, 1.0, 1, 0.0, be.layout, 1, idle_registers=frozenset({"sys"}))
+
+
+def test_lcu_of_terms_with_idle_ancillas_at_other_positions():
+    """A Chebyshev term (idle QSVT ancilla first) and a padded term (live pad
+    first) have no idle qubit in common, so both act on all their qubits."""
+    x = np.array([0.3, -0.7])
+    cheb = qkan.chebyshev_be(qkan.encode_diagonal_exact(x), 2)
+    padded = pad_aux(qkan.encode_diagonal_exact(x, name="y"), 1)
+    combo = qkan.lcu([cheb, padded], qkan.uniform_pair(2))
+    assert combo.idle_aux == 0 and combo.op.n == combo.layout.n_qubits == 4
+    want = (oracles.chebyshev_values(x, 2)[2] + x) / 2
+    assert np.max(np.abs(qkan.extract_diagonal(combo) - want)) <= 1e-12
+    linear = qkan.chebyshev_be(qkan.encode_diagonal_exact(x), 1)
+    same = qkan.lcu([cheb, linear], qkan.uniform_pair(2))  # idle QSVT ancillas line up
+    assert same.idle_aux == 1 and same.op.n == same.layout.n_qubits - 1
+    assert np.max(np.abs(qkan.extract_diagonal(same) - want)) <= 1e-12

@@ -340,7 +340,7 @@ def test_probe_estimate_of_a_later_layer_above_the_dense_cap(rng, monkeypatch):
     be = qkan.build_layer(be, spec.layers[0], sample_qubits=m)
     assert be.num_system == 1 + m
     be = qkan.build_layer(be, spec.layers[1], layer_index=1, sample_qubits=m)
-    assert be.op.n == 21 and calls == []
+    assert be.layout.n_qubits == 21 and calls == []
     assert len(estimates) == 2
     assert estimates[1] <= 1e-3 * 0.1 * chebyshev.HERMITICITY_SLACK
     got = qkan.extract_diagonal(be).real.reshape(-1, 1 << m).T

@@ -1,12 +1,17 @@
+import contextlib
 import copy
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from qkan import cli, operators
 from qkan.cli import main
 from qkan.config import ConfigError, load_config
+from qkan.resources import analytic_cost
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -489,7 +494,7 @@ def test_eval_shots_applies_the_output_operator_once(tmp_path, monkeypatch, node
 def test_shots_eval_budget_counts_the_hadamard_control_qubit(tmp_path, capsys):
     path = write_config(tmp_path, SHOTS_CONFIG)
     config = load_config(path)
-    n = cli.build_network(cli._input_encoding(config), config.spec).output.op.n
+    n = cli.build_network(cli._input_encoding(config), config.spec).output.layout.n_qubits
     assert main(["eval", "--config", path, "--max-qubits", str(n)]) == 3
     assert main(["eval", "--config", path, "--max-qubits", str(n + 1)]) == 0
     exact = write_config(tmp_path, with_field("readout.mode", "exact"), name="exact.json")
@@ -521,3 +526,51 @@ def test_perturbation_of_2_or_more_exits_2(tmp_path, command, field, eps, capsys
     path = write_config(tmp_path, {**PERTURBED_LAYER, "perturb": {field: eps}})
     assert main([command, "--config", path, "--no-timestamp"]) == 2
     assert "perturb" in capsys.readouterr().err
+
+
+# one layer width per network node, a degree per layer, the readout mode, and
+# the offset of the budget from the layout qubits the command needs
+fuzzed_networks = st.tuples(
+    st.lists(st.sampled_from([1, 2, 4]), min_size=2, max_size=4),
+    st.lists(st.integers(0, 3), min_size=3, max_size=3),
+    st.sampled_from(["exact", "shots"]),
+    st.integers(-2, 1),
+    st.integers(0, 2**16),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(fuzzed_networks)
+def test_fuzzed_budget_exits_3_exactly_above_the_layout_qubits(tmp_path_factory, network):
+    """eval, resources and prepare-state exit 3 exactly when the ancillas of the
+    analytic model plus the output qubits (plus the Hadamard control of a
+    shots eval) exceed --max-qubits, and an exact eval that runs matches the
+    independent oracle."""
+    widths, degrees, mode, offset, seed = network
+    rng = np.random.default_rng(seed)
+    weights = [
+        rng.uniform(-1.0, 1.0, (degree + 1, n_in, n_out))
+        for n_in, n_out, degree in zip(widths, widths[1:], degrees)
+    ]
+    x = rng.uniform(-1.0, 1.0, widths[0])
+    payload = {
+        "input": x.tolist(),
+        "layers": [
+            {"in": w.shape[1], "out": w.shape[2], "degree": w.shape[0] - 1, "weights": w.tolist()}
+            for w in weights
+        ],
+        "readout": {"mode": mode, "shots": 100 if mode == "shots" else 0, "seed": seed},
+    }
+    path = write_config(tmp_path_factory.mktemp("fuzz"), payload)
+    spec = load_config(path).spec
+    layout = analytic_cost(spec).aux_totals[-1] + spec.layers[-1].n_qubits_out
+    for command in ("eval", "resources", "prepare-state"):
+        needed = layout + (command == "eval" and mode == "shots")
+        budget = max(needed + offset, 1)
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = main([command, "--config", path, "--no-timestamp", "--max-qubits", str(budget)])
+        assert code == (3 if needed > budget else 0), (command, budget, needed)
+        if command == "eval" and mode == "exact" and code == 0:
+            output = json.loads(buffer.getvalue())["results"]["output"]
+            assert np.max(np.abs(np.array(output) - oracles.network_forward(x, weights))) <= 1e-9

@@ -87,9 +87,11 @@ def test_compiled_layer_keeps_cost_and_describes_its_shape():
     assert np.max(np.abs(compiled.op.dense() - be.op.dense())) <= 1e-13
     assert compiled.op.leaves == 1 and be.op.leaves == 20
     text = ops.describe_text(compiled.op)
-    assert text.splitlines()[1] == "  SystemBlocks n=7 a=6 s=1 replaced_leaves=20 leaves=1"
+    # the blocks span the live ancillas: the layout's 6 less the idle QSVT ancilla
+    assert (be.num_aux, be.idle_aux) == (6, 1)
+    assert text.splitlines()[1] == "  SystemBlocks n=6 a=5 s=1 replaced_leaves=20 leaves=1"
     node = ops.describe(compiled.op)["children"][0]
-    assert (node["a"], node["s"], node["replaced_leaves"]) == (6, 1, 20)
+    assert (node["a"], node["s"], node["replaced_leaves"]) == (5, 1, 20)
 
 
 def test_exact_build_stores_real_arrays():

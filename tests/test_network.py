@@ -227,7 +227,7 @@ def test_build_network_two_layers_match_oracle():
     net = qkan.build_network(qkan.encode_diagonal_exact(x), qspec)
     want = qkan.classical_network_eval(x, qspec)
     assert np.max(np.abs(qkan.extract_diagonal(net.output) - want)) <= 1e-9
-    assert net.output.op.n <= 22
+    assert net.output.layout.n_qubits <= 22
 
 
 def test_build_network_recursive_query_counts():
@@ -254,7 +254,7 @@ def test_build_network_three_layers():
     net = qkan.build_network(qkan.encode_diagonal_exact(x, name="x"), qspec)
     want = qkan.classical_network_eval(x, qspec)
     assert np.max(np.abs(qkan.extract_diagonal(net.output) - want)) <= 1e-9
-    assert net.output.op.n <= 22
+    assert net.output.layout.n_qubits <= 22
 
 
 def test_build_network_mixed_degrees():
@@ -275,7 +275,7 @@ def test_layer_wider_than_the_dense_cap_matches_the_oracle(rng):
     spec = qkan.LayerSpec.random(1024, 4, 3, seed=71)
     x = rng.uniform(-1, 1, 1024)
     be = qkan.build_layer(qkan.encode_diagonal_exact(x, name="x"), spec)
-    assert be.op.n == 17
+    assert be.layout.n_qubits == 17
     want = qkan.classical_layer_eval(x, spec)
     assert np.max(np.abs(qkan.extract_diagonal(be) - want)) <= 1e-9
     assert qkan.reconcile(qkan.analytic_cost(qkan.QkanSpec((spec,))), be).ok
@@ -423,7 +423,7 @@ def test_one_column_read_is_exact_with_a_sample_register(rng):
 def test_one_column_read_is_exact_on_the_widest_layer(rng):
     spec = qkan.LayerSpec(rng.uniform(-1, 1, (4, 256, 4)))  # N = 256, K = 4, d = 3
     be = qkan.build_layer(qkan.encode_diagonal_exact(rng.uniform(-1, 1, 256), name="x"), spec)
-    assert be.op.n == 15
+    assert be.layout.n_qubits == 15
     assert np.array_equal(qkan.extract_diagonal(be), per_column_diagonal(be))
 
 

@@ -418,23 +418,26 @@ def test_describe_single_layer_tree():
         return below
 
     walk(tree)
-    assert tree["kind"] == "Composed" and tree["n"] == 5
+    # five layout qubits; the operator leaves out the idle QSVT ancilla
+    assert layer.layout.n_qubits == 5 and layer.idle_aux == 1
+    assert tree["kind"] == "Composed" and tree["n"] == 4
     # one Query per primitive application: x once (d = 1), each weight degree once
     queries = sorted(tuple(sorted(n["counts"].items())) for n in nodes if n["kind"] == "Query")
     assert queries == [(("w0[0]", 1),), (("w0[1]", 1),), (("x", 1),)]
     # flattened: no Embedded directly holds an Embedded; the SUM Hadamard on
-    # input qubit 4 is one WalshHadamard leaf on the full space, both sides
+    # input qubit 3 is one WalshHadamard leaf on all the operator's qubits,
+    # both sides
     embedded = [n for n in nodes if n["kind"] == "Embedded"]
     assert all(n["children"][0]["kind"] != "Embedded" for n in embedded)
     sums = [tree["children"][0], tree["children"][-1]]
     assert all(n["kind"] == "WalshHadamard" and not n["children"] for n in sums)
-    assert all((n["n"], n["start"], n["count"]) == (5, 4, 1) for n in sums)
+    assert all((n["n"], n["start"], n["count"]) == (4, 3, 1) for n in sums)
     assert tree["leaves"] == sum(1 for n in nodes if not n["children"])
     text = ops.describe_text(layer.op)
-    assert text.splitlines()[0] == f"Composed n=5 leaves={tree['leaves']}"
-    assert text.splitlines()[1] == "  WalshHadamard n=5 start=4 count=1 leaves=1"
+    assert text.splitlines()[0] == f"Composed n=4 leaves={tree['leaves']}"
+    assert text.splitlines()[1] == "  WalshHadamard n=4 start=3 count=1 leaves=1"
     assert text.count("Query") == 3 and "counts={'x': 1}" in text
-    assert "Multiplexed n=5 selector_axes=(0,) values=(0, 1)" in text
+    assert "Multiplexed n=4 selector_axes=(0,) values=(0, 1)" in text
 
 
 def _hadamard_reference(n, start, count):

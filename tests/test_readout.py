@@ -107,13 +107,13 @@ def test_read_outputs_diagonal_is_extract_diagonal_bit_for_bit():
 
 def test_hadamard_readout_counts_the_control_qubit(half_layer):
     be, _ = half_layer
-    with qkan.qubit_budget(be.op.n):
+    with qkan.qubit_budget(be.layout.n_qubits):
         with pytest.raises(qkan.ResourceLimitError):
             qkan.hadamard_test(be, 0)
         with pytest.raises(qkan.ResourceLimitError):
             read_outputs(be, 100, 1)
         qkan.extract_diagonal(be)  # the diagonal alone needs no control
-    with qkan.qubit_budget(be.op.n + 1):
+    with qkan.qubit_budget(be.layout.n_qubits + 1):
         assert len(qkan.estimate_all_outputs(be, shots=10, seed=1)) == be.system_dim
 
 

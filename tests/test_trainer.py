@@ -319,3 +319,39 @@ def test_reused_terms_train_bit_for_bit_like_fresh_builds(spec, monkeypatch):
     assert trained.losses == fresh_trained.losses
     assert all(np.array_equal(a.weights, b.weights)
                for a, b in zip(trained.spec.layers, fresh_trained.spec.layers))
+
+
+def test_finite_differences_compile_the_first_layer_once_per_weight_tensor(monkeypatch):
+    """The compile rule compiles layer 1 of 2->2->2->1 (d = 2) on 4 samples.
+    One gradient compiles it once per distinct layer-1 weight tensor, not
+    once per loss: the steps of deeper weights reuse it, bit for bit."""
+    spec = qkan.QkanSpec(tuple(
+        qkan.LayerSpec.random(2, n_out, 2, seed=70 + i, scale=0.8)
+        for i, n_out in enumerate((2, 2, 1))
+    ))
+    data = qkan.Dataset.from_function(lambda x: np.array([0.1 * x[0] * x[1]]), 2, 2)
+    model = qkan.SimulatedModel(spec, data.xs)
+    compiles, first_weights = [], set()
+    real_compile, real_outputs = qkan.network.compile_system_blocks, model.outputs
+
+    def counting_compile(be):
+        compiles.append(be)
+        return real_compile(be)
+
+    def recording_outputs(candidate):
+        first_weights.add(candidate.layers[0].weights.tobytes())
+        return real_outputs(candidate)
+
+    monkeypatch.setattr(qkan.network, "compile_system_blocks", counting_compile)
+    monkeypatch.setattr(model, "outputs", recording_outputs)
+    qkan.finite_diff_grad(spec, data, 1e-4, model=model)
+    assert model.sample_qubits == 2
+    assert len(first_weights) == 2 * spec.layers[0].weights.size + 1
+    assert len(compiles) == len(first_weights)
+    for index in (1, 2):  # steps of deeper weights, on the kept layer-1 output
+        weights = spec.layers[index].weights.copy()
+        weights[0, 0, 0] += 1e-4
+        candidate = spec.with_layer_weights(index, weights)
+        kept = qkan.loss(candidate, data, model=model)
+        assert kept == qkan.loss(candidate, data, model=FreshModel(spec, data.xs))
+    assert len(compiles) == len(first_weights) + 2  # the two fresh models only
