@@ -7,7 +7,8 @@ Run from the root of a qkan checkout: that checkout, as it is on disk, is the
 change. Both sides are exported under one temporary directory, as
 ``bench_pairs.py`` does, and one worker process per side (BLAS pinned to one
 thread) runs ``qkan eval``, ``resources``, ``verify`` and ``prepare-state`` on
-every config of :func:`configs`: each shape of ``compile_shapes.SHAPES`` with
+every config of :func:`configs`: each shape of ``compile_shapes.SHAPES``, and
+one N = 64, K = 4, d = 3 layer wide enough for the probe Hermiticity guard, with
 seeded weights and input, under the exact, stateprep and real_weights input
 encoders, exact and shots readout, unperturbed and perturbed, and under a
 tight qubit budget (exit 3 where the layout does not fit).
@@ -42,13 +43,16 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bench_pairs import ROOT, git, sides  # noqa: E402
-from compile_shapes import SHAPES  # noqa: E402
+from compile_shapes import SHAPES as COMPILE_SHAPES  # noqa: E402
 
 sys.path.insert(0, str(ROOT))
 
 from qkanbench import BLAS_THREAD_VARS  # noqa: E402
 
 COMMANDS = ("eval", "resources", "verify", "prepare-state")
+# (dims, degree): the compile shapes, then a layer whose 64 input states take
+# the probe guard (16 or fewer take the dense test)
+SHAPES = COMPILE_SHAPES + [((64, 4), 3)]
 # (encoder, readout mode, perturbed, qubit budget or None) of every shape
 VARIANTS = [
     ("exact", "exact", False, None),

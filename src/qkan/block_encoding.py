@@ -59,7 +59,10 @@ class BlockEncoding:
     the system. `diagonal_flag` marks encodings whose block is promised diagonal
     (within epsilon). `check_results` keeps the outcome of expensive checks
     of this encoding by name (floats only, never a dense block), so a check
-    made by several steps runs once.
+    made by several steps runs once. A derived encoding starts with none,
+    except a dilation, which inherits the Hermiticity verdict of its input
+    (see :func:`dilate`), so a layer's Chebyshev guard runs once, on the
+    layer input.
 
     `idle_registers` names ancilla registers of the layout that no factor
     acts on (the QSVT ancilla of a Chebyshev transform). They count in
@@ -224,19 +227,18 @@ def extract_block(be: BlockEncoding, cap_qubits: int = DENSE_CAP_QUBITS) -> np.n
     s_dim = be.system_dim
     cols = np.zeros((be.op.dim, s_dim))
     cols[np.arange(s_dim), np.arange(s_dim)] = 1.0  # |0>_aux|j> has index j
-    out = be.op.apply(cols)
-    return be.alpha * out[:s_dim, :s_dim]
+    return be.alpha * be.op.apply(cols, s_dim)
 
 
 def column_blocks(be: BlockEncoding, nodes: np.ndarray):
-    """Yield (j, U|0>_aux|j>) for the system states `nodes`, the columns applied
-    in blocks of at most 2^26 amplitudes."""
+    """Yield (j, (<0|_aux (x) I) U |0>_aux|j>) for the system states `nodes`,
+    the columns applied in blocks of at most 2^26 amplitudes."""
     chunk = max(1, (1 << 26) // be.op.dim)
     for start in range(0, nodes.size, chunk):
         idx = nodes[start : start + chunk]
         cols = np.zeros((be.op.dim, idx.size))
         cols[idx, np.arange(idx.size)] = 1.0
-        yield idx, be.op.apply(cols)
+        yield idx, be.op.apply(cols, be.system_dim)
 
 
 def extract_diagonal(be: BlockEncoding) -> np.ndarray:
@@ -253,7 +255,7 @@ def extract_diagonal(be: BlockEncoding) -> np.ndarray:
     if be.epsilon == 0:
         column = np.zeros(be.op.dim)
         column[: be.system_dim] = 1.0
-        return be.alpha * be.op.apply(column)[: be.system_dim]
+        return be.alpha * be.op.apply(column, be.system_dim)
     values = np.empty(be.system_dim, dtype=np.complex128)
     for idx, out in column_blocks(be, np.arange(be.system_dim)):
         values[idx] = out[idx, np.arange(idx.size)]
@@ -540,12 +542,29 @@ def hadamard_product(be_a: BlockEncoding, be_b: BlockEncoding) -> BlockEncoding:
     )
 
 
+def _dilated_op(op: LinearOperator, k: int, trailing: int = 0) -> LinearOperator:
+    """`op` with k qubits that it leaves alone inserted ahead of its last
+    `trailing` qubits: the operator :func:`dilate` builds. The adjoint of
+    ``_dilated_op(op, k, t)`` is ``_dilated_op(op.adjoint(), k, t)``."""
+    if k == 0:
+        return op
+    n = op.n + k
+    split = op.n - trailing
+    return Embedded(op, tuple(range(split)) + tuple(range(split + k, n)), n)
+
+
 def dilate(be: BlockEncoding, k: int, trailing: int = 0) -> BlockEncoding:
     """Encoding of diag(x) (x) I_k: each entry repeated 2^k times; parameters unchanged.
 
     The k new system qubits go ahead of the last `trailing` system qubits,
     which must form whole registers: over a system [p | sample] the result
     spans [p | k | sample] and carries x_(p, s) at every (p, q, s).
+
+    The result inherits the ``hermiticity_defect`` that the Chebyshev guard
+    kept on `be`, and no other check result: inserting I_k conjugates
+    (B (x) I) - (B (x) I)^dag by a qubit permutation into (B - B^dag) (x) I,
+    whose spectral norm is that of B - B^dag, and epsilon is unchanged, so
+    the guard's verdict on `be` holds for the dilation.
     """
     if not be.diagonal_flag:
         raise ContractViolationError("dilate requires a diagonal-flagged encoding")
@@ -557,14 +576,14 @@ def dilate(be: BlockEncoding, k: int, trailing: int = 0) -> BlockEncoding:
         return be
     head, tail = _split_regs(_sys_regs(be), be.num_system - trailing, "dilation point")
     check_qubit_budget(be.layout.n_qubits + k, "dilated encoding")
-    n = be.op.n + k
-    split = be.op.n - trailing
-    op = Embedded(be.op, tuple(range(split)) + tuple(range(split + k, n)), n)
-    return _derived(
-        op, be.alpha, be.epsilon,
+    out = _derived(
+        _dilated_op(be.op, k, trailing), be.alpha, be.epsilon,
         _aux_regs(be), head + [("dil", k, False)] + tail,
         True,
     )
+    if "hermiticity_defect" in be.check_results:
+        out.check_results["hermiticity_defect"] = be.check_results["hermiticity_defect"]
+    return out
 
 
 def split_system(be: BlockEncoding, trailing: int) -> BlockEncoding:

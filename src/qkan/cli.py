@@ -221,17 +221,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Chebyshev quantum KAN simulator: build, verify, train, and read out "
         "diagonal block-encoding networks.",
     )
+    # the options every subcommand takes, declared once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="JSON run configuration")
+    common.add_argument("--out", default=None, help="write the JSON report here")
+    common.add_argument("--seed", type=int, default=None, help="override the config seed")
+    common.add_argument("--no-timestamp", action="store_true", help="omit the timestamp field")
+    common.add_argument(
+        "--max-qubits", type=_positive_int, default=None,
+        help=f"total qubit budget (default {operators.DEFAULT_MAX_QUBITS})",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True, help="JSON run configuration")
-        cmd.add_argument("--out", default=None, help="write the JSON report here")
-        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        cmd.add_argument("--no-timestamp", action="store_true", help="omit the timestamp field")
-        cmd.add_argument(
-            "--max-qubits", type=_positive_int, default=None,
-            help=f"total qubit budget (default {operators.DEFAULT_MAX_QUBITS})",
-        )
+        cmd = sub.add_parser(name, parents=[common])
         if name == "train":
             cmd.add_argument("--trace", default=None, help="write the loss trace CSV here")
     return parser

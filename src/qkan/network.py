@@ -24,6 +24,7 @@ from .block_encoding import (
     BlockEncoding,
     _aux_regs,
     _derived,
+    _dilated_op,
     _sys_regs,
     compile_system_blocks,
     dilate,
@@ -31,7 +32,7 @@ from .block_encoding import (
     product,
     uniform_pair,
 )
-from .chebyshev import HERMITICITY_PROBES, chebyshev_be
+from .chebyshev import HERMITICITY_PROBES, _require_hermitian_block, chebyshev_be
 from .encoders import encode_diagonal_exact
 from .errors import ContractViolationError, DomainError
 from .operators import (
@@ -242,9 +243,16 @@ class LayerAssembler:
             selector + probe.num_aux + be_x.num_aux + 1 + be_x.num_system + self.k,
             "CHEB-QKAN layer",
         )
+        # one adjoint of the (possibly deep) input, shared by the guard and,
+        # dilated, by every degree's factors
+        u_dag = be_x.op.adjoint() if degree >= 2 else None
+        # the Hermiticity guard of CHEB runs on B, 2^k times narrower than
+        # B (x) I_k, which inherits its verdict; a non-diagonal input fails at DILATE
+        if degree >= 1 and be_x.diagonal_flag:
+            _require_hermitian_block(be_x, u_dag)
         self.dilated = dilate(be_x, self.k, trailing=sample_qubits)
-        # one adjoint of the (possibly deep) dilated input, shared by every degree
-        u_dag = self.dilated.op.adjoint() if degree >= 2 else None
+        if u_dag is not None:
+            u_dag = _dilated_op(u_dag, self.k, sample_qubits)
         self.cheb = [chebyshev_be(self.dilated, r, u_dag) for r in range(degree + 1)]
         self.pair = uniform_pair(degree + 1)
         # per degree: (bytes of the weight slice, its MUL term), the last one built
@@ -352,9 +360,10 @@ def later_sites(
     A later layer applies the previous output d(d+1)/2 times per application
     of its own, inside the LCU select branches: each use sees the 1/2^b of
     the state where the b selector qubits read its degree. Its Chebyshev
-    guard applies the dilated previous output to every system state (at
-    most 2 HERMITICITY_PROBES of them) or to HERMITICITY_PROBES probes with
-    U and U^dag once, and the last output is read from one column. SUM
+    guard runs before DILATE: it applies the previous output itself to every
+    one of its 2^s system states (at most 2 HERMITICITY_PROBES of them) or
+    to HERMITICITY_PROBES probes with U and U^dag once, each of 2^(a+s)
+    amplitudes, and the last output is read from one column. SUM
     absorbs the s - m input qubits, so the next output's system register
     is its k outputs plus the m sample qubits. Later layers are assumed to
     use the exact weight encoder's one ancilla, as :class:`NetworkAssembler`
@@ -365,9 +374,9 @@ def later_sites(
         terms, _, n_out = layer.weights.shape  # d + 1, N, K
         k, select = n_out.bit_length() - 1, (terms - 1).bit_length()
         if terms > 1:
-            states = 1 << (s + k)
+            states = 1 << s
             columns = states if states <= 2 * HERMITICITY_PROBES else 2 * HERMITICITY_PROBES
-            sites.append((uses, (columns << (a + s + k)) >> shift))
+            sites.append((uses, (columns << (a + s)) >> shift))
         uses *= terms * (terms - 1) // 2
         shift += select
         a, s = a + 2 + select + s - sample_qubits, k + sample_qubits

@@ -123,9 +123,15 @@ class LinearOperator:
     def _apply(self, cols: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
+    def apply(self, vec: np.ndarray, rows: int | None = None) -> np.ndarray:
+        """The operator applied to `vec`, one vector or a (dim, batch) array,
+        as complex128. With `rows`, only the leading `rows` entries of each
+        result are kept, and only they are converted from a real result: an
+        encoding's |0>_aux block is the first system_dim rows of a column,
+        since its system qubits trail."""
         cols, squeeze = _as_columns(vec, self.dim)
-        out = self._apply(cols).astype(np.complex128, copy=False)
+        out = self._apply(cols)
+        out = (out if rows is None else out[:rows]).astype(np.complex128, copy=False)
         return out[:, 0] if squeeze else out
 
     def adjoint(self) -> "LinearOperator":

@@ -118,8 +118,7 @@ def prepare_state_postselect(
     k_dim = be.system_dim
     state = np.zeros(be.op.dim)
     state[:k_dim] = 1.0 / np.sqrt(k_dim)  # |0>_aux |+>_k
-    out = be.op.apply(state)
-    projected = out[:k_dim]
+    projected = be.op.apply(state, k_dim)
     prob = float(np.sum(np.abs(projected) ** 2))
     if prob < 1e-12:
         raise DegenerateOutputError(f"post-selection probability {prob} is numerically zero")

@@ -221,6 +221,20 @@ def test_dilate_preserves_error_bound():
     assert qkan.verify(dil, target) <= dil.epsilon
 
 
+@pytest.mark.parametrize("trailing", [0, 1])
+def test_dilate_inherits_the_hermiticity_verdict(trailing):
+    # (B (x) I) - (B (x) I)^dag = (B - B^dag) (x) I, up to the qubit order
+    from qkan.chebyshev import _require_hermitian_block
+
+    x = np.random.default_rng(3).uniform(-1, 1, 32)
+    be = qkan.split_system(qkan.encode_diagonal_exact(x), trailing)
+    assert qkan.dilate(be, 2, trailing=trailing).check_results == {}
+    _require_hermitian_block(be)
+    be.check_results["other"] = 0.5
+    dil = qkan.dilate(be, 2, trailing=trailing)
+    assert dil.check_results == {"hermiticity_defect": be.check_results["hermiticity_defect"]}
+
+
 def test_ledger_counts_lcu_over_chebyshev_terms():
     x = np.array([0.6, -0.2])
     be = qkan.encode_diagonal_exact(x, name="x")

@@ -315,21 +315,70 @@ def test_hermiticity_guard_rejects_nan(size):
         qkan.chebyshev_be(be, 2)
 
 
+def _recording_probe(monkeypatch):
+    """Record (system states, estimate) of every probe test."""
+    from qkan import chebyshev
+
+    probe, probes = chebyshev._probe_hermiticity_defect, []
+
+    def recording(be, u_adjoint):
+        probes.append((be.system_dim, probe(be, u_adjoint)))
+        return probes[-1][1]
+
+    monkeypatch.setattr(chebyshev, "_probe_hermiticity_defect", recording)
+    return probes
+
+
+def test_layer_guard_probes_the_undilated_input_once(monkeypatch):
+    # N = 64, K = 4: the input B has 64 system states, B (x) I_4 has 256
+    probes = _recording_probe(monkeypatch)
+    x = np.random.default_rng(4).uniform(-1, 1, 64)
+    spec = qkan.LayerSpec.random(64, 4, 3, seed=4)
+    be = qkan.build_layer(qkan.encode_diagonal_exact(x, name="x"), spec)
+    assert [size for size, _ in probes] == [64]
+    got = qkan.extract_diagonal(be).real
+    assert np.max(np.abs(got - qkan.classical_layer_eval(x, spec))) <= 1e-9
+
+
+def _unit_phase_input(n_in, seed):
+    """Diagonal-flagged primitive whose block diag(e^{i theta}) is far from
+    Hermitian: ||B - B^dag||_2 = max 2 |sin theta| > 0.9."""
+    theta = np.random.default_rng(seed).uniform(0.5, 1.5, n_in)
+    values = np.concatenate([np.exp(1j * theta), np.exp(-1j * theta)])
+    layout = RegisterLayout((("enc", 1), ("sys", n_in.bit_length() - 1)))
+    return primitive_encoding(ops.Diagonal(values), 1, layout, "x", diagonal=True)
+
+
+# N = 4 takes the dense test, N = 64 the probe (then its dense fallback)
+@pytest.mark.parametrize("n_in", [4, 64])
+@pytest.mark.parametrize("n_out", [2, 4])
+@pytest.mark.parametrize("degree", [1, 3])
+def test_layer_rejects_a_non_hermitian_diagonal_input(n_in, n_out, degree):
+    be = _unit_phase_input(n_in, seed=n_in + n_out)
+    spec = qkan.LayerSpec.random(n_in, n_out, degree, seed=1)
+    with pytest.raises(ContractViolationError, match="not Hermitian"):
+        qkan.build_layer(be, spec)
+    # degree 0 applies no transform, so nothing is checked
+    constant = qkan.build_layer(be, qkan.LayerSpec.random(n_in, n_out, 0, seed=1))
+    assert constant.num_system == n_out.bit_length() - 1
+
+
+def test_layer_rejects_a_non_diagonal_input_at_dilate(rng):
+    be = _encoding_of(0.9 * _hermitian(rng, 4))  # Hermitian, but not flagged diagonal
+    with pytest.raises(ContractViolationError, match="dilate requires a diagonal-flagged"):
+        qkan.build_layer(be, qkan.LayerSpec.random(4, 2, 2, seed=1))
+
+
 def test_probe_estimate_of_a_later_layer_above_the_dense_cap(rng, monkeypatch):
-    """The second layer's input is the first layer's output on 2^9 samples,
-    n + k + m = 11 system qubits; its U and U^dag trees differ, so rounding
-    reaches the estimate, which must stay far below the threshold."""
+    """The second layer's input is the first layer's output on 2^9 samples:
+    n + m = 10 system qubits, and its dilation, which CHEB transforms, spans
+    n + k + m = 11, above the dense cap. The guard probes the input before
+    DILATE; its U and U^dag trees differ, so rounding reaches the estimate,
+    which must stay far below the threshold: the dense fallback never runs."""
     from qkan import chebyshev
     from qkan.block_encoding import split_system
 
-    estimates = []
-
-    def recording(be, u_adjoint):
-        estimates.append(probe(be, u_adjoint))
-        return estimates[-1]
-
-    probe = chebyshev._probe_hermiticity_defect
-    monkeypatch.setattr(chebyshev, "_probe_hermiticity_defect", recording)
+    probes = _recording_probe(monkeypatch)
     calls = _counting_extract_block(monkeypatch)
     m = 9
     spec = qkan.QkanSpec(
@@ -341,8 +390,8 @@ def test_probe_estimate_of_a_later_layer_above_the_dense_cap(rng, monkeypatch):
     assert be.num_system == 1 + m
     be = qkan.build_layer(be, spec.layers[1], layer_index=1, sample_qubits=m)
     assert be.layout.n_qubits == 21 and calls == []
-    assert len(estimates) == 2
-    assert estimates[1] <= 1e-3 * 0.1 * chebyshev.HERMITICITY_SLACK
+    assert [size for size, _ in probes] == [1 << (1 + m)] * 2
+    assert probes[1][1] <= 1e-3 * 0.1 * chebyshev.HERMITICITY_SLACK
     got = qkan.extract_diagonal(be).real.reshape(-1, 1 << m).T
     want = np.array([qkan.classical_network_eval(x, spec) for x in xs])
     assert np.max(np.abs(got - want)) <= 1e-9

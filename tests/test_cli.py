@@ -65,6 +65,19 @@ def test_timestamp_toggle(hand_config, capsys):
     assert "timestamp" not in without
 
 
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_subcommand_help_lists_the_shared_options(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([command, "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\noptions:")[0]
+    pad = " " * len(f"usage: qkan {command} ")
+    trace = " [--trace TRACE]" if command == "train" else ""
+    assert usage == (
+        f"usage: qkan {command} [-h] --config CONFIG [--out OUT] [--seed SEED]\n"
+        f"{pad}[--no-timestamp] [--max-qubits MAX_QUBITS]{trace}"
+    )
+
+
 def test_missing_config_exits_2(capsys):
     assert main(["eval", "--config", "/nonexistent/config.json"]) == 2
 

@@ -85,8 +85,9 @@ def test_nan_on_one_side_is_an_infinite_deviation(compare_reports):
 
 def test_configs_cover_every_shape_encoder_readout_and_perturbation(compare_reports):
     named = compare_reports.configs(seed=3)
-    shapes = compare_reports.SHAPES
-    assert len(named) == len(shapes) * len(compare_reports.VARIANTS)
+    # the 10 compile shapes and the N = 64 layer of the probe guard, 7 variants each
+    assert len(compare_reports.SHAPES) == 11 and len(named) == 11 * len(compare_reports.VARIANTS) == 77
+    assert sum(len(c["input"]) == 64 for c in named.values()) == len(compare_reports.VARIANTS)
     assert {c["encoder"] for c in named.values()} == {"exact", "stateprep", "real_weights"}
     assert {c["readout"]["mode"] for c in named.values()} == {"exact", "shots"}
     assert {"perturb" in c for c in named.values()} == {True, False}

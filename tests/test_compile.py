@@ -259,24 +259,25 @@ def test_cost_rule_declines_the_large_deep_cli_layer_and_perturbed_layers():
 
 def test_later_sites_count_uses_and_state_shares():
     spec = random_spec((2, 2, 2, 1), 3, seed=5)
-    # layer 2's guard: 4 system states of the 8-qubit dilated output, one use;
-    # layer 3's guard: 2 states of 12 qubits, 6 uses on a quarter each;
-    # the read: one 16-qubit column, 36 uses on a sixteenth each
-    assert network.later_sites(6, 1, spec.layers[1:]) == [(1, 4 << 8), (6, (2 << 12) >> 2), (36, (1 << 16) >> 4)]
+    # the guards run before DILATE. Layer 2's guard: 2 system states of the
+    # 7-qubit output, one use; layer 3's guard: 2 states of 12 qubits, 6 uses
+    # on a quarter each; the read: one 16-qubit column, 36 uses on a sixteenth each
+    assert network.later_sites(6, 1, spec.layers[1:]) == [(1, 2 << 7), (6, (2 << 12) >> 2), (36, (1 << 16) >> 4)]
     assert network.later_sites(4, 1, random_spec((2, 2, 1), 0, seed=5).layers[1:]) == [(0, 1 << 7)]
 
 
 def test_later_sites_keep_the_sample_register():
     spec = random_spec((2, 2, 2, 1), 3, seed=5)
     # m = 2 sample qubits; layer 1's output has a = 6 and the system [k = 1 | m = 2].
-    # Layer 2's guard: 16 system states [1 | 1 | 2] of the 10-qubit dilated output,
-    # one use; SUM absorbs 1 input qubit, so layer 2's output has a = 11 and s = 3.
-    # Layer 3's guard: 8 states of 14 qubits, 6 uses on a quarter each; layer 3's
-    # output has a = 16 and s = 2. The read: one 18-qubit column, 36 uses on a sixteenth each
+    # Layer 2's guard: 8 system states [1 | 2] of the 9-qubit output (before
+    # DILATE), one use; SUM absorbs 1 input qubit, so layer 2's output has a = 11
+    # and s = 3. Layer 3's guard: 8 states of 14 qubits, 6 uses on a quarter each;
+    # layer 3's output has a = 16 and s = 2. The read: one 18-qubit column, 36 uses
+    # on a sixteenth each
     assert network.later_sites(6, 3, spec.layers[1:], 2) == [
-        (1, 16 << 10), (6, (8 << 14) >> 2), (36, (1 << 18) >> 4)
+        (1, 8 << 9), (6, (8 << 14) >> 2), (36, (1 << 18) >> 4)
     ]
-    # m = 6: layer 2's guard takes 8 probes with U and U^dag over 256 states
-    # of 14 qubits; its output (a = 11, s = 7) is read from one 18-qubit column
+    # m = 6: layer 2's guard takes 8 probes with U and U^dag over the 128 states
+    # of the 13-qubit output; its output (a = 11, s = 7) is read from one 18-qubit column
     wide = random_spec((2, 2, 2), 3, seed=5)
-    assert network.later_sites(6, 7, wide.layers[1:], 6) == [(1, 16 << 14), (6, (1 << 18) >> 2)]
+    assert network.later_sites(6, 7, wide.layers[1:], 6) == [(1, 16 << 13), (6, (1 << 18) >> 2)]

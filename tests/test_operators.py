@@ -154,6 +154,18 @@ def test_real_leaves_keep_real_columns_real():
     assert ops.Diagonal(np.full(4, 1j)).values.dtype == np.complex128
 
 
+def test_apply_keeps_the_leading_rows_as_complex():
+    rng = np.random.default_rng(9)
+    reflection = ops.LabelReflection(rng.uniform(-1, 1, 8))
+    real = ops.compose(ops.WalshHadamard(4, 1), ops.Embedded(reflection, (3, 0, 1, 2), 4))
+    phased = ops.compose(real, ops.Diagonal(np.exp(1j * rng.uniform(0, 6, 16))))
+    for op in (real, phased):
+        for vec in (rng.standard_normal(16), rng.standard_normal((16, 3)), 1j + rng.standard_normal(16)):
+            got, whole = op.apply(vec, 4), op.apply(vec)
+            assert got.dtype == np.complex128 and got.shape == (4,) + whole.shape[1:]
+            assert np.array_equal(got, whole[:4])
+
+
 def test_permutation_adjoint_roundtrip():
     perm = ops.permutation_from_map(2, lambda i: (i + 1) % 4)
     assert np.allclose(ops.compose(perm, perm.adjoint()).dense(), np.eye(4))
