@@ -11,7 +11,8 @@ every config of :func:`configs`: each shape of ``compile_shapes.SHAPES``, and
 one N = 64, K = 4, d = 3 layer wide enough for the probe Hermiticity guard, with
 seeded weights and input, under the exact, stateprep and real_weights input
 encoders, exact and shots readout, unperturbed and perturbed, and under a
-tight qubit budget (exit 3 where the layout does not fit).
+tight qubit budget (exit 3 where the layout does not fit). The configs with a
+``train`` section, one per entry of TRAINING, also run ``qkan train``.
 
 The report lists every mismatch, which is any of:
 
@@ -21,8 +22,8 @@ The report lists every mismatch, which is any of:
 - any unequal number of a ``resources`` report.
 
 It also gives the largest deviation between the sides of every other number,
-per report field (for example ``eval/output``, ``eval/readout/value`` or
-``prepare-state/amplitudes_real``). The script exits 1 when it finds a
+per report field (for example ``eval/output``, ``eval/readout/value``,
+``prepare-state/amplitudes_real`` or ``train/losses``). The script exits 1 when it finds a
 mismatch.
 """
 
@@ -64,20 +65,32 @@ VARIANTS = [
     ("exact", "shots", False, 14),
 ]
 PERTURB = {"eps_x": 1e-3, "eps_w": 1e-3, "seed": 5}
+# train sections of seeded runs on a 2 -> 2 -> 1, d = 3 network over the 64
+# points of an 8 x 8 grid: finite differences on the exact readout, whose first
+# layer dilates ahead of the sample register, and SPSA on the shots readout
+TRAINING = [
+    {"optimizer": "finite_difference", "readout": "exact", "eta": 1.0, "iterations": 2},
+    {"optimizer": "spsa", "readout": "shots", "shots": 1000, "eta": 0.1, "iterations": 4},
+]
+
+
+def _layers(rng, dims, degree: int) -> list[dict]:
+    return [
+        {"in": n_in, "out": n_out, "degree": degree,
+         "weights": rng.uniform(-1.0, 1.0, (degree + 1, n_in, n_out)).tolist()}
+        for n_in, n_out in zip(dims, dims[1:])
+    ]
 
 
 def configs(seed: int = 0) -> dict[str, dict]:
-    """Named run configurations: every shape of SHAPES under every variant."""
+    """Named run configurations: every shape of SHAPES under every variant,
+    then one training run per entry of TRAINING."""
     import numpy as np
 
     out = {}
     for index, (dims, degree) in enumerate(SHAPES):
         rng = np.random.default_rng([seed, index])
-        layers = [
-            {"in": n_in, "out": n_out, "degree": degree,
-             "weights": rng.uniform(-1.0, 1.0, (degree + 1, n_in, n_out)).tolist()}
-            for n_in, n_out in zip(dims, dims[1:])
-        ]
+        layers = _layers(rng, dims, degree)
         x = rng.uniform(-1.0, 1.0, dims[0])
         readout_seed = int(rng.integers(2**31))
         for encoder, mode, perturbed, budget in VARIANTS:
@@ -103,7 +116,19 @@ def configs(seed: int = 0) -> dict[str, dict]:
                 config["max_qubits"] = budget
                 name += f" max_qubits={budget}"
             out[name] = config
+    rng = np.random.default_rng([seed, len(SHAPES)])
+    layers = _layers(rng, (2, 2, 1), 3)
+    x = rng.uniform(-1.0, 1.0, 2)
+    for train in TRAINING:
+        section = dict(train, seed=seed, data={"grid_points_per_axis": 8})
+        name = f"2-2-1 d=3 train {train['optimizer']} {train['readout']}"
+        out[name] = {"input": x.tolist(), "layers": layers, "train": section, "seed": seed}
     return out
+
+
+def commands(config: dict) -> tuple[str, ...]:
+    """The CLI commands run on `config`."""
+    return COMMANDS + ("train",) if "train" in config else COMMANDS
 
 
 def worker(configs_path: Path) -> dict:
@@ -118,7 +143,7 @@ def worker(configs_path: Path) -> dict:
             path = Path(tmp) / "config.json"
             path.write_text(json.dumps(config))
             runs[name] = {}
-            for command in COMMANDS:
+            for command in commands(config):
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     code = cli.main([command, "--config", str(path), "--no-timestamp"])
@@ -185,7 +210,8 @@ def compare(parent: dict, change: dict) -> dict:
     deviations: dict[str, float] = {}
     runs = 0
     for name in sorted(set(parent) | set(change)):
-        for command in COMMANDS:
+        ran = parent.get(name, {}).keys() | change.get(name, {}).keys()
+        for command in (command for command in COMMANDS + ("train",) if command in ran):
             p, c = parent.get(name, {}).get(command), change.get(name, {}).get(command)
             where = f"{name} {command}"
             if p is None or c is None:

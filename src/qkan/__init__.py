@@ -70,7 +70,6 @@ from .operators import (
     query_counts,
     qubit_budget,
     random_unitary,
-    set_max_qubits,
     state_prep_unitary,
     unitarity_defect,
 )

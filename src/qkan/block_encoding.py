@@ -59,10 +59,7 @@ class BlockEncoding:
     the system. `diagonal_flag` marks encodings whose block is promised diagonal
     (within epsilon). `check_results` keeps the outcome of expensive checks
     of this encoding by name (floats only, never a dense block), so a check
-    made by several steps runs once. A derived encoding starts with none,
-    except a dilation, which inherits the Hermiticity verdict of its input
-    (see :func:`dilate`), so a layer's Chebyshev guard runs once, on the
-    layer input.
+    made by several steps runs once. A derived encoding starts with none.
 
     `idle_registers` names ancilla registers of the layout that no factor
     acts on (the QSVT ancilla of a Chebyshev transform). They count in
@@ -207,13 +204,10 @@ def primitive_encoding(
     )
 
 
-def identity_encoding(num_system: int, num_aux: int = 0) -> BlockEncoding:
-    """Exact zero-cost encoding of the identity, with optional ancillas that
-    its operator acts on as the identity."""
-    aux_regs = [("idle", num_aux, False)] if num_aux else []
+def identity_encoding(num_system: int) -> BlockEncoding:
+    """Exact zero-cost encoding of the identity, without ancillas."""
     return _derived(
-        Identity(num_aux + num_system), 1.0, 0.0,
-        aux_regs, [("sys", num_system, False)], diagonal=True,
+        Identity(num_system), 1.0, 0.0, [], [("sys", num_system, False)], diagonal=True
     )
 
 
@@ -295,10 +289,10 @@ def compile_system_blocks(be: BlockEncoding) -> BlockEncoding:
     return replace(be, op=Query(leaf, query_counts(be.op)))
 
 
-def verify(be: BlockEncoding, target: np.ndarray, cap_qubits: int = DENSE_CAP_QUBITS) -> float:
+def verify(be: BlockEncoding, target: np.ndarray) -> float:
     """Distance between the encoded block and `target`: spectral norm in general,
     max-abs entry difference for diagonal-flagged encodings (equal for diagonals)."""
-    block = extract_block(be, cap_qubits)
+    block = extract_block(be)
     diff = block - np.asarray(target, dtype=np.complex128)
     if be.diagonal_flag:
         return float(np.max(np.abs(diff)))
@@ -387,7 +381,7 @@ def product(be_a: BlockEncoding, be_b: BlockEncoding) -> BlockEncoding:
 
 @dataclass(frozen=True, eq=False)
 class StatePrepPair:
-    """(beta, b, eps_sp)-state-preparation pair for LCU coefficients.
+    """Exact (beta, b)-state-preparation pair for LCU coefficients.
 
     The first columns c, d of P_L, P_R realize the coefficients as
     beta * conj(c_j) * d_j, with conj(c_j) * d_j = 0 beyond the term count.
@@ -397,7 +391,6 @@ class StatePrepPair:
     p_right: LinearOperator
     beta: float
     b: int
-    eps_sp: float
 
     def __post_init__(self):
         if self.p_left.n != self.b or self.p_right.n != self.b:
@@ -442,7 +435,7 @@ def uniform_pair(m: int) -> StatePrepPair:
         vec = np.zeros(1 << b)
         vec[:m] = 1.0 / np.sqrt(m)
         prep = state_prep_unitary(vec)
-    return _checked_exact(StatePrepPair(prep, prep, 1.0, b, 0.0), np.full(m, 1.0 / m))
+    return _checked_exact(StatePrepPair(prep, prep, 1.0, b), np.full(m, 1.0 / m))
 
 
 def pair_for_weights(y: np.ndarray) -> StatePrepPair:
@@ -460,7 +453,7 @@ def pair_for_weights(y: np.ndarray) -> StatePrepPair:
     phases[: y.size][nz] = y[nz] / np.abs(y[nz])
     p_left = state_prep_unitary(mags)
     p_right = state_prep_unitary(mags * phases)
-    return _checked_exact(StatePrepPair(p_left, p_right, beta, b, 0.0), y)
+    return _checked_exact(StatePrepPair(p_left, p_right, beta, b), y)
 
 
 def lcu(bes: list[BlockEncoding], pair: StatePrepPair) -> BlockEncoding:
@@ -502,7 +495,7 @@ def lcu(bes: list[BlockEncoding], pair: StatePrepPair) -> BlockEncoding:
     return _derived(
         op,
         alpha * pair.beta,
-        alpha * pair.eps_sp + pair.beta * eps_terms,
+        pair.beta * eps_terms,
         [("sel", pair.b, False)] + _aux_regs(padded[0]),
         _sys_regs(padded[0]),
         all(be.diagonal_flag for be in bes),
@@ -542,29 +535,12 @@ def hadamard_product(be_a: BlockEncoding, be_b: BlockEncoding) -> BlockEncoding:
     )
 
 
-def _dilated_op(op: LinearOperator, k: int, trailing: int = 0) -> LinearOperator:
-    """`op` with k qubits that it leaves alone inserted ahead of its last
-    `trailing` qubits: the operator :func:`dilate` builds. The adjoint of
-    ``_dilated_op(op, k, t)`` is ``_dilated_op(op.adjoint(), k, t)``."""
-    if k == 0:
-        return op
-    n = op.n + k
-    split = op.n - trailing
-    return Embedded(op, tuple(range(split)) + tuple(range(split + k, n)), n)
-
-
 def dilate(be: BlockEncoding, k: int, trailing: int = 0) -> BlockEncoding:
     """Encoding of diag(x) (x) I_k: each entry repeated 2^k times; parameters unchanged.
 
     The k new system qubits go ahead of the last `trailing` system qubits,
     which must form whole registers: over a system [p | sample] the result
     spans [p | k | sample] and carries x_(p, s) at every (p, q, s).
-
-    The result inherits the ``hermiticity_defect`` that the Chebyshev guard
-    kept on `be`, and no other check result: inserting I_k conjugates
-    (B (x) I) - (B (x) I)^dag by a qubit permutation into (B - B^dag) (x) I,
-    whose spectral norm is that of B - B^dag, and epsilon is unchanged, so
-    the guard's verdict on `be` holds for the dilation.
     """
     if not be.diagonal_flag:
         raise ContractViolationError("dilate requires a diagonal-flagged encoding")
@@ -576,14 +552,13 @@ def dilate(be: BlockEncoding, k: int, trailing: int = 0) -> BlockEncoding:
         return be
     head, tail = _split_regs(_sys_regs(be), be.num_system - trailing, "dilation point")
     check_qubit_budget(be.layout.n_qubits + k, "dilated encoding")
-    out = _derived(
-        _dilated_op(be.op, k, trailing), be.alpha, be.epsilon,
+    n, split = be.op.n + k, be.op.n - trailing
+    op = Embedded(be.op, tuple(range(split)) + tuple(range(split + k, n)), n)
+    return _derived(
+        op, be.alpha, be.epsilon,
         _aux_regs(be), head + [("dil", k, False)] + tail,
         True,
     )
-    if "hermiticity_defect" in be.check_results:
-        out.check_results["hermiticity_defect"] = be.check_results["hermiticity_defect"]
-    return out
 
 
 def split_system(be: BlockEncoding, trailing: int) -> BlockEncoding:

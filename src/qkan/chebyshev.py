@@ -75,11 +75,8 @@ def _require_hermitian_block(be: BlockEncoding, u_adjoint: LinearOperator | None
     one application over at most 2 k columns.
 
     The defect (probe estimate or spectral norm) is computed once per
-    encoding and kept on it as a float; NaN fails. :func:`dilate` passes it
-    on to B (x) I_k, whose gap (B - B^dag) (x) I has the spectral norm of
-    B - B^dag, at the same epsilon. So a layer runs this guard once, on its
-    input before DILATE, over 2^k times fewer system states than the encoding
-    CHEB transforms. `u_adjoint`, when given, must be ``be.op.adjoint()``."""
+    encoding and kept on it as a float; NaN fails. `u_adjoint`, when given,
+    must be ``be.op.adjoint()``."""
     limit = 2.0 * be.epsilon + HERMITICITY_SLACK
     defect = be.check_results.get("hermiticity_defect")
     if defect is None:

@@ -162,16 +162,17 @@ def _train_from_dict(section: dict, default_seed: int, dims) -> tuple[TrainConfi
         dataset = Dataset.from_function(fn, n_in, points)
     _require(dataset.xs.shape[1:] == (dims[0],) and dataset.ys.shape[1:] == (dims[-1],),
              f"train data needs rows of {dims[0]} inputs and {dims[-1]} targets")
+    loss_goal = section.get("loss_goal")
     config = TrainConfig(
         optimizer=section.get("optimizer", "finite_difference"),
-        eta=float(section.get("eta", 25.0)),
-        h=float(section.get("h", 1e-4)),
-        c=float(section.get("c", 0.1)),
+        eta=_real(section.get("eta", 25.0), "train.eta"),
+        h=_real(section.get("h", 1e-4), "train.h", positive=True),
+        c=_real(section.get("c", 0.1), "train.c", positive=True),
         iterations=_int(section.get("iterations", 200), "train.iterations"),
         seed=_int(section.get("seed", default_seed), "train.seed"),
         readout=section.get("readout", "exact"),
         shots=_int(section.get("shots", 0), "train.shots"),
-        loss_goal=section.get("loss_goal"),
+        loss_goal=None if loss_goal is None else _real(loss_goal, "train.loss_goal"),
     )
     return config, dataset
 

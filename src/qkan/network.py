@@ -10,6 +10,10 @@ Phi(x) in [-1,1]^K with
 via DILATE (append k output qubits), CHEB (degree-r transforms), MUL
 (weight products), LCU (equal-weight combination over degrees), and SUM
 (Hadamard conjugation absorbing the n input qubits into the ancillas).
+
+CHEB is built before DILATE: the QSVT circuit of U (x) I is that of U with I
+on the extra qubits, so T_r(B (x) I_k) = T_r(B) (x) I_k. Each transform, and
+its Hermiticity guard, acts on the layer input B, and the result is dilated.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .block_encoding import (
     BlockEncoding,
     _aux_regs,
     _derived,
-    _dilated_op,
     _sys_regs,
     compile_system_blocks,
     dilate,
@@ -32,7 +35,7 @@ from .block_encoding import (
     product,
     uniform_pair,
 )
-from .chebyshev import HERMITICITY_PROBES, _require_hermitian_block, chebyshev_be
+from .chebyshev import HERMITICITY_PROBES, chebyshev_be
 from .encoders import encode_diagonal_exact
 from .errors import ContractViolationError, DomainError
 from .operators import (
@@ -243,17 +246,14 @@ class LayerAssembler:
             selector + probe.num_aux + be_x.num_aux + 1 + be_x.num_system + self.k,
             "CHEB-QKAN layer",
         )
-        # one adjoint of the (possibly deep) input, shared by the guard and,
-        # dilated, by every degree's factors
+        # T_r(B (x) I_k) = T_r(B) (x) I_k: transform the input, then dilate, so
+        # the Hermiticity guard runs once, on B; one adjoint of the (possibly
+        # deep) input is shared by the guard and every degree's factors
         u_dag = be_x.op.adjoint() if degree >= 2 else None
-        # the Hermiticity guard of CHEB runs on B, 2^k times narrower than
-        # B (x) I_k, which inherits its verdict; a non-diagonal input fails at DILATE
-        if degree >= 1 and be_x.diagonal_flag:
-            _require_hermitian_block(be_x, u_dag)
-        self.dilated = dilate(be_x, self.k, trailing=sample_qubits)
-        if u_dag is not None:
-            u_dag = _dilated_op(u_dag, self.k, sample_qubits)
-        self.cheb = [chebyshev_be(self.dilated, r, u_dag) for r in range(degree + 1)]
+        self.cheb = [
+            dilate(chebyshev_be(be_x, r, u_dag), self.k, trailing=sample_qubits)
+            for r in range(degree + 1)
+        ]
         self.pair = uniform_pair(degree + 1)
         # per degree: (bytes of the weight slice, its MUL term), the last one built
         self._terms: list[tuple[bytes, BlockEncoding] | None] = [None] * (degree + 1)
@@ -360,7 +360,7 @@ def later_sites(
     A later layer applies the previous output d(d+1)/2 times per application
     of its own, inside the LCU select branches: each use sees the 1/2^b of
     the state where the b selector qubits read its degree. Its Chebyshev
-    guard runs before DILATE: it applies the previous output itself to every
+    guard runs on its input: it applies the previous output itself to every
     one of its 2^s system states (at most 2 HERMITICITY_PROBES of them) or
     to HERMITICITY_PROBES probes with U and U^dag once, each of 2^(a+s)
     amplitudes, and the last output is read from one column. SUM

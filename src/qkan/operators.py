@@ -43,22 +43,12 @@ def max_qubits() -> int:
     return _max_qubits.get()
 
 
-def _require_positive_budget(n: int) -> None:
-    if n < 1:
-        raise ContractViolationError("qubit budget must be positive")
-
-
-def set_max_qubits(n: int) -> None:
-    """Set the construction budget of the current context (thread or task);
-    prefer :func:`qubit_budget`, which restores the previous one."""
-    _require_positive_budget(n)
-    _max_qubits.set(n)
-
-
 @contextmanager
 def qubit_budget(n: int) -> Iterator[int]:
-    """Construction budget of `n` qubits inside the block, restored on exit."""
-    _require_positive_budget(n)
+    """Construction budget of `n` qubits inside the block, restored on exit;
+    the budget is per context (thread or task)."""
+    if n < 1:
+        raise ContractViolationError("qubit budget must be positive")
     token = _max_qubits.set(n)
     try:
         yield n
@@ -722,9 +712,9 @@ def permutation_from_map(n: int, fn) -> Permutation:
     return Permutation(perm)
 
 
-def unitarity_defect(op: LinearOperator, cap_qubits: int = DENSE_CAP_QUBITS) -> float:
+def unitarity_defect(op: LinearOperator) -> float:
     """Max-norm deviation of A^dag A from the identity (dense check)."""
-    mat = op.dense(cap_qubits)
+    mat = op.dense()
     gram = mat.conj().T @ mat
     return float(np.max(np.abs(gram - np.eye(op.dim))))
 

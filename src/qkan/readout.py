@@ -26,7 +26,6 @@ class ReadoutResult:
     value: float
     stderr: float
     shots: int
-    delta_target: float = 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,19 +38,27 @@ class PreparedState:
     norm_const: float | None
 
 
-def _branch_test(entry: complex, shots: int, seed, delta_target: float) -> ReadoutResult:
+def shot_estimates(values, shots: int, rng: np.random.Generator):
+    """Estimates of values v in [-1, 1], elementwise, from `shots` readings
+    each of a qubit that reads 0 with probability (1 + v)/2, clipped to
+    [0, 1]: 2 p_hat - 1 and its standard error 2 sqrt(p_hat (1 - p_hat) /
+    shots), where p_hat is the drawn fraction of 0 readings."""
+    p_zero = np.clip((1.0 + values) / 2.0, 0.0, 1.0)
+    p_hat = rng.binomial(shots, p_zero) / shots
+    return 2.0 * p_hat - 1.0, 2.0 * np.sqrt(p_hat * (1.0 - p_hat) / shots)
+
+
+def _branch_test(entry: complex, shots: int, seed) -> ReadoutResult:
     """Hadamard test of a node q from u = <0|_aux <q| U |0>_aux |q>. H,
     controlled U and H on a control qubit leave the control-0 branch
     (|0>_aux|q> + U|0>_aux|q>)/2; U is unitary, so the control reads 0 with
     probability (1 + Re u)/2."""
     if shots == 0:
-        return ReadoutResult(float(entry.real), 0.0, 0, delta_target)
+        return ReadoutResult(float(entry.real), 0.0, 0)
     if shots < 0:
         raise DomainError("shot count must be non-negative")
-    p_zero = float(np.clip((1.0 + entry.real) / 2.0, 0.0, 1.0))
-    p_hat = np.random.default_rng(seed).binomial(shots, p_zero) / shots
-    stderr = 2.0 * np.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / shots)
-    return ReadoutResult(float(2.0 * p_hat - 1.0), float(stderr), shots, delta_target)
+    value, stderr = shot_estimates(entry.real, shots, np.random.default_rng(seed))
+    return ReadoutResult(float(value), float(stderr), shots)
 
 
 def _check_hadamard_test(be: BlockEncoding, q: int | None) -> None:
@@ -66,13 +73,12 @@ def hadamard_test(
     q: int,
     shots: int = 0,
     seed: int | None = None,
-    delta_target: float = 0.0,
 ) -> ReadoutResult:
     """Estimate Re <0|_aux <q| U |0>_aux |q> from one application of U: exactly
     (shots = 0) or from Bernoulli samples of the control qubit's Z value."""
     _check_hadamard_test(be, q)
     ((_, out),) = column_blocks(be, np.array([q]))
-    return _branch_test(out[q, 0], shots, seed, delta_target)
+    return _branch_test(out[q, 0], shots, seed)
 
 
 def read_outputs(
@@ -80,7 +86,6 @@ def read_outputs(
     shots: int = 0,
     seed: int | None = None,
     node: int | None = None,
-    delta_target: float = 0.0,
 ) -> tuple[np.ndarray, list[ReadoutResult]]:
     """The diagonal alpha <0|_aux <j| U |0>_aux |j> of every output j
     (:func:`~qkan.block_encoding.extract_diagonal`) and the Hadamard test of
@@ -92,7 +97,7 @@ def read_outputs(
     nodes = range(be.system_dim) if node is None else (node,)
     results = [
         _branch_test(values[q] / be.alpha, shots,
-                     [seed, q] if node is None and seed is not None else seed, delta_target)
+                     [seed, q] if node is None and seed is not None else seed)
         for q in nodes
     ]
     return values, results
@@ -102,10 +107,9 @@ def estimate_all_outputs(
     be: BlockEncoding,
     shots: int = 0,
     seed: int | None = None,
-    delta_target: float = 0.0,
 ) -> list[ReadoutResult]:
     """Elementwise Hadamard test over all output nodes, independent streams."""
-    return read_outputs(be, shots, seed, delta_target=delta_target)[1]
+    return read_outputs(be, shots, seed)[1]
 
 
 def prepare_state_postselect(

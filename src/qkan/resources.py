@@ -11,7 +11,7 @@ input ratio exact/asymptotic = (d+1)/d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .block_encoding import BlockEncoding
 from .network import QkanSpec
@@ -49,7 +49,6 @@ class CostReport:
     asymptotic_cost: tuple[float, ...]  # C_x^(0..L), d^2/2 and d coefficients
     aux_totals: tuple[int, ...]         # a_x^(0..L)
     expected_ledger: dict[str, int]     # base-primitive counts of the full build
-    input_primitive: str = "x"
     readout: dict[str, float] = field(default_factory=dict)
 
     def with_readout(self, delta: float, norm_const: float | None = None) -> "CostReport":
@@ -65,34 +64,19 @@ class CostReport:
         if norm_const is not None and norm_const > 0:
             k_out = self.dims[-1]
             section["state_prep_amplification"] = final * (k_out**0.5) / norm_const
-        return CostReport(
-            self.dims, self.degrees, self.per_layer, self.exact_cost,
-            self.asymptotic_cost, self.aux_totals, self.expected_ledger,
-            self.input_primitive, section,
-        )
+        return replace(self, readout=section)
 
 
-def analytic_cost(
-    spec: QkanSpec,
-    c_x0: float = 1.0,
-    c_w: list[float] | None = None,
-    a_x0: int = 1,
-    a_w: list[int] | None = None,
-    input_primitive: str = "x",
-) -> CostReport:
+def analytic_cost(spec: QkanSpec, c_x0: float = 1.0, a_x0: int = 1) -> CostReport:
     """Closed-form cost of an L-layer build from per-primitive costs.
 
-    `c_x0` is the cost of one application of the input encoding, `c_w[l]` of
-    one layer-l weight encoding; `a_x0`, `a_w[l]` are the ancilla counts. The
-    expected ledger counts `c_x0` queries of `input_primitive` per application
-    of the input encoding.
+    `c_x0` is the cost of one application of the input encoding and `a_x0`
+    its ancilla count; every weight encoding is the exact one, one query and
+    one ancilla. The expected ledger counts `c_x0` queries of the input
+    primitive "x" per application of the input encoding.
     """
     degrees = spec.degrees
     length = len(degrees)
-    c_w = list(c_w) if c_w is not None else [1.0] * length
-    a_w = list(a_w) if a_w is not None else [1] * length
-    if len(c_w) != length or len(a_w) != length:
-        raise ValueError(f"need one weight cost and ancilla count per layer ({length})")
 
     per_layer = []
     exact = [float(c_x0)]
@@ -101,7 +85,7 @@ def analytic_cost(
     dims_in = spec.dims[:-1]
     for l, d in enumerate(degrees):
         n_l = (dims_in[l]).bit_length() - 1
-        aux_added = 1 + a_w[l] + selector_qubits(d) + n_l
+        aux_added = 2 + selector_qubits(d) + n_l  # QSVT and weight ancillas, selector, inputs
         per_layer.append(
             LayerCost(
                 degree=d,
@@ -110,8 +94,8 @@ def analytic_cost(
                 aux_added=aux_added,
             )
         )
-        exact.append((d * (d + 1) / 2.0) * exact[-1] + (d + 1) * c_w[l])
-        asym.append((d * d / 2.0) * asym[-1] + d * c_w[l])
+        exact.append((d * (d + 1) / 2.0) * exact[-1] + (d + 1))
+        asym.append((d * d / 2.0) * asym[-1] + d)
         aux.append(aux[-1] + aux_added)
 
     # base-primitive ledger expectation: each layer-l primitive is applied once
@@ -123,7 +107,7 @@ def analytic_cost(
             expected[f"w{l}[{r}]"] = multiplier
         multiplier *= degrees[l] * (degrees[l] + 1) // 2
     if multiplier:
-        expected[input_primitive] = round(multiplier * c_x0)
+        expected["x"] = round(multiplier * c_x0)
     expected = {k: v for k, v in expected.items() if v}
 
     return CostReport(
@@ -134,7 +118,6 @@ def analytic_cost(
         asymptotic_cost=tuple(asym),
         aux_totals=tuple(aux),
         expected_ledger=dict(sorted(expected.items())),
-        input_primitive=input_primitive,
     )
 
 

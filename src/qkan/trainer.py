@@ -17,6 +17,7 @@ from .encoders import encode_diagonal_exact
 from .errors import ContractViolationError, DivergenceError, DomainError
 from .network import NetworkAssembler, QkanSpec, classical_network_eval
 from .operators import max_qubits, outside_unit_interval
+from .readout import shot_estimates
 from .resources import analytic_cost
 
 DIVERGENCE_FACTOR = 10.0
@@ -46,6 +47,8 @@ class TrainConfig:
             raise DomainError(f"unknown optimizer {self.optimizer!r}")
         if self.readout not in ("exact", "classical", "shots"):
             raise DomainError(f"unknown readout mode {self.readout!r}")
+        if self.readout == "shots" and self.shots < 1:
+            raise DomainError("shots readout needs a positive shot count")
         if self.optimizer == "finite_difference" and self.readout == "shots":
             raise DomainError(
                 "finite differences divide shot noise by 2h and send every weight to +-1; "
@@ -178,15 +181,14 @@ def loss(
     """Mean squared error between model outputs and targets.
 
     With shots readout each output is re-estimated from `shots` measurements
-    drawn from ``np.random.default_rng(seed)``; pass a Generator to draw
-    successive calls from one stream."""
+    (:func:`~qkan.readout.shot_estimates`) drawn from
+    ``np.random.default_rng(seed)``; pass a Generator to draw successive
+    calls from one stream."""
     preds = model_outputs(spec, data.xs, readout=readout, model=model)
     if readout == "shots":
         if shots <= 0:
             raise DomainError("shots readout needs a positive shot count")
-        rng = np.random.default_rng(seed)
-        p_zero = np.clip((preds + 1.0) / 2.0, 0.0, 1.0)
-        preds = 2.0 * rng.binomial(shots, p_zero) / shots - 1.0
+        preds, _ = shot_estimates(preds, shots, np.random.default_rng(seed))
     return float(np.mean((preds - data.ys) ** 2))
 
 
@@ -196,16 +198,13 @@ def finite_diff_grad(
     h: float,
     readout: str = "exact",
     model: SimulatedModel | None = None,
-    shots: int = 0,
-    seed: int | np.random.Generator | None = None,
 ) -> list[np.ndarray]:
-    """Central differences per weight; one-sided at the [-1, 1] boundary.
-    `shots` and `seed` are passed to every :func:`loss` call."""
+    """Central differences per weight; one-sided at the [-1, 1] boundary."""
     if model is None and readout != "classical":
         model = SimulatedModel(spec, data.xs)
 
     def loss_at(candidate: QkanSpec) -> float:
-        return loss(candidate, data, readout=readout, model=model, shots=shots, seed=seed)
+        return loss(candidate, data, readout=readout, model=model)
 
     base: float | None = None
     grads = []

@@ -2,8 +2,6 @@ import hypothesis
 import numpy as np
 import pytest
 
-from qkan import operators
-
 hypothesis.settings.register_profile(
     "default", max_examples=30, deadline=None, derandomize=True
 )
@@ -13,10 +11,3 @@ hypothesis.settings.load_profile("default")
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-@pytest.fixture(autouse=True)
-def restore_qubit_budget():
-    before = operators.max_qubits()
-    yield
-    operators.set_max_qubits(before)

@@ -363,9 +363,29 @@ def test_layer_rejects_a_non_hermitian_diagonal_input(n_in, n_out, degree):
     assert constant.num_system == n_out.bit_length() - 1
 
 
+def _non_hermitian_dense_input(n_in, seed):
+    """Diagonal-flagged dense primitive whose block is far from Hermitian."""
+    rng = np.random.default_rng(seed)
+    block = 0.5 * _hermitian(rng, n_in) + 0.4j * _hermitian(rng, n_in)
+    layout = RegisterLayout((("a", 1), ("sys", n_in.bit_length() - 1)))
+    return primitive_encoding(ops.Dense(_dilation(block)), 1, layout, "x", diagonal=True)
+
+
+@pytest.mark.parametrize("n_in", [4, 64])
+@pytest.mark.parametrize("n_out", [2, 4])
+@pytest.mark.parametrize("kind", ["dense", "perturbed"])
+def test_layer_rejects_a_non_hermitian_dense_or_perturbed_input(kind, n_in, n_out):
+    if kind == "dense":
+        be = _non_hermitian_dense_input(n_in, seed=n_in + n_out)
+    else:
+        be = qkan.perturb(_unit_phase_input(n_in, seed=n_in + n_out), 1e-3, seed=2)
+    with pytest.raises(ContractViolationError, match="not Hermitian"):
+        qkan.build_layer(be, qkan.LayerSpec.random(n_in, n_out, 2, seed=1))
+
+
 def test_layer_rejects_a_non_diagonal_input_at_dilate(rng):
     be = _encoding_of(0.9 * _hermitian(rng, 4))  # Hermitian, but not flagged diagonal
-    with pytest.raises(ContractViolationError, match="dilate requires a diagonal-flagged"):
+    with pytest.raises(ContractViolationError, match="chebyshev_be requires a diagonal-flagged"):
         qkan.build_layer(be, qkan.LayerSpec.random(4, 2, 2, seed=1))
 
 

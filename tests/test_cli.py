@@ -448,6 +448,48 @@ def test_integral_float_numbers_are_accepted(tmp_path, capsys):
     assert report["config"]["layers"][0]["degree"] == 1
 
 
+TRAIN_CONFIG = {
+    "input": [0.1, 0.2],
+    "layers": [{"in": 2, "out": 1, "degree": 1, "weight_seed": 1}],
+    "train": {"optimizer": "spsa", "iterations": 2, "data": {"grid_points_per_axis": 2}},
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("loss_goal", "x"),
+        ("loss_goal", -1.0),
+        ("loss_goal", float("nan")),
+        ("eta", float("nan")),
+        ("eta", float("inf")),
+        ("eta", "25"),
+        ("eta", -1.0),
+        ("h", 0.0),
+        ("h", float("nan")),
+        ("c", -0.1),
+        ("c", float("inf")),
+        ("readout", "shots"),  # and no shot count
+        ("shots", 0),
+    ],
+)
+def test_bad_train_number_exits_2(tmp_path, field, value, capsys):
+    payload = copy.deepcopy(TRAIN_CONFIG)
+    payload["train"][field] = value
+    if field == "shots":
+        payload["train"]["readout"] = "shots"
+    assert main(["train", "--config", write_config(tmp_path, payload), "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error:")
+
+
+def test_spsa_shots_training_exits_0(tmp_path, capsys):
+    payload = copy.deepcopy(TRAIN_CONFIG)
+    payload["train"].update(readout="shots", shots=100, loss_goal=0.0)
+    code, report = run(["train", "--config", write_config(tmp_path, payload), "--no-timestamp"], capsys)
+    assert code == 0 and report["results"]["iterations_run"] == 2
+
+
 @pytest.mark.parametrize(
     "data",
     [{"xs": [], "ys": []}, {"xs": [[]], "ys": [[]]}, {"xs": [[0.1, 0.2]], "ys": []},

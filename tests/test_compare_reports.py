@@ -85,17 +85,38 @@ def test_nan_on_one_side_is_an_infinite_deviation(compare_reports):
 
 def test_configs_cover_every_shape_encoder_readout_and_perturbation(compare_reports):
     named = compare_reports.configs(seed=3)
-    # the 10 compile shapes and the N = 64 layer of the probe guard, 7 variants each
-    assert len(compare_reports.SHAPES) == 11 and len(named) == 11 * len(compare_reports.VARIANTS) == 77
-    assert sum(len(c["input"]) == 64 for c in named.values()) == len(compare_reports.VARIANTS)
-    assert {c["encoder"] for c in named.values()} == {"exact", "stateprep", "real_weights"}
-    assert {c["readout"]["mode"] for c in named.values()} == {"exact", "shots"}
-    assert {"perturb" in c for c in named.values()} == {True, False}
-    assert {c.get("max_qubits") for c in named.values()} == {None, 14}
-    for config in named.values():
+    # the 10 compile shapes and the N = 64 layer of the probe guard, 7 variants
+    # each, and the 2 training runs
+    assert len(compare_reports.SHAPES) == 11 and len(compare_reports.VARIANTS) == 7
+    assert len(named) == 11 * 7 + len(compare_reports.TRAINING) == 79
+    shaped = [c for c in named.values() if "train" not in c]
+    assert sum(len(c["input"]) == 64 for c in shaped) == len(compare_reports.VARIANTS)
+    assert {c["encoder"] for c in shaped} == {"exact", "stateprep", "real_weights"}
+    assert {c["readout"]["mode"] for c in shaped} == {"exact", "shots"}
+    assert {"perturb" in c for c in shaped} == {True, False}
+    assert {c.get("max_qubits") for c in shaped} == {None, 14}
+    for config in shaped:
+        assert compare_reports.commands(config) == compare_reports.COMMANDS
         norm = math.fsum(v * v for v in config["input"])
         if config["encoder"] == "stateprep":
             assert norm == pytest.approx(1.0)
         elif config["encoder"] == "real_weights":
             assert norm == pytest.approx(0.25)
+    trained = [c for c in named.values() if "train" in c]
+    assert [(c["train"]["optimizer"], c["train"]["readout"]) for c in trained] == [
+        ("finite_difference", "exact"), ("spsa", "shots")]
+    assert all(compare_reports.commands(c) == compare_reports.COMMANDS + ("train",) for c in trained)
     assert compare_reports.configs(seed=3) == named  # seeded
+
+
+def test_train_runs_are_compared_like_the_others(compare_reports):
+    train = {"losses": [0.1, 0.05], "stop_reason": "iterations", "iterations_run": 1}
+    parent = {"t": dict(runs(EVAL, RESOURCES), train=run(results=train))}
+    change = {"t": dict(runs(EVAL, RESOURCES),
+                        train=run(results=dict(train, losses=[0.1, 0.05 + 1e-17],
+                                               stop_reason="plateau")))}
+    out = compare_reports.compare(parent, change)
+    assert out["runs"] == 5 and out["max_deviation"]["train/losses"] == pytest.approx(1e-17)
+    assert out["mismatches"] == ["t train train/stop_reason: 'iterations' != 'plateau'"]
+    del change["t"]["train"]
+    assert compare_reports.compare(parent, change)["mismatches"] == ["t train: run on one side only"]

@@ -294,11 +294,10 @@ def test_build_layer_with_stateprep_input(rng):
 def test_build_network_budget_exceeded(rng):
     from qkan import operators
 
-    operators.set_max_qubits(8)
     qspec = qkan.QkanSpec(
         (qkan.LayerSpec.random(2, 2, 3, seed=1), qkan.LayerSpec.random(2, 1, 3, seed=2))
     )
-    with pytest.raises(ResourceLimitError) as exc_info:
+    with operators.qubit_budget(8), pytest.raises(ResourceLimitError) as exc_info:
         qkan.build_network(qkan.encode_diagonal_exact(np.array([0.2, 0.3])), qspec)
     assert exc_info.value.required_qubits is not None
     assert exc_info.value.required_qubits > 8

@@ -34,8 +34,7 @@ def test_kron_hadamard_symmetry():
 
 
 def test_kron_overflow():
-    ops.set_max_qubits(4)
-    with pytest.raises(ResourceLimitError):
+    with ops.qubit_budget(4), pytest.raises(ResourceLimitError):
         ops.kron(ops.Identity(3), ops.Identity(3))
 
 
@@ -262,19 +261,23 @@ def test_qubit_budget_is_scoped():
 def test_qubit_budget_does_not_leak_across_threads():
     import threading
 
-    seen = []
+    seen, entered, checked = [], threading.Event(), threading.Event()
 
     def worker():
-        ops.set_max_qubits(5)
-        seen.append(ops.max_qubits())
+        with ops.qubit_budget(5):
+            seen.append(ops.max_qubits())
+            entered.set()
+            checked.wait(timeout=10)
 
     before = ops.max_qubits()
     thread = threading.Thread(target=worker)
     thread.start()
+    assert entered.wait(timeout=10)
+    assert ops.max_qubits() == before  # while the worker is inside its budget
+    checked.set()
     thread.join(timeout=10)
     assert not thread.is_alive()
     assert seen == [5]
-    assert ops.max_qubits() == before
 
 
 def test_label_reflection_matches_dense_blocks():

@@ -204,3 +204,28 @@ def test_stateprep_bound_end_to_end(rng):
     built = qkan.build_layer(be_x, spec, weight_encoder=encoder)
     prepared = qkan.prepare_state_postselect(built, target=oracle)
     assert prepared.l2_error <= eps
+
+
+def test_one_shot_model_serves_the_hadamard_test_and_the_loss(rng):
+    from qkan.readout import shot_estimates
+
+    x = rng.uniform(-1, 1, 4)
+    be = qkan.encode_diagonal_exact(x)
+    for q in range(4):
+        value, stderr = shot_estimates(x[q], 1000, np.random.default_rng([7, q]))
+        result = qkan.hadamard_test(be, q, shots=1000, seed=[7, q])
+        assert (result.value, result.stderr, result.shots) == (value, stderr, 1000)
+    spec = qkan.QkanSpec((qkan.LayerSpec.random(2, 1, 2, seed=3),))
+    data = qkan.Dataset.from_function(lambda p: [0.1 * p[0]], 2, 4)
+    exact = qkan.model_outputs(spec, data.xs)
+    drawn, _ = shot_estimates(exact, 1000, np.random.default_rng(11))
+    got = qkan.loss(spec, data, readout="shots", shots=1000, seed=11)
+    assert got == float(np.mean((drawn - data.ys) ** 2))
+
+
+def test_shot_estimates_are_clipped_and_report_their_stderr():
+    from qkan.readout import shot_estimates
+
+    values, stderr = shot_estimates(np.array([-1.5, 1.0, 0.0]), 4096, np.random.default_rng(1))
+    assert values[0] == -1.0 and values[1] == 1.0 and stderr[0] == stderr[1] == 0.0
+    assert abs(values[2]) <= 4 * stderr[2] and stderr[2] == pytest.approx(1 / 64, rel=0.05)

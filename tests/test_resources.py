@@ -24,7 +24,7 @@ def test_single_layer_d3_counts():
 
 
 def test_asymptotic_model_d3():
-    report = analytic_cost(single_layer_spec(3), c_x0=1.0, c_w=[1.0])
+    report = analytic_cost(single_layer_spec(3), c_x0=1.0)
     assert report.asymptotic_cost[-1] == pytest.approx(4.5 + 3.0)
 
 
