@@ -23,8 +23,8 @@ The report lists every mismatch, which is any of:
 
 It also gives the largest deviation between the sides of every other number,
 per report field (for example ``eval/output``, ``eval/readout/value``,
-``prepare-state/amplitudes_real`` or ``train/losses``). The script exits 1 when it finds a
-mismatch.
+``prepare-state/amplitudes_real`` or ``train/losses``). The script exits 1
+when it finds a mismatch.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ def compare(parent: dict, change: dict) -> dict:
     runs = 0
     for name in sorted(set(parent) | set(change)):
         ran = parent.get(name, {}).keys() | change.get(name, {}).keys()
-        for command in (command for command in COMMANDS + ("train",) if command in ran):
+        for command in [command for command in COMMANDS + ("train",) if command in ran]:
             p, c = parent.get(name, {}).get(command), change.get(name, {}).get(command)
             where = f"{name} {command}"
             if p is None or c is None:

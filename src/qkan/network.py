@@ -246,9 +246,8 @@ class LayerAssembler:
             selector + probe.num_aux + be_x.num_aux + 1 + be_x.num_system + self.k,
             "CHEB-QKAN layer",
         )
-        # T_r(B (x) I_k) = T_r(B) (x) I_k: transform the input, then dilate, so
-        # the Hermiticity guard runs once, on B; one adjoint of the (possibly
-        # deep) input is shared by the guard and every degree's factors
+        # transform, then dilate (see the module docstring); one adjoint of the
+        # (possibly deep) input is shared by the guard and every degree's factors
         u_dag = be_x.op.adjoint() if degree >= 2 else None
         self.cheb = [
             dilate(chebyshev_be(be_x, r, u_dag), self.k, trailing=sample_qubits)
