@@ -184,6 +184,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     x = np.asarray(raw["input"], dtype=np.float64)
     _require(x.ndim == 1 and x.size >= 1, "input must be a non-empty vector")
     _require(np.all(np.isfinite(x)), "input entries must be finite")
+    _require(np.all(np.abs(x) <= 1.0), f"input outside [-1, 1]: max |x| = {np.max(np.abs(x))}")
     layers_raw = raw.get("layers")
     _require(isinstance(layers_raw, list) and layers_raw, "config needs a non-empty layers list")
     layers = tuple(

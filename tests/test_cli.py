@@ -346,6 +346,14 @@ def test_non_finite_input_or_weights_exit_2(tmp_path, field, value, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("command", ["eval", "verify", "resources"])
+def test_input_outside_the_unit_interval_exits_2(tmp_path, command, capsys):
+    path = write_config(tmp_path, {"input": [1.5, 0.2], "layers": [{"in": 2, "out": 1, "degree": 1}]})
+    assert main([command, "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "[-1, 1]" in captured.err
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_non_positive_max_qubits_option_exits_2(hand_config, value, capsys):
     assert main(["eval", "--config", hand_config, "--max-qubits", value]) == 2
