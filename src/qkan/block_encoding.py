@@ -61,6 +61,15 @@ class BlockEncoding:
     of this encoding by name (floats only, never a dense block), so a check
     made by several steps runs once. A derived encoding starts with none.
 
+    `exact_real_diagonal` is a structural certificate: the block is exactly
+    real and diagonal, with epsilon 0, by how the encoding was built, so the
+    Chebyshev Hermiticity guard has nothing to test. Only
+    :func:`~qkan.encoders.encode_diagonal_exact` grants it. `dilate`,
+    `split_system`, `chebyshev_be`, `product`, `lcu` with a real pair,
+    `network.sum_over_inputs` and `compile_system_blocks` keep it when
+    every part has it; every other construction starts without it. The
+    `diagonal_flag` is a claim and never grants it.
+
     `idle_registers` names ancilla registers of the layout that no factor
     acts on (the QSVT ancilla of a Chebyshev transform). They count in
     `num_aux`, in the layout and in every qubit budget, but `op` leaves them
@@ -78,6 +87,7 @@ class BlockEncoding:
     num_system: int
     diagonal_flag: bool = False
     idle_registers: frozenset[str] = frozenset()
+    exact_real_diagonal: bool = False
     check_results: dict[str, float] = field(default_factory=dict, init=False, repr=False)
     # qubits of the idle registers, and how many registers hold the ancillas
     idle_aux: int = field(init=False, repr=False)
@@ -86,6 +96,10 @@ class BlockEncoding:
     def __post_init__(self):
         if self.alpha < 0 or self.epsilon < 0:
             raise ContractViolationError("alpha and epsilon must be non-negative")
+        if self.exact_real_diagonal and (self.epsilon != 0 or not self.diagonal_flag):
+            raise ContractViolationError(
+                "an exact real diagonal certificate needs epsilon 0 and the diagonal flag"
+            )
         # the ancilla/system boundary must fall on a register boundary, and
         # every idle register ahead of it
         running = idle = found = 0
@@ -155,6 +169,7 @@ def _derived(
     aux_regs: list[_Reg],
     sys_regs: list[_Reg],
     diagonal: bool,
+    exact_real_diagonal: bool = False,
 ) -> BlockEncoding:
     """An encoding over the registers `aux_regs` then `sys_regs`; a repeated
     register name gets the suffix .2, .3, ..."""
@@ -180,6 +195,7 @@ def _derived(
         num_system=sum(size for _, size, _ in sys_regs),
         diagonal_flag=diagonal,
         idle_registers=frozenset(idle),
+        exact_real_diagonal=exact_real_diagonal,
     )
 
 
@@ -376,6 +392,7 @@ def product(be_a: BlockEncoding, be_b: BlockEncoding) -> BlockEncoding:
         _aux_regs(be_b) + _aux_regs(be_a),
         _sys_regs(be_a),
         be_a.diagonal_flag and be_b.diagonal_flag,
+        be_a.exact_real_diagonal and be_b.exact_real_diagonal,
     )
 
 
@@ -385,12 +402,16 @@ class StatePrepPair:
 
     The first columns c, d of P_L, P_R realize the coefficients as
     beta * conj(c_j) * d_j, with conj(c_j) * d_j = 0 beyond the term count.
+    `real` marks a pair whose realized coefficients were found exactly real
+    when it was built (see :func:`_checked_exact`); an LCU keeps the exact
+    real diagonal certificate of its terms only through such a pair.
     """
 
     p_left: LinearOperator
     p_right: LinearOperator
     beta: float
     b: int
+    real: bool = False
 
     def __post_init__(self):
         if self.p_left.n != self.b or self.p_right.n != self.b:
@@ -405,21 +426,27 @@ class StatePrepPair:
 
     def check(self, y: np.ndarray) -> float:
         """Sum_j |y_j - beta conj(c_j) d_j| over the coefficient slots."""
-        y = np.asarray(y, dtype=np.complex128)
-        w = self.realized_weights()
-        err = float(np.sum(np.abs(w[: y.size] - y)))
-        tail = float(np.max(np.abs(w[y.size:]), initial=0.0))
-        if tail > 1e-12:
-            raise ContractViolationError(f"state-prep pair leaks weight {tail} beyond slot {y.size}")
-        return err
+        return _missed_by(self.realized_weights(), y)
+
+
+def _missed_by(weights: np.ndarray, y: np.ndarray) -> float:
+    """Sum_j |y_j - weights_j| over the slots of y; weight beyond them is rejected."""
+    y = np.asarray(y, dtype=np.complex128)
+    err = float(np.sum(np.abs(weights[: y.size] - y)))
+    tail = float(np.max(np.abs(weights[y.size:]), initial=0.0))
+    if tail > 1e-12:
+        raise ContractViolationError(f"state-prep pair leaks weight {tail} beyond slot {y.size}")
+    return err
 
 
 def _checked_exact(pair: StatePrepPair, y: np.ndarray) -> StatePrepPair:
-    """The constructions below are exact; reject a pair that misses y."""
-    err = pair.check(y)
+    """The constructions below are exact; reject a pair that misses y, and
+    mark the pair real when its realized coefficients are exactly real."""
+    weights = pair.realized_weights()
+    err = _missed_by(weights, y)
     if err >= 1e-12:
         raise ContractViolationError(f"state-prep pair misses its coefficients by {err:.3e}")
-    return pair
+    return replace(pair, real=not np.any(weights.imag))
 
 
 def uniform_pair(m: int) -> StatePrepPair:
@@ -499,6 +526,7 @@ def lcu(bes: list[BlockEncoding], pair: StatePrepPair) -> BlockEncoding:
         [("sel", pair.b, False)] + _aux_regs(padded[0]),
         _sys_regs(padded[0]),
         all(be.diagonal_flag for be in bes),
+        pair.real and all(be.exact_real_diagonal for be in bes),
     )
 
 
@@ -557,7 +585,7 @@ def dilate(be: BlockEncoding, k: int, trailing: int = 0) -> BlockEncoding:
     return _derived(
         op, be.alpha, be.epsilon,
         _aux_regs(be), head + [("dil", k, False)] + tail,
-        True,
+        True, be.exact_real_diagonal,
     )
 
 
@@ -576,7 +604,7 @@ def split_system(be: BlockEncoding, trailing: int) -> BlockEncoding:
     return _derived(
         be.op, be.alpha, be.epsilon,
         _aux_regs(be), head + [("sample", trailing, False)],
-        be.diagonal_flag,
+        be.diagonal_flag, be.exact_real_diagonal,
     )
 
 

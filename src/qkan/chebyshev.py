@@ -62,6 +62,10 @@ def _require_hermitian_block(be: BlockEncoding, u_adjoint: LinearOperator | None
     whose block B is further from Hermitian, ||B - B^dag||_2, than
     limit = 2 epsilon + HERMITICITY_SLACK.
 
+    An encoding certified exactly real and diagonal by construction
+    (`BlockEncoding.exact_real_diagonal`) has defect 0: it passes with no
+    application and no dense block. Every other encoding is tested as below.
+
     Above 2 k system states (k = HERMITICITY_PROBES) the test is randomized
     (Freivalds' verification with Hutchinson's norm estimate): it passes when
     the probe estimate of :func:`_probe_hermiticity_defect` is at most
@@ -78,7 +82,7 @@ def _require_hermitian_block(be: BlockEncoding, u_adjoint: LinearOperator | None
     encoding and kept on it as a float; NaN fails. `u_adjoint`, when given,
     must be ``be.op.adjoint()``."""
     limit = 2.0 * be.epsilon + HERMITICITY_SLACK
-    defect = be.check_results.get("hermiticity_defect")
+    defect = 0.0 if be.exact_real_diagonal else be.check_results.get("hermiticity_defect")
     if defect is None:
         if be.system_dim > 2 * HERMITICITY_PROBES:
             estimate = _probe_hermiticity_defect(be, u_adjoint)
@@ -98,16 +102,23 @@ def _require_hermitian_block(be: BlockEncoding, u_adjoint: LinearOperator | None
         )
 
 
-def _qsvt_shell(be: BlockEncoding, factors: list[LinearOperator], epsilon: float) -> BlockEncoding:
+def _qsvt_shell(
+    be: BlockEncoding,
+    factors: list[LinearOperator],
+    epsilon: float,
+    exact_real_diagonal: bool = False,
+) -> BlockEncoding:
     """Assemble a polynomial transform from `factors`, which act on the qubits
     of `be.op`. The layout gains the QSVT ancilla of the transform, which the
-    reflection form never acts on: it is idle (see :class:`BlockEncoding`)."""
+    reflection form never acts on: it is idle (see :class:`BlockEncoding`).
+    The result carries the exact real diagonal certificate only when the
+    caller passes it: the factors decide whether the transform keeps it."""
     check_qubit_budget(be.layout.n_qubits + 1, "polynomial transform")
     op = compose(*factors) if factors else Identity(be.op.n)
     return _derived(
         op, be.alpha, epsilon,
         [("qsvt", 1, True)] + _aux_regs(be), _sys_regs(be),
-        be.diagonal_flag,
+        be.diagonal_flag, exact_real_diagonal,
     )
 
 
@@ -119,14 +130,17 @@ def chebyshev_be(
     Applies the underlying encoding (or its adjoint) exactly r times; r = 0
     yields an exact identity encoding at zero queries. `u_adjoint`, when
     given, must be ``be_x.op.adjoint()``; callers building several degrees
-    pass one so that the adjoint tree is built once and shared.
+    pass one so that the adjoint tree is built once and shared. The
+    transform of an encoding certified exactly real and diagonal keeps the
+    certificate: T_r of a real diagonal is one, and the reflection form
+    realizes it exactly.
     """
     if r < 0:
         raise DomainError("Chebyshev degree must be non-negative")
     if not be_x.diagonal_flag:
         raise ContractViolationError("chebyshev_be requires a diagonal-flagged encoding")
     if r == 0:
-        return _qsvt_shell(be_x, [], 0.0)
+        return _qsvt_shell(be_x, [], 0.0, be_x.exact_real_diagonal)
     _require_hermitian_block(be_x, u_adjoint)
     u = be_x.op
     z = Embedded(reflection_about_zero(be_x.live_aux), tuple(range(be_x.live_aux)), u.n)
@@ -136,4 +150,6 @@ def chebyshev_be(
     if r >= 2:
         u_dag = u.adjoint() if u_adjoint is None else u_adjoint
         factors += [u_dag, z, u, z] * (r // 2)
-    return _qsvt_shell(be_x, factors, 4.0 * r * np.sqrt(be_x.epsilon))
+    return _qsvt_shell(
+        be_x, factors, 4.0 * r * np.sqrt(be_x.epsilon), be_x.exact_real_diagonal
+    )

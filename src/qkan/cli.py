@@ -25,7 +25,7 @@ from .encoders import (
     perturbed_weight_encoder,
     stateprep_for_real_vector,
 )
-from .errors import QkanError, ResourceLimitError
+from .errors import DomainError, QkanError, ResourceLimitError
 from .network import build_network, classical_network_eval
 from .operators import state_prep_unitary
 from .readout import prepare_state_postselect, read_outputs
@@ -152,7 +152,10 @@ def cmd_resources(config: RunConfig, args) -> tuple[int, dict]:
     # queries x twice (psi and psi^dagger) per application
     report_model = analytic_cost(config.spec, c_x0=be_x0.cost.get("x", 0), a_x0=be_x0.num_aux)
     if config.readout.delta:
-        report_model = report_model.with_readout(config.readout.delta)
+        try:
+            report_model = report_model.with_readout(config.readout.delta)
+        except DomainError as exc:
+            raise ConfigError(f"readout.delta: {exc}") from exc
     build = build_network(be_x0, config.spec, _weight_encoder(config))
     rec = reconcile(report_model, build.output)
     section = {

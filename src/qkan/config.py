@@ -126,12 +126,17 @@ def _real(value, what: str, positive: bool = False) -> float:
     return float(value)
 
 
-def _layer_from_dict(entry: dict, seed: int, index: int) -> LayerSpec:
+def _layer_header(entry: dict, index: int) -> tuple[int, int, int]:
+    """(in, out, degree) of a layer entry, read before any of its weights."""
     _object(entry, f"layer {index}")
     for key in ("in", "out", "degree"):
         _require(key in entry, f"layer {index} is missing {key!r}")
     n_in, n_out = (_int(entry[key], f"layer {index} {key!r}", 1) for key in ("in", "out"))
-    degree = _int(entry["degree"], f"layer {index} 'degree'")
+    return n_in, n_out, _int(entry["degree"], f"layer {index} 'degree'")
+
+
+def _layer_from_dict(entry: dict, header: tuple[int, int, int], seed: int, index: int) -> LayerSpec:
+    n_in, n_out, degree = header
     if "weights" in entry:
         weights = np.asarray(entry["weights"], dtype=np.float64)
         _require(
@@ -171,7 +176,7 @@ def _train_from_dict(section: dict, default_seed: int, dims) -> tuple[TrainConfi
         iterations=_int(section.get("iterations", 200), "train.iterations"),
         seed=_int(section.get("seed", default_seed), "train.seed"),
         readout=section.get("readout", "exact"),
-        shots=_int(section.get("shots", 0), "train.shots"),
+        shots=_int(section.get("shots", 0), "train.shots", high=2**63),
         loss_goal=None if loss_goal is None else _real(loss_goal, "train.loss_goal"),
     )
     return config, dataset
@@ -187,17 +192,23 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     _require(np.all(np.abs(x) <= 1.0), f"input outside [-1, 1]: max |x| = {np.max(np.abs(x))}")
     layers_raw = raw.get("layers")
     _require(isinstance(layers_raw, list) and layers_raw, "config needs a non-empty layers list")
-    layers = tuple(
-        _layer_from_dict(entry, seed, i) for i, entry in enumerate(layers_raw)
-    )
-    try:
-        spec = QkanSpec(layers)
-    except QkanError as exc:
-        raise ConfigError(str(exc)) from exc
+    # the sizes are checked before any weight tensor is drawn or read, so a
+    # width that could never be allocated is a config error, not a MemoryError
+    headers = [_layer_header(entry, i) for i, entry in enumerate(layers_raw)]
     _require(
-        spec.dims[0] == x.size,
-        f"input length {x.size} does not match first layer in = {spec.dims[0]}",
+        headers[0][0] == x.size,
+        f"input length {x.size} does not match first layer in = {headers[0][0]}",
     )
+    for i, (left, right) in enumerate(zip(headers, headers[1:])):
+        _require(
+            left[1] == right[0],
+            f"dimension chain broken: layer {i} out = {left[1]} != layer {i + 1} in = {right[0]}",
+        )
+    layers = tuple(
+        _layer_from_dict(entry, header, seed, i)
+        for i, (entry, header) in enumerate(zip(layers_raw, headers))
+    )
+    spec = QkanSpec(layers)
     encoder = raw.get("encoder", "exact")
     _require(
         encoder in ("exact", "stateprep", "real_weights"),
@@ -218,7 +229,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     node, delta = readout_raw.get("node"), readout_raw.get("delta")
     readout = ReadoutConfig(
         mode=mode,
-        shots=_int(readout_raw.get("shots", 0), "readout.shots", int(mode == "shots")),
+        shots=_int(readout_raw.get("shots", 0), "readout.shots", int(mode == "shots"), 2**63),
         seed=_int(readout_raw.get("seed", seed), "readout.seed"),
         node=None if node is None else _int(node, "readout.node", high=spec.dims[-1]),
         delta=None if delta is None else _real(delta, "readout.delta", positive=True),

@@ -19,6 +19,7 @@ from .operators import (
     LabelReflection,
     LinearOperator,
     Permutation,
+    Query,
     compose,
     outside_unit_interval,
     state_prep_unitary,
@@ -34,19 +35,35 @@ def _log2_exact(length: int, what: str) -> int:
 
 
 def encode_diagonal_exact(x: np.ndarray, name: str = "x") -> BlockEncoding:
-    """Exact (1, 1, 0)-encoding of diag(x) for x in [-1, 1]^N.
+    """Exact (1, 1, 0)-encoding of diag(x) for real x in [-1, 1]^N.
 
     Per basis label p the single ancilla carries the reflection block
     [[x_p, s_p], [s_p, -x_p]] with s_p = sqrt(1 - x_p^2); the full operator
     is Hermitian and unitary, which the Chebyshev step relies on. It is
-    stored as the N values, not as a dense 2N x 2N matrix.
+    stored as the N values, not as a dense 2N x 2N matrix. The block diag(x)
+    is exactly real, so the encoding carries the exact real diagonal
+    certificate (see :class:`~qkan.block_encoding.BlockEncoding`); an entry
+    with an imaginary part is rejected, not cast away.
     """
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        if np.any(x.imag):
+            raise DomainError("entries must be real")
+        x = x.real
     x = np.asarray(x, dtype=np.float64)
     n = _log2_exact(x.size, "input vector")
     if outside_unit_interval(x):
         raise DomainError(f"entries outside [-1, 1]: max |x| = {np.max(np.abs(x))}")
-    layout = RegisterLayout((("enc", 1), ("sys", n)))
-    return primitive_encoding(LabelReflection(x), 1, layout, name, diagonal=True)
+    return BlockEncoding(
+        op=Query(LabelReflection(x), {name: 1}),
+        alpha=1.0,
+        num_aux=1,
+        epsilon=0.0,
+        layout=RegisterLayout((("enc", 1), ("sys", n))),
+        num_system=n,
+        diagonal_flag=True,
+        exact_real_diagonal=True,
+    )
 
 
 def perturbed_weight_encoder(eps_w: float, seed: int):

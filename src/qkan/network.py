@@ -176,7 +176,9 @@ def classical_network_eval(x: np.ndarray, spec: QkanSpec) -> np.ndarray:
 
 def sum_over_inputs(be: BlockEncoding, n_inputs: int) -> BlockEncoding:
     """SUM step: conjugate by Hadamards on the leading n input qubits and absorb
-    them into the ancilla block, leaving the k output qubits as the system."""
+    them into the ancilla block, leaving the k output qubits as the system.
+    The block of an exact real diagonal, averaged over the inputs, is one too,
+    so the certificate is kept."""
     if n_inputs > be.num_system:
         raise ContractViolationError(
             f"cannot absorb {n_inputs} qubits from a {be.num_system}-qubit system"
@@ -198,7 +200,7 @@ def sum_over_inputs(be: BlockEncoding, n_inputs: int) -> BlockEncoding:
         compose(h_layer, be.op, h_layer),
         be.alpha, be.epsilon,
         _aux_regs(be) + absorbed, sys_regs,
-        be.diagonal_flag,
+        be.diagonal_flag, be.exact_real_diagonal,
     )
 
 
@@ -349,7 +351,11 @@ def compile_threshold(a: int, s: int, sites: Sequence[tuple[int, int]]) -> float
 
 
 def later_sites(
-    a: int, s: int, later: Sequence[LayerSpec], sample_qubits: int = 0
+    a: int,
+    s: int,
+    later: Sequence[LayerSpec],
+    sample_qubits: int = 0,
+    certified: bool = False,
 ) -> list[tuple[int, int]]:
     """(uses, amplitudes) of every later application of a layer output with
     `a` ancillas and `s` system qubits, followed by the layers `later`
@@ -362,7 +368,10 @@ def later_sites(
     guard runs on its input: it applies the previous output itself to every
     one of its 2^s system states (at most 2 HERMITICITY_PROBES of them) or
     to HERMITICITY_PROBES probes with U and U^dag once, each of 2^(a+s)
-    amplitudes, and the last output is read from one column. SUM
+    amplitudes, and the last output is read from one column. With
+    `certified`, the output carries the exact real diagonal certificate, and
+    so does every later layer input built on it with exact weights: no guard
+    applies anything, and no guard site is listed. SUM
     absorbs the s - m input qubits, so the next output's system register
     is its k outputs plus the m sample qubits. Later layers are assumed to
     use the exact weight encoder's one ancilla, as :class:`NetworkAssembler`
@@ -372,7 +381,7 @@ def later_sites(
     for layer in later:
         terms, _, n_out = layer.weights.shape  # d + 1, N, K
         k, select = n_out.bit_length() - 1, (terms - 1).bit_length()
-        if terms > 1:
+        if terms > 1 and not certified:
             states = 1 << s
             columns = states if states <= 2 * HERMITICITY_PROBES else 2 * HERMITICITY_PROBES
             sites.append((uses, (columns << (a + s)) >> shift))
@@ -435,7 +444,9 @@ class NetworkAssembler:
         """`be`, read into one SystemBlocks leaf when the compile rule says
         the applications by the layers `later` repay it."""
         if later and be.epsilon == 0:
-            sites = later_sites(be.num_aux, be.num_system, later, self.sample_qubits)
+            sites = later_sites(
+                be.num_aux, be.num_system, later, self.sample_qubits, be.exact_real_diagonal
+            )
             if be.op.leaves > compile_threshold(be.num_aux, be.num_system, sites):
                 return compile_system_blocks(be)
         return be

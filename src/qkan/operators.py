@@ -696,13 +696,6 @@ def reflection_about_zero(n: int) -> LinearOperator:
     return Diagonal(values)
 
 
-def phase_on_zero(phi: float, n: int) -> LinearOperator:
-    """exp(i phi (2|0><0| - I)): phase e^{i phi} on |0..0>, e^{-i phi} elsewhere."""
-    values = np.full(1 << n, np.exp(-1j * phi), dtype=np.complex128)
-    values[0] = np.exp(1j * phi)
-    return Diagonal(values)
-
-
 def permutation_from_map(n: int, fn) -> Permutation:
     """Permutation |i> -> |fn(i)> from an index map over n qubits."""
     src = np.arange(1 << n)

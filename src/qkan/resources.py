@@ -11,9 +11,11 @@ input ratio exact/asymptotic = (d+1)/d.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .block_encoding import BlockEncoding
+from .errors import DomainError
 from .network import QkanSpec
 
 
@@ -54,12 +56,28 @@ class CostReport:
     def with_readout(self, delta: float, norm_const: float | None = None) -> "CostReport":
         """Analytic query counts for solution extraction at additive error delta:
         1/delta^2 sampling, 1/delta with amplitude estimation, and the
-        sqrt(K)/N amplification rounds for post-selected state preparation."""
+        sqrt(K)/N amplification rounds for post-selected state preparation.
+
+        A delta whose sampling or amplitude-estimation count is not a finite
+        positive float (C / delta^2 overflows or underflows for the exact
+        cost C) raises DomainError."""
         final = self.exact_cost[-1]
+        if not 0 < delta < math.inf:
+            raise DomainError(f"delta must be a finite number above 0, got {delta!r}")
+        try:
+            square = delta**2
+        except OverflowError:
+            square = math.inf
+        sampling, estimation = final / square if square else math.inf, final / delta
+        if not (0 < sampling < math.inf and 0 < estimation < math.inf):
+            raise DomainError(
+                f"delta {delta!r} gives readout counts {sampling!r} and {estimation!r} "
+                f"for the exact cost {final!r}; both must be finite and above 0"
+            )
         section: dict[str, float] = {
             "delta": delta,
-            "hadamard_test_sampling": final / delta**2,
-            "hadamard_test_amplitude_estimation": final / delta,
+            "hadamard_test_sampling": sampling,
+            "hadamard_test_amplitude_estimation": estimation,
         }
         if norm_const is not None and norm_const > 0:
             k_out = self.dims[-1]

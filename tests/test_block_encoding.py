@@ -367,3 +367,93 @@ def test_lcu_of_terms_with_idle_ancillas_at_other_positions():
     same = qkan.lcu([cheb, linear], qkan.uniform_pair(2))  # idle QSVT ancillas line up
     assert same.idle_aux == 1 and same.op.n == same.layout.n_qubits - 1
     assert np.max(np.abs(qkan.extract_diagonal(same) - want)) <= 1e-12
+
+
+def _certificate_cases():
+    """(kept, dropped): encodings that must carry the exact real diagonal
+    certificate, and encodings that must not."""
+    from qkan.block_encoding import (
+        StatePrepPair,
+        adjoint_encoding,
+        compile_system_blocks,
+        pair_for_weights,
+        split_system,
+        uniform_pair,
+    )
+    from qkan.network import sum_over_inputs
+
+    rng = np.random.default_rng(17)
+    x, y = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
+    exact = qkan.encode_diagonal_exact(x, name="x")
+    other = qkan.encode_diagonal_exact(y, name="y")
+    # the same operator as `exact`, but a plain primitive: diagonal-flagged only
+    plain = primitive_encoding(ops.LabelReflection(x), 1, exact.layout, "x", diagonal=True)
+    psi = x / np.linalg.norm(x)
+    hadamards = ops.hadamard_layer(1)
+    kept = [
+        exact,
+        qkan.dilate(exact, 1),
+        qkan.dilate(split_system(exact, 1), 2, trailing=1),
+        split_system(exact, 1),
+        qkan.chebyshev_be(exact, 0),
+        qkan.chebyshev_be(exact, 3),
+        qkan.product(exact, other),
+        qkan.lcu([exact, other], uniform_pair(2)),
+        qkan.lcu([exact, other, exact], uniform_pair(3)),
+        qkan.lcu([exact, other], pair_for_weights(np.array([0.3, -0.6]))),
+        sum_over_inputs(qkan.dilate(exact, 1), 2),
+        compile_system_blocks(exact),
+    ]
+    dropped = [
+        plain,
+        qkan.perturb(exact, 1e-6, seed=1),
+        pad_aux(exact, 1),
+        adjoint_encoding(exact),
+        qkan.hadamard_product(exact, other),
+        qkan.identity_encoding(2),
+        qkan.encode_from_stateprep(ops.state_prep_unitary(psi)),
+        qkan.encode_real_weights(qkan.stateprep_for_real_vector(0.5 * psi)),
+        # a complex pair, and a real pair made by hand, whose realness is not checked
+        qkan.lcu([exact, other], pair_for_weights(np.array([0.3, 0.6j]))),
+        qkan.lcu([exact, other], StatePrepPair(hadamards, hadamards, 1.0, 1)),
+        # one uncertified part
+        qkan.dilate(plain, 1),
+        split_system(plain, 1),
+        qkan.chebyshev_be(plain, 3),
+        qkan.product(exact, plain),
+        qkan.product(plain, exact),
+        qkan.lcu([exact, plain], uniform_pair(2)),
+        qkan.lcu([plain, exact, other], uniform_pair(3)),
+        sum_over_inputs(qkan.dilate(plain, 1), 2),
+        compile_system_blocks(plain),
+    ]
+    return kept, dropped
+
+
+def test_exact_real_diagonal_certificate_is_kept_only_when_every_part_has_it():
+    kept, dropped = _certificate_cases()
+    assert [be.exact_real_diagonal for be in kept] == [True] * len(kept)
+    assert [be.exact_real_diagonal for be in dropped] == [False] * len(dropped)
+    for be in kept:
+        block = qkan.extract_block(be)
+        assert be.epsilon == 0 and be.diagonal_flag
+        assert np.max(np.abs(block.imag)) == 0
+        assert np.max(np.abs(block - np.diag(np.diag(block)))) <= 1e-12
+
+
+def test_exact_real_diagonal_certificate_needs_epsilon_0_and_the_diagonal_flag():
+    from dataclasses import replace
+
+    exact = qkan.encode_diagonal_exact(np.array([0.3, -0.7]))
+    with pytest.raises(ContractViolationError, match="certificate"):
+        replace(exact, epsilon=1e-9)
+    with pytest.raises(ContractViolationError, match="certificate"):
+        replace(exact, diagonal_flag=False)
+
+
+def test_pairs_are_marked_real_when_built():
+    from qkan.block_encoding import pair_for_weights, uniform_pair
+
+    assert all(uniform_pair(m).real for m in range(1, 9))
+    assert pair_for_weights(np.array([0.3, -0.6, 0.1])).real
+    assert not pair_for_weights(np.array([0.3, 0.6j])).real

@@ -33,6 +33,13 @@ class PhaseSequence:
         return cls(((1 - d) * np.pi / 2,) + (np.pi / 2,) * (d - 1))
 
 
+def phase_on_zero(phi: float, n: int) -> ops.LinearOperator:
+    """exp(i phi (2|0><0| - I)): phase e^{i phi} on |0..0>, e^{-i phi} elsewhere."""
+    values = np.full(1 << n, np.exp(-1j * phi), dtype=np.complex128)
+    values[0] = np.exp(1j * phi)
+    return ops.Diagonal(values)
+
+
 def apply_phase_sequence(be: BlockEncoding, seq: PhaseSequence) -> BlockEncoding:
     """Polynomial transform from explicit QSP phases, in the product form
     prod_j e^{i phi_j (2|0><0|-I)} V_j with V_j alternating between the
@@ -47,9 +54,14 @@ def apply_phase_sequence(be: BlockEncoding, seq: PhaseSequence) -> BlockEncoding
     aux_axes = tuple(range(be.num_aux))
     factors: list[ops.LinearOperator] = []
     for j, phi in enumerate(seq.phases, start=1):
-        factors.append(ops.Embedded(ops.phase_on_zero(phi, be.num_aux), aux_axes, u.n))
+        factors.append(ops.Embedded(phase_on_zero(phi, be.num_aux), aux_axes, u.n))
         factors.append(u if (d - j) % 2 == 0 else u.adjoint())
     return _qsvt_shell(be, factors, 4.0 * d * np.sqrt(be.epsilon))
+
+
+def test_phase_on_zero():
+    op = phase_on_zero(np.pi / 2, 1)
+    assert np.allclose(op.dense(), np.diag([1j, -1j]))
 
 
 def test_reflection_signs():
@@ -329,12 +341,19 @@ def _recording_probe(monkeypatch):
     return probes
 
 
+def _uncertified_exact_input(x, name="x"):
+    """The operator of encode_diagonal_exact(x) as a plain primitive: real,
+    Hermitian and diagonal, but without the exact real diagonal certificate."""
+    layout = RegisterLayout((("enc", 1), ("sys", x.size.bit_length() - 1)))
+    return primitive_encoding(ops.LabelReflection(x), 1, layout, name, diagonal=True)
+
+
 def test_layer_guard_probes_the_undilated_input_once(monkeypatch):
     # N = 64, K = 4: the input B has 64 system states, B (x) I_4 has 256
     probes = _recording_probe(monkeypatch)
     x = np.random.default_rng(4).uniform(-1, 1, 64)
     spec = qkan.LayerSpec.random(64, 4, 3, seed=4)
-    be = qkan.build_layer(qkan.encode_diagonal_exact(x, name="x"), spec)
+    be = qkan.build_layer(_uncertified_exact_input(x), spec)
     assert [size for size, _ in probes] == [64]
     got = qkan.extract_diagonal(be).real
     assert np.max(np.abs(got - qkan.classical_layer_eval(x, spec))) <= 1e-9
@@ -394,7 +413,10 @@ def test_probe_estimate_of_a_later_layer_above_the_dense_cap(rng, monkeypatch):
     n + m = 10 system qubits, and its dilation, which CHEB transforms, spans
     n + k + m = 11, above the dense cap. The guard probes the input before
     DILATE; its U and U^dag trees differ, so rounding reaches the estimate,
-    which must stay far below the threshold: the dense fallback never runs."""
+    which must stay far below the threshold: the dense fallback never runs.
+    From an uncertified input both guards probe. From the certified input
+    neither does, and the probe of the certified layer-1 output, taken
+    directly, meets the same rounding gate."""
     from qkan import chebyshev
     from qkan.block_encoding import split_system
 
@@ -405,13 +427,116 @@ def test_probe_estimate_of_a_later_layer_above_the_dense_cap(rng, monkeypatch):
         (qkan.LayerSpec.random(2, 2, 2, seed=1), qkan.LayerSpec.random(2, 2, 2, seed=2))
     )
     xs = rng.uniform(-1, 1, (1 << m, 2))
-    be = split_system(qkan.encode_diagonal_exact(xs.T.reshape(-1), name="x"), m)
-    be = qkan.build_layer(be, spec.layers[0], sample_qubits=m)
-    assert be.num_system == 1 + m
-    be = qkan.build_layer(be, spec.layers[1], layer_index=1, sample_qubits=m)
-    assert be.layout.n_qubits == 21 and calls == []
-    assert [size for size, _ in probes] == [1 << (1 + m)] * 2
-    assert probes[1][1] <= 1e-3 * 0.1 * chebyshev.HERMITICITY_SLACK
-    got = qkan.extract_diagonal(be).real.reshape(-1, 1 << m).T
+    gate = 1e-3 * 0.1 * chebyshev.HERMITICITY_SLACK
     want = np.array([qkan.classical_network_eval(x, spec) for x in xs])
-    assert np.max(np.abs(got - want)) <= 1e-9
+    for source in (_uncertified_exact_input, qkan.encode_diagonal_exact):
+        probes.clear()
+        be = split_system(source(xs.T.reshape(-1), name="x"), m)
+        first = qkan.build_layer(be, spec.layers[0], sample_qubits=m)
+        assert first.num_system == 1 + m
+        assert first.exact_real_diagonal == (source is qkan.encode_diagonal_exact)
+        be = qkan.build_layer(first, spec.layers[1], layer_index=1, sample_qubits=m)
+        assert be.layout.n_qubits == 21 and calls == []
+        if first.exact_real_diagonal:
+            assert probes == []
+            assert chebyshev._probe_hermiticity_defect(first, None) <= gate
+        else:
+            assert [size for size, _ in probes] == [1 << (1 + m)] * 2
+            assert probes[1][1] <= gate
+        got = qkan.extract_diagonal(be).real.reshape(-1, 1 << m).T
+        assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def _counting_guard_tests(monkeypatch):
+    """Record the name of every probe and dense Hermiticity test."""
+    from qkan import chebyshev
+
+    calls = []
+    for name in ("_probe_hermiticity_defect", "_dense_hermiticity_defect"):
+        def counted(*args, _real=getattr(chebyshev, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(chebyshev, name, counted)
+    return calls
+
+
+def test_exact_builds_apply_nothing_for_the_guard(monkeypatch):
+    from qkan import chebyshev
+
+    calls = _counting_guard_tests(monkeypatch)
+    rng = np.random.default_rng(17)
+    # the wide-layer benchmark's shape: N = 256, K = 4, d = 3
+    x = rng.uniform(-1, 1, 256)
+    spec = qkan.LayerSpec(rng.uniform(-1, 1, (4, 256, 4)))
+    be = qkan.build_layer(qkan.encode_diagonal_exact(x, name="x"), spec)
+    assert be.exact_real_diagonal
+    # the deep-cli benchmark's network: 2 -> 2 -> 2 -> 1, d = 3
+    dims = (2, 2, 2, 1)
+    deep = qkan.QkanSpec(tuple(
+        qkan.LayerSpec(rng.uniform(-1, 1, (4, n_in, n_out))) for n_in, n_out in zip(dims, dims[1:])
+    ))
+    built = qkan.build_network(qkan.encode_diagonal_exact(x[:2], name="x"), deep)
+    assert all(out.exact_real_diagonal for out in built.layer_outputs)
+    assert calls == []
+    assert (chebyshev.HERMITICITY_PROBES, chebyshev.HERMITICITY_SLACK) == (8, 1e-9)
+    got = qkan.extract_diagonal(built.output).real
+    assert np.max(np.abs(got - qkan.classical_network_eval(x[:2], deep))) <= 1e-9
+
+
+def test_a_complex_entry_is_rejected_not_cast_into_a_certificate():
+    with pytest.raises(DomainError, match="real"):
+        qkan.encode_diagonal_exact(np.array([0.5 + 0.1j, 0.2]))
+    assert qkan.encode_diagonal_exact(np.array([0.5 + 0j, 0.2])).exact_real_diagonal
+
+
+# diagonal-flagged, but uncertified: the guard tests each and rejects it
+@pytest.mark.parametrize("n_in", [4, 64])
+@pytest.mark.parametrize("kind", ["complex diagonal", "dense", "perturbed"])
+def test_uncertified_non_hermitian_inputs_are_still_rejected(kind, n_in, monkeypatch):
+    if kind == "complex diagonal":
+        be = _unit_phase_input(n_in, seed=n_in)
+    elif kind == "dense":
+        be = _non_hermitian_dense_input(n_in, seed=n_in)
+    else:
+        be = qkan.perturb(_unit_phase_input(n_in, seed=n_in), 1e-3, seed=2)
+    assert be.diagonal_flag and not be.exact_real_diagonal
+    calls = _counting_guard_tests(monkeypatch)
+    with pytest.raises(ContractViolationError, match="not Hermitian"):
+        qkan.chebyshev_be(be, 2)
+    assert calls
+
+
+def test_a_perturbed_exact_input_takes_the_guard(monkeypatch):
+    x = np.random.default_rng(3).uniform(-1, 1, 64)
+    be = qkan.perturb(qkan.encode_diagonal_exact(x), 1e-6, seed=1)
+    assert not be.exact_real_diagonal
+    probes = _recording_probe(monkeypatch)
+    qkan.chebyshev_be(be, 2)
+    assert [size for size, _ in probes] == [64]
+
+
+def test_stateprep_real_weights_and_custom_weight_encodings_take_the_probe(monkeypatch):
+    probes = _recording_probe(monkeypatch)
+    rng = np.random.default_rng(11)
+    w = rng.uniform(-1, 1, 32)
+    w *= 0.5 / np.linalg.norm(w)
+    for be in (
+        qkan.encode_from_stateprep(ops.state_prep_unitary(w / np.linalg.norm(w))),
+        qkan.encode_real_weights(qkan.stateprep_for_real_vector(w)),
+    ):
+        assert not be.exact_real_diagonal
+        qkan.chebyshev_be(be, 2)
+    assert [size for size, _ in probes] == [32, 32]
+    # weights from a custom encoder leave layer 1's output (32 states) uncertified,
+    # so layer 2 probes it; the certified network input is not probed
+    probes.clear()
+    spec = qkan.QkanSpec((qkan.LayerSpec.random(2, 32, 2, seed=1), qkan.LayerSpec.random(32, 1, 2, seed=2)))
+    x = rng.uniform(-1, 1, 2)
+    built = qkan.build_network(
+        qkan.encode_diagonal_exact(x), spec, weight_encoder=_uncertified_exact_input
+    )
+    assert not built.layer_outputs[0].exact_real_diagonal
+    assert [size for size, _ in probes] == [32]
+    got = qkan.extract_diagonal(built.output).real
+    assert np.max(np.abs(got - qkan.classical_network_eval(x, spec))) <= 1e-9

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -637,3 +638,61 @@ def test_fuzzed_budget_exits_3_exactly_above_the_layout_qubits(tmp_path_factory,
         if command == "eval" and mode == "exact" and code == 0:
             output = json.loads(buffer.getvalue())["results"]["output"]
             assert np.max(np.abs(np.array(output) - oracles.network_forward(x, weights))) <= 1e-9
+
+
+def shots_training_config(shots):
+    """TRAIN_CONFIG with shots readout for both eval and SPSA training."""
+    payload = copy.deepcopy(TRAIN_CONFIG)
+    payload["readout"] = {"mode": "shots", "shots": shots, "seed": 4}
+    payload["train"].update(readout="shots", shots=shots)
+    return payload
+
+
+@pytest.mark.parametrize("command, path", [("eval", "readout.shots"), ("train", "train.shots")])
+def test_shot_count_of_2_to_the_63_or_more_exits_2(tmp_path, command, path, capsys):
+    payload = shots_training_config(100)
+    section, key = path.split(".")
+    payload[section][key] = 2**63
+    assert main([command, "--config", write_config(tmp_path, payload), "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error:")
+
+
+def test_shot_counts_just_below_2_to_the_63_are_accepted(tmp_path, capsys):
+    path = write_config(tmp_path, shots_training_config(2**63 - 1))
+    code, report = run(["resources", "--config", path, "--no-timestamp"], capsys)
+    assert code == 0 and report["config"]["readout"]["shots"] == 2**63 - 1
+
+
+# the network's exact cost is C = 3: C / delta^2 overflows at 1e-300 and
+# underflows to 0 at 1e300, while 1e-150 and 1e150 give finite positive counts
+@pytest.mark.parametrize("delta, code", [(1e-300, 2), (1e300, 2), (1e-150, 0), (1e150, 0)])
+def test_readout_delta_without_finite_positive_counts_exits_2(tmp_path, delta, code, capsys):
+    path = write_config(tmp_path, with_field("readout.delta", delta))
+    assert main(["resources", "--config", path, "--no-timestamp"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and captured.err.startswith("config error: readout.delta")
+    else:
+        counts = json.loads(captured.out)["results"]["readout_queries"]
+        assert 0 < counts["hadamard_test_sampling"] < math.inf
+        assert 0 < counts["hadamard_test_amplitude_estimation"] < math.inf
+
+
+HUGE = 2**40  # a weight tensor of this width cannot be allocated
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@pytest.mark.parametrize(
+    "layers",
+    [
+        [{"in": HUGE, "out": 2, "degree": 1, "weight_seed": 1}],
+        [{"in": 2, "out": 2, "degree": 1, "weight_seed": 1},
+         {"in": HUGE, "out": 1, "degree": 1, "weight_seed": 1}],
+    ],
+)
+def test_layer_headers_are_checked_before_any_weight_tensor(tmp_path, command, layers, capsys):
+    payload = copy.deepcopy({**TRAIN_CONFIG, "layers": layers})
+    assert main([command, "--config", write_config(tmp_path, payload), "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error:")

@@ -281,3 +281,42 @@ def test_later_sites_keep_the_sample_register():
     # of the 13-qubit output; its output (a = 11, s = 7) is read from one 18-qubit column
     wide = random_spec((2, 2, 2), 3, seed=5)
     assert network.later_sites(6, 7, wide.layers[1:], 6) == [(1, 16 << 13), (6, (1 << 18) >> 2)]
+
+
+def test_later_sites_of_a_certified_output_charge_no_guard():
+    # a certified output, and every later input built on it with exact weights,
+    # needs no Hermiticity test: only the read is left. deep-cli's layer 1
+    # (20 leaves) stays declined, its threshold rising from 4.0 to 4.2
+    spec = random_spec((2, 2, 2, 1), 3, seed=5)
+    guarded = network.later_sites(6, 1, spec.layers[1:])
+    certified = network.later_sites(6, 1, spec.layers[1:], certified=True)
+    assert certified == guarded[-1:] == [(36, (1 << 16) >> 4)]
+    assert network.compile_threshold(6, 1, guarded) == pytest.approx(4.0208, abs=1e-4)
+    assert network.compile_threshold(6, 1, certified) == pytest.approx(4.2043, abs=1e-4)
+    # 2->2->1 d = 3 on m = 2: a tie at 127 against 20 leaves becomes never
+    short = random_spec((2, 2, 1), 3, seed=5).layers[1:]
+    assert network.compile_threshold(6, 3, network.later_sites(6, 3, short, 2)) == pytest.approx(127.35, abs=0.01)
+    assert network.compile_threshold(6, 3, network.later_sites(6, 3, short, 2, True)) == math.inf
+
+
+def test_network_assembler_charges_the_guard_of_uncertified_outputs_only(monkeypatch):
+    seen = []
+    later_sites = network.later_sites
+
+    def recording(*args):
+        seen.append(args[4])
+        return later_sites(*args)
+
+    monkeypatch.setattr(network, "later_sites", recording)
+    spec = random_spec((2, 2, 2, 1), 3, seed=5)
+    x = np.array([0.3, -0.5])
+    qkan.build_network(qkan.encode_diagonal_exact(x), spec)
+    assert seen == [True, True]
+
+    def plain(vec, name):
+        layout = RegisterLayout((("enc", 1), ("sys", vec.size.bit_length() - 1)))
+        return primitive_encoding(ops.LabelReflection(vec), 1, layout, name, diagonal=True)
+
+    seen.clear()
+    qkan.build_network(qkan.encode_diagonal_exact(x), spec, weight_encoder=plain)
+    assert seen == [False, False]

@@ -172,11 +172,6 @@ def test_permutation_adjoint_roundtrip():
         ops.permutation_from_map(1, lambda i: 0)
 
 
-def test_phase_on_zero():
-    op = ops.phase_on_zero(np.pi / 2, 1)
-    assert np.allclose(op.dense(), np.diag([1j, -1j]))
-
-
 def test_state_prep_unitary_first_column():
     rng = np.random.default_rng(3)
     vec = rng.normal(size=4) + 1j * rng.normal(size=4)

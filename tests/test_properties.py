@@ -1,6 +1,7 @@
 """Algebraic property tests over random diagonal encodings."""
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 import qkan
@@ -79,3 +80,41 @@ def test_layer_oracle_equivalence_property(seed, kind):
     column /= np.linalg.norm(column)
     complex_read = built.op.apply(column.astype(np.complex128))
     assert np.max(np.abs(built.op.apply(column) - complex_read)) <= 1e-15
+
+
+@given(
+    st.integers(0, 2**16),
+    st.lists(st.sampled_from((1, 2, 4)), min_size=2, max_size=3),
+    st.integers(0, 3),
+    st.sampled_from((0, 2)),
+)
+def test_certified_encodings_are_real_and_hermitian(seed, dims, degree, m):
+    """Every encoding that a build certifies exactly real and diagonal (at
+    most 2 layers, widths <= 4, d <= 3, with or without a sample register)
+    has a dense block with no imaginary part and ||B - B^dag||_2 <= 1e-12."""
+    from qkan.block_encoding import BlockEncoding, split_system
+    from qkan.network import NetworkAssembler
+
+    rng = np.random.default_rng(seed)
+    spec = qkan.QkanSpec(tuple(
+        qkan.LayerSpec(rng.uniform(-1, 1, (degree + 1, n_in, n_out)))
+        for n_in, n_out in zip(dims, dims[1:])
+    ))
+    xs = rng.uniform(-1, 1, (1 << m, dims[0]))
+    created = []
+    post_init = BlockEncoding.__post_init__
+
+    def recording(be):
+        post_init(be)
+        created.append(be)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BlockEncoding, "__post_init__", recording)
+        be_x = split_system(qkan.encode_diagonal_exact(xs.T.reshape(-1)), m)
+        built = NetworkAssembler(be_x, spec.layers[0], sample_qubits=m).build(spec)
+    assert built.output.exact_real_diagonal
+    certified = [be for be in created if be.exact_real_diagonal]
+    for be in certified:
+        block = qkan.extract_block(be)
+        assert np.max(np.abs(block.imag)) == 0
+        assert np.linalg.norm(block - block.conj().T, 2) <= 1e-12
