@@ -13,13 +13,17 @@ benchmark's ``run_seconds``, parent first on even seed positions and change
 first on odd ones, one process at a time. The report holds the commits and seeds and, for each
 workload and each end-to-end metric of ``BENCHMARK.json``, every run and the
 median and quartiles of each side, plus the pairs the change won (lower is
-better for every metric; ties count for neither side).
+better for every metric; ties count for neither side). Each run also records
+the minor page faults of its process (``getrusage`` of the child), in total
+and per attempted operation, with their spread per side: a workload whose
+time follows the heap layout shows it there.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import shutil
 import statistics
 import subprocess
@@ -76,12 +80,15 @@ def sides(parent: str, repo: Path = ROOT) -> Iterator[dict[str, Path]]:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark process; its result line and report environment."""
+    """One untraced benchmark process; its result line, report environment and
+    minor page faults, in total and per attempted operation (set-up included)."""
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
         [sys.executable, "qkanbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
     )
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     if proc.returncode != 0:
         raise RuntimeError(f"{workload} seed {seed} in {checkout} exited {proc.returncode}:\n"
                            f"{proc.stderr[-2000:]}")
@@ -94,6 +101,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "attempted": result["attempted"],
         "failed": result["failed"],
         "source_sha256": report["environment"]["source_sha256"],
+        "minor_faults": faults,
+        "faults_per_op": faults / max(result["attempted"], 1),
     }
 
 
@@ -109,6 +118,8 @@ def summarize(pairs: list[dict[str, dict]], metrics: list[str]) -> dict:
         out[side] = {name: spread([p[side]["metrics"][name] for p in pairs]) for name in metrics}
         out[side]["attempted"] = sum(p[side]["attempted"] for p in pairs)
         out[side]["failed"] = sum(p[side]["failed"] for p in pairs)
+        for name in ("minor_faults", "faults_per_op"):
+            out[side][name] = spread([p[side][name] for p in pairs])
     out["change_wins"] = {
         name: sum(p["change"]["metrics"][name] < p["parent"]["metrics"][name] for p in pairs)
         for name in metrics

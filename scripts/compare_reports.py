@@ -11,7 +11,8 @@ every config of :func:`configs`: each shape of ``compile_shapes.SHAPES``, and
 one N = 64, K = 4, d = 3 layer wide enough for the probe Hermiticity guard, with
 seeded weights and input, under the exact, stateprep and real_weights input
 encoders, exact and shots readout, unperturbed and perturbed, and under a
-tight qubit budget (exit 3 where the layout does not fit). The configs with a
+tight qubit budget, unperturbed and perturbed (exit 3 where the layout does
+not fit). The configs with a
 ``train`` section, one per entry of TRAINING, also run ``qkan train``.
 
 The report lists every mismatch, which is any of:
@@ -63,6 +64,7 @@ VARIANTS = [
     ("real_weights", "exact", False, None),
     ("real_weights", "shots", True, None),
     ("exact", "shots", False, 14),
+    ("exact", "shots", True, 14),
 ]
 PERTURB = {"eps_x": 1e-3, "eps_w": 1e-3, "seed": 5}
 # train sections of seeded runs on a 2 -> 2 -> 1, d = 3 network over the 64

@@ -77,6 +77,10 @@ class BlockEncoding:
     ``op.n == layout.n_qubits - idle_aux``, and the encoding's unitary is the
     identity on the idle qubits tensored with `op`. Reads, guards, compiles
     and readouts only prepare states whose idle qubits read 0.
+
+    `adjoint_op` is ``op.adjoint()``, built on first use and kept, as
+    `live_qubits` is: the Chebyshev guard's probe and the transforms of
+    every degree of one encoding share one U^dag.
     """
 
     op: LinearOperator
@@ -149,6 +153,11 @@ class BlockEncoding:
                 positions.extend(range(offset, offset + size))
             offset += size
         return tuple(positions)
+
+    @cached_property
+    def adjoint_op(self) -> LinearOperator:
+        """U^dag: ``op.adjoint()``, built once per encoding."""
+        return self.op.adjoint()
 
     @property
     def cost(self) -> dict[str, int]:
@@ -423,10 +432,6 @@ class StatePrepPair:
         c = self.p_left.apply(e0)
         d = self.p_right.apply(e0)
         return self.beta * c.conj() * d
-
-    def check(self, y: np.ndarray) -> float:
-        """Sum_j |y_j - beta conj(c_j) d_j| over the coefficient slots."""
-        return _missed_by(self.realized_weights(), y)
 
 
 def _missed_by(weights: np.ndarray, y: np.ndarray) -> float:

@@ -43,21 +43,21 @@ def _dense_hermiticity_defect(be: BlockEncoding, limit: float) -> float:
     return defect
 
 
-def _probe_hermiticity_defect(be: BlockEncoding, u_adjoint: LinearOperator | None) -> float:
+def _probe_hermiticity_defect(be: BlockEncoding) -> float:
     """alpha * ||(B - B^dag) V||_F / sqrt(k) over HERMITICITY_PROBES seeded
     complex Gaussian columns |0>_aux (x) v, E|v_i|^2 = 1: one application of
-    U and one of U^dag, whose top-left blocks are B / alpha and B^dag / alpha."""
+    U and one of U^dag (`be.adjoint_op`), whose top-left blocks are B / alpha
+    and B^dag / alpha."""
     rng = np.random.default_rng(HERMITICITY_PROBE_SEED)
     shape = (be.system_dim, HERMITICITY_PROBES)
     cols = np.zeros((be.op.dim, HERMITICITY_PROBES), dtype=np.complex128)
     cols[: be.system_dim] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     cols /= np.sqrt(2.0)
-    u_dag = be.op.adjoint() if u_adjoint is None else u_adjoint
-    gap = be.op.apply(cols, be.system_dim) - u_dag.apply(cols, be.system_dim)
+    gap = be.op.apply(cols, be.system_dim) - be.adjoint_op.apply(cols, be.system_dim)
     return be.alpha * float(np.linalg.norm(gap)) / np.sqrt(HERMITICITY_PROBES)
 
 
-def _require_hermitian_block(be: BlockEncoding, u_adjoint: LinearOperator | None = None) -> None:
+def _require_hermitian_block(be: BlockEncoding) -> None:
     """Chebyshev transforms are stated for Hermitian targets; reject encodings
     whose block B is further from Hermitian, ||B - B^dag||_2, than
     limit = 2 epsilon + HERMITICITY_SLACK.
@@ -79,13 +79,13 @@ def _require_hermitian_block(be: BlockEncoding, u_adjoint: LinearOperator | None
     one application over at most 2 k columns.
 
     The defect (probe estimate or spectral norm) is computed once per
-    encoding and kept on it as a float; NaN fails. `u_adjoint`, when given,
-    must be ``be.op.adjoint()``."""
+    encoding and kept on it as a float; NaN fails. The probe's U^dag is the
+    encoding's cached `adjoint_op`, the one its transforms use."""
     limit = 2.0 * be.epsilon + HERMITICITY_SLACK
     defect = 0.0 if be.exact_real_diagonal else be.check_results.get("hermiticity_defect")
     if defect is None:
         if be.system_dim > 2 * HERMITICITY_PROBES:
-            estimate = _probe_hermiticity_defect(be, u_adjoint)
+            estimate = _probe_hermiticity_defect(be)
             if estimate <= 0.1 * limit:
                 be.check_results["hermiticity_defect"] = estimate
                 return
@@ -122,15 +122,13 @@ def _qsvt_shell(
     )
 
 
-def chebyshev_be(
-    be_x: BlockEncoding, r: int, u_adjoint: LinearOperator | None = None
-) -> BlockEncoding:
+def chebyshev_be(be_x: BlockEncoding, r: int) -> BlockEncoding:
     """(1, a_x + 1, 4 r sqrt(eps_x))-encoding of diag(T_r(x_1), ..., T_r(x_N)).
 
     Applies the underlying encoding (or its adjoint) exactly r times; r = 0
-    yields an exact identity encoding at zero queries. `u_adjoint`, when
-    given, must be ``be_x.op.adjoint()``; callers building several degrees
-    pass one so that the adjoint tree is built once and shared. The
+    yields an exact identity encoding at zero queries. The adjoint factors
+    are `be_x.adjoint_op`, built once per encoding, so every degree built on
+    one encoding, and the guard's probe of it, share one U^dag tree. The
     transform of an encoding certified exactly real and diagonal keeps the
     certificate: T_r of a real diagonal is one, and the reflection form
     realizes it exactly.
@@ -141,15 +139,14 @@ def chebyshev_be(
         raise ContractViolationError("chebyshev_be requires a diagonal-flagged encoding")
     if r == 0:
         return _qsvt_shell(be_x, [], 0.0, be_x.exact_real_diagonal)
-    _require_hermitian_block(be_x, u_adjoint)
+    _require_hermitian_block(be_x)
     u = be_x.op
     z = Embedded(reflection_about_zero(be_x.live_aux), tuple(range(be_x.live_aux)), u.n)
     factors: list[LinearOperator] = []
     if r % 2:
         factors += [u, z]
     if r >= 2:
-        u_dag = u.adjoint() if u_adjoint is None else u_adjoint
-        factors += [u_dag, z, u, z] * (r // 2)
+        factors += [be_x.adjoint_op, z, u, z] * (r // 2)
     return _qsvt_shell(
         be_x, factors, 4.0 * r * np.sqrt(be_x.epsilon), be_x.exact_real_diagonal
     )

@@ -14,7 +14,7 @@ Schema (all sections optional unless a command needs them):
                 "iterations": ..., "seed": ..., "loss_goal": ...,
                 "readout": "exact" | "classical" | "shots", "shots": int,
                 "data": {"xs": [[...]], "ys": [[...]]}
-                      | {"grid_points_per_axis": int,
+                      | {"grid_points_per_axis": int, "n_in": int,
                          "target": {"kind": "cheb2_mean", "scale": float}}},
       "seed": int,
       "max_qubits": int
@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -82,18 +83,8 @@ class RunConfig:
                 for layer in self.spec.layers
             ],
             "encoder": self.encoder,
-            "perturb": {
-                "eps_x": self.perturb.eps_x,
-                "eps_w": self.perturb.eps_w,
-                "seed": self.perturb.seed,
-            },
-            "readout": {
-                "mode": self.readout.mode,
-                "shots": self.readout.shots,
-                "seed": self.readout.seed,
-                "node": self.readout.node,
-                "delta": self.readout.delta,
-            },
+            "perturb": asdict(self.perturb),
+            "readout": asdict(self.readout),
             "train": self.raw.get("train"),
             "seed": self.seed,
             "max_qubits": self.max_qubits,
@@ -126,6 +117,18 @@ def _real(value, what: str, positive: bool = False) -> float:
     return float(value)
 
 
+@contextmanager
+def _buildable(what: str):
+    """Turn numpy's refusal to build the arrays of `what` (too large, or too
+    many dimensions) into a ConfigError; package errors pass through."""
+    try:
+        yield
+    except QkanError:
+        raise
+    except (MemoryError, RuntimeError, ValueError) as exc:
+        raise ConfigError(f"{what} cannot be built: {exc}") from exc
+
+
 def _layer_header(entry: dict, index: int) -> tuple[int, int, int]:
     """(in, out, degree) of a layer entry, read before any of its weights."""
     _object(entry, f"layer {index}")
@@ -146,7 +149,8 @@ def _layer_from_dict(entry: dict, header: tuple[int, int, int], seed: int, index
         _require(np.all(np.isfinite(weights)), f"layer {index} weights must be finite")
         return LayerSpec(weights)
     weight_seed = _int(entry.get("weight_seed", seed + index), f"layer {index} 'weight_seed'")
-    return LayerSpec.random(n_in, n_out, degree, seed=weight_seed)
+    with _buildable(f"layer {index} weights of shape ({degree + 1}, {n_in}, {n_out})"):
+        return LayerSpec.random(n_in, n_out, degree, seed=weight_seed)
 
 
 def _train_from_dict(section: dict, default_seed: int, dims) -> tuple[TrainConfig, Dataset]:
@@ -159,12 +163,14 @@ def _train_from_dict(section: dict, default_seed: int, dims) -> tuple[TrainConfi
         _require(kind == "cheb2_mean", f"unknown training target {kind!r}")
         scale = float(target.get("scale", 0.25))
         points = _int(data_section.get("grid_points_per_axis", 8), "grid_points_per_axis", 1)
-        n_in = _int(data_section.get("n_in", 2), "train.data.n_in", 1)
+        n_in = _int(data_section.get("n_in", dims[0]), "train.data.n_in", 1)
+        _require(n_in == dims[0], f"train.data.n_in {n_in} != first layer in {dims[0]}")
 
         def fn(x):
             return np.array([scale * np.mean(np.cos(2 * np.arccos(x)))])
 
-        dataset = Dataset.from_function(fn, n_in, points)
+        with _buildable(f"train.data grid of {points}^{n_in} points"):
+            dataset = Dataset.from_function(fn, n_in, points)
     _require(dataset.xs.shape[1:] == (dims[0],) and dataset.ys.shape[1:] == (dims[-1],),
              f"train data needs rows of {dims[0]} inputs and {dims[-1]} targets")
     loss_goal = section.get("loss_goal")

@@ -28,6 +28,7 @@ from .block_encoding import (
     BlockEncoding,
     _aux_regs,
     _derived,
+    _split_regs,
     _sys_regs,
     compile_system_blocks,
     dilate,
@@ -176,23 +177,15 @@ def classical_network_eval(x: np.ndarray, spec: QkanSpec) -> np.ndarray:
 
 def sum_over_inputs(be: BlockEncoding, n_inputs: int) -> BlockEncoding:
     """SUM step: conjugate by Hadamards on the leading n input qubits and absorb
-    them into the ancilla block, leaving the k output qubits as the system.
-    The block of an exact real diagonal, averaged over the inputs, is one too,
-    so the certificate is kept."""
+    their registers (which must hold exactly those qubits) into the ancilla
+    block, leaving the k output qubits as the system. The block of an exact
+    real diagonal, averaged over the inputs, is one too, so the certificate
+    is kept."""
     if n_inputs > be.num_system:
         raise ContractViolationError(
             f"cannot absorb {n_inputs} qubits from a {be.num_system}-qubit system"
         )
-    sys_regs = _sys_regs(be)
-    absorbed = []
-    running = 0
-    while running < n_inputs:
-        if not sys_regs:
-            break
-        absorbed.append(sys_regs.pop(0))
-        running += absorbed[-1][1]
-    if running != n_inputs:
-        raise ContractViolationError("input qubits do not align with register boundaries")
+    absorbed, sys_regs = _split_regs(_sys_regs(be), n_inputs, "input block")
     if n_inputs == 0:
         return be
     h_layer = WalshHadamard(be.op.n, be.live_aux, n_inputs)
@@ -205,16 +198,20 @@ def sum_over_inputs(be: BlockEncoding, n_inputs: int) -> BlockEncoding:
 
 
 class LayerAssembler:
-    """Builds a layer for a fixed input encoding, reusing the input-dependent
-    Chebyshev encodings across weight updates (they are weight-independent).
+    """Builds the layer `spec` on a fixed input encoding, reusing the
+    input-dependent Chebyshev encodings across weight updates (they are
+    weight-independent).
 
-    The MUL term of degree r is kept with the bytes of weight slice r that
-    built it and reused while that slice is unchanged, so a finite-difference
-    loss re-encodes one slice, not d + 1; LCU and SUM are rebuilt on every
-    call. Terms are immutable trees, so a reused assembly is the same as a
-    fresh one. This needs `weight_encoder` to be a pure function of
-    ``(vector, name)``, as the default exact encoder is; it is passed a
-    read-only vector.
+    Construction encodes weight slice 0 of `spec` first and checks the
+    layer's qubit total, with that encoding's ancillas, before any Chebyshev
+    transform. The MUL term of degree r is kept with the bytes of weight
+    slice r that built it (slice 0's from construction) and reused while
+    that slice is unchanged, so ``assemble(spec.weights)`` encodes the other
+    d slices and a finite-difference loss re-encodes one slice, not d + 1;
+    LCU and SUM are rebuilt on every call. Terms are immutable trees, so a
+    reused assembly is the same as a fresh one. This needs `weight_encoder`
+    to be a pure function of ``(vector, name)``, as the default exact
+    encoder is; it is passed a read-only vector.
 
     With `sample_qubits` = m > 0 the last m system qubits of the input form a
     sample register: the input spans [p | sample], DILATE inserts the k
@@ -225,78 +222,65 @@ class LayerAssembler:
     def __init__(
         self,
         be_x: BlockEncoding,
-        n_out: int,
-        degree: int,
+        spec: LayerSpec,
         layer_index: int = 0,
         weight_encoder: WeightEncoder | None = None,
         sample_qubits: int = 0,
     ):
-        self.layer_index = layer_index
-        self.degree = degree
-        self.sample_qubits = sample_qubits
         self.n = be_x.num_system - sample_qubits
-        self.n_in = 1 << self.n
-        self.n_out = n_out
-        self.k = _log2_pow2(n_out, "output node count")
+        if self.n != spec.n_qubits_in:
+            raise ContractViolationError(
+                f"input encoding spans {self.n} qubits but the layer expects {spec.n_qubits_in}"
+            )
+        self.shape = spec.weights.shape
+        self.k = spec.n_qubits_out
+        self.layer_index = layer_index
+        self.sample_qubits = sample_qubits
         self.weight_encoder: WeightEncoder = weight_encoder or (
             lambda vec, name: encode_diagonal_exact(vec, name=name)
         )
-        selector = degree.bit_length()  # ceil(log2(d+1))
-        # total after SUM: selector + a_w + (a_x + 1) + n + k + m; probe a_w cheaply
-        probe = self.weight_encoder(np.zeros(self.n_in * n_out), "probe")
+        key = spec.weights[0].tobytes()
+        w_be = self._encode(key, 0)
+        # total after SUM: selector + a_w + (a_x + 1) + n + k + m, with
+        # selector = ceil(log2(d+1))
         check_qubit_budget(
-            selector + probe.num_aux + be_x.num_aux + 1 + be_x.num_system + self.k,
+            spec.degree.bit_length() + w_be.num_aux + be_x.num_aux + 1 + be_x.num_system + self.k,
             "CHEB-QKAN layer",
         )
-        # transform, then dilate (see the module docstring); one adjoint of the
-        # (possibly deep) input is shared by the guard and every degree's factors
-        u_dag = be_x.op.adjoint() if degree >= 2 else None
+        # transform, then dilate (see the module docstring)
         self.cheb = [
-            dilate(chebyshev_be(be_x, r, u_dag), self.k, trailing=sample_qubits)
-            for r in range(degree + 1)
+            dilate(chebyshev_be(be_x, r), self.k, trailing=sample_qubits)
+            for r in range(spec.degree + 1)
         ]
-        self.pair = uniform_pair(degree + 1)
+        self.pair = uniform_pair(spec.degree + 1)
         # per degree: (bytes of the weight slice, its MUL term), the last one built
-        self._terms: list[tuple[bytes, BlockEncoding] | None] = [None] * (degree + 1)
+        self._terms: list[tuple[bytes, BlockEncoding] | None] = [None] * (spec.degree + 1)
+        self._terms[0] = (key, product(self.cheb[0], dilate(w_be, sample_qubits)))
+
+    def _encode(self, key: bytes, r: int) -> BlockEncoding:
+        """The encoding of weight slice r from its bytes `key`, width checked."""
+        # read from the key's immutable bytes, so no term aliases the caller's array
+        w_be = self.weight_encoder(np.frombuffer(key), f"w{self.layer_index}[{r}]")
+        if w_be.num_system != self.n + self.k:
+            raise ContractViolationError(
+                f"weight encoding spans {w_be.num_system} qubits, expected {self.n + self.k}"
+            )
+        return w_be
 
     def assemble(self, weights: np.ndarray) -> BlockEncoding:
         """MUL + LCU + SUM for the given weight tensor (d+1, N, K)."""
         weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (self.degree + 1, self.n_in, self.n_out):
+        if weights.shape != self.shape:
             raise ContractViolationError(
-                f"weight shape {weights.shape} does not match "
-                f"({self.degree + 1}, {self.n_in}, {self.n_out})"
+                f"weight shape {weights.shape} does not match {self.shape}"
             )
-        for r in range(self.degree + 1):
+        for r, cached in enumerate(self._terms):
             key = weights[r].tobytes()
-            cached = self._terms[r]
-            if cached is not None and cached[0] == key:
-                continue
-            # read from the key's immutable bytes, so no term aliases the caller's array
-            w_be = self.weight_encoder(np.frombuffer(key), f"w{self.layer_index}[{r}]")
-            if w_be.num_system != self.n + self.k:
-                raise ContractViolationError(
-                    f"weight encoding spans {w_be.num_system} qubits, expected {self.n + self.k}"
-                )
-            self._terms[r] = (key, product(self.cheb[r], dilate(w_be, self.sample_qubits)))
+            if cached is None or cached[0] != key:
+                w_be = self._encode(key, r)
+                self._terms[r] = (key, product(self.cheb[r], dilate(w_be, self.sample_qubits)))
         combined = lcu([term for _, term in self._terms], self.pair)
         return sum_over_inputs(combined, self.n)
-
-
-def _layer_assembler(
-    be_x: BlockEncoding,
-    spec: LayerSpec,
-    layer_index: int,
-    weight_encoder: WeightEncoder | None,
-    sample_qubits: int,
-) -> LayerAssembler:
-    """A :class:`LayerAssembler` for `spec` on `be_x`, whose input width it checks."""
-    if be_x.num_system - sample_qubits != spec.n_qubits_in:
-        raise ContractViolationError(
-            f"input encoding spans {be_x.num_system - sample_qubits} qubits but the layer "
-            f"expects {spec.n_qubits_in}"
-        )
-    return LayerAssembler(be_x, spec.n_out, spec.degree, layer_index, weight_encoder, sample_qubits)
 
 
 def build_layer(
@@ -310,7 +294,7 @@ def build_layer(
     encoding of Phi(x), making d(d+1)/2 input and d+1 weight queries; with a
     trailing sample register of `sample_qubits` qubits (see
     :class:`LayerAssembler`), of Phi on every sample at once."""
-    assembler = _layer_assembler(be_x, spec, layer_index, weight_encoder, sample_qubits)
+    assembler = LayerAssembler(be_x, spec, layer_index, weight_encoder, sample_qubits)
     return assembler.assemble(spec.weights)
 
 
@@ -423,7 +407,7 @@ class NetworkAssembler:
     ):
         self.weight_encoder = weight_encoder
         self.sample_qubits = sample_qubits
-        self.first = _layer_assembler(be_x0, first, 0, weight_encoder, sample_qubits)
+        self.first = LayerAssembler(be_x0, first, 0, weight_encoder, sample_qubits)
         self._first_output: tuple[tuple, BlockEncoding] | None = None  # (key, output)
 
     def build(self, spec: QkanSpec) -> NetworkBuild:

@@ -18,9 +18,10 @@ def bench_pairs():
     return module
 
 
-def side(op_s, rss, attempted=10, failed=0):
+def side(op_s, rss, attempted=10, failed=0, faults=0):
     return {"metrics": {"op_s.min": op_s, "peak_rss_mb": rss},
-            "attempted": attempted, "failed": failed}
+            "attempted": attempted, "failed": failed,
+            "minor_faults": faults, "faults_per_op": faults / attempted}
 
 
 def test_spread_of_one_pair_is_its_value(bench_pairs):
@@ -50,6 +51,37 @@ def test_summarize_counts_strict_wins_only(bench_pairs):
     assert (out["parent"]["attempted"], out["parent"]["failed"]) == (32, 0)
     assert (out["change"]["attempted"], out["change"]["failed"]) == (30, 1)
     assert out["first"] == ["parent", "change", "parent"]
+
+
+def test_summarize_gives_the_spread_of_page_faults_per_side(bench_pairs):
+    pairs = [
+        {"first": "parent", "parent": side(0.3, 50.0, faults=1640), "change": side(0.3, 50.0, faults=30)},
+        {"first": "change", "parent": side(0.3, 50.0, faults=40), "change": side(0.3, 50.0, faults=50)},
+    ]
+    out = bench_pairs.summarize(pairs, ["op_s.min"])
+    assert out["parent"]["minor_faults"]["runs"] == [1640, 40]
+    assert out["parent"]["faults_per_op"]["runs"] == [164.0, 4.0]
+    assert out["change"]["faults_per_op"]["median"] == 4.0
+    assert "minor_faults" not in out["change_wins"]  # recorded, not a metric
+
+
+def test_run_once_records_the_child_page_faults(bench_pairs, tmp_path):
+    """The minor faults of a stand-in benchmark process (its interpreter's
+    start-up alone makes some) are recorded, in total and per attempted
+    operation."""
+    (tmp_path / "qkanbench").mkdir()
+    (tmp_path / "qkanbench" / "run.py").write_text(
+        "import json, pathlib\n"
+        "report = pathlib.Path('report.json')\n"
+        "report.write_text(json.dumps({'environment': {'source_sha256': 'abc'}}))\n"
+        "print('report: ' + str(report.resolve()))\n"
+        "print(json.dumps({'metrics': {'op_s.min': {'value': 0.5}}, "
+        "'attempted': 4, 'failed': 0}))\n"
+    )
+    out = bench_pairs.run_once(tmp_path, "any", 1, 0.1)
+    assert out["metrics"] == {"op_s.min": 0.5} and out["attempted"] == 4
+    assert out["minor_faults"] > 0
+    assert out["faults_per_op"] == out["minor_faults"] / 4
 
 
 def test_compile_shapes_summary_counts_wins_and_the_largest_deviation():

@@ -333,8 +333,8 @@ def _recording_probe(monkeypatch):
 
     probe, probes = chebyshev._probe_hermiticity_defect, []
 
-    def recording(be, u_adjoint):
-        probes.append((be.system_dim, probe(be, u_adjoint)))
+    def recording(be):
+        probes.append((be.system_dim, probe(be)))
         return probes[-1][1]
 
     monkeypatch.setattr(chebyshev, "_probe_hermiticity_defect", recording)
@@ -439,7 +439,7 @@ def test_probe_estimate_of_a_later_layer_above_the_dense_cap(rng, monkeypatch):
         assert be.layout.n_qubits == 21 and calls == []
         if first.exact_real_diagonal:
             assert probes == []
-            assert chebyshev._probe_hermiticity_defect(first, None) <= gate
+            assert chebyshev._probe_hermiticity_defect(first) <= gate
         else:
             assert [size for size, _ in probes] == [1 << (1 + m)] * 2
             assert probes[1][1] <= gate
@@ -540,3 +540,39 @@ def test_stateprep_real_weights_and_custom_weight_encodings_take_the_probe(monke
     assert [size for size, _ in probes] == [32]
     got = qkan.extract_diagonal(built.output).real
     assert np.max(np.abs(got - qkan.classical_network_eval(x, spec))) <= 1e-9
+
+
+def test_every_transform_of_an_encoding_shares_its_cached_adjoint():
+    be = qkan.encode_diagonal_exact(np.random.default_rng(5).uniform(-1, 1, 4), name="x")
+    assert be.adjoint_op is be.adjoint_op
+    for r in (2, 3, 4):
+        factors = qkan.chebyshev_be(be, r).op.factors
+        adjoints = [f for f in factors if f is not be.op and isinstance(f, ops.Query)]
+        assert len(adjoints) == r // 2
+        assert all(f is be.adjoint_op for f in adjoints)
+
+
+def test_an_uncertified_input_builds_its_adjoint_once(monkeypatch):
+    """Above 16 system states the guard probes with U^dag; the probe and the
+    adjoint factors of every degree share one U^dag, in a layer build and in
+    direct chebyshev_be calls alike."""
+    x = np.random.default_rng(6).uniform(-1, 1, 64)
+    spec = qkan.LayerSpec.random(64, 4, 3, seed=6)
+    inputs, calls = [], []
+    real = ops.Query.adjoint
+
+    def counting_adjoint(op):
+        calls.extend(i for i, be in enumerate(inputs) if be.op is op)
+        return real(op)
+
+    monkeypatch.setattr(ops.Query, "adjoint", counting_adjoint)
+    probes = _recording_probe(monkeypatch)
+    inputs.append(_uncertified_exact_input(x))
+    built = qkan.build_layer(inputs[0], spec)
+    inputs.append(_uncertified_exact_input(x))
+    for r in (1, 2, 3):
+        qkan.chebyshev_be(inputs[1], r)
+    assert calls == [0, 1]
+    assert [size for size, _ in probes] == [64, 64]
+    got = qkan.extract_diagonal(built).real
+    assert np.max(np.abs(got - qkan.classical_layer_eval(x, spec))) <= 1e-9

@@ -696,3 +696,47 @@ def test_layer_headers_are_checked_before_any_weight_tensor(tmp_path, command, l
     assert main([command, "--config", write_config(tmp_path, payload), "--no-timestamp"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("config error:")
+
+
+WIDE_INPUT = [0.01] * 64  # a 64-input network: a grid of 64 axes cannot be built
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+@pytest.mark.parametrize(
+    "changes, section",
+    [
+        ({"layers": [{"in": 2, "out": HUGE, "degree": 1, "weight_seed": 1}]}, "layer 0"),
+        ({"layers": [{"in": 2, "out": 2**62, "degree": 1, "weight_seed": 1}]}, "layer 0"),
+        ({"train": {"data": {"grid_points_per_axis": 2, "n_in": 40}}}, "train.data.n_in"),
+        ({"input": WIDE_INPUT,
+          "layers": [{"in": 64, "out": 1, "degree": 1, "weight_seed": 1}],
+          "train": {"data": {"grid_points_per_axis": 2, "n_in": 64}}}, "train.data"),
+        ({"input": WIDE_INPUT,
+          "layers": [{"in": 64, "out": 1, "degree": 1, "weight_seed": 1}],
+          "train": {"data": {"grid_points_per_axis": 2}}}, "train.data"),
+        ({"input": WIDE_INPUT[:32],
+          "layers": [{"in": 32, "out": 1, "degree": 1, "weight_seed": 1}],
+          "train": {"data": {"grid_points_per_axis": 8}}}, "train.data"),
+    ],
+)
+def test_oversized_weight_tensor_or_train_grid_exits_2(tmp_path, command, changes, section, capsys):
+    """Sizes that numpy refuses before allocating anything large."""
+    payload = {**copy.deepcopy(TRAIN_CONFIG), **changes}
+    config = write_config(tmp_path, payload)
+    assert main([command, "--config", config, "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"config error: {section}")
+
+
+def test_train_grid_width_defaults_to_the_first_layer_input(tmp_path, capsys):
+    payload = copy.deepcopy(TRAIN_CONFIG)
+    payload["input"] = [0.1, 0.2, 0.3, 0.4]
+    payload["layers"][0]["in"] = 4
+    config = load_config(write_config(tmp_path, payload))
+    assert config.dataset.xs.shape == (2**4, 4)
+    payload["train"]["data"]["n_in"] = 4
+    assert np.array_equal(load_config(write_config(tmp_path, payload)).dataset.xs, config.dataset.xs)
+    for n_in in (2, 8):
+        payload["train"]["data"]["n_in"] = n_in
+        with pytest.raises(ConfigError, match=f"train.data.n_in {n_in} != first layer in 4"):
+            load_config(write_config(tmp_path, payload))

@@ -85,10 +85,10 @@ def test_nan_on_one_side_is_an_infinite_deviation(compare_reports):
 
 def test_configs_cover_every_shape_encoder_readout_and_perturbation(compare_reports):
     named = compare_reports.configs(seed=3)
-    # the 10 compile shapes and the N = 64 layer of the probe guard, 7 variants
+    # the 10 compile shapes and the N = 64 layer of the probe guard, 8 variants
     # each, and the 2 training runs
-    assert len(compare_reports.SHAPES) == 11 and len(compare_reports.VARIANTS) == 7
-    assert len(named) == 11 * 7 + len(compare_reports.TRAINING) == 79
+    assert len(compare_reports.SHAPES) == 11 and len(compare_reports.VARIANTS) == 8
+    assert len(named) == 11 * 8 + len(compare_reports.TRAINING) == 90
     shaped = [c for c in named.values() if "train" not in c]
     assert sum(len(c["input"]) == 64 for c in shaped) == len(compare_reports.VARIANTS)
     assert {c["encoder"] for c in shaped} == {"exact", "stateprep", "real_weights"}

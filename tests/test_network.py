@@ -455,7 +455,8 @@ def test_assembler_rebuilds_only_the_changed_weight_slices(rng):
     weights = qkan.LayerSpec.random(2, 2, 3, seed=120).weights.copy()
     calls = []
     assembler = qkan.LayerAssembler(
-        qkan.encode_diagonal_exact(x, name="x"), 2, 3, weight_encoder=counting_encoder(calls)
+        qkan.encode_diagonal_exact(x, name="x"), qkan.LayerSpec(weights),
+        weight_encoder=counting_encoder(calls),
     )
     first = assembler.assemble(weights)
     calls.clear()
@@ -472,7 +473,7 @@ def test_assembler_rebuilds_only_the_changed_weight_slices(rng):
 
 def test_reused_assembly_keeps_the_analytic_ledger(rng):
     spec = qkan.LayerSpec.random(2, 2, 3, seed=121)
-    assembler = qkan.LayerAssembler(qkan.encode_diagonal_exact(rng.uniform(-1, 1, 2), name="x"), 2, 3)
+    assembler = qkan.LayerAssembler(qkan.encode_diagonal_exact(rng.uniform(-1, 1, 2), name="x"), spec)
     assembler.assemble(spec.weights)
     weights = spec.weights.copy()
     weights[1] *= 0.5
@@ -480,3 +481,74 @@ def test_reused_assembly_keeps_the_analytic_ledger(rng):
     report = qkan.analytic_cost(qkan.QkanSpec((qkan.LayerSpec(weights),)))
     assert reused.cost == report.expected_ledger
     assert reused.num_aux == report.aux_totals[-1]
+
+
+def test_a_layer_build_encodes_each_weight_slice_once(rng):
+    x = rng.uniform(-1, 1, 4)
+    spec = qkan.LayerSpec.random(4, 2, 3, seed=122)
+    calls = []
+    be = qkan.build_layer(
+        qkan.encode_diagonal_exact(x, name="x"), spec, weight_encoder=counting_encoder(calls)
+    )
+    assert calls == ["w0[0]", "w0[1]", "w0[2]", "w0[3]"]
+    want = qkan.classical_layer_eval(x, spec)
+    assert np.max(np.abs(qkan.extract_diagonal(be).real - want)) <= 1e-12
+
+
+def test_a_network_build_encodes_d_plus_1_weight_slices_per_layer(rng):
+    spec = qkan.QkanSpec(
+        (qkan.LayerSpec.random(2, 2, 3, seed=123), qkan.LayerSpec.random(2, 1, 2, seed=124))
+    )
+    calls = []
+    x = rng.uniform(-1, 1, 2)
+    built = qkan.build_network(
+        qkan.encode_diagonal_exact(x, name="x"), spec, weight_encoder=counting_encoder(calls)
+    )
+    assert calls == ["w0[0]", "w0[1]", "w0[2]", "w0[3]", "w1[0]", "w1[1]", "w1[2]"]
+    want = qkan.classical_network_eval(x, spec)
+    assert np.max(np.abs(qkan.extract_diagonal(built.output).real - want)) <= 1e-12
+
+
+def test_a_perturbed_layer_build_makes_d_plus_1_dense_perturbations(rng, monkeypatch):
+    from qkan import encoders
+
+    perturbed = []
+
+    def counting_perturb(be, eps, seed):
+        perturbed.append(sorted(be.cost))
+        return qkan.perturb(be, eps, seed)
+
+    monkeypatch.setattr(encoders, "perturb", counting_perturb)
+    spec = qkan.LayerSpec.random(4, 2, 3, seed=125)
+    be = qkan.build_layer(
+        qkan.encode_diagonal_exact(rng.uniform(-1, 1, 4), name="x"), spec,
+        weight_encoder=encoders.perturbed_weight_encoder(1e-3, seed=7),
+    )
+    assert perturbed == [["w0[0]"], ["w0[1]"], ["w0[2]"], ["w0[3]"]]
+    assert be.epsilon > 0
+
+
+@pytest.mark.parametrize("eps_w", [0.0, 1e-3])
+def test_layer_budget_is_checked_before_any_transform(rng, eps_w, monkeypatch):
+    """The layer's qubit total, with the weight encoding's ancillas, is
+    checked up front: one qubit short raises before any Chebyshev transform."""
+    from qkan import network
+    from qkan.encoders import perturbed_weight_encoder
+
+    encoder = perturbed_weight_encoder(eps_w, seed=7)
+    be_x = qkan.encode_diagonal_exact(rng.uniform(-1, 1, 4), name="x")
+    spec = qkan.LayerSpec.random(4, 2, 3, seed=126)
+    total = qkan.build_layer(be_x, spec, weight_encoder=encoder).layout.n_qubits
+    calls = []
+
+    def counting_chebyshev(*args, _real=network.chebyshev_be):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(network, "chebyshev_be", counting_chebyshev)
+    with qkan.qubit_budget(total - 1), pytest.raises(ResourceLimitError) as info:
+        qkan.build_layer(be_x, spec, weight_encoder=encoder)
+    assert info.value.required_qubits == total and calls == []
+    with qkan.qubit_budget(total):
+        qkan.build_layer(be_x, spec, weight_encoder=encoder)
+    assert len(calls) == 4
