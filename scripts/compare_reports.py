@@ -67,12 +67,17 @@ VARIANTS = [
     ("exact", "shots", True, 14),
 ]
 PERTURB = {"eps_x": 1e-3, "eps_w": 1e-3, "seed": 5}
-# train sections of seeded runs on a 2 -> 2 -> 1, d = 3 network over the 64
-# points of an 8 x 8 grid: finite differences on the exact readout, whose first
-# layer dilates ahead of the sample register, and SPSA on the shots readout
+# (dims, degree, train section) of seeded runs over the 64 points of an 8 x 8
+# grid. On a 2 -> 2 -> 1, d = 3 network (one chunk of m = 6 sample qubits):
+# finite differences on the exact readout, whose first layer dilates ahead of
+# the sample register, and SPSA on the shots readout. On a 2 -> 2 -> 2 -> 1,
+# d = 2 network, whose sample register is capped at m = 2 (16 chunks, each
+# with its own network assembler, and layer 1 compiled): SPSA on the exact
+# readout
 TRAINING = [
-    {"optimizer": "finite_difference", "readout": "exact", "eta": 1.0, "iterations": 2},
-    {"optimizer": "spsa", "readout": "shots", "shots": 1000, "eta": 0.1, "iterations": 4},
+    ((2, 2, 1), 3, {"optimizer": "finite_difference", "readout": "exact", "eta": 1.0, "iterations": 2}),
+    ((2, 2, 1), 3, {"optimizer": "spsa", "readout": "shots", "shots": 1000, "eta": 0.1, "iterations": 4}),
+    ((2, 2, 2, 1), 2, {"optimizer": "spsa", "readout": "exact", "eta": 0.1, "iterations": 3}),
 ]
 
 
@@ -118,12 +123,14 @@ def configs(seed: int = 0) -> dict[str, dict]:
                 config["max_qubits"] = budget
                 name += f" max_qubits={budget}"
             out[name] = config
-    rng = np.random.default_rng([seed, len(SHAPES)])
-    layers = _layers(rng, (2, 2, 1), 3)
-    x = rng.uniform(-1.0, 1.0, 2)
-    for train in TRAINING:
+    shapes = list(dict.fromkeys((dims, degree) for dims, degree, _ in TRAINING))
+    for dims, degree, train in TRAINING:
+        # one seeded network and input per training shape
+        rng = np.random.default_rng([seed, len(SHAPES) + shapes.index((dims, degree))])
+        layers = _layers(rng, dims, degree)
+        x = rng.uniform(-1.0, 1.0, dims[0])
         section = dict(train, seed=seed, data={"grid_points_per_axis": 8})
-        name = f"2-2-1 d=3 train {train['optimizer']} {train['readout']}"
+        name = f"{'-'.join(map(str, dims))} d={degree} train {train['optimizer']} {train['readout']}"
         out[name] = {"input": x.tolist(), "layers": layers, "train": section, "seed": seed}
     return out
 

@@ -143,6 +143,12 @@ class BlockEncoding:
         """Ancilla qubits that `op` acts on: its leading qubits."""
         return self.num_aux - self.idle_aux
 
+    @property
+    def sample_qubits(self) -> int:
+        """Size of a trailing `sample` register (see :func:`split_system`), 0 without one."""
+        name, size = self.layout.registers[-1] if self.num_system else ("", 0)
+        return size if name == "sample" else 0
+
     @cached_property
     def live_qubits(self) -> tuple[int, ...]:
         """Layout positions of the qubits that `op` spans, in order."""

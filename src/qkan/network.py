@@ -62,6 +62,11 @@ COMPILE_FIXED_S = 1e-4
 COMPILE_MAX_ENTRIES = 1 << 20  # 4^a 2^s real block entries at most: 8 MiB, twice with the adjoint
 
 
+def selector_qubits(degree: int) -> int:
+    """ceil(log2(d+1)) LCU selector qubits."""
+    return degree.bit_length()
+
+
 def _log2_pow2(value: int, what: str) -> int:
     n = max(0, value.bit_length() - 1)
     if value != 1 << n:
@@ -104,6 +109,19 @@ class LayerSpec:
     @property
     def n_qubits_out(self) -> int:
         return _log2_pow2(self.n_out, "output node count")
+
+    @property
+    def input_applications(self) -> int:
+        """d(d+1)/2: T_r applies the layer input r times, over r = 0..d."""
+        return self.degree * (self.degree + 1) // 2
+
+    def output_qubits(self, a_in: int, a_w: int = 1, m: int = 0) -> tuple[int, int]:
+        """(ancillas, system qubits) of the layer output on an input with
+        `a_in` ancillas and n + m system qubits, with weight encodings of
+        `a_w` ancillas: the QSVT ancilla, the a_w, the selector and the n
+        absorbed inputs join the ancillas; the k outputs and the m sample
+        qubits form the system."""
+        return a_in + 1 + a_w + selector_qubits(self.degree) + self.n_qubits_in, self.n_qubits_out + m
 
     @classmethod
     def random(cls, n_in: int, n_out: int, degree: int, seed: int, scale: float = 1.0) -> "LayerSpec":
@@ -213,11 +231,12 @@ class LayerAssembler:
     to be a pure function of ``(vector, name)``, as the default exact
     encoder is; it is passed a read-only vector.
 
-    With `sample_qubits` = m > 0 the last m system qubits of the input form a
-    sample register: the input spans [p | sample], DILATE inserts the k
-    output qubits ahead of it, every weight encoding W becomes W (x) I_sample,
-    and SUM leaves [k | sample], the input system of a next layer with the
-    same m. One application then evaluates the layer on all 2^m samples."""
+    When the input ends in a `sample` register of m qubits
+    (:attr:`BlockEncoding.sample_qubits`), the input spans [p | sample],
+    DILATE inserts the k output qubits ahead of it, every weight encoding W
+    becomes W (x) I_sample, and SUM leaves [k | sample], the input system of
+    a next layer with the same m. One application then evaluates the layer
+    on all 2^m samples."""
 
     def __init__(
         self,
@@ -225,9 +244,9 @@ class LayerAssembler:
         spec: LayerSpec,
         layer_index: int = 0,
         weight_encoder: WeightEncoder | None = None,
-        sample_qubits: int = 0,
     ):
-        self.n = be_x.num_system - sample_qubits
+        m = self.sample_qubits = be_x.sample_qubits
+        self.n = be_x.num_system - m
         if self.n != spec.n_qubits_in:
             raise ContractViolationError(
                 f"input encoding spans {self.n} qubits but the layer expects {spec.n_qubits_in}"
@@ -235,27 +254,21 @@ class LayerAssembler:
         self.shape = spec.weights.shape
         self.k = spec.n_qubits_out
         self.layer_index = layer_index
-        self.sample_qubits = sample_qubits
         self.weight_encoder: WeightEncoder = weight_encoder or (
             lambda vec, name: encode_diagonal_exact(vec, name=name)
         )
         key = spec.weights[0].tobytes()
         w_be = self._encode(key, 0)
-        # total after SUM: selector + a_w + (a_x + 1) + n + k + m, with
-        # selector = ceil(log2(d+1))
-        check_qubit_budget(
-            spec.degree.bit_length() + w_be.num_aux + be_x.num_aux + 1 + be_x.num_system + self.k,
-            "CHEB-QKAN layer",
-        )
+        check_qubit_budget(sum(spec.output_qubits(be_x.num_aux, w_be.num_aux, m)), "CHEB-QKAN layer")
         # transform, then dilate (see the module docstring)
         self.cheb = [
-            dilate(chebyshev_be(be_x, r), self.k, trailing=sample_qubits)
+            dilate(chebyshev_be(be_x, r), self.k, trailing=m)
             for r in range(spec.degree + 1)
         ]
         self.pair = uniform_pair(spec.degree + 1)
         # per degree: (bytes of the weight slice, its MUL term), the last one built
         self._terms: list[tuple[bytes, BlockEncoding] | None] = [None] * (spec.degree + 1)
-        self._terms[0] = (key, product(self.cheb[0], dilate(w_be, sample_qubits)))
+        self._terms[0] = (key, product(self.cheb[0], dilate(w_be, m)))
 
     def _encode(self, key: bytes, r: int) -> BlockEncoding:
         """The encoding of weight slice r from its bytes `key`, width checked."""
@@ -288,14 +301,13 @@ def build_layer(
     spec: LayerSpec,
     layer_index: int = 0,
     weight_encoder: WeightEncoder | None = None,
-    sample_qubits: int = 0,
 ) -> BlockEncoding:
-    """Diagonal (1, a_x + 1 + a_w + log2(d+1) + n, 4 d sqrt(eps_x) + eps_w)-
-    encoding of Phi(x), making d(d+1)/2 input and d+1 weight queries; with a
-    trailing sample register of `sample_qubits` qubits (see
-    :class:`LayerAssembler`), of Phi on every sample at once."""
-    assembler = LayerAssembler(be_x, spec, layer_index, weight_encoder, sample_qubits)
-    return assembler.assemble(spec.weights)
+    """Diagonal (1, a, 4 d sqrt(eps_x) + eps_w)-encoding of Phi(x), with a and
+    the system from :meth:`LayerSpec.output_qubits`, making
+    :attr:`LayerSpec.input_applications` input and d+1 weight queries; on an
+    input that ends in a sample register (see :class:`LayerAssembler`), of
+    Phi on every sample at once."""
+    return LayerAssembler(be_x, spec, layer_index, weight_encoder).assemble(spec.weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,32 +358,29 @@ def later_sites(
     (see :func:`compile_threshold`). The last `sample_qubits` m of the
     system qubits form the sample register, which every later layer keeps.
 
-    A later layer applies the previous output d(d+1)/2 times per application
-    of its own, inside the LCU select branches: each use sees the 1/2^b of
-    the state where the b selector qubits read its degree. Its Chebyshev
-    guard runs on its input: it applies the previous output itself to every
-    one of its 2^s system states (at most 2 HERMITICITY_PROBES of them) or
-    to HERMITICITY_PROBES probes with U and U^dag once, each of 2^(a+s)
+    A later layer applies the previous output
+    :attr:`LayerSpec.input_applications` times per application of its own,
+    inside the LCU select branches: each use sees the 1/2^b of the state
+    where the b selector qubits read its degree. Its Chebyshev guard runs on
+    its input: it applies the previous output itself to every one of its 2^s
+    system states (at most 2 HERMITICITY_PROBES of them) or to
+    HERMITICITY_PROBES probes with U and U^dag once, each of 2^(a+s)
     amplitudes, and the last output is read from one column. With
     `certified`, the output carries the exact real diagonal certificate, and
     so does every later layer input built on it with exact weights: no guard
-    applies anything, and no guard site is listed. SUM
-    absorbs the s - m input qubits, so the next output's system register
-    is its k outputs plus the m sample qubits. Later layers are assumed to
-    use the exact weight encoder's one ancilla, as :class:`NetworkAssembler`
-    does by default."""
+    applies anything, and no guard site is listed. Each next output's (a, s)
+    is :meth:`LayerSpec.output_qubits` with the exact weight encoder's one
+    ancilla, which :class:`NetworkAssembler` uses by default."""
     sites = []
     uses, shift = 1, 0  # occurrences in the previous output, log2 of the state share of each
     for layer in later:
-        terms, _, n_out = layer.weights.shape  # d + 1, N, K
-        k, select = n_out.bit_length() - 1, (terms - 1).bit_length()
-        if terms > 1 and not certified:
+        if layer.degree and not certified:
             states = 1 << s
             columns = states if states <= 2 * HERMITICITY_PROBES else 2 * HERMITICITY_PROBES
             sites.append((uses, (columns << (a + s)) >> shift))
-        uses *= terms * (terms - 1) // 2
-        shift += select
-        a, s = a + 2 + select + s - sample_qubits, k + sample_qubits
+        uses *= layer.input_applications
+        shift += selector_qubits(layer.degree)
+        a, s = layer.output_qubits(a, 1, sample_qubits)
     sites.append((uses, (1 << (a + s)) >> shift))
     return sites
 
@@ -387,9 +396,8 @@ class NetworkAssembler:
     on the bytes of its weights and the shapes of the later layers, which
     the compile rule reads: a finite-difference step of a deeper weight
     builds on it again. Deeper layers are rebuilt, because their input
-    changes with the upstream weights. With `sample_qubits` = m > 0 every
-    layer carries the trailing m-qubit sample register of the input (see
-    :class:`LayerAssembler`).
+    changes with the upstream weights. Every layer carries the trailing
+    sample register of the input, if it has one (see :class:`LayerAssembler`).
 
     An exact (epsilon = 0) output of a layer that is not the last is
     replaced by one SystemBlocks leaf (:func:`compile_system_blocks`) when
@@ -403,11 +411,9 @@ class NetworkAssembler:
         be_x0: BlockEncoding,
         first: LayerSpec,
         weight_encoder: WeightEncoder | None = None,
-        sample_qubits: int = 0,
     ):
         self.weight_encoder = weight_encoder
-        self.sample_qubits = sample_qubits
-        self.first = LayerAssembler(be_x0, first, 0, weight_encoder, sample_qubits)
+        self.first = LayerAssembler(be_x0, first, 0, weight_encoder)
         self._first_output: tuple[tuple, BlockEncoding] | None = None  # (key, output)
 
     def build(self, spec: QkanSpec) -> NetworkBuild:
@@ -420,7 +426,7 @@ class NetworkAssembler:
             self._first_output = (key, self._compiled(self.first.assemble(first.weights), later))
         outputs = [self._first_output[1]]
         for index, layer in enumerate(later, start=1):
-            be = build_layer(outputs[-1], layer, index, self.weight_encoder, self.sample_qubits)
+            be = build_layer(outputs[-1], layer, index, self.weight_encoder)
             outputs.append(self._compiled(be, spec.layers[index + 1:]))
         return NetworkBuild(tuple(outputs))
 
@@ -429,7 +435,7 @@ class NetworkAssembler:
         the applications by the layers `later` repay it."""
         if later and be.epsilon == 0:
             sites = later_sites(
-                be.num_aux, be.num_system, later, self.sample_qubits, be.exact_real_diagonal
+                be.num_aux, be.num_system, later, be.sample_qubits, be.exact_real_diagonal
             )
             if be.op.leaves > compile_threshold(be.num_aux, be.num_system, sites):
                 return compile_system_blocks(be)

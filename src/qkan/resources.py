@@ -16,12 +16,7 @@ from dataclasses import dataclass, field, replace
 
 from .block_encoding import BlockEncoding
 from .errors import DomainError
-from .network import QkanSpec
-
-
-def selector_qubits(degree: int) -> int:
-    """ceil(log2(d+1)) LCU selector qubits."""
-    return degree.bit_length()
+from .network import QkanSpec, selector_qubits  # selector_qubits: re-exported
 
 
 @dataclass(frozen=True)
@@ -90,47 +85,37 @@ def analytic_cost(spec: QkanSpec, c_x0: float = 1.0, a_x0: int = 1) -> CostRepor
 
     `c_x0` is the cost of one application of the input encoding and `a_x0`
     its ancilla count; every weight encoding is the exact one, one query and
-    one ancilla. The expected ledger counts `c_x0` queries of the input
+    one ancilla. Input applications and ancillas per layer are those of
+    :class:`~qkan.network.LayerSpec` (`input_applications`,
+    `output_qubits`). The expected ledger counts `c_x0` queries of the input
     primitive "x" per application of the input encoding.
     """
-    degrees = spec.degrees
-    length = len(degrees)
-
     per_layer = []
     exact = [float(c_x0)]
     asym = [float(c_x0)]
     aux = [int(a_x0)]
-    dims_in = spec.dims[:-1]
-    for l, d in enumerate(degrees):
-        n_l = (dims_in[l]).bit_length() - 1
-        aux_added = 2 + selector_qubits(d) + n_l  # QSVT and weight ancillas, selector, inputs
-        per_layer.append(
-            LayerCost(
-                degree=d,
-                input_applications=d * (d + 1) // 2,
-                weight_applications=d + 1,
-                aux_added=aux_added,
-            )
-        )
-        exact.append((d * (d + 1) / 2.0) * exact[-1] + (d + 1))
+    for layer in spec.layers:
+        d, uses = layer.degree, layer.input_applications
+        aux.append(layer.output_qubits(aux[-1])[0])
+        per_layer.append(LayerCost(d, uses, d + 1, aux[-1] - aux[-2]))
+        exact.append(uses * exact[-1] + (d + 1))
         asym.append((d * d / 2.0) * asym[-1] + d)
-        aux.append(aux[-1] + aux_added)
 
     # base-primitive ledger expectation: each layer-l primitive is applied once
     # per inclusion, multiplied by the input applications of every later layer
     expected: dict[str, int] = {}
     multiplier = 1
-    for l in reversed(range(length)):
-        for r in range(degrees[l] + 1):
+    for l, layer in reversed(list(enumerate(spec.layers))):
+        for r in range(layer.degree + 1):
             expected[f"w{l}[{r}]"] = multiplier
-        multiplier *= degrees[l] * (degrees[l] + 1) // 2
+        multiplier *= layer.input_applications
     if multiplier:
         expected["x"] = round(multiplier * c_x0)
     expected = {k: v for k, v in expected.items() if v}
 
     return CostReport(
         dims=spec.dims,
-        degrees=degrees,
+        degrees=spec.degrees,
         per_layer=tuple(per_layer),
         exact_cost=tuple(exact),
         asymptotic_cost=tuple(asym),

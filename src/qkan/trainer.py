@@ -142,7 +142,7 @@ class SimulatedModel:
             rows[: part.shape[0]] = part
             be_x = encode_diagonal_exact(rows.T.reshape(-1), name="x")  # index p * 2^m + s
             be_x = split_system(be_x, self.sample_qubits)
-            self.assemblers.append(NetworkAssembler(be_x, first, sample_qubits=self.sample_qubits))
+            self.assemblers.append(NetworkAssembler(be_x, first))
 
     def outputs(self, spec: QkanSpec) -> np.ndarray:
         chunk = 1 << self.sample_qubits

@@ -432,10 +432,10 @@ def test_probe_estimate_of_a_later_layer_above_the_dense_cap(rng, monkeypatch):
     for source in (_uncertified_exact_input, qkan.encode_diagonal_exact):
         probes.clear()
         be = split_system(source(xs.T.reshape(-1), name="x"), m)
-        first = qkan.build_layer(be, spec.layers[0], sample_qubits=m)
+        first = qkan.build_layer(be, spec.layers[0])
         assert first.num_system == 1 + m
         assert first.exact_real_diagonal == (source is qkan.encode_diagonal_exact)
-        be = qkan.build_layer(first, spec.layers[1], layer_index=1, sample_qubits=m)
+        be = qkan.build_layer(first, spec.layers[1], layer_index=1)
         assert be.layout.n_qubits == 21 and calls == []
         if first.exact_real_diagonal:
             assert probes == []

@@ -334,9 +334,9 @@ def test_batched_layers_carry_the_sample_register(rng):
     xs = rng.uniform(-1, 1, (4, 2))
     be, m = _sample_register_input(xs)
     assert be.layout.registers[-2:] == (("sys", 1), ("sample", 2))
-    first = qkan.build_layer(be, qspec.layers[0], sample_qubits=m)
+    first = qkan.build_layer(be, qspec.layers[0])
     assert (first.num_system, first.layout.registers[-2:]) == (3, (("dil", 1), ("sample", 2)))
-    second = qkan.build_layer(first, qspec.layers[1], layer_index=1, sample_qubits=m)
+    second = qkan.build_layer(first, qspec.layers[1], layer_index=1)
     assert (second.num_system, second.layout.registers[-2:]) == (3, (("dil.2", 1), ("sample", 2)))
     want = np.array([qkan.classical_network_eval(x, qspec) for x in xs])  # (S, K)
     got = qkan.extract_diagonal(second).real.reshape(2, 4).T  # index q * 2^m + s
@@ -346,6 +346,22 @@ def test_batched_layers_carry_the_sample_register(rng):
     assert second.cost == report.expected_ledger
     assert qkan.reconcile(report, second).ok
     assert second.num_aux == report.aux_totals[-1]
+
+
+def test_a_layer_reads_the_sample_width_from_its_input(rng):
+    """An input with a trailing sample register builds without being told
+    its width, and reads what SimulatedModel reads on the same rows."""
+    spec = qkan.LayerSpec.random(2, 2, 3, seed=72)
+    xs = rng.uniform(-1, 1, (4, 2))
+    be, m = _sample_register_input(xs)
+    built = qkan.build_layer(be, spec)
+    assert m == 2 and be.sample_qubits == built.sample_qubits == m
+    assert built.layout.registers[-2:] == (("dil", 1), ("sample", 2))
+    model = qkan.SimulatedModel(qkan.QkanSpec((spec,)), xs)
+    assert model.sample_qubits == m
+    got = qkan.extract_diagonal(built).real.reshape(-1, 1 << m).T  # index q * 2^m + s
+    assert np.array_equal(got, model.outputs(model.spec))
+    assert qkan.encode_diagonal_exact(xs[0]).sample_qubits == 0
 
 
 def per_column_diagonal(be):
@@ -414,8 +430,8 @@ def test_one_column_read_is_exact_with_a_sample_register(rng):
     )
     be, m = _sample_register_input(rng.uniform(-1, 1, (4, 2)))
     assert m == 2
-    be = qkan.build_layer(be, qspec.layers[0], sample_qubits=m)
-    be = qkan.build_layer(be, qspec.layers[1], layer_index=1, sample_qubits=m)
+    be = qkan.build_layer(be, qspec.layers[0])
+    be = qkan.build_layer(be, qspec.layers[1], layer_index=1)
     assert np.array_equal(qkan.extract_diagonal(be), per_column_diagonal(be))
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import qkan
 from qkan.encoders import perturbed_weight_encoder
@@ -111,10 +111,44 @@ def test_certified_encodings_are_real_and_hermitian(seed, dims, degree, m):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(BlockEncoding, "__post_init__", recording)
         be_x = split_system(qkan.encode_diagonal_exact(xs.T.reshape(-1)), m)
-        built = NetworkAssembler(be_x, spec.layers[0], sample_qubits=m).build(spec)
+        built = NetworkAssembler(be_x, spec.layers[0]).build(spec)
     assert built.output.exact_real_diagonal
     certified = [be for be in created if be.exact_real_diagonal]
     for be in certified:
         block = qkan.extract_block(be)
         assert np.max(np.abs(block.imag)) == 0
         assert np.linalg.norm(block - block.conj().T, 2) <= 1e-12
+
+
+@given(
+    st.integers(0, 2**16),
+    st.lists(st.sampled_from((1, 2, 4)), min_size=2, max_size=4),
+    st.integers(0, 3),
+    st.integers(0, 2),
+    st.booleans(),
+)
+def test_output_qubits_chain_the_built_layer_outputs(seed, dims, degree, m, perturbed):
+    """Chaining LayerSpec.output_qubits from the input's (ancillas, system
+    qubits) gives every layer output's (num_aux, num_system) of a network
+    built on a split input (1-3 layers, widths <= 4, d <= 3, m <= 2, exact
+    or perturbed weights); with no sample register the ancillas are
+    analytic_cost's aux_totals."""
+    from qkan.block_encoding import split_system
+    from qkan.network import NetworkAssembler
+
+    rng = np.random.default_rng(seed)
+    spec = qkan.QkanSpec(tuple(
+        qkan.LayerSpec(rng.uniform(-1, 1, (degree + 1, n_in, n_out)))
+        for n_in, n_out in zip(dims, dims[1:])
+    ))
+    be_x = split_system(qkan.encode_diagonal_exact(rng.uniform(-1, 1, dims[0] << m)), m)
+    shape, chain = (be_x.num_aux, be_x.num_system), []
+    for layer in spec.layers:
+        shape = layer.output_qubits(shape[0], 1, m)
+        chain.append(shape)
+    assume(sum(shape) <= qkan.operators.max_qubits())
+    encoder = perturbed_weight_encoder(1e-3, seed) if perturbed else None
+    built = NetworkAssembler(be_x, spec.layers[0], encoder).build(spec)
+    assert [(be.num_aux, be.num_system) for be in built.layer_outputs] == chain
+    if m == 0:
+        assert [a for a, _ in chain] == list(qkan.analytic_cost(spec).aux_totals[1:])
