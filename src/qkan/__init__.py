@@ -85,13 +85,13 @@ from .readout import (
 from .registers import RegisterLayout, StateVector
 from .resources import CostReport, analytic_cost, reconcile, selector_qubits
 from .trainer import (
+    ClassicalModel,
     Dataset,
     SimulatedModel,
     TrainConfig,
     TrainResult,
     finite_diff_grad,
     loss,
-    model_outputs,
     spsa_step,
     train,
 )

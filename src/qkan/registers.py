@@ -7,7 +7,7 @@ be empty (zero qubits); they contribute nothing to the index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,46 +42,6 @@ class RegisterLayout:
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.registers)
 
-    def size(self, name: str) -> int:
-        for reg, size in self.registers:
-            if reg == name:
-                return size
-        raise ContractViolationError(f"unknown register {name!r}")
-
-    def axes(self, name: str) -> tuple[int, ...]:
-        """Qubit positions (0 = most significant) occupied by a register."""
-        offset = 0
-        for reg, size in self.registers:
-            if reg == name:
-                return tuple(range(offset, offset + size))
-            offset += size
-        raise ContractViolationError(f"unknown register {name!r}")
-
-    def index(self, labels: dict[str, int]) -> int:
-        """Basis index of the product state with the given per-register labels."""
-        if set(labels) != set(self.names):
-            raise ContractViolationError(
-                f"labels {sorted(labels)} do not match registers {sorted(self.names)}"
-            )
-        idx = 0
-        for name, size in self.registers:
-            value = labels[name]
-            if not 0 <= value < (1 << size):
-                raise ContractViolationError(f"label {value} out of range for register {name!r}")
-            idx = (idx << size) | value
-        return idx
-
-    def labels(self, index: int) -> dict[str, int]:
-        """Inverse of :meth:`index`."""
-        if not 0 <= index < self.dim:
-            raise ContractViolationError(f"index {index} out of range for {self.n_qubits} qubits")
-        out: dict[str, int] = {}
-        remaining = index
-        for name, size in reversed(self.registers):
-            out[name] = remaining & ((1 << size) - 1)
-            remaining >>= size
-        return out
-
 
 @dataclass(frozen=True)
 class StateVector:
@@ -89,7 +49,6 @@ class StateVector:
 
     amplitudes: np.ndarray
     layout: RegisterLayout
-    normalized: bool = field(default=True)
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -98,20 +57,7 @@ class StateVector:
             raise ContractViolationError(
                 f"amplitude length {amps.shape} does not match layout dim {self.layout.dim}"
             )
-        if self.normalized and abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
+        if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
             raise ContractViolationError(
                 f"statevector norm {np.linalg.norm(amps)} deviates from 1 beyond {NORM_TOL}"
             )
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    @classmethod
-    def basis(cls, layout: RegisterLayout, labels: dict[str, int]) -> "StateVector":
-        amps = np.zeros(layout.dim, dtype=np.complex128)
-        amps[layout.index(labels)] = 1.0
-        return cls(amps, layout)
-
-    def amplitude(self, labels: dict[str, int]) -> complex:
-        return complex(self.amplitudes[self.layout.index(labels)])

@@ -1,9 +1,12 @@
 """Numerical-gradient training of the weight tensors against sampled targets.
 
 Parameter-shift rules do not apply to the nonlinear activations, so gradients
-come from central finite differences or SPSA. Training evaluates the model
-through the simulator readout by default; the classical evaluator is exposed
-as a readout mode for cross-checks (the two agree to 1e-9 by construction).
+come from central finite differences or SPSA. The readout is a model object
+with an ``outputs(spec)`` method on fixed sample inputs: a
+:class:`SimulatedModel` runs the simulator (the default), a
+:class:`ClassicalModel` the classical evaluator, for cross-checks (the two
+agree to 1e-9 by construction). A positive shot count re-estimates the
+model's outputs from measurements.
 """
 
 from __future__ import annotations
@@ -15,13 +18,14 @@ import numpy as np
 from .block_encoding import extract_diagonal, split_system
 from .encoders import encode_diagonal_exact
 from .errors import ContractViolationError, DivergenceError, DomainError
-from .network import NetworkAssembler, QkanSpec, classical_network_eval
+from .network import LayerSpec, NetworkAssembler, QkanSpec, classical_network_eval
 from .operators import max_qubits, outside_unit_interval
 from .readout import shot_estimates
 from .resources import analytic_cost
 
 DIVERGENCE_FACTOR = 10.0
 DIVERGENCE_STREAK = 50
+PLATEAU_RTOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -36,7 +40,6 @@ class TrainConfig:
     shots: int = 0
     loss_goal: float | None = None
     plateau_window: int = 25
-    plateau_rtol: float = 1e-7
 
     def __post_init__(self):
         if self.h <= 0 or self.c <= 0:
@@ -132,9 +135,11 @@ class SimulatedModel:
     def __init__(self, spec: QkanSpec, xs: np.ndarray):
         self.spec = spec
         self.xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+        first = spec.layers[0]
+        if self.xs.shape[1] != first.n_in:
+            raise ContractViolationError(f"input shape {self.xs.shape} does not match N = {first.n_in}")
         self.sample_qubits = sample_register_width(spec, self.xs.shape[0])
         chunk = 1 << self.sample_qubits
-        first = spec.layers[0]
         self.assemblers = []
         for start in range(0, self.xs.shape[0], chunk):
             rows = np.zeros((chunk, first.n_in))
@@ -155,39 +160,41 @@ class SimulatedModel:
         return out
 
 
-def model_outputs(
-    spec: QkanSpec,
-    xs: np.ndarray,
-    readout: str = "exact",
-    model: SimulatedModel | None = None,
-) -> np.ndarray:
-    if readout == "classical":
-        return classical_network_eval(np.atleast_2d(xs), spec)
-    if readout in ("exact", "shots"):
-        if model is None:
-            model = SimulatedModel(spec, xs)
-        return model.outputs(spec)
-    raise DomainError(f"unknown readout mode {readout!r}")
+class ClassicalModel:
+    """Network outputs on fixed sample inputs from the classical evaluator,
+    all samples in one batch (:func:`~qkan.network.classical_network_eval`)."""
+
+    def __init__(self, spec: QkanSpec, xs: np.ndarray):
+        self.xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+
+    def outputs(self, spec: QkanSpec) -> np.ndarray:
+        return classical_network_eval(self.xs, spec)
+
+
+def _network(weights: list[np.ndarray]) -> QkanSpec:
+    return QkanSpec(tuple(LayerSpec(w) for w in weights))
 
 
 def loss(
     spec: QkanSpec,
     data: Dataset,
-    readout: str = "exact",
-    model: SimulatedModel | None = None,
+    model: SimulatedModel | ClassicalModel | None = None,
     shots: int = 0,
     seed: int | np.random.Generator | None = None,
 ) -> float:
-    """Mean squared error between model outputs and targets.
+    """Mean squared error between the model's outputs and the targets; no
+    model means a :class:`SimulatedModel` on ``data.xs``.
 
-    With shots readout each output is re-estimated from `shots` measurements
+    With ``shots > 0`` each output is re-estimated from `shots` measurements
     (:func:`~qkan.readout.shot_estimates`) drawn from
     ``np.random.default_rng(seed)``; pass a Generator to draw successive
     calls from one stream."""
-    preds = model_outputs(spec, data.xs, readout=readout, model=model)
-    if readout == "shots":
-        if shots <= 0:
-            raise DomainError("shots readout needs a positive shot count")
+    if shots < 0:
+        raise DomainError("shot count must be non-negative")
+    if model is None:
+        model = SimulatedModel(spec, data.xs)
+    preds = model.outputs(spec)
+    if shots:
         preds, _ = shot_estimates(preds, shots, np.random.default_rng(seed))
     return float(np.mean((preds - data.ys) ** 2))
 
@@ -196,15 +203,16 @@ def finite_diff_grad(
     spec: QkanSpec,
     data: Dataset,
     h: float,
-    readout: str = "exact",
-    model: SimulatedModel | None = None,
+    model: SimulatedModel | ClassicalModel | None = None,
 ) -> list[np.ndarray]:
-    """Central differences per weight; one-sided at the [-1, 1] boundary."""
-    if model is None and readout != "classical":
+    """Central differences per weight; one-sided at the [-1, 1] boundary.
+    Every loss reads `model`, by default one :class:`SimulatedModel` on
+    ``data.xs`` for the whole gradient."""
+    if model is None:
         model = SimulatedModel(spec, data.xs)
 
     def loss_at(candidate: QkanSpec) -> float:
-        return loss(candidate, data, readout=readout, model=model)
+        return loss(candidate, data, model=model)
 
     base: float | None = None
     grads = []
@@ -244,32 +252,26 @@ def spsa_step(
     seed: int,
     eta: float = 0.1,
     c: float = 0.1,
-    readout: str = "exact",
-    model: SimulatedModel | None = None,
+    model: SimulatedModel | ClassicalModel | None = None,
     shots: int = 0,
 ) -> QkanSpec:
     """One Rademacher-perturbation SPSA update with the standard gain schedules
     a_k = eta/(k+1)^0.602 and c_k = c/(k+1)^0.101; weights clamp to [-1, 1].
-    The perturbation and, with shots readout, the shot noise of both loss
-    evaluations come from ``default_rng([seed, iteration])``."""
-    if model is None and readout != "classical":
+    Both losses read `model`, by default a :class:`SimulatedModel` on
+    ``data.xs``. The perturbation and, with ``shots > 0``, the shot noise of
+    both losses come from ``default_rng([seed, iteration])``."""
+    if model is None:
         model = SimulatedModel(spec, data.xs)
     rng = np.random.default_rng([seed, iteration])
     a_k = eta / (iteration + 1) ** 0.602
     c_k = c / (iteration + 1) ** 0.101
-    deltas = [rng.integers(0, 2, size=layer.weights.shape) * 2.0 - 1.0 for layer in spec.layers]
-    plus = spec
-    minus = spec
-    for index, delta in enumerate(deltas):
-        plus = plus.with_layer_weights(index, np.clip(spec.layers[index].weights + c_k * delta, -1, 1))
-        minus = minus.with_layer_weights(index, np.clip(spec.layers[index].weights - c_k * delta, -1, 1))
-    diff = (loss(plus, data, readout=readout, model=model, shots=shots, seed=rng)
-            - loss(minus, data, readout=readout, model=model, shots=shots, seed=rng)) / (2.0 * c_k)
-    out = spec
-    for index, delta in enumerate(deltas):
-        updated = np.clip(spec.layers[index].weights - a_k * diff * delta, -1.0, 1.0)
-        out = out.with_layer_weights(index, updated)
-    return out
+    weights = [layer.weights for layer in spec.layers]
+    deltas = [rng.integers(0, 2, size=w.shape) * 2.0 - 1.0 for w in weights]
+    plus = _network([np.clip(w + c_k * d, -1, 1) for w, d in zip(weights, deltas)])
+    minus = _network([np.clip(w - c_k * d, -1, 1) for w, d in zip(weights, deltas)])
+    diff = (loss(plus, data, model=model, shots=shots, seed=rng)
+            - loss(minus, data, model=model, shots=shots, seed=rng)) / (2.0 * c_k)
+    return _network([np.clip(w - a_k * diff * d, -1.0, 1.0) for w, d in zip(weights, deltas)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,17 +288,22 @@ class TrainResult:
 def train(spec: QkanSpec, data: Dataset, config: TrainConfig) -> TrainResult:
     """Iterate the chosen optimizer; deterministic given the config seed.
 
-    Raises :class:`DivergenceError` when the loss exceeds 10x the initial
-    value for 50 consecutive iterations.
+    The config's readout is read here only: it picks the model every loss of
+    the run reads (a :class:`ClassicalModel` for ``"classical"``, else one
+    :class:`SimulatedModel` on ``data.xs``) and, for ``"shots"``, the shot
+    count. Raises :class:`DivergenceError` when the loss exceeds 10x the
+    initial value for 50 consecutive iterations; stops on a plateau when the
+    last ``plateau_window + 1`` losses spread by at most PLATEAU_RTOL times
+    the last one.
     """
-    model = None if config.readout == "classical" else SimulatedModel(spec, data.xs)
+    model = (ClassicalModel if config.readout == "classical" else SimulatedModel)(spec, data.xs)
+    shots = config.shots if config.readout == "shots" else 0
     # one shot-noise stream for the run's own loss calls; spawned, so it never
     # coincides with spsa_step's default_rng([seed, iteration])
     noise = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
 
     def run_loss(candidate: QkanSpec) -> float:
-        return loss(candidate, data, readout=config.readout, model=model,
-                    shots=config.shots, seed=noise)
+        return loss(candidate, data, model=model, shots=shots, seed=noise)
 
     current = spec
     losses = [run_loss(current)]
@@ -311,22 +318,16 @@ def train(spec: QkanSpec, data: Dataset, config: TrainConfig) -> TrainResult:
         if window and len(losses) > window:
             recent = losses[-window - 1:]
             scale = max(abs(recent[-1]), 1e-30)
-            if max(recent) - min(recent) <= config.plateau_rtol * scale:
+            if max(recent) - min(recent) <= PLATEAU_RTOL * scale:
                 stop_reason = "plateau"
                 break
         if config.optimizer == "finite_difference":
-            grads = finite_diff_grad(current, data, config.h, readout=config.readout, model=model)
-            for index, grad in enumerate(grads):
-                updated = np.clip(
-                    current.layers[index].weights - config.eta * grad, -1.0, 1.0
-                )
-                current = current.with_layer_weights(index, updated)
+            grads = finite_diff_grad(current, data, config.h, model=model)
+            current = _network([np.clip(layer.weights - config.eta * grad, -1.0, 1.0)
+                                for layer, grad in zip(current.layers, grads)])
         else:
-            current = spsa_step(
-                current, data, iteration, config.seed,
-                eta=config.eta, c=config.c, readout=config.readout, model=model,
-                shots=config.shots,
-            )
+            current = spsa_step(current, data, iteration, config.seed,
+                                eta=config.eta, c=config.c, model=model, shots=shots)
         losses.append(run_loss(current))
         if losses[-1] > DIVERGENCE_FACTOR * max(initial, 1e-30):
             streak += 1

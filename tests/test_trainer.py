@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qkan
-from qkan.errors import DivergenceError, DomainError
+from qkan.errors import ContractViolationError, DivergenceError, DomainError
 
 from oracles import analytic_loss_gradient
 
@@ -42,8 +42,8 @@ def test_loss_constant_target(small_spec):
 def test_exact_loss_matches_classical(rng):
     spec = qkan.QkanSpec((qkan.LayerSpec.random(2, 2, 2, seed=1),))
     data = qkan.Dataset(rng.uniform(-1, 1, (5, 2)), rng.uniform(-0.5, 0.5, (5, 2)))
-    exact = qkan.loss(spec, data, readout="exact")
-    classical = qkan.loss(spec, data, readout="classical")
+    exact = qkan.loss(spec, data)
+    classical = qkan.loss(spec, data, model=qkan.ClassicalModel(spec, data.xs))
     assert abs(exact - classical) <= 1e-9
 
 
@@ -67,7 +67,7 @@ def test_gradient_matches_analytic_two_layers(rng):
          qkan.LayerSpec.random(2, 1, 1, seed=4, scale=0.5))
     )
     data = qkan.Dataset(rng.uniform(-1, 1, (4, 2)), rng.uniform(-0.3, 0.3, (4, 1)))
-    got = qkan.finite_diff_grad(spec, data, h=1e-4, readout="classical")
+    got = qkan.finite_diff_grad(spec, data, h=1e-4, model=qkan.ClassicalModel(spec, data.xs))
     want = analytic_loss_gradient([l.weights for l in spec.layers], data.xs, data.ys)
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w)) <= 1e-6
@@ -87,25 +87,27 @@ def test_gradient_one_sided_at_boundary():
     w[0] = 1.0  # at the +1 boundary
     spec = qkan.QkanSpec((qkan.LayerSpec(w),))
     data = qkan.Dataset(np.array([[0.2, -0.6]]), np.array([[0.0]]))
-    grads = qkan.finite_diff_grad(spec, data, h=1e-4, readout="classical")
+    grads = qkan.finite_diff_grad(spec, data, h=1e-4, model=qkan.ClassicalModel(spec, data.xs))
     want = analytic_loss_gradient([w], data.xs, data.ys)
     assert np.max(np.abs(grads[0] - want[0])) <= 1e-3  # one-sided is first order
 
 
 def test_spsa_zero_step_keeps_weights(small_spec):
     data = quadratic_target_dataset(points=3)
-    stepped = qkan.spsa_step(small_spec, data, iteration=0, seed=1, eta=0.0, readout="classical")
+    model = qkan.ClassicalModel(small_spec, data.xs)
+    stepped = qkan.spsa_step(small_spec, data, iteration=0, seed=1, eta=0.0, model=model)
     assert np.allclose(stepped.layers[0].weights, small_spec.layers[0].weights)
 
 
 def test_spsa_direction_aligns_with_gradient(small_spec):
     data = quadratic_target_dataset(points=4)
-    grad = qkan.finite_diff_grad(small_spec, data, h=1e-4, readout="classical")[0]
+    model = qkan.ClassicalModel(small_spec, data.xs)
+    grad = qkan.finite_diff_grad(small_spec, data, h=1e-4, model=model)[0]
     accumulated = np.zeros_like(grad)
     eta = 0.5
     for seed in range(200):
         stepped = qkan.spsa_step(
-            small_spec, data, iteration=0, seed=seed, eta=eta, c=0.05, readout="classical"
+            small_spec, data, iteration=0, seed=seed, eta=eta, c=0.05, model=model
         )
         # update = -a_k * ghat, so the implied estimate is (w_old - w_new) / a_k
         accumulated += (small_spec.layers[0].weights - stepped.layers[0].weights) / eta
@@ -120,7 +122,8 @@ def test_spsa_clamps_weights():
     w = np.ones((1, 2, 1))  # d = 0, all weights at the boundary
     spec = qkan.QkanSpec((qkan.LayerSpec(w),))
     data = qkan.Dataset(np.array([[0.1, 0.1]]), np.array([[1.0]]))
-    stepped = qkan.spsa_step(spec, data, iteration=0, seed=3, eta=5.0, readout="classical")
+    model = qkan.ClassicalModel(spec, data.xs)
+    stepped = qkan.spsa_step(spec, data, iteration=0, seed=3, eta=5.0, model=model)
     assert np.all(np.abs(stepped.layers[0].weights) <= 1.0)
 
 
@@ -226,11 +229,92 @@ def test_batched_outputs_match_per_sample_builds(spec, samples, width, rng):
     xs = rng.uniform(-1, 1, (samples, 2))
     model = qkan.SimulatedModel(spec, xs)
     assert model.sample_qubits == width
-    got = qkan.model_outputs(spec, xs, model=model)
+    got = model.outputs(spec)
     assert got.shape == (samples, spec.dims[-1])
     assert np.max(np.abs(got - _per_sample_outputs(spec, xs))) <= 1e-12
-    classical = qkan.model_outputs(spec, xs, readout="classical")
+    classical = qkan.ClassicalModel(spec, xs).outputs(spec)
     assert np.max(np.abs(got - classical)) <= 1e-12
+
+
+def test_classical_model_is_the_batched_classical_evaluator(rng):
+    xs = rng.uniform(-1, 1, (6, 2))
+    got = qkan.ClassicalModel(TWO_LAYER_K2, xs).outputs(TWO_LAYER_K2)
+    assert np.array_equal(got, qkan.classical_network_eval(xs, TWO_LAYER_K2))
+
+
+def test_classical_model_trains_bit_for_bit_like_the_classical_evaluator(rng):
+    spec, h, seed, iteration, eta, c = TWO_LAYER_K2, 1e-4, 9, 3, 0.5, 0.1
+    data = qkan.Dataset(rng.uniform(-1, 1, (6, 2)), rng.uniform(-0.3, 0.3, (6, 1)))
+    model = qkan.ClassicalModel(spec, data.xs)
+
+    def mse(candidate):
+        return float(np.mean((qkan.classical_network_eval(data.xs, candidate) - data.ys) ** 2))
+
+    assert qkan.loss(spec, data, model=model) == mse(spec)
+    # central differences; every weight lies more than h inside [-1, 1]
+    assert all(np.max(np.abs(layer.weights)) < 1.0 - h for layer in spec.layers)
+    for index, grad in enumerate(qkan.finite_diff_grad(spec, data, h, model=model)):
+        weights = spec.layers[index].weights
+        for entry in np.ndindex(weights.shape):
+            plus, minus = weights.copy(), weights.copy()
+            plus[entry], minus[entry] = weights[entry] + h, weights[entry] - h
+            want = (mse(spec.with_layer_weights(index, plus))
+                    - mse(spec.with_layer_weights(index, minus))) / (plus[entry] - minus[entry])
+            assert grad[entry] == want
+    # SPSA's gains, Rademacher deltas and clamps, from default_rng([seed, iteration])
+    stream = np.random.default_rng([seed, iteration])
+    a_k, c_k = eta / (iteration + 1) ** 0.602, c / (iteration + 1) ** 0.101
+    deltas = [stream.integers(0, 2, size=layer.weights.shape) * 2.0 - 1.0 for layer in spec.layers]
+
+    def moved(step):
+        return qkan.QkanSpec(tuple(qkan.LayerSpec(np.clip(layer.weights + step * delta, -1, 1))
+                                   for layer, delta in zip(spec.layers, deltas)))
+
+    diff = (mse(moved(c_k)) - mse(moved(-c_k))) / (2.0 * c_k)
+    stepped = qkan.spsa_step(spec, data, iteration, seed, eta=eta, c=c, model=model)
+    for layer, delta, got in zip(spec.layers, deltas, stepped.layers):
+        assert np.array_equal(got.weights, np.clip(layer.weights - a_k * diff * delta, -1.0, 1.0))
+
+
+def test_classical_training_builds_no_simulated_model(small_spec, monkeypatch):
+    data = quadratic_target_dataset(points=3)
+
+    def refuse(spec, xs):
+        raise AssertionError("a SimulatedModel was built for the classical readout")
+
+    monkeypatch.setattr(qkan.trainer, "SimulatedModel", refuse)
+    start = float(np.mean((qkan.classical_network_eval(data.xs, small_spec) - data.ys) ** 2))
+    for optimizer in ("finite_difference", "spsa"):
+        config = qkan.TrainConfig(optimizer=optimizer, eta=1.0, iterations=2, readout="classical")
+        result = qkan.train(small_spec, data, config)
+        assert len(result.losses) == 3 and result.losses[0] == start
+
+
+def test_negative_shot_count_is_refused(small_spec):
+    data = quadratic_target_dataset(points=2)
+    with pytest.raises(DomainError, match="non-negative"):
+        qkan.loss(small_spec, data, shots=-1)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("model", ["SimulatedModel", "ClassicalModel"])
+def test_models_refuse_inputs_of_the_wrong_width(model, width, small_spec, rng):
+    xs = rng.uniform(-1, 1, (3, width))
+    message = rf"input shape \(3, {width}\) does not match N = 2"
+    with pytest.raises(ContractViolationError, match=message):
+        getattr(qkan, model)(small_spec, xs).outputs(small_spec)
+    data = qkan.Dataset(xs, np.zeros((3, 1)))
+    with pytest.raises(ContractViolationError, match=message):
+        qkan.loss(small_spec, data)  # no model: a SimulatedModel on data.xs
+
+
+def test_simulated_model_checks_the_width_before_encoding(small_spec, monkeypatch):
+    def refuse(vec, name):
+        raise AssertionError("encoded an input of the wrong width")
+
+    monkeypatch.setattr(qkan.trainer, "encode_diagonal_exact", refuse)
+    with pytest.raises(ContractViolationError, match="does not match N = 2"):
+        qkan.SimulatedModel(small_spec, np.zeros((3, 1)))
 
 
 def test_lowered_budget_splits_samples_into_chunks(rng):
@@ -242,7 +326,7 @@ def test_lowered_budget_splits_samples_into_chunks(rng):
     with qkan.qubit_budget(8):
         model = qkan.SimulatedModel(spec, data.xs)
         assert model.sample_qubits == 2  # chunks of 4: 4 samples, then 1 and 3 padding rows
-        got = qkan.model_outputs(spec, data.xs, model=model)
+        got = model.outputs(spec)
         chunked = qkan.train(spec, data, config)
     assert np.max(np.abs(got - _per_sample_outputs(spec, data.xs))) <= 1e-12
     assert np.max(np.abs(np.subtract(chunked.losses, whole.losses))) <= 1e-12
