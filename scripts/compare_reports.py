@@ -68,17 +68,20 @@ VARIANTS = [
 ]
 PERTURB = {"eps_x": 1e-3, "eps_w": 1e-3, "seed": 5}
 # (dims, degree, train section) of seeded runs over the 64 points of an 8 x 8
-# grid. On a 2 -> 2 -> 1, d = 3 network (one chunk of m = 6 sample qubits):
-# finite differences on the exact readout, whose first layer dilates ahead of
-# the sample register, and on the classical readout (the classical model),
-# and SPSA on the shots readout. On a 2 -> 2 -> 2 -> 1, d = 2 network, whose
-# sample register is capped at m = 2 (16 chunks, each with its own network
-# assembler, and layer 1 compiled): SPSA on the exact readout
+# grid. On a 2 -> 2 -> 1, d = 3 network (m = 6 sample qubits for one
+# candidate, 7 for two): finite differences on the exact readout, whose first
+# layer dilates ahead of the sample register, and on the classical readout
+# (the classical model), and SPSA on the shots readout. On a 2 -> 2 -> 2 -> 1,
+# d = 2 network, whose sample register is capped at m = 2 (16 chunks, each
+# with its own network assembler, and layer 1 compiled): SPSA on the exact
+# readout. On a 2 -> 1, d = 3 layer: finite differences on the exact readout,
+# whose 16 candidates share one register of m = 10 qubits
 TRAINING = [
     ((2, 2, 1), 3, {"optimizer": "finite_difference", "readout": "exact", "eta": 1.0, "iterations": 2}),
     ((2, 2, 1), 3, {"optimizer": "finite_difference", "readout": "classical", "eta": 1.0, "iterations": 2}),
     ((2, 2, 1), 3, {"optimizer": "spsa", "readout": "shots", "shots": 1000, "eta": 0.1, "iterations": 4}),
     ((2, 2, 2, 1), 2, {"optimizer": "spsa", "readout": "exact", "eta": 0.1, "iterations": 3}),
+    ((2, 1), 3, {"optimizer": "finite_difference", "readout": "exact", "eta": 1.0, "iterations": 2}),
 ]
 
 

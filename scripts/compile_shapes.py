@@ -27,6 +27,7 @@ the medians over rounds average that out.
 from __future__ import annotations
 
 import argparse
+import inspect
 import itertools
 import json
 import os
@@ -118,12 +119,20 @@ def worker(reps: int, order: int) -> dict:
                 [spec.with_layer_weights(0, first * (1.0 - rep * 2.0**-40)) for rep in range(reps)]
             )
 
+            # a revision whose model reads a sequence of candidate networks
+            # keeps its assemblers per register width and builds candidates
+            batched = "specs" in inspect.signature(model.outputs).parameters
+
             def output():
                 # a revision whose model keeps no network assemblers reports no leaves
                 assemblers = getattr(model, "assemblers", None)
+                if batched:
+                    return assemblers[model.sample_qubits][0].build([spec]).output
                 return assemblers[0].build(spec).output if assemblers else None
 
             def run():
+                if batched:
+                    return model.outputs([next(moved)])[0].reshape(-1)
                 return model.outputs(next(moved)).reshape(-1)
         times = []
         for _ in range(reps):

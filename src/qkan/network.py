@@ -233,10 +233,13 @@ class LayerAssembler:
 
     When the input ends in a `sample` register of m qubits
     (:attr:`BlockEncoding.sample_qubits`), the input spans [p | sample],
-    DILATE inserts the k output qubits ahead of it, every weight encoding W
-    becomes W (x) I_sample, and SUM leaves [k | sample], the input system of
-    a next layer with the same m. One application then evaluates the layer
-    on all 2^m samples."""
+    DILATE inserts the k output qubits ahead of it, and SUM leaves
+    [k | sample], the input system of a next layer with the same m. Each
+    weight slice r is encoded as one diagonal over [p | k | sample] (see
+    :func:`register_weights`): the same w[r, p, q] at every register state,
+    or, for a stack of C candidate tensors, candidate c's at the states of
+    its share of the register. One application then evaluates the layer on
+    all 2^m register states."""
 
     def __init__(
         self,
@@ -244,6 +247,7 @@ class LayerAssembler:
         spec: LayerSpec,
         layer_index: int = 0,
         weight_encoder: WeightEncoder | None = None,
+        weights: np.ndarray | None = None,
     ):
         m = self.sample_qubits = be_x.sample_qubits
         self.n = be_x.num_system - m
@@ -257,7 +261,8 @@ class LayerAssembler:
         self.weight_encoder: WeightEncoder = weight_encoder or (
             lambda vec, name: encode_diagonal_exact(vec, name=name)
         )
-        key = spec.weights[0].tobytes()
+        weights = self._checked(spec.weights if weights is None else weights)
+        key = register_weights(weights, 0, m).tobytes()
         w_be = self._encode(key, 0)
         check_qubit_budget(sum(spec.output_qubits(be_x.num_aux, w_be.num_aux, m)), "CHEB-QKAN layer")
         # transform, then dilate (see the module docstring)
@@ -268,32 +273,55 @@ class LayerAssembler:
         self.pair = uniform_pair(spec.degree + 1)
         # per degree: (bytes of the weight slice, its MUL term), the last one built
         self._terms: list[tuple[bytes, BlockEncoding] | None] = [None] * (spec.degree + 1)
-        self._terms[0] = (key, product(self.cheb[0], dilate(w_be, m)))
+        self._terms[0] = (key, product(self.cheb[0], w_be))
+
+    def _checked(self, weights: np.ndarray) -> np.ndarray:
+        """`weights` as float64, a tensor (d+1, N, K) or a stack (C, d+1, N, K)
+        of C candidate tensors, C a power of two up to 2^m."""
+        weights = np.asarray(weights, dtype=np.float64)
+        candidates = weights.shape[0] if weights.ndim == 4 else 1
+        if (weights.ndim not in (3, 4) or weights.shape[-3:] != self.shape
+                or not candidates or (1 << self.sample_qubits) % candidates):
+            raise ContractViolationError(
+                f"weight shape {weights.shape} does not match {self.shape} on "
+                f"{self.sample_qubits} sample qubits"
+            )
+        return weights
 
     def _encode(self, key: bytes, r: int) -> BlockEncoding:
         """The encoding of weight slice r from its bytes `key`, width checked."""
         # read from the key's immutable bytes, so no term aliases the caller's array
         w_be = self.weight_encoder(np.frombuffer(key), f"w{self.layer_index}[{r}]")
-        if w_be.num_system != self.n + self.k:
+        width = self.n + self.k + self.sample_qubits
+        if w_be.num_system != width:
             raise ContractViolationError(
-                f"weight encoding spans {w_be.num_system} qubits, expected {self.n + self.k}"
+                f"weight encoding spans {w_be.num_system} qubits, expected {width}"
             )
         return w_be
 
     def assemble(self, weights: np.ndarray) -> BlockEncoding:
-        """MUL + LCU + SUM for the given weight tensor (d+1, N, K)."""
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != self.shape:
-            raise ContractViolationError(
-                f"weight shape {weights.shape} does not match {self.shape}"
-            )
+        """MUL + LCU + SUM for the given weight tensor (d+1, N, K), or for a
+        stack (C, d+1, N, K) of candidate tensors (see :func:`register_weights`)."""
+        weights = self._checked(weights)
         for r, cached in enumerate(self._terms):
-            key = weights[r].tobytes()
+            key = register_weights(weights, r, self.sample_qubits).tobytes()
             if cached is None or cached[0] != key:
-                w_be = self._encode(key, r)
-                self._terms[r] = (key, product(self.cheb[r], dilate(w_be, self.sample_qubits)))
+                self._terms[r] = (key, product(self.cheb[r], self._encode(key, r)))
         combined = lcu([term for _, term in self._terms], self.pair)
         return sum_over_inputs(combined, self.n)
+
+
+def register_weights(weights: np.ndarray, r: int, m: int) -> np.ndarray:
+    """Weight slice r as one vector over [p | k | sample], index
+    (p K + q) 2^m + t, for an m-qubit sample register.
+
+    `weights` is a tensor (d+1, N, K), whose w[r, p, q] every register state
+    t carries, or a stack (C, d+1, N, K) of C candidate tensors, C a power of
+    two up to 2^m: candidate c holds the 2^m / C states from c 2^m / C on.
+    At m = 0 this is ``weights[r].reshape(-1)``."""
+    stack = weights.reshape((-1,) + weights.shape[-3:])[:, r]
+    columns = stack.reshape(stack.shape[0], -1).T  # (N K, C)
+    return np.repeat(columns, (1 << m) // stack.shape[0], axis=1).reshape(-1)
 
 
 def build_layer(
@@ -301,13 +329,17 @@ def build_layer(
     spec: LayerSpec,
     layer_index: int = 0,
     weight_encoder: WeightEncoder | None = None,
+    weights: np.ndarray | None = None,
 ) -> BlockEncoding:
     """Diagonal (1, a, 4 d sqrt(eps_x) + eps_w)-encoding of Phi(x), with a and
     the system from :meth:`LayerSpec.output_qubits`, making
     :attr:`LayerSpec.input_applications` input and d+1 weight queries; on an
     input that ends in a sample register (see :class:`LayerAssembler`), of
-    Phi on every sample at once."""
-    return LayerAssembler(be_x, spec, layer_index, weight_encoder).assemble(spec.weights)
+    Phi on every register state at once, with the weights of `spec` or with
+    `weights`, a stack of candidate tensors of its shape."""
+    return LayerAssembler(be_x, spec, layer_index, weight_encoder, weights).assemble(
+        spec.weights if weights is None else weights
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,11 +425,12 @@ class NetworkAssembler:
     The first layer's :class:`LayerAssembler` is kept, so its Chebyshev
     encodings and its unchanged MUL terms are reused across :meth:`build`
     calls, and so is the first layer's last output (compiled or not), keyed
-    on the bytes of its weights and the shapes of the later layers, which
-    the compile rule reads: a finite-difference step of a deeper weight
-    builds on it again. Deeper layers are rebuilt, because their input
-    changes with the upstream weights. Every layer carries the trailing
-    sample register of the input, if it has one (see :class:`LayerAssembler`).
+    on the bytes of its candidate weights and the shapes of the later
+    layers, which the compile rule reads: a finite-difference step of a
+    deeper weight builds on it again. Deeper layers are rebuilt, because
+    their input changes with the upstream weights. Every layer carries the
+    trailing sample register of the input, if it has one (see
+    :class:`LayerAssembler`).
 
     An exact (epsilon = 0) output of a layer that is not the last is
     replaced by one SystemBlocks leaf (:func:`compile_system_blocks`) when
@@ -416,18 +449,24 @@ class NetworkAssembler:
         self.first = LayerAssembler(be_x0, first, 0, weight_encoder)
         self._first_output: tuple[tuple, BlockEncoding] | None = None  # (key, output)
 
-    def build(self, spec: QkanSpec) -> NetworkBuild:
-        """Every layer output of `spec`, whose first layer has the shape the
-        assembler was made for."""
-        first, later = spec.layers[0], spec.layers[1:]
-        key = (first.weights.shape, first.weights.tobytes(),
-               tuple(layer.weights.shape for layer in later))
+    def build(self, specs: Sequence[QkanSpec]) -> NetworkBuild:
+        """Every layer output of the C candidate networks `specs`, one build:
+        C is a power of two up to 2^m, and candidate c holds the 2^m / C
+        sample-register states from c 2^m / C on (see
+        :func:`register_weights`). The candidates share their layer shapes,
+        and the first layer has the shape the assembler was made for."""
+        layers = specs[0].layers
+        if any(spec.dims != specs[0].dims or spec.degrees != specs[0].degrees for spec in specs):
+            raise ContractViolationError("candidate networks differ in their layer shapes")
+        stacks = [np.stack([spec.layers[i].weights for spec in specs]) for i in range(len(layers))]
+        later = layers[1:]
+        key = (stacks[0].shape, stacks[0].tobytes(), tuple(layer.weights.shape for layer in later))
         if self._first_output is None or self._first_output[0] != key:
-            self._first_output = (key, self._compiled(self.first.assemble(first.weights), later))
+            self._first_output = (key, self._compiled(self.first.assemble(stacks[0]), later))
         outputs = [self._first_output[1]]
         for index, layer in enumerate(later, start=1):
-            be = build_layer(outputs[-1], layer, index, self.weight_encoder)
-            outputs.append(self._compiled(be, spec.layers[index + 1:]))
+            be = build_layer(outputs[-1], layer, index, self.weight_encoder, stacks[index])
+            outputs.append(self._compiled(be, layers[index + 1:]))
         return NetworkBuild(tuple(outputs))
 
     def _compiled(self, be: BlockEncoding, later: Sequence[LayerSpec]) -> BlockEncoding:
@@ -449,4 +488,4 @@ def build_network(
 ) -> NetworkBuild:
     """The layer outputs of `spec` on the input `be_x0`, built once by a
     :class:`NetworkAssembler`."""
-    return NetworkAssembler(be_x0, spec.layers[0], weight_encoder).build(spec)
+    return NetworkAssembler(be_x0, spec.layers[0], weight_encoder).build([spec])

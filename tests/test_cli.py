@@ -492,6 +492,23 @@ def test_bad_train_number_exits_2(tmp_path, field, value, capsys):
     assert captured.out == "" and captured.err.startswith("config error:")
 
 
+@pytest.mark.parametrize("readout", ["exact", "classical"])
+def test_shot_count_on_a_training_readout_without_shots_exits_2(tmp_path, readout, capsys):
+    payload = copy.deepcopy(TRAIN_CONFIG)
+    payload["train"].update(readout=readout, shots=100)
+    assert main(["train", "--config", write_config(tmp_path, payload), "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "takes no shot count" in captured.err
+
+
+@pytest.mark.parametrize("budget, code", [(4, 3), (5, 0), (8, 0)])
+def test_train_exits_3_exactly_below_the_layer_qubits(tmp_path, budget, code, capsys):
+    """The d = 1 layer takes 5 qubits. At 5 its four samples run one at a
+    time; at 8 the two SPSA candidates share one register of 3 qubits."""
+    path = write_config(tmp_path, TRAIN_CONFIG)
+    assert main(["train", "--config", path, "--no-timestamp", "--max-qubits", str(budget)]) == code
+
+
 def test_spsa_shots_training_exits_0(tmp_path, capsys):
     payload = copy.deepcopy(TRAIN_CONFIG)
     payload["train"].update(readout="shots", shots=100, loss_goal=0.0)

@@ -86,9 +86,9 @@ def test_nan_on_one_side_is_an_infinite_deviation(compare_reports):
 def test_configs_cover_every_shape_encoder_readout_and_perturbation(compare_reports):
     named = compare_reports.configs(seed=3)
     # the 10 compile shapes and the N = 64 layer of the probe guard, 8 variants
-    # each, and the 4 training runs
+    # each, and the 5 training runs
     assert len(compare_reports.SHAPES) == 11 and len(compare_reports.VARIANTS) == 8
-    assert len(named) == 11 * 8 + len(compare_reports.TRAINING) == 92
+    assert len(named) == 11 * 8 + len(compare_reports.TRAINING) == 93
     shaped = [c for c in named.values() if "train" not in c]
     assert sum(len(c["input"]) == 64 for c in shaped) == len(compare_reports.VARIANTS)
     assert {c["encoder"] for c in shaped} == {"exact", "stateprep", "real_weights"}
@@ -105,8 +105,8 @@ def test_configs_cover_every_shape_encoder_readout_and_perturbation(compare_repo
     trained = [c for c in named.values() if "train" in c]
     assert [(c["train"]["optimizer"], c["train"]["readout"]) for c in trained] == [
         ("finite_difference", "exact"), ("finite_difference", "classical"), ("spsa", "shots"),
-        ("spsa", "exact")]
-    assert [len(c["layers"]) for c in trained] == [2, 2, 2, 3]
+        ("spsa", "exact"), ("finite_difference", "exact")]
+    assert [len(c["layers"]) for c in trained] == [2, 2, 2, 3, 1]
     assert all(compare_reports.commands(c) == compare_reports.COMMANDS + ("train",) for c in trained)
     assert compare_reports.configs(seed=3) == named  # seeded
 

@@ -174,7 +174,7 @@ def test_compiled_build_matches_the_tree(network_case):
     assert be.cost == trees[-1].cost
     assert np.max(np.abs(qkan.extract_diagonal(be) - want)) <= 1e-12
     # the training path, over a sample register, reads every sample's tree
-    got = qkan.SimulatedModel(spec, xs).outputs(spec)
+    got = qkan.SimulatedModel(spec, xs).outputs([spec])[0]
     for row, sample in zip(got, xs):
         tree = tree_build(qkan.encode_diagonal_exact(sample), spec)[-1]
         assert np.max(np.abs(row - qkan.extract_diagonal(tree).real)) <= 1e-12
@@ -233,7 +233,7 @@ def test_cost_rule_decisions_on_the_training_shapes(dims, degree, samples, m, co
     xs = np.random.default_rng(6).uniform(-1.0, 1.0, (samples, dims[0]))
     model = qkan.SimulatedModel(spec, xs)
     assert model.sample_qubits == m
-    built = model.assemblers[0].build(spec)
+    built = model.assemblers[m][0].build([spec])
     assert tuple(is_compiled(be) for be in built.layer_outputs) == (compiled,) + (False,) * (len(dims) - 2)
 
 

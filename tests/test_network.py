@@ -360,7 +360,7 @@ def test_a_layer_reads_the_sample_width_from_its_input(rng):
     model = qkan.SimulatedModel(qkan.QkanSpec((spec,)), xs)
     assert model.sample_qubits == m
     got = qkan.extract_diagonal(built).real.reshape(-1, 1 << m).T  # index q * 2^m + s
-    assert np.array_equal(got, model.outputs(model.spec))
+    assert np.array_equal(got, model.outputs([model.spec])[0])
     assert qkan.encode_diagonal_exact(xs[0]).sample_qubits == 0
 
 

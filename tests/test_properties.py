@@ -111,7 +111,7 @@ def test_certified_encodings_are_real_and_hermitian(seed, dims, degree, m):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(BlockEncoding, "__post_init__", recording)
         be_x = split_system(qkan.encode_diagonal_exact(xs.T.reshape(-1)), m)
-        built = NetworkAssembler(be_x, spec.layers[0]).build(spec)
+        built = NetworkAssembler(be_x, spec.layers[0]).build([spec])
     assert built.output.exact_real_diagonal
     certified = [be for be in created if be.exact_real_diagonal]
     for be in certified:
@@ -148,7 +148,7 @@ def test_output_qubits_chain_the_built_layer_outputs(seed, dims, degree, m, pert
         chain.append(shape)
     assume(sum(shape) <= qkan.operators.max_qubits())
     encoder = perturbed_weight_encoder(1e-3, seed) if perturbed else None
-    built = NetworkAssembler(be_x, spec.layers[0], encoder).build(spec)
+    built = NetworkAssembler(be_x, spec.layers[0], encoder).build([spec])
     assert [(be.num_aux, be.num_system) for be in built.layer_outputs] == chain
     if m == 0:
         assert [a for a, _ in chain] == list(qkan.analytic_cost(spec).aux_totals[1:])

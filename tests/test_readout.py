@@ -217,7 +217,7 @@ def test_one_shot_model_serves_the_hadamard_test_and_the_loss(rng):
         assert (result.value, result.stderr, result.shots) == (value, stderr, 1000)
     spec = qkan.QkanSpec((qkan.LayerSpec.random(2, 1, 2, seed=3),))
     data = qkan.Dataset.from_function(lambda p: [0.1 * p[0]], 2, 4)
-    exact = qkan.SimulatedModel(spec, data.xs).outputs(spec)
+    exact = qkan.SimulatedModel(spec, data.xs).outputs([spec])[0]
     drawn, _ = shot_estimates(exact, 1000, np.random.default_rng(11))
     got = qkan.loss(spec, data, shots=1000, seed=11)
     assert got == float(np.mean((drawn - data.ys) ** 2))

@@ -195,6 +195,15 @@ def test_train_config_validation():
         qkan.TrainConfig(optimizer="adam")
 
 
+@pytest.mark.parametrize("optimizer", ["finite_difference", "spsa"])
+@pytest.mark.parametrize("readout", ["exact", "classical"])
+def test_shot_count_on_a_readout_without_shots_is_refused(readout, optimizer):
+    for shots in (100, -1):
+        with pytest.raises(DomainError, match="takes no shot count"):
+            qkan.TrainConfig(optimizer=optimizer, readout=readout, shots=shots)
+    assert qkan.TrainConfig(optimizer=optimizer, readout=readout, shots=0).shots == 0
+
+
 def test_finite_differences_refuse_shots_readout():
     # shot noise over 2h would send every weight to +-1 in one step
     with pytest.raises(DomainError, match="SPSA"):
@@ -229,17 +238,17 @@ def test_batched_outputs_match_per_sample_builds(spec, samples, width, rng):
     xs = rng.uniform(-1, 1, (samples, 2))
     model = qkan.SimulatedModel(spec, xs)
     assert model.sample_qubits == width
-    got = model.outputs(spec)
+    got = model.outputs([spec])[0]
     assert got.shape == (samples, spec.dims[-1])
     assert np.max(np.abs(got - _per_sample_outputs(spec, xs))) <= 1e-12
-    classical = qkan.ClassicalModel(spec, xs).outputs(spec)
+    classical = qkan.ClassicalModel(spec, xs).outputs([spec])[0]
     assert np.max(np.abs(got - classical)) <= 1e-12
 
 
 def test_classical_model_is_the_batched_classical_evaluator(rng):
     xs = rng.uniform(-1, 1, (6, 2))
-    got = qkan.ClassicalModel(TWO_LAYER_K2, xs).outputs(TWO_LAYER_K2)
-    assert np.array_equal(got, qkan.classical_network_eval(xs, TWO_LAYER_K2))
+    got = qkan.ClassicalModel(TWO_LAYER_K2, xs).outputs([TWO_LAYER_K2])
+    assert np.array_equal(got[0], qkan.classical_network_eval(xs, TWO_LAYER_K2))
 
 
 def test_classical_model_trains_bit_for_bit_like_the_classical_evaluator(rng):
@@ -302,7 +311,7 @@ def test_models_refuse_inputs_of_the_wrong_width(model, width, small_spec, rng):
     xs = rng.uniform(-1, 1, (3, width))
     message = rf"input shape \(3, {width}\) does not match N = 2"
     with pytest.raises(ContractViolationError, match=message):
-        getattr(qkan, model)(small_spec, xs).outputs(small_spec)
+        getattr(qkan, model)(small_spec, xs).outputs([small_spec])
     data = qkan.Dataset(xs, np.zeros((3, 1)))
     with pytest.raises(ContractViolationError, match=message):
         qkan.loss(small_spec, data)  # no model: a SimulatedModel on data.xs
@@ -326,7 +335,7 @@ def test_lowered_budget_splits_samples_into_chunks(rng):
     with qkan.qubit_budget(8):
         model = qkan.SimulatedModel(spec, data.xs)
         assert model.sample_qubits == 2  # chunks of 4: 4 samples, then 1 and 3 padding rows
-        got = model.outputs(spec)
+        got = model.outputs([spec])[0]
         chunked = qkan.train(spec, data, config)
     assert np.max(np.abs(got - _per_sample_outputs(spec, data.xs))) <= 1e-12
     assert np.max(np.abs(np.subtract(chunked.losses, whole.losses))) <= 1e-12
@@ -356,14 +365,15 @@ def test_sample_register_width_limits():
 
 
 class FreshModel:
-    """A :class:`qkan.SimulatedModel` built anew for every loss evaluation,
-    so no MUL term outlives one assembly."""
+    """A :class:`qkan.SimulatedModel` built anew for every candidate and
+    read on a batch of that one candidate, so no MUL term outlives one
+    assembly and no two candidates share a register."""
 
     def __init__(self, spec, xs):
         self.xs = xs
 
-    def outputs(self, spec):
-        return qkan.SimulatedModel(spec, self.xs).outputs(spec)
+    def outputs(self, specs):
+        return np.stack([qkan.SimulatedModel(spec, self.xs).outputs([spec])[0] for spec in specs])
 
 
 def test_finite_differences_reencode_only_the_changed_weight_slices(monkeypatch):
@@ -405,6 +415,109 @@ def test_reused_terms_train_bit_for_bit_like_fresh_builds(spec, monkeypatch):
                for a, b in zip(trained.spec.layers, fresh_trained.spec.layers))
 
 
+def one_candidate_gradient(spec, data, h, model):
+    """finite_diff_grad's rule with one loss, a batch of one candidate, per
+    plus, minus, one-sided and unchanged network."""
+    grads = []
+    for index, layer in enumerate(spec.layers):
+        grad = np.empty_like(layer.weights)
+        for entry in np.ndindex(layer.weights.shape):
+            w = layer.weights[entry]
+            up, down = min(w + h, 1.0), max(w - h, -1.0)
+
+            def at(value):
+                moved = layer.weights.copy()
+                moved[entry] = value
+                return qkan.loss(spec.with_layer_weights(index, moved), data, model=model)
+
+            if up > w and down < w:
+                grad[entry] = (at(up) - at(down)) / (up - down)
+            else:
+                other = down if up == w else up
+                grad[entry] = (qkan.loss(spec, data, model=model) - at(other)) / (w - other)
+        grads.append(grad)
+    return grads
+
+
+@pytest.mark.parametrize("dims, degree, data", [
+    # (candidates per application) x (samples padded to a power of two) = 2^m
+    ((2, 1), 3, quadratic_target_dataset(points=4)),  # 15 candidates: 16 x 16, m = 8
+    ((2, 2, 1), 3, quadratic_target_dataset(points=2)),  # 47: 32 x 4, m = 7
+    ((2, 2, 2, 1), 2, qkan.Dataset([[0.3, -0.7], [-0.9, 0.4]], [[0.1], [-0.05]])),  # 59: 2 x 2, m = 2
+])
+def test_candidates_sharing_a_register_train_bit_for_bit_like_one_at_a_time(dims, degree, data, monkeypatch):
+    rng = np.random.default_rng(len(dims) + degree)
+    weights = [rng.uniform(-0.9, 0.9, (degree + 1, n_in, n_out)) for n_in, n_out in zip(dims, dims[1:])]
+    weights[0][0, 0, 0], weights[-1][-1, -1, -1] = 1.0, -1.0  # one-sided steps and the base
+    spec = qkan.QkanSpec(tuple(qkan.LayerSpec(w) for w in weights))
+    model = qkan.SimulatedModel(spec, data.xs)
+    got = qkan.finite_diff_grad(spec, data, 1e-4, model=model)
+    assert max(model.assemblers) > model.sample_qubits  # a register wider than one candidate
+    want = one_candidate_gradient(spec, data, 1e-4, qkan.SimulatedModel(spec, data.xs))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    for readout, shots in (("exact", 0), ("shots", 1000)):
+        config = qkan.TrainConfig(optimizer="spsa", readout=readout, shots=shots, eta=0.2,
+                                  iterations=4, plateau_window=0)
+        shared = qkan.train(spec, data, config)
+        with monkeypatch.context() as patch:
+            patch.setattr(qkan.trainer, "SimulatedModel", FreshModel)
+            single = qkan.train(spec, data, config)
+        assert shared.losses == single.losses
+        assert all(np.array_equal(a.weights, b.weights)
+                   for a, b in zip(shared.spec.layers, single.spec.layers))
+
+
+def _counting_reads(monkeypatch):
+    """Register widths of the model reads, in order."""
+    reads, extract = [], qkan.trainer.extract_diagonal
+
+    def counting(be):
+        reads.append(be.sample_qubits)
+        return extract(be)
+
+    monkeypatch.setattr(qkan.trainer, "extract_diagonal", counting)
+    return reads
+
+
+def test_train_fd_gradient_reads_every_candidate_in_one_application(monkeypatch):
+    spec = qkan.QkanSpec((qkan.LayerSpec.random(2, 1, 3, seed=132, scale=0.5),))
+    data = quadratic_target_dataset(points=8)  # 64 samples
+    model = qkan.SimulatedModel(spec, data.xs)
+    reads = _counting_reads(monkeypatch)
+    qkan.finite_diff_grad(spec, data, 1e-4, model=model)
+    # 16 candidates of 64 samples: 2^10 (candidate, sample) pairs
+    assert reads == [10] and len(model.assemblers[10]) == 1
+    qkan.loss(spec, data, model=model)
+    assert reads == [10, 6] and sorted(model.assemblers) == [6, 10]
+
+
+def test_capped_register_runs_candidates_one_after_another(monkeypatch, rng):
+    three = qkan.QkanSpec(
+        tuple(qkan.LayerSpec.random(2, k, 2, seed=i) for i, k in enumerate((2, 2, 1)))
+    )
+    moved = three.with_layer_weights(2, three.layers[2].weights * 0.5)
+    model = qkan.SimulatedModel(three, rng.uniform(-1, 1, (64, 2)))
+    reads = _counting_reads(monkeypatch)
+    got = model.outputs([three, moved])
+    # m = 2 holds no two candidates' 64 samples: 16 chunks per candidate
+    assert model.sample_qubits == 2 and list(model.assemblers) == [2]
+    assert reads == [2] * 32
+    assert np.array_equal(got[1], model.outputs([moved])[0])
+    assert np.array_equal(got[0], model.outputs([three])[0])
+
+
+@pytest.mark.parametrize("budget, widths", [(7, [1]), (12, [6]), (13, [6, 7])])
+def test_the_budget_sets_how_many_candidates_share_the_register(budget, widths, rng):
+    """The layer needs 6 qubits; 64 samples need 6 more per candidate."""
+    spec = qkan.QkanSpec((qkan.LayerSpec.random(2, 1, 3, seed=133, scale=0.5),))
+    moved = spec.with_layer_weights(0, spec.layers[0].weights * 0.5)
+    with qkan.qubit_budget(budget):
+        model = qkan.SimulatedModel(spec, rng.uniform(-1, 1, (64, 2)))
+        got = model.outputs([spec, moved])
+        assert sorted(model.assemblers) == widths
+        assert np.array_equal(got[1], model.outputs([moved])[0])
+
+
 def test_finite_differences_compile_the_first_layer_once_per_weight_tensor(monkeypatch):
     """The compile rule compiles layer 1 of 2->2->2->1 (d = 2) on 4 samples.
     One gradient compiles it once per distinct layer-1 weight tensor, not
@@ -422,9 +535,9 @@ def test_finite_differences_compile_the_first_layer_once_per_weight_tensor(monke
         compiles.append(be)
         return real_compile(be)
 
-    def recording_outputs(candidate):
-        first_weights.add(candidate.layers[0].weights.tobytes())
-        return real_outputs(candidate)
+    def recording_outputs(candidates):
+        first_weights.update(candidate.layers[0].weights.tobytes() for candidate in candidates)
+        return real_outputs(candidates)
 
     monkeypatch.setattr(qkan.network, "compile_system_blocks", counting_compile)
     monkeypatch.setattr(model, "outputs", recording_outputs)
