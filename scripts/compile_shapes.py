@@ -10,12 +10,14 @@ BLAS pinned to one thread. A worker times ``build_network`` plus
 ``extract_diagonal`` on every shape of ``SHAPES`` and
 ``SimulatedModel.outputs`` (one training loss, the model built before the
 clock starts, the first layer's weights moved by a rounding-sized step per
-repetition) on every row of ``TRAINING`` (seeded weights and inputs), and
-keeps the minimum of ``--reps`` repetitions. The JSON report gives, per row
-and side, the runs with their median and quartiles, the leaf count of the
-output tree (of the first chunk's, for a training row), the rounds the
-change won, and the largest entry difference between the two sides'
-diagonals (model outputs, for a training row).
+repetition) on every row of ``TRAINING`` (seeded weights and inputs), the
+same on every candidate network of one ``finite_diff_grad`` of the moved
+weights on every row of ``GRADIENT``, and keeps the minimum of ``--reps``
+repetitions. The JSON report gives, per row and side, the runs with their
+median and quartiles, the leaf count of the output tree (of the first
+chunk's at the widest register the model built, for a model row), the
+rounds the change won, and the largest entry difference between the two
+sides' diagonals (model outputs, for a model row).
 
 Round r runs both sides with ``PYTHONHASHSEED=r`` and the rows in the
 order of a shuffle seeded with r. Heap layout alone moves the time of a
@@ -76,12 +78,46 @@ TRAINING = [
 ]
 
 
-def shape_name(dims: tuple[int, ...], degree: int, samples: int | None = None) -> str:
+# (dims, degree, samples): SimulatedModel.outputs on every candidate network
+# of one finite_diff_grad (h = 1e-4): the train-fd shape and a two-layer one
+GRADIENT = [
+    ((2, 1), 3, 64),
+    ((2, 2, 1), 3, 64),
+]
+
+
+def shape_name(
+    dims: tuple[int, ...], degree: int, samples: int | None = None, read: str = "train"
+) -> str:
     name = f"{'-'.join(map(str, dims))} d={degree}"
-    return name if samples is None else f"{name} train {samples}"
+    return name if samples is None else f"{name} {read} {samples}"
 
 
-ROWS = [shape_name(dims, degree) for dims, degree in SHAPES] + [shape_name(*row) for row in TRAINING]
+ROWS = (
+    [shape_name(dims, degree) for dims, degree in SHAPES]
+    + [shape_name(*row) for row in TRAINING]
+    + [shape_name(*row, "gradient") for row in GRADIENT]
+)
+
+
+def gradient_candidates(qkan, spec, xs) -> list:
+    """The candidate networks that one ``finite_diff_grad`` of `spec` on the
+    inputs `xs` reads, recorded by a stand-in model that returns zeros."""
+    import numpy as np
+
+    seen: list = []
+
+    class Recorder:
+        def outputs(self, specs):
+            if isinstance(specs, qkan.QkanSpec):  # a model that reads one network per call
+                seen.append(specs)
+                return np.zeros((xs.shape[0], spec.dims[-1]))
+            seen.extend(specs)
+            return np.zeros((len(specs), xs.shape[0], spec.dims[-1]))
+
+    data = qkan.Dataset(xs, np.zeros((xs.shape[0], spec.dims[-1])))
+    qkan.finite_diff_grad(spec, data, 1e-4, model=Recorder())
+    return seen
 
 
 def worker(reps: int, order: int) -> dict:
@@ -91,11 +127,15 @@ def worker(reps: int, order: int) -> dict:
     import qkan
 
     out: dict = {"qkan_dir": str(Path(qkan.__file__).resolve().parent)}
-    rows = [(dims, degree, None) for dims, degree in SHAPES] + TRAINING
+    rows = (
+        [(dims, degree, None, None) for dims, degree in SHAPES]
+        + [(*row, "train") for row in TRAINING]
+        + [(*row, "gradient") for row in GRADIENT]
+    )
     indices = list(range(len(rows)))
     random.Random(order).shuffle(indices)
     for index in indices:
-        dims, degree, samples = rows[index]
+        dims, degree, samples, read = rows[index]
         rng = np.random.default_rng([index, 11])
         spec = qkan.QkanSpec(tuple(
             qkan.LayerSpec(rng.uniform(-1.0, 1.0, (degree + 1, n_in, n_out)))
@@ -115,8 +155,11 @@ def worker(reps: int, order: int) -> dict:
             # rounding-sized step, so a model that keeps the first layer's
             # output still rebuilds it, as for a step of a first-layer weight
             first = spec.layers[0].weights
-            moved = itertools.cycle(
-                [spec.with_layer_weights(0, first * (1.0 - rep * 2.0**-40)) for rep in range(reps)]
+            moved = [spec.with_layer_weights(0, first * (1.0 - rep * 2.0**-40)) for rep in range(reps)]
+            # a gradient row reads every candidate of one gradient of the moved weights
+            reads = itertools.cycle(
+                [[s] for s in moved] if read == "train"
+                else [gradient_candidates(qkan, s, model.xs) for s in moved]
             )
 
             # a revision whose model reads a sequence of candidate networks
@@ -126,21 +169,22 @@ def worker(reps: int, order: int) -> dict:
             def output():
                 # a revision whose model keeps no network assemblers reports no leaves
                 assemblers = getattr(model, "assemblers", None)
-                if batched:
-                    return assemblers[model.sample_qubits][0].build([spec]).output
+                if batched:  # the widest register built, a gradient row's
+                    return assemblers[max(assemblers)][0].build([spec]).output
                 return assemblers[0].build(spec).output if assemblers else None
 
             def run():
+                candidates = next(reads)
                 if batched:
-                    return model.outputs([next(moved)])[0].reshape(-1)
-                return model.outputs(next(moved)).reshape(-1)
+                    return model.outputs(candidates).reshape(-1)
+                return np.concatenate([model.outputs(c).reshape(-1) for c in candidates])
         times = []
         for _ in range(reps):
             start = time.perf_counter()
             values = run()
             times.append(time.perf_counter() - start)
         built = output()
-        out[shape_name(dims, degree, samples)] = {
+        out[shape_name(dims, degree, samples, read)] = {
             "min_s": min(times),
             "leaves": None if built is None else qkan.describe(built.op)["leaves"],
             "diagonal": [[v.real, v.imag] for v in values.astype(complex).tolist()],

@@ -456,7 +456,8 @@ class NetworkAssembler:
         :func:`register_weights`). The candidates share their layer shapes,
         and the first layer has the shape the assembler was made for."""
         layers = specs[0].layers
-        if any(spec.dims != specs[0].dims or spec.degrees != specs[0].degrees for spec in specs):
+        shapes = [layer.weights.shape for layer in layers]
+        if any([layer.weights.shape for layer in spec.layers] != shapes for spec in specs):
             raise ContractViolationError("candidate networks differ in their layer shapes")
         stacks = [np.stack([spec.layers[i].weights for spec in specs]) for i in range(len(layers))]
         later = layers[1:]

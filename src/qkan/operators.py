@@ -184,7 +184,12 @@ class Diagonal(LinearOperator):
         object.__setattr__(self, "n", n)
 
     def _apply(self, cols):
-        return self.values[:, None] * cols
+        return self._act(cols, _leaf_plan(tuple(range(self.n)), self.n))
+
+    def _act(self, cols, plan: _LeafPlan) -> np.ndarray:
+        """The diagonal on the qubits that `plan` names (:func:`_leaf_plan`)."""
+        view = cols.reshape(plan.shape)
+        return (plan.spread_out(self.values, view.shape[-1]) * view).reshape(cols.shape)
 
     def adjoint(self):
         return Diagonal(self.values.conj())
@@ -219,36 +224,42 @@ class Permutation(LinearOperator):
 class LabelReflection(LinearOperator):
     """Real reflection [[x_j, s_j], [s_j, -x_j]], s_j = sqrt(1 - x_j^2), between
     |0>|j> and |1>|j> for every label j of the trailing qubits. Hermitian and
-    unitary for x in [-1, 1], stored in O(2^n) memory. `x` is a read-only
-    copy of the given values, so later edits of the caller's array do not
-    reach the operator."""
+    unitary for x in [-1, 1], stored in O(2^n) memory as [x; s], the first
+    column of its blocks. `x` is a read-only copy of the given values, so
+    later edits of the caller's array do not reach the operator."""
 
     x: np.ndarray
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=np.float64)
-        x.setflags(write=False)
+        x = np.asarray(self.x, dtype=np.float64)
         labels = int(x.shape[0]) if x.ndim == 1 else 0
         if labels & (labels - 1) or not labels:
             raise ContractViolationError(f"label count {x.shape} is not a power of two")
         if outside_unit_interval(x):
             raise ContractViolationError("reflection entries must lie in [-1, 1]")
-        object.__setattr__(self, "x", x)
+        xs = np.empty(2 * labels)
+        xs[:labels] = x
+        np.sqrt(1.0 - x * x, out=xs[labels:])
+        xs.setflags(write=False)
+        object.__setattr__(self, "x", xs[:labels])
         object.__setattr__(self, "n", labels.bit_length())
-        object.__setattr__(self, "_s", np.sqrt(1.0 - x * x))
+        object.__setattr__(self, "_xs", xs)
 
     def _apply(self, cols):
-        half = cols.shape[0] // 2
-        top, bottom = cols[:half], cols[half:]
-        x, s = self.x[:, None], self._s[:, None]
-        out = np.empty_like(cols)
-        upper, lower = out[:half], out[half:]
-        np.multiply(x, top, out=upper)
-        np.multiply(s, bottom, out=lower)
+        return self._act(cols, _leaf_plan(tuple(range(self.n)), self.n))
+
+    def _act(self, cols, plan: _LeafPlan) -> np.ndarray:
+        """The reflection on the qubits that `plan` names (:func:`_leaf_plan`)."""
+        view = cols.reshape(plan.shape)
+        xs = plan.spread_out(self._xs, view.shape[-1])
+        x, s = xs[plan.top], xs[plan.bottom]
+        top, bottom = view[plan.top], view[plan.bottom]
+        out = xs * view  # [x * top; s * bottom]
+        upper, lower = out[plan.top], out[plan.bottom]
         upper += lower  # x * top + s * bottom
         np.multiply(s, top, out=lower)
         lower -= x * bottom
-        return out
+        return out.reshape(cols.shape)
 
     def adjoint(self):
         return self
@@ -446,6 +457,76 @@ def _axis_plan(axes: tuple[int, ...], n: int) -> _AxisPlan:
     )
 
 
+class _LeafPlan(NamedTuple):
+    shape: tuple[int, ...]  # source view: qubit runs, the leaf's first qubit alone, then -1
+    runs: tuple[int, ...]  # sizes of the leaf's runs, in its own qubit order
+    order: tuple[int, ...]  # transposition bringing those runs into source order
+    spread: tuple  # index giving them a unit axis at every other run of `shape`
+    top: tuple  # index of the entries whose leaf's first qubit reads 0 ...
+    bottom: tuple  # ... and 1
+    last: bool  # the leaf acts on the last qubit, so the batch is a run of its own
+
+    def spread_out(self, values: np.ndarray, batch: int) -> np.ndarray:
+        """The leaf's 2^k `values` as a tensor of its runs, spread against
+        the view. A batch of its own is the innermost loop of the products;
+        narrower than the leaf's last run, it gets the values repeated along
+        it, so that the loop runs over both."""
+        spread = values.reshape(self.runs).transpose(self.order)[self.spread]
+        if self.last and 1 < batch < spread.shape[-2]:
+            repeated = np.empty(spread.shape[:-1] + (batch,), spread.dtype)
+            repeated[...] = spread
+            return repeated
+        return spread
+
+
+@lru_cache(maxsize=4096)
+def _leaf_plan(axes: tuple[int, ...], n: int) -> _LeafPlan:
+    """Views on which a LabelReflection or Diagonal acts on the qubit `axes`
+    of a (2^n, batch) array where they are, by broadcast products. Adjacent
+    qubits form one dimension when none is acted on, or when they are
+    consecutive qubits of the leaf other than its first."""
+    role = {q: i for i, q in enumerate(axes)}
+    runs = [[0]]
+    for q in range(1, n + 1):  # n: the batch
+        prev = runs[-1][-1]
+        if (q not in role and prev not in role) or (
+            q in role and prev in role and 0 < role[prev] == role[q] - 1
+        ):
+            runs[-1].append(q)
+        else:
+            runs.append([q])
+    acted = sorted((i for i, run in enumerate(runs) if run[0] in role), key=lambda i: role[runs[i][0]])
+    head = (slice(None),) * (acted[0] if acted else 0)
+    return _LeafPlan(
+        shape=tuple(-1 if run[-1] == n else 1 << len(run) for run in runs),
+        runs=tuple(1 << len(runs[i]) for i in acted),
+        order=tuple(sorted(range(len(acted)), key=acted.__getitem__)),
+        spread=tuple(slice(None) if run[0] in role else None for run in runs),
+        top=head + (0,),
+        bottom=head + (1,),
+        last=n - 1 in role,
+    )
+
+
+def _leaf_steps(op: LinearOperator, axes: tuple[int, ...], n: int) -> tuple | None:
+    """(leaf, plan) pairs in the order they apply when `op`, on the qubit
+    `axes` of n, is made only of LabelReflection and Diagonal leaves under
+    Query, Composed and Embedded nodes; None otherwise."""
+    if isinstance(op, (LabelReflection, Diagonal)):
+        return ((op, _leaf_plan(axes, n)),)
+    if isinstance(op, Embedded):
+        axes = tuple(axes[a] for a in op.axes)
+    elif not isinstance(op, (Query, Composed)):
+        return None
+    steps: tuple = ()
+    for child in reversed(_children(op)):
+        found = _leaf_steps(child, axes, n)
+        if found is None:
+            return None
+        steps += found
+    return steps
+
+
 @dataclass(frozen=True, eq=False)
 class Embedded(LinearOperator):
     """Apply `inner` on the listed qubit axes of an `n`-qubit space.
@@ -453,6 +534,10 @@ class Embedded(LinearOperator):
     The order of `axes` fixes which axis plays which role for `inner`
     (axes[0] is inner's most significant qubit); axes need not be contiguous.
     An embedded `Embedded` is flattened into one node at construction.
+
+    The first apply plans the node: when `inner` is made only of diagonal
+    leaves (:func:`_leaf_steps`), each acts on its qubits where they are;
+    otherwise `inner` acts on the columns transposed (:func:`_axis_plan`).
     """
 
     inner: LinearOperator
@@ -474,11 +559,18 @@ class Embedded(LinearOperator):
             axes = tuple(axes[a] for a in self.inner.axes)
             object.__setattr__(self, "inner", self.inner.inner)
         object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "_plan", _axis_plan(axes, self.n))
         object.__setattr__(self, "leaves", self.inner.leaves)
 
     def _apply(self, cols):
-        shape, forward, moved, inverse = self._plan
+        plan = self.__dict__.get("_plan")
+        if plan is None:
+            plan = _leaf_steps(self.inner, self.axes, self.n) or _axis_plan(self.axes, self.n)
+            object.__setattr__(self, "_plan", plan)
+        if not isinstance(plan, _AxisPlan):
+            for leaf, leaf_plan in plan:
+                cols = leaf._act(cols, leaf_plan)
+            return cols
+        shape, forward, moved, inverse = plan
         tensor = cols.reshape(shape).transpose(forward).reshape(self.inner.dim, -1)
         tensor = self.inner._apply(tensor).reshape(moved).transpose(inverse)
         return tensor.reshape(cols.shape)

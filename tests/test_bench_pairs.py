@@ -103,7 +103,8 @@ def test_compile_shapes_summary_counts_wins_and_the_largest_deviation():
     ]
     report = compile_shapes.summarize(rounds)
     assert list(report) == compile_shapes.ROWS
-    assert len(report) == len(compile_shapes.SHAPES) + len(compile_shapes.TRAINING)
+    assert len(report) == (len(compile_shapes.SHAPES) + len(compile_shapes.TRAINING)
+                           + len(compile_shapes.GRADIENT))
     first = report[compile_shapes.shape_name(*compile_shapes.SHAPES[0])]
     assert first["change_wins"] == 1  # ties count for neither side
     assert first["parent"]["runs"] == [1.0, 1.0, 1.0] and first["change"]["median"] == 1.0

@@ -270,6 +270,25 @@ def test_build_network_mixed_degrees():
     assert reconcile(analytic_cost(qspec), net.output).ok
 
 
+def test_candidates_of_differing_shapes_raise():
+    from qkan.network import NetworkAssembler
+
+    first = qkan.LayerSpec.random(2, 2, 1, seed=62)
+    base = qkan.QkanSpec((first, qkan.LayerSpec.random(2, 1, 1, seed=63)))
+    assembler = NetworkAssembler(qkan.encode_diagonal_exact(np.array([0.3, -0.6])), first)
+    others = [
+        qkan.QkanSpec((first, qkan.LayerSpec.random(2, 1, 2, seed=64))),  # another degree
+        qkan.QkanSpec((first, qkan.LayerSpec.random(2, 2, 1, seed=65))),  # another width
+        qkan.QkanSpec((first,)),  # fewer layers
+        qkan.QkanSpec((first, qkan.LayerSpec.random(2, 2, 1, seed=66),
+                       qkan.LayerSpec.random(2, 1, 1, seed=67))),  # more layers
+    ]
+    for other in others:
+        with pytest.raises(ContractViolationError, match="differ in their layer shapes"):
+            assembler.build([base, other])
+    assert len(assembler.build([base]).layer_outputs) == 2
+
+
 def test_layer_wider_than_the_dense_cap_matches_the_oracle(rng):
     # N = 1024, K = 4: the guarded dilated input spans n + k = 12 system qubits
     spec = qkan.LayerSpec.random(1024, 4, 3, seed=71)

@@ -544,3 +544,87 @@ def test_label_reflection_matches_the_two_half_formula_exactly():
     assert np.array_equal(cols, before)
     strided = np.ascontiguousarray(cols.T).T
     assert np.array_equal(op.apply(strided), want)
+
+
+def _moved_reference(kind, values, axes, n, cols):
+    """A diagonal-type leaf on the qubit `axes` of (2^n, b) columns, by an
+    explicit transposition of one axis per qubit: `axes` first, in order,
+    then the other qubits, then the batch."""
+    rest = [q for q in range(n) if q not in axes]
+    perm = list(axes) + rest + [n]
+    tensor = cols.reshape((2,) * n + (cols.shape[1],)).transpose(perm)
+    moved = np.ascontiguousarray(tensor).reshape(1 << len(axes), -1)
+    if kind == "reflection":
+        half = moved.shape[0] // 2
+        x, s = values[:, None], np.sqrt(1.0 - values * values)[:, None]
+        top, bottom = moved[:half], moved[half:]
+        out = np.concatenate((x * top + s * bottom, s * top - x * bottom))
+    else:
+        out = values[:, None] * moved
+    back = out.reshape(tensor.shape).transpose(np.argsort(perm))
+    return np.ascontiguousarray(back).reshape(cols.shape)
+
+
+@st.composite
+def diagonal_subtrees(draw, k):
+    """(operator on k qubits, [(kind, values, axes)] in the order they
+    apply): a LabelReflection, a real or complex Diagonal, either inside a
+    Query, or a Composed of such leaves embedded on some of the k qubits."""
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+
+    def leaf(kind, j):
+        if kind == "reflection":
+            values = rng.uniform(-1, 1, 1 << (j - 1))
+            values[: min(2, values.size)] = rng.choice([-1.0, 0.0, 1.0], min(2, values.size))
+            return ops.LabelReflection(values), values
+        values = rng.normal(size=1 << j)
+        if kind == "complex":
+            values = values + 1j * rng.normal(size=1 << j)
+        return ops.Diagonal(values), values
+
+    shape = draw(st.sampled_from(["reflection", "real", "complex", "query", "composed"]))
+    if shape != "composed":
+        kind = "reflection" if shape == "query" else shape
+        op, values = leaf(kind, k)
+        return (ops.Query(op, {"q": 1}) if shape == "query" else op), [(kind, values, tuple(range(k)))]
+    factors, steps = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["reflection", "real", "complex"]))
+        sub = tuple(draw(st.permutations(range(k)))[: draw(st.integers(1, k))])
+        op, values = leaf(kind, len(sub))
+        if draw(st.booleans()):
+            op = ops.Query(op, {kind: 1})
+        factors.append(op if sub == tuple(range(k)) else ops.Embedded(op, sub, k))
+        steps.insert(0, (kind, values, sub))  # the rightmost factor applies first
+    return ops.Composed(tuple(factors)), steps
+
+
+@st.composite
+def embedded_diagonal_cases(draw):
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    axes = tuple(draw(st.permutations(range(n)))[:k])  # any order, any gaps, first qubit anywhere
+    op, steps = draw(diagonal_subtrees(k))
+    batch = draw(st.sampled_from([1, 2, 3, 8]))
+    return op, steps, axes, n, batch, draw(st.booleans())
+
+
+@given(embedded_diagonal_cases(), st.integers(0, 2**16))
+def test_diagonal_leaves_act_in_place_exactly_as_transposed(case, seed):
+    op, steps, axes, n, batch, complex_columns = case
+    rng = np.random.default_rng(seed)
+    cols = rng.normal(size=(1 << n, batch))
+    if complex_columns:
+        cols = cols + 1j * rng.normal(size=cols.shape)
+    before = cols.copy()
+    want, inner = cols, cols[: op.dim]
+    for kind, values, sub in steps:
+        want = _moved_reference(kind, values, tuple(axes[a] for a in sub), n, want)
+        inner = _moved_reference(kind, values, sub, op.n, inner)
+    node = ops.Embedded(op, axes, n)
+    assert np.array_equal(node.apply(cols), want)
+    assert not isinstance(node._plan, ops._AxisPlan)  # no transposition of the columns
+    assert np.array_equal(op.apply(cols[: op.dim]), inner)  # the leaves' own apply
+    assert np.array_equal(node.apply(cols[:, 0]), want[:, 0])
+    assert np.array_equal(cols, before)

@@ -188,6 +188,35 @@ def test_train_divergence_detected():
         qkan.train(spec, data, config)
 
 
+@pytest.mark.parametrize("low_at", [None, 25])
+def test_divergence_needs_the_high_losses_in_a_row(low_at, monkeypatch):
+    """50 losses above 10x the initial one raise DivergenceError when they
+    are consecutive; one low loss among them starts the count again."""
+    high = [1.0] * 50  # outputs of the loss reads; the loss is their square
+    script = [0.1] + (high if low_at is None else high[:low_at] + [0.1] + high[low_at:])
+
+    class ScriptedModel:
+        def __init__(self, spec, xs):
+            self.reads = iter(script)
+
+        def outputs(self, specs):
+            # a loss reads one candidate; a gradient's candidates all read 0
+            value = next(self.reads) if len(specs) == 1 else 0.0
+            return np.full((len(specs), 1, 1), value)
+
+    monkeypatch.setattr(qkan.trainer, "SimulatedModel", ScriptedModel)
+    spec = qkan.QkanSpec((qkan.LayerSpec(np.zeros((2, 2, 1))),))
+    data = qkan.Dataset(np.array([[0.5, -0.5]]), np.array([[0.0]]))
+    config = qkan.TrainConfig(iterations=len(script) - 1, plateau_window=0)
+    if low_at is None:
+        with pytest.raises(DivergenceError):
+            qkan.train(spec, data, config)
+    else:
+        result = qkan.train(spec, data, config)
+        assert result.losses == pytest.approx([v * v for v in script])
+        assert result.stop_reason == "iterations"
+
+
 def test_train_config_validation():
     with pytest.raises(DomainError):
         qkan.TrainConfig(h=0.0)
