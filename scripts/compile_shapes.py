@@ -29,7 +29,6 @@ the medians over rounds average that out.
 from __future__ import annotations
 
 import argparse
-import inspect
 import itertools
 import json
 import os
@@ -109,9 +108,6 @@ def gradient_candidates(qkan, spec, xs) -> list:
 
     class Recorder:
         def outputs(self, specs):
-            if isinstance(specs, qkan.QkanSpec):  # a model that reads one network per call
-                seen.append(specs)
-                return np.zeros((xs.shape[0], spec.dims[-1]))
             seen.extend(specs)
             return np.zeros((len(specs), xs.shape[0], spec.dims[-1]))
 
@@ -162,22 +158,11 @@ def worker(reps: int, order: int) -> dict:
                 else [gradient_candidates(qkan, s, model.xs) for s in moved]
             )
 
-            # a revision whose model reads a sequence of candidate networks
-            # keeps its assemblers per register width and builds candidates
-            batched = "specs" in inspect.signature(model.outputs).parameters
-
-            def output():
-                # a revision whose model keeps no network assemblers reports no leaves
-                assemblers = getattr(model, "assemblers", None)
-                if batched:  # the widest register built, a gradient row's
-                    return assemblers[max(assemblers)][0].build([spec]).output
-                return assemblers[0].build(spec).output if assemblers else None
+            def output():  # the widest register built, a gradient row's
+                return model.assemblers[max(model.assemblers)][0].build([spec]).output
 
             def run():
-                candidates = next(reads)
-                if batched:
-                    return model.outputs(candidates).reshape(-1)
-                return np.concatenate([model.outputs(c).reshape(-1) for c in candidates])
+                return model.outputs(next(reads)).reshape(-1)
         times = []
         for _ in range(reps):
             start = time.perf_counter()
@@ -186,7 +171,7 @@ def worker(reps: int, order: int) -> dict:
         built = output()
         out[shape_name(dims, degree, samples, read)] = {
             "min_s": min(times),
-            "leaves": None if built is None else qkan.describe(built.op)["leaves"],
+            "leaves": qkan.describe(built.op)["leaves"],
             "diagonal": [[v.real, v.imag] for v in values.astype(complex).tolist()],
         }
     return out

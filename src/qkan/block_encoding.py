@@ -53,13 +53,17 @@ COMPILE_CHECK_SEED = 0xB10C
 
 @dataclass(frozen=True, eq=False)
 class BlockEncoding:
-    """(alpha, num_aux, epsilon) block-encoding with an explicit register layout.
+    """(alpha, a, epsilon) block-encoding over named ancilla and system registers.
 
-    The layout lists ancilla registers first; `num_system` trailing qubits form
-    the system. `diagonal_flag` marks encodings whose block is promised diagonal
-    (within epsilon). `check_results` keeps the outcome of expensive checks
-    of this encoding by name (floats only, never a dense block), so a check
-    made by several steps runs once. A derived encoding starts with none.
+    `aux` lists the ancilla registers as (name, size, idle), most significant
+    first; `system` lists the system registers that follow as (name, size).
+    Every count and view of the registers (`num_aux`, `num_system`, `layout`,
+    `idle_registers`, `live_qubits`, ...) is derived from these two tuples,
+    once per encoding. `diagonal_flag` marks encodings whose block is
+    promised diagonal (within epsilon). `check_results` keeps the outcome of
+    expensive checks of this encoding by name (floats only, never a dense
+    block), so a check made by several steps runs once. A derived encoding
+    starts with none.
 
     `exact_real_diagonal` is a structural certificate: the block is exactly
     real and diagonal, with epsilon 0, by how the encoding was built, so the
@@ -70,13 +74,13 @@ class BlockEncoding:
     every part has it; every other construction starts without it. The
     `diagonal_flag` is a claim and never grants it.
 
-    `idle_registers` names ancilla registers of the layout that no factor
-    acts on (the QSVT ancilla of a Chebyshev transform). They count in
-    `num_aux`, in the layout and in every qubit budget, but `op` leaves them
-    out: it spans the other (live) qubits in layout order, so
-    ``op.n == layout.n_qubits - idle_aux``, and the encoding's unitary is the
-    identity on the idle qubits tensored with `op`. Reads, guards, compiles
-    and readouts only prepare states whose idle qubits read 0.
+    An ancilla register marked idle (the QSVT ancilla of a Chebyshev
+    transform) is one that no factor acts on. It counts in `num_aux`, in the
+    layout and in every qubit budget, but `op` leaves it out: it spans the
+    other (live) qubits in layout order, so
+    ``op.n == num_aux + num_system - idle_aux``, and the encoding's unitary
+    is the identity on the idle qubits tensored with `op`. Reads, guards,
+    compiles and readouts only prepare states whose idle qubits read 0.
 
     `adjoint_op` is ``op.adjoint()``, built on first use and kept, as
     `live_qubits` is: the Chebyshev guard's probe and the transforms of
@@ -85,17 +89,12 @@ class BlockEncoding:
 
     op: LinearOperator
     alpha: float
-    num_aux: int
     epsilon: float
-    layout: RegisterLayout
-    num_system: int
+    aux: tuple[tuple[str, int, bool], ...]
+    system: tuple[tuple[str, int], ...]
     diagonal_flag: bool = False
-    idle_registers: frozenset[str] = frozenset()
     exact_real_diagonal: bool = False
     check_results: dict[str, float] = field(default_factory=dict, init=False, repr=False)
-    # qubits of the idle registers, and how many registers hold the ancillas
-    idle_aux: int = field(init=False, repr=False)
-    _aux_count: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.alpha < 0 or self.epsilon < 0:
@@ -104,49 +103,50 @@ class BlockEncoding:
             raise ContractViolationError(
                 "an exact real diagonal certificate needs epsilon 0 and the diagonal flag"
             )
-        # the ancilla/system boundary must fall on a register boundary, and
-        # every idle register ahead of it
-        running = idle = found = 0
-        aux_count = 0 if self.num_aux == 0 else None
-        for index, (name, size) in enumerate(self.layout.registers):
-            if name in self.idle_registers:
-                if running >= self.num_aux:
-                    raise ContractViolationError(f"idle register {name!r} is not an ancilla")
-                idle += size
-                found += 1
-            running += size
-            if running == self.num_aux and aux_count is None:
-                aux_count = index + 1
-        if self.num_aux + self.num_system != running:
+        names = [reg[0] for reg in self.aux + self.system]
+        if len(set(names)) != len(names):
+            raise ContractViolationError(f"duplicate register names in {names}")
+        if self.op.n != self.live_aux + self.num_system:
             raise ContractViolationError(
-                f"num_aux {self.num_aux} + num_system {self.num_system} != {running} layout qubits"
+                f"operator acts on {self.op.n} qubits, the registers have "
+                f"{self.live_aux + self.num_system} live ones"
             )
-        if aux_count is None:
-            raise ContractViolationError("ancilla block does not align with register boundaries")
-        if found != len(self.idle_registers):
-            raise ContractViolationError(
-                f"idle registers {sorted(self.idle_registers)} are not all in the layout"
-            )
-        if self.op.n != running - idle:
-            raise ContractViolationError(
-                f"operator acts on {self.op.n} qubits, layout has {running} of which {idle} idle"
-            )
-        object.__setattr__(self, "idle_aux", idle)
-        object.__setattr__(self, "_aux_count", aux_count)
 
-    @property
+    @cached_property
+    def num_aux(self) -> int:
+        return sum(size for _, size, _ in self.aux)
+
+    @cached_property
+    def num_system(self) -> int:
+        return sum(size for _, size in self.system)
+
+    @cached_property
     def system_dim(self) -> int:
         return 1 << self.num_system
 
-    @property
+    @cached_property
+    def layout(self) -> RegisterLayout:
+        """Every register, ancillas first."""
+        return RegisterLayout(tuple((name, size) for name, size, _ in self.aux) + self.system)
+
+    @cached_property
+    def idle_registers(self) -> frozenset[str]:
+        return frozenset(name for name, _, idle in self.aux if idle)
+
+    @cached_property
     def live_aux(self) -> int:
         """Ancilla qubits that `op` acts on: its leading qubits."""
-        return self.num_aux - self.idle_aux
+        return sum(size for _, size, idle in self.aux if not idle)
 
-    @property
+    @cached_property
+    def idle_aux(self) -> int:
+        """Qubits of the idle registers."""
+        return self.num_aux - self.live_aux
+
+    @cached_property
     def sample_qubits(self) -> int:
         """Size of a trailing `sample` register (see :func:`split_system`), 0 without one."""
-        name, size = self.layout.registers[-1] if self.num_system else ("", 0)
+        name, size = self.system[-1] if self.system else ("", 0)
         return size if name == "sample" else 0
 
     @cached_property
@@ -154,11 +154,11 @@ class BlockEncoding:
         """Layout positions of the qubits that `op` spans, in order."""
         positions: list[int] = []
         offset = 0
-        for name, size in self.layout.registers:
-            if name not in self.idle_registers:
+        for _, size, idle in self.aux:
+            if not idle:
                 positions.extend(range(offset, offset + size))
             offset += size
-        return tuple(positions)
+        return tuple(positions) + tuple(range(offset, offset + self.num_system))
 
     @cached_property
     def adjoint_op(self) -> LinearOperator:
@@ -172,46 +172,48 @@ class BlockEncoding:
         return dict(sorted(query_counts(self.op).items()))
 
 
-# a register of a layout being derived: (name, size, idle), where idle marks
-# an idle ancilla (see BlockEncoding)
-_Reg = tuple[str, int, bool]
-
-
 def _derived(
     op: LinearOperator,
     alpha: float,
     epsilon: float,
-    aux_regs: list[_Reg],
-    sys_regs: list[_Reg],
+    aux: tuple[tuple[str, int, bool], ...],
+    system: tuple[tuple[str, int], ...],
     diagonal: bool,
     exact_real_diagonal: bool = False,
 ) -> BlockEncoding:
-    """An encoding over the registers `aux_regs` then `sys_regs`; a repeated
+    """An encoding over the registers `aux` then `system`; a repeated
     register name gets the suffix .2, .3, ..."""
-    registers: list[tuple[str, int]] = []
     taken: set[str] = set()
-    idle: set[str] = set()
-    for name, size, is_idle in aux_regs + sys_regs:
+
+    def fresh(name: str) -> str:
         candidate, k = name, 1
         while candidate in taken:
             k += 1
             candidate = f"{name}.{k}"
         taken.add(candidate)
-        registers.append((candidate, size))
-        if is_idle:
-            idle.add(candidate)
-    num_aux = sum(size for _, size, _ in aux_regs)
+        return candidate
+
     return BlockEncoding(
         op=op,
         alpha=alpha,
-        num_aux=num_aux,
         epsilon=epsilon,
-        layout=RegisterLayout(tuple(registers)),
-        num_system=sum(size for _, size, _ in sys_regs),
+        aux=tuple((fresh(name), size, idle) for name, size, idle in aux),
+        system=tuple((fresh(name), size) for name, size in system),
         diagonal_flag=diagonal,
-        idle_registers=frozenset(idle),
         exact_real_diagonal=exact_real_diagonal,
     )
+
+
+def _split_regs(regs: tuple[tuple[str, int], ...], qubits: int, what: str) -> tuple[tuple, tuple]:
+    """The (name, size) registers holding the first `qubits` qubits, and the rest."""
+    running = 0
+    for i, (_, size) in enumerate(regs):
+        if running == qubits:
+            return regs[:i], regs[i:]
+        running += size
+    if running == qubits:
+        return regs, ()
+    raise ContractViolationError(f"{what} does not align with register boundaries")
 
 
 def primitive_encoding(
@@ -223,23 +225,22 @@ def primitive_encoding(
     diagonal: bool = False,
 ) -> BlockEncoding:
     """Wrap a unitary as a named primitive (1, num_aux, epsilon)-encoding that
-    counts one query to `name` per application."""
+    counts one query to `name` per application. The first registers of
+    `layout` hold the `num_aux` ancillas; a split register is rejected."""
+    aux, system = _split_regs(layout.registers, num_aux, "ancilla block")
     return BlockEncoding(
         op=Query(op, {name: 1}),
         alpha=1.0,
-        num_aux=num_aux,
         epsilon=epsilon,
-        layout=layout,
-        num_system=layout.n_qubits - num_aux,
+        aux=tuple((reg, size, False) for reg, size in aux),
+        system=system,
         diagonal_flag=diagonal,
     )
 
 
 def identity_encoding(num_system: int) -> BlockEncoding:
     """Exact zero-cost encoding of the identity, without ancillas."""
-    return _derived(
-        Identity(num_system), 1.0, 0.0, [], [("sys", num_system, False)], diagonal=True
-    )
+    return _derived(Identity(num_system), 1.0, 0.0, (), (("sys", num_system),), diagonal=True)
 
 
 def extract_block(be: BlockEncoding, cap_qubits: int = DENSE_CAP_QUBITS) -> np.ndarray:
@@ -296,15 +297,16 @@ def compile_system_blocks(be: BlockEncoding) -> BlockEncoding:
     system state j, over the a live ancillas that `op` spans. Applied to the
     2^a columns |i>_aux (x) sum_j |j>, U returns B_j[:, i] on the rows
     |.>_aux|j>: one application reads every block. The same application
-    carries one seeded Gaussian column, and the leaf must reproduce the
+    carries one seeded real Gaussian column, and the leaf must reproduce the
     tree's result on it within COMPILE_CHECK_TOL; otherwise the tree mixes
-    the system register and ContractViolationError is raised."""
+    the system register and ContractViolationError is raised. The columns
+    are real, so a real tree is applied in float64; a nonzero off-block part
+    still maps the Gaussian column to a nonzero vector with probability 1."""
     aux, systems = 1 << be.live_aux, be.system_dim
-    cols = np.zeros((aux, systems, aux + 1), dtype=np.complex128)
+    cols = np.zeros((aux, systems, aux + 1))
     cols[np.arange(aux), :, np.arange(aux)] = 1.0
-    rng = np.random.default_rng(COMPILE_CHECK_SEED)
     probe = cols[:, :, aux]
-    probe[:] = rng.standard_normal(probe.shape) + 1j * rng.standard_normal(probe.shape)
+    probe[:] = np.random.default_rng(COMPILE_CHECK_SEED).standard_normal(probe.shape)
     out = be.op.apply(cols.reshape(be.op.dim, aux + 1)).reshape(aux, systems, aux + 1)
     leaf = SystemBlocks(
         np.ascontiguousarray(out[:, :, :aux].transpose(1, 0, 2)),
@@ -335,51 +337,26 @@ def pad_aux(be: BlockEncoding, extra: int) -> BlockEncoding:
     encoded block is unchanged."""
     if extra == 0:
         return be
-    check_qubit_budget(be.layout.n_qubits + extra, "padded encoding")
+    check_qubit_budget(be.num_aux + be.num_system + extra, "padded encoding")
     n = be.op.n + extra
     op = Embedded(be.op, tuple(range(extra, n)), n)
     return _derived(
-        op, be.alpha, be.epsilon,
-        [("pad", extra, False)] + _aux_regs(be),
-        _sys_regs(be),
-        be.diagonal_flag,
+        op, be.alpha, be.epsilon, (("pad", extra, False),) + be.aux, be.system, be.diagonal_flag
     )
-
-
-def _split_regs(regs: list[_Reg], qubits: int, what: str) -> tuple[list[_Reg], list[_Reg]]:
-    """The registers holding the first `qubits` qubits, and the rest."""
-    running = 0
-    for i, (_, size, _) in enumerate(regs):
-        if running == qubits:
-            return list(regs[:i]), list(regs[i:])
-        running += size
-    if running == qubits:
-        return list(regs), []
-    raise ContractViolationError(f"{what} does not align with register boundaries")
-
-
-def _aux_regs(be: BlockEncoding) -> list[_Reg]:
-    idle = be.idle_registers
-    return [(name, size, name in idle) for name, size in be.layout.registers[: be._aux_count]]
-
-
-def _sys_regs(be: BlockEncoding) -> list[_Reg]:
-    return [(name, size, False) for name, size in be.layout.registers[be._aux_count:]]
 
 
 def _all_live(be: BlockEncoding) -> BlockEncoding:
     """The same encoding with identity on its idle ancillas made part of `op`."""
     if not be.idle_registers:
         return be
-    op = Embedded(be.op, be.live_qubits, be.layout.n_qubits)
-    return replace(be, op=op, idle_registers=frozenset())
+    op = Embedded(be.op, be.live_qubits, be.num_aux + be.num_system)
+    return replace(be, op=op, aux=tuple((name, size, False) for name, size, _ in be.aux))
 
 
 def adjoint_encoding(be: BlockEncoding) -> BlockEncoding:
     """Encoding of the adjoint target; one query per application."""
     return _derived(
-        be.op.adjoint(), be.alpha, be.epsilon,
-        _aux_regs(be), _sys_regs(be), be.diagonal_flag,
+        be.op.adjoint(), be.alpha, be.epsilon, be.aux, be.system, be.diagonal_flag
     )
 
 
@@ -404,8 +381,8 @@ def product(be_a: BlockEncoding, be_b: BlockEncoding) -> BlockEncoding:
         compose(emb_a, emb_b),
         be_a.alpha * be_b.alpha,
         be_a.alpha * be_b.epsilon + be_b.alpha * be_a.epsilon,
-        _aux_regs(be_b) + _aux_regs(be_a),
-        _sys_regs(be_a),
+        be_b.aux + be_a.aux,
+        be_a.system,
         be_a.diagonal_flag and be_b.diagonal_flag,
         be_a.exact_real_diagonal and be_b.exact_real_diagonal,
     )
@@ -534,8 +511,8 @@ def lcu(bes: list[BlockEncoding], pair: StatePrepPair) -> BlockEncoding:
         op,
         alpha * pair.beta,
         pair.beta * eps_terms,
-        [("sel", pair.b, False)] + _aux_regs(padded[0]),
-        _sys_regs(padded[0]),
+        (("sel", pair.b, False),) + padded[0].aux,
+        padded[0].system,
         all(be.diagonal_flag for be in bes),
         pair.real and all(be.exact_real_diagonal for be in bes),
     )
@@ -568,8 +545,8 @@ def hadamard_product(be_a: BlockEncoding, be_b: BlockEncoding) -> BlockEncoding:
         compose(emb_p, emb_a, emb_b, emb_p),
         be_a.alpha * be_b.alpha,
         be_a.alpha * be_b.epsilon + be_b.alpha * be_a.epsilon,
-        _aux_regs(be_a) + _aux_regs(be_b) + [("syscopy", s, False)],
-        _sys_regs(be_a),
+        be_a.aux + be_b.aux + (("syscopy", s, False),),
+        be_a.system,
         be_a.diagonal_flag or be_b.diagonal_flag,
     )
 
@@ -589,13 +566,13 @@ def dilate(be: BlockEncoding, k: int, trailing: int = 0) -> BlockEncoding:
         )
     if k == 0:
         return be
-    head, tail = _split_regs(_sys_regs(be), be.num_system - trailing, "dilation point")
-    check_qubit_budget(be.layout.n_qubits + k, "dilated encoding")
+    head, tail = _split_regs(be.system, be.num_system - trailing, "dilation point")
+    check_qubit_budget(be.num_aux + be.num_system + k, "dilated encoding")
     n, split = be.op.n + k, be.op.n - trailing
     op = Embedded(be.op, tuple(range(split)) + tuple(range(split + k, n)), n)
     return _derived(
         op, be.alpha, be.epsilon,
-        _aux_regs(be), head + [("dil", k, False)] + tail,
+        be.aux, head + (("dil", k),) + tail,
         True, be.exact_real_diagonal,
     )
 
@@ -605,16 +582,16 @@ def split_system(be: BlockEncoding, trailing: int) -> BlockEncoding:
     `sample` register of their own (cut from the last system register)."""
     if trailing == 0:
         return be
-    *head, (last, size, _) = _sys_regs(be)
+    *head, (last, size) = be.system
     if not 0 < trailing <= size:
         raise ContractViolationError(
             f"cannot split {trailing} qubits off the {size}-qubit register {last!r}"
         )
     if size > trailing:
-        head.append((last, size - trailing, False))
+        head.append((last, size - trailing))
     return _derived(
         be.op, be.alpha, be.epsilon,
-        _aux_regs(be), head + [("sample", trailing, False)],
+        be.aux, (*head, ("sample", trailing)),
         be.diagonal_flag, be.exact_real_diagonal,
     )
 
@@ -673,5 +650,5 @@ def perturb(be: BlockEncoding, eps: float, seed: int) -> BlockEncoding:
     mat = (base @ basis) * rotation(t) @ basis.conj().T
     return _derived(
         Query(Dense(mat), be.cost), be.alpha, be.epsilon + eps,
-        _aux_regs(be), _sys_regs(be), be.diagonal_flag,
+        be.aux, be.system, be.diagonal_flag,
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .block_encoding import BlockEncoding, _aux_regs, _derived, _sys_regs, extract_block
+from .block_encoding import BlockEncoding, _derived, extract_block
 from .errors import ContractViolationError, DomainError
 from .operators import (
     DENSE_CAP_QUBITS,
@@ -113,11 +113,11 @@ def _qsvt_shell(
     reflection form never acts on: it is idle (see :class:`BlockEncoding`).
     The result carries the exact real diagonal certificate only when the
     caller passes it: the factors decide whether the transform keeps it."""
-    check_qubit_budget(be.layout.n_qubits + 1, "polynomial transform")
+    check_qubit_budget(be.num_aux + be.num_system + 1, "polynomial transform")
     op = compose(*factors) if factors else Identity(be.op.n)
     return _derived(
         op, be.alpha, epsilon,
-        [("qsvt", 1, True)] + _aux_regs(be), _sys_regs(be),
+        (("qsvt", 1, True),) + be.aux, be.system,
         be.diagonal_flag, exact_real_diagonal,
     )
 

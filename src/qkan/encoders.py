@@ -57,10 +57,9 @@ def encode_diagonal_exact(x: np.ndarray, name: str = "x") -> BlockEncoding:
     return BlockEncoding(
         op=Query(LabelReflection(x), {name: 1}),
         alpha=1.0,
-        num_aux=1,
         epsilon=0.0,
-        layout=RegisterLayout((("enc", 1), ("sys", n))),
-        num_system=n,
+        aux=(("enc", 1, False),),
+        system=(("sys", n),),
         diagonal_flag=True,
         exact_real_diagonal=True,
     )

@@ -65,7 +65,7 @@ def _check_hadamard_test(be: BlockEncoding, q: int | None) -> None:
     if q is not None and not 0 <= q < be.system_dim:
         raise DomainError(f"node index {q} out of range for {be.system_dim} outputs")
     # the control is a real qubit; the budget counts the layout, idle ancillas too
-    check_qubit_budget(be.layout.n_qubits + 1, "Hadamard test")
+    check_qubit_budget(be.num_aux + be.num_system + 1, "Hadamard test")
 
 
 def hadamard_test(

@@ -28,6 +28,7 @@ from .resources import analytic_cost
 DIVERGENCE_FACTOR = 10.0
 DIVERGENCE_STREAK = 50
 PLATEAU_RTOL = 1e-7
+PLATEAU_WINDOW = 25
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,6 @@ class TrainConfig:
     readout: str = "exact"  # "exact" | "classical" | "shots"
     shots: int = 0
     loss_goal: float | None = None
-    plateau_window: int = 25
 
     def __post_init__(self):
         if self.h <= 0 or self.c <= 0:
@@ -101,12 +101,12 @@ class Dataset:
 # register), the largest of one model evaluation. The state it applies is one
 # qubit per layer smaller: the idle QSVT ancillas are counted, not simulated
 # (see BlockEncoding). The register holds (candidate, sample) pairs, so this
-# also caps how many candidates one application reads. 18 is the largest size
-# measured on the two models below, not a measured bandwidth limit. On 64
-# samples (2-vCPU host, median of 5 rounds in alternating width order), a
-# 2->2->2 (d = 3, 2) model took 0.164 s at m = 1, 0.067-0.087 s at m = 4-6 (an
-# 18-qubit last operator at m = 6), and a 2->2->2->1 (d = 2) model 0.87-0.94 s
-# at m <= 2 (18 qubits at m = 2) and 1.25-1.61 s at m = 3-6.
+# also caps how many candidates one application reads. 18 was fit before real
+# arithmetic, and a wider register now pays on the deepest model measured: on
+# 64 samples (2-vCPU host, BLAS on one thread, minimum of 3 gradients), one
+# finite-difference gradient of a 2->2->2->1 (d = 2) model took 4.11 s at
+# m = 2, the width this cap gives, and 1.55 s at m = 5. The value stays until
+# the cap is re-fit on live qubits (ROADMAP, direction 2).
 STATE_QUBITS = 18
 
 
@@ -351,7 +351,7 @@ def train(spec: QkanSpec, data: Dataset, config: TrainConfig) -> TrainResult:
     only the ``"shots"`` readout may set, goes to every loss. Raises
     :class:`DivergenceError` when the loss exceeds 10x the initial value for
     50 consecutive iterations; stops on a plateau when the last
-    ``plateau_window + 1`` losses spread by at most PLATEAU_RTOL times the
+    PLATEAU_WINDOW + 1 losses spread by at most PLATEAU_RTOL times the
     last one.
     """
     model = (ClassicalModel if config.readout == "classical" else SimulatedModel)(spec, data.xs)
@@ -372,9 +372,8 @@ def train(spec: QkanSpec, data: Dataset, config: TrainConfig) -> TrainResult:
         if config.loss_goal is not None and losses[-1] < config.loss_goal:
             stop_reason = "loss_goal"
             break
-        window = config.plateau_window
-        if window and len(losses) > window:
-            recent = losses[-window - 1:]
+        if PLATEAU_WINDOW and len(losses) > PLATEAU_WINDOW:
+            recent = losses[-PLATEAU_WINDOW - 1:]
             scale = max(abs(recent[-1]), 1e-30)
             if max(recent) - min(recent) <= PLATEAU_RTOL * scale:
                 stop_reason = "plateau"

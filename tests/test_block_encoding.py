@@ -347,10 +347,25 @@ def test_idle_qsvt_ancilla_is_counted_but_not_simulated():
     # reads the same block at |0>_qsvt
     full = np.kron(np.eye(2), cheb.op.dense())
     assert np.allclose(np.diag(full)[:2], oracles.chebyshev_values(x, 3)[3], atol=1e-12)
+    live = tuple((name, size, False) for name, size, _ in cheb.aux)
     with pytest.raises(ContractViolationError):
-        BlockEncoding(cheb.op, 1.0, 2, 0.0, cheb.layout, 1)  # op misses a layout qubit
-    with pytest.raises(ContractViolationError):
-        BlockEncoding(be.op, 1.0, 1, 0.0, be.layout, 1, idle_registers=frozenset({"sys"}))
+        BlockEncoding(cheb.op, 1.0, 0.0, live, cheb.system)  # op misses a layout qubit
+
+
+def test_primitive_ancillas_must_end_on_a_register_boundary():
+    layout = RegisterLayout((("a", 2), ("sys", 1)))
+    op = ops.Identity(3)
+    assert primitive_encoding(op, 2, layout, "u").aux == (("a", 2, False),)
+    for num_aux in (1, 4):
+        with pytest.raises(ContractViolationError, match="register boundaries"):
+            primitive_encoding(op, num_aux, layout, "u")
+
+
+def test_negative_alpha_or_epsilon_is_rejected():
+    be = qkan.encode_diagonal_exact(np.array([0.3, -0.7]))
+    for alpha, epsilon in ((-1.0, 0.0), (1.0, -1e-3)):
+        with pytest.raises(ContractViolationError, match="non-negative"):
+            BlockEncoding(be.op, alpha, epsilon, be.aux, be.system)
 
 
 def test_lcu_of_terms_with_idle_ancillas_at_other_positions():

@@ -180,10 +180,11 @@ def test_train_shots_readout_is_seeded():
     assert qkan.train(spec, data, other).losses != first.losses
 
 
-def test_train_divergence_detected():
+def test_train_divergence_detected(monkeypatch):
+    monkeypatch.setattr(qkan.trainer, "PLATEAU_WINDOW", 0)
     spec = qkan.QkanSpec((qkan.LayerSpec(np.zeros((2, 2, 1))),))
     data = qkan.Dataset(np.array([[0.5, -0.5]]), np.array([[0.01]]))
-    config = qkan.TrainConfig(eta=1e4, iterations=200, readout="classical", plateau_window=0)
+    config = qkan.TrainConfig(eta=1e4, iterations=200, readout="classical")
     with pytest.raises(DivergenceError):
         qkan.train(spec, data, config)
 
@@ -205,9 +206,10 @@ def test_divergence_needs_the_high_losses_in_a_row(low_at, monkeypatch):
             return np.full((len(specs), 1, 1), value)
 
     monkeypatch.setattr(qkan.trainer, "SimulatedModel", ScriptedModel)
+    monkeypatch.setattr(qkan.trainer, "PLATEAU_WINDOW", 0)
     spec = qkan.QkanSpec((qkan.LayerSpec(np.zeros((2, 2, 1))),))
     data = qkan.Dataset(np.array([[0.5, -0.5]]), np.array([[0.0]]))
-    config = qkan.TrainConfig(iterations=len(script) - 1, plateau_window=0)
+    config = qkan.TrainConfig(iterations=len(script) - 1)
     if low_at is None:
         with pytest.raises(DivergenceError):
             qkan.train(spec, data, config)
@@ -435,7 +437,8 @@ def test_reused_terms_train_bit_for_bit_like_fresh_builds(spec, monkeypatch):
     step = qkan.spsa_step(spec, data, 2, seed=9, model=qkan.SimulatedModel(spec, data.xs))
     fresh_step = qkan.spsa_step(spec, data, 2, seed=9, model=FreshModel(spec, data.xs))
     assert all(np.array_equal(a.weights, b.weights) for a, b in zip(step.layers, fresh_step.layers))
-    config = qkan.TrainConfig(eta=10.0, iterations=3, plateau_window=0)
+    monkeypatch.setattr(qkan.trainer, "PLATEAU_WINDOW", 0)
+    config = qkan.TrainConfig(eta=10.0, iterations=3)
     trained = qkan.train(spec, data, config)
     monkeypatch.setattr(qkan.trainer, "SimulatedModel", FreshModel)
     fresh_trained = qkan.train(spec, data, config)
@@ -484,9 +487,10 @@ def test_candidates_sharing_a_register_train_bit_for_bit_like_one_at_a_time(dims
     assert max(model.assemblers) > model.sample_qubits  # a register wider than one candidate
     want = one_candidate_gradient(spec, data, 1e-4, qkan.SimulatedModel(spec, data.xs))
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    monkeypatch.setattr(qkan.trainer, "PLATEAU_WINDOW", 0)
     for readout, shots in (("exact", 0), ("shots", 1000)):
         config = qkan.TrainConfig(optimizer="spsa", readout=readout, shots=shots, eta=0.2,
-                                  iterations=4, plateau_window=0)
+                                  iterations=4)
         shared = qkan.train(spec, data, config)
         with monkeypatch.context() as patch:
             patch.setattr(qkan.trainer, "SimulatedModel", FreshModel)
