@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import shutil
 import statistics
@@ -34,12 +35,25 @@ from pathlib import Path
 from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from qkanbench import BLAS_THREAD_VARS  # noqa: E402
 
 
 def git(*args: str) -> str:
     return subprocess.run(
         ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
     ).stdout.strip()
+
+
+def commit_header(parent: str) -> dict:
+    """The `parent` and `change` entries of a report: the commit of the
+    revision `parent`, and HEAD's with whether `src` has uncommitted changes."""
+    return {
+        "parent": {"commit": git("rev-parse", parent)},
+        "change": {"commit": git("rev-parse", "HEAD"),
+                   "uncommitted_changes": bool(git("status", "--porcelain", "--", "src"))},
+    }
 
 
 def export(rev: str, dest: Path, repo: Path = ROOT) -> None:
@@ -77,6 +91,27 @@ def sides(parent: str, repo: Path = ROOT) -> Iterator[dict[str, Path]]:
         export(parent, paths["parent"], repo)
         export_worktree(paths["change"], repo)
         yield paths
+
+
+def run_worker(checkout: Path, script: Path, args: list[str],
+               env: dict[str, str] | None = None) -> dict:
+    """Run `script` with `args` from the checkout `checkout`, with that
+    checkout's ``src`` as PYTHONPATH, BLAS on one thread and `env` on top,
+    and parse the last line it prints as JSON. That line names the ``qkan``
+    directory the worker imported as ``qkan_dir``; it is removed from the
+    result, and a worker that imported another qkan, or exits non-zero,
+    raises RuntimeError."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), **(env or {}))
+    env.update({var: "1" for var in BLAS_THREAD_VARS})
+    proc = subprocess.run(
+        [sys.executable, str(script), *args], cwd=checkout, env=env, capture_output=True, text=True
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"worker in {checkout} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if Path(result.pop("qkan_dir")) != (checkout / "src" / "qkan").resolve():
+        raise RuntimeError(f"worker in {checkout} imported another qkan")
+    return result
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -140,9 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     metrics = [m["name"] for m in bench["end_to_end"]]
 
     report = {
-        "parent": {"commit": git("rev-parse", args.parent)},
-        "change": {"commit": git("rev-parse", "HEAD"),
-                   "uncommitted_changes": bool(git("status", "--porcelain", "--", "src"))},
+        **commit_header(args.parent),
         "seeds": args.seeds,
         "seconds": bench["run_seconds"],
         "command": bench["command"],

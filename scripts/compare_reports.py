@@ -35,21 +35,15 @@ import contextlib
 import io
 import json
 import math
-import os
 import re
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from bench_pairs import ROOT, git, sides  # noqa: E402
+from bench_pairs import commit_header, run_worker, sides  # noqa: E402
 from compile_shapes import SHAPES as COMPILE_SHAPES  # noqa: E402
-
-sys.path.insert(0, str(ROOT))
-
-from qkanbench import BLAS_THREAD_VARS  # noqa: E402
 
 COMMANDS = ("eval", "resources", "verify", "prepare-state")
 # (dims, degree): the compile shapes, then a layer whose 64 input states take
@@ -169,21 +163,6 @@ def worker(configs_path: Path) -> dict:
     return runs
 
 
-def run_worker(checkout: Path, configs_path: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    env.update({var: "1" for var in BLAS_THREAD_VARS})
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--worker", str(configs_path)],
-        cwd=checkout, env=env, capture_output=True, text=True,
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(f"worker in {checkout} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    if Path(result.pop("qkan_dir")) != (checkout / "src" / "qkan").resolve():
-        raise RuntimeError(f"worker in {checkout} imported another qkan")
-    return result
-
-
 def required_qubits(stderr: str) -> int | None:
     """The qubit count an exit-3 message reports, if any."""
     found = re.search(r"requires (\d+) qubits", stderr)
@@ -264,17 +243,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.parent is None:
         parser.error("--parent is required")
 
-    report = {
-        "parent": {"commit": git("rev-parse", args.parent)},
-        "change": {"commit": git("rev-parse", "HEAD"),
-                   "uncommitted_changes": bool(git("status", "--porcelain", "--", "src"))},
-        "seed": args.seed,
-    }
+    report = {**commit_header(args.parent), "seed": args.seed}
     named = configs(args.seed)
     with sides(report["parent"]["commit"]) as checkouts:
         configs_path = checkouts["parent"].parent / "configs.json"
         configs_path.write_text(json.dumps(named))
-        runs = {side: run_worker(checkouts[side], configs_path) for side in ("parent", "change")}
+        flags = ["--worker", str(configs_path)]
+        runs = {
+            side: run_worker(checkouts[side], Path(__file__).resolve(), flags)
+            for side in ("parent", "change")
+        }
     report["configs"] = len(named)
     report.update(compare(runs["parent"], runs["change"]))
     text = json.dumps(report, indent=2)

@@ -31,20 +31,14 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import random
-import subprocess
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from bench_pairs import ROOT, git, sides, spread  # noqa: E402
-
-sys.path.insert(0, str(ROOT))
-
-from qkanbench import BLAS_THREAD_VARS  # noqa: E402
+from bench_pairs import commit_header, run_worker, sides, spread  # noqa: E402
 
 # (dims, degree): the shapes the compile rule is calibrated on
 SHAPES = [
@@ -177,22 +171,6 @@ def worker(reps: int, order: int) -> dict:
     return out
 
 
-def run_worker(checkout: Path, reps: int, layout: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONHASHSEED=str(layout))
-    env.update({var: "1" for var in BLAS_THREAD_VARS})
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--worker", "--reps", str(reps),
-         "--order", str(layout)],
-        cwd=checkout, env=env, capture_output=True, text=True,
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(f"worker in {checkout} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    if Path(result.pop("qkan_dir")) != (checkout / "src" / "qkan").resolve():
-        raise RuntimeError(f"worker in {checkout} imported another qkan")
-    return result
-
-
 def summarize(rounds: list[dict]) -> dict:
     report = {}
     for name in ROWS:
@@ -229,9 +207,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--parent is required")
 
     report = {
-        "parent": {"commit": git("rev-parse", args.parent)},
-        "change": {"commit": git("rev-parse", "HEAD"),
-                   "uncommitted_changes": bool(git("status", "--porcelain", "--", "src"))},
+        **commit_header(args.parent),
         "rounds": args.rounds,
         "reps": args.reps,
     }
@@ -239,7 +215,12 @@ def main(argv: list[str] | None = None) -> int:
     with sides(report["parent"]["commit"]) as checkouts:
         for index in range(args.rounds):
             order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
-            rounds.append({side: run_worker(checkouts[side], args.reps, index) for side in order})
+            flags = ["--worker", "--reps", str(args.reps), "--order", str(index)]
+            rounds.append({
+                side: run_worker(checkouts[side], Path(__file__).resolve(), flags,
+                                 env={"PYTHONHASHSEED": str(index)})
+                for side in order
+            })
     report["shapes"] = summarize(rounds)
     text = json.dumps(report, indent=2)
     if args.out:

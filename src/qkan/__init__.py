@@ -76,13 +76,13 @@ from .operators import (
 from .readout import (
     PreparedState,
     ReadoutResult,
+    StateVector,
     check_stateprep_bound,
     estimate_all_outputs,
     hadamard_test,
     prepare_state_postselect,
     stateprep_thresholds,
 )
-from .registers import RegisterLayout, StateVector
 from .resources import CostReport, analytic_cost, reconcile, selector_qubits
 from .trainer import (
     ClassicalModel,

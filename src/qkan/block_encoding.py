@@ -40,7 +40,6 @@ from .operators import (
     random_unitary,
     state_prep_unitary,
 )
-from .registers import RegisterLayout
 
 # largest eigenphase of a perturbation direction is pi minus this (see perturb)
 PERTURB_PHASE_MARGIN = 0.02
@@ -57,9 +56,9 @@ class BlockEncoding:
 
     `aux` lists the ancilla registers as (name, size, idle), most significant
     first; `system` lists the system registers that follow as (name, size).
-    Every count and view of the registers (`num_aux`, `num_system`, `layout`,
-    `idle_registers`, `live_qubits`, ...) is derived from these two tuples,
-    once per encoding. `diagonal_flag` marks encodings whose block is
+    They are the one representation of the registers: every count
+    (`num_aux`, `num_system`, `idle_aux`, `live_qubits`, ...) is derived from
+    them, once per encoding. `diagonal_flag` marks encodings whose block is
     promised diagonal (within epsilon). `check_results` keeps the outcome of
     expensive checks of this encoding by name (floats only, never a dense
     block), so a check made by several steps runs once. A derived encoding
@@ -75,9 +74,9 @@ class BlockEncoding:
     `diagonal_flag` is a claim and never grants it.
 
     An ancilla register marked idle (the QSVT ancilla of a Chebyshev
-    transform) is one that no factor acts on. It counts in `num_aux`, in the
-    layout and in every qubit budget, but `op` leaves it out: it spans the
-    other (live) qubits in layout order, so
+    transform) is one that no factor acts on. It counts in `num_aux` and in
+    every qubit budget, but `op` leaves it out: it spans the other (live)
+    qubits in register order, so
     ``op.n == num_aux + num_system - idle_aux``, and the encoding's unitary
     is the identity on the idle qubits tensored with `op`. Reads, guards,
     compiles and readouts only prepare states whose idle qubits read 0.
@@ -123,15 +122,6 @@ class BlockEncoding:
     @cached_property
     def system_dim(self) -> int:
         return 1 << self.num_system
-
-    @cached_property
-    def layout(self) -> RegisterLayout:
-        """Every register, ancillas first."""
-        return RegisterLayout(tuple((name, size) for name, size, _ in self.aux) + self.system)
-
-    @cached_property
-    def idle_registers(self) -> frozenset[str]:
-        return frozenset(name for name, _, idle in self.aux if idle)
 
     @cached_property
     def live_aux(self) -> int:
@@ -218,16 +208,18 @@ def _split_regs(regs: tuple[tuple[str, int], ...], qubits: int, what: str) -> tu
 
 def primitive_encoding(
     op: LinearOperator,
-    num_aux: int,
-    layout: RegisterLayout,
+    aux: tuple[tuple[str, int], ...],
+    system: tuple[tuple[str, int], ...],
     name: str,
     epsilon: float = 0.0,
     diagonal: bool = False,
 ) -> BlockEncoding:
-    """Wrap a unitary as a named primitive (1, num_aux, epsilon)-encoding that
-    counts one query to `name` per application. The first registers of
-    `layout` hold the `num_aux` ancillas; a split register is rejected."""
-    aux, system = _split_regs(layout.registers, num_aux, "ancilla block")
+    """Wrap a unitary over the (name, size) registers `aux` then `system` as
+    a named primitive (1, a, epsilon)-encoding, every ancilla live, that
+    counts one query to `name` per application."""
+    for reg, size in aux + system:
+        if size < 0:
+            raise ContractViolationError(f"register {reg!r} has negative size {size}")
     return BlockEncoding(
         op=Query(op, {name: 1}),
         alpha=1.0,
@@ -347,7 +339,7 @@ def pad_aux(be: BlockEncoding, extra: int) -> BlockEncoding:
 
 def _all_live(be: BlockEncoding) -> BlockEncoding:
     """The same encoding with identity on its idle ancillas made part of `op`."""
-    if not be.idle_registers:
+    if not be.idle_aux:
         return be
     op = Embedded(be.op, be.live_qubits, be.num_aux + be.num_system)
     return replace(be, op=op, aux=tuple((name, size, False) for name, size, _ in be.aux))

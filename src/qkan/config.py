@@ -240,6 +240,12 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
         node=None if node is None else _int(node, "readout.node", high=spec.dims[-1]),
         delta=None if delta is None else _real(delta, "readout.delta", positive=True),
     )
+    if mode == "exact":
+        # an exact read takes no shots and reads every node
+        _require(readout.shots == 0,
+                 f"readout.shots is read only in shots mode, got {readout.shots}")
+        _require(readout.node is None,
+                 f"readout.node is read only in shots mode, got {readout.node}")
     train_config = None
     dataset = None
     if "train" in raw:

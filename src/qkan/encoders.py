@@ -24,7 +24,6 @@ from .operators import (
     outside_unit_interval,
     state_prep_unitary,
 )
-from .registers import RegisterLayout
 
 
 def _log2_exact(length: int, what: str) -> int:
@@ -106,8 +105,8 @@ def encode_from_stateprep(u_prep: LinearOperator, name: str = "psi") -> BlockEnc
     sys_axes = tuple(range(3 + n, total))
     gadget = Embedded(_copy_compare_permutation(n), (0,) + amp_axes + sys_axes, total)
     prep = Embedded(u_prep, amp_axes, total)
-    layout = RegisterLayout((("flag", 1), ("pad", 2), ("amp", n), ("sys", n)))
-    return primitive_encoding(compose(gadget, prep), n + 3, layout, name, diagonal=True)
+    aux = (("flag", 1), ("pad", 2), ("amp", n))
+    return primitive_encoding(compose(gadget, prep), aux, (("sys", n),), name, diagonal=True)
 
 
 def encode_real_weights(u_prep: LinearOperator, name: str = "w") -> BlockEncoding:

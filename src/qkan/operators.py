@@ -4,7 +4,7 @@ Operators are immutable trees of structured factors applied matrix-free to
 statevectors; dense materialization is reserved for testing at small
 dimensions. ``apply`` accepts a vector of shape ``(dim,)`` or a batch of
 columns ``(dim, b)`` and acts on axis 0. Qubit positions are counted from
-the most significant end, matching :class:`~qkan.registers.RegisterLayout`.
+the most significant end, in a block-encoding's register order (ancillas first).
 """
 
 from __future__ import annotations

@@ -14,9 +14,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .block_encoding import BlockEncoding, column_blocks, extract_diagonal
-from .errors import DegenerateOutputError, DomainError
+from .errors import ContractViolationError, DegenerateOutputError, DomainError
 from .operators import check_qubit_budget
-from .registers import RegisterLayout, StateVector
+
+NORM_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class StateVector:
+    """Complex amplitude vector of unit norm (within NORM_TOL)."""
+
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        object.__setattr__(self, "amplitudes", amps)
+        if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
+            raise ContractViolationError(
+                f"statevector norm {np.linalg.norm(amps)} deviates from 1 beyond {NORM_TOL}"
+            )
 
 
 @dataclass(frozen=True)
@@ -138,9 +154,8 @@ def prepare_state_postselect(
     # report amplitudes with the largest-magnitude entry rotated to positive real
     anchor = normalized[int(np.argmax(np.abs(normalized)))]
     fixed = normalized * (anchor.conj() / abs(anchor))
-    layout = RegisterLayout((("out", be.num_system),))
     return PreparedState(
-        amplitudes=StateVector(fixed, layout),
+        amplitudes=StateVector(fixed),
         success_prob=prob,
         l2_error=l2_error,
         norm_const=norm_const,

@@ -19,6 +19,7 @@ from .block_encoding import (
     lcu,
     pair_for_weights,
     perturb,
+    primitive_encoding,
     product,
     verify,
 )
@@ -99,12 +100,8 @@ def check_chebyshev_grid(max_degree: int = 7) -> list[CheckResult]:
 
 
 def _random_encoding(rng: np.random.Generator, n: int, aux: int, eps: float):
-    from .block_encoding import primitive_encoding
-    from .registers import RegisterLayout
-
     op = Dense(random_unitary(aux + n, rng))
-    layout = RegisterLayout((("a", aux), ("sys", n)))
-    be = primitive_encoding(op, aux, layout, name=f"u{rng.integers(1 << 30)}")
+    be = primitive_encoding(op, (("a", aux),), (("sys", n),), name=f"u{rng.integers(1 << 30)}")
     target = extract_block(be)
     if eps > 0:
         be = perturb(be, eps, int(rng.integers(1 << 30)))

@@ -68,7 +68,7 @@ def test_criterion_3_two_layer_recursion():
     got = qkan.extract_diagonal(net.output).real
     want = qkan.classical_network_eval(x, qspec)
     err = float(np.max(np.abs(got - want)))
-    qubits = net.output.layout.n_qubits
+    qubits = net.output.num_aux + net.output.num_system
     ok = err <= 1e-9 and qubits <= 22
     report("3 two-layer-recursion", ok, f"err {err:.2e}, {qubits} qubits")
     assert err <= 1e-9
@@ -254,13 +254,12 @@ def test_criterion_9_combinator_property_suite():
     rng = np.random.default_rng(909)
     worst = {"product": -np.inf, "lcu": -np.inf, "hadamard": -np.inf}
     from qkan.block_encoding import primitive_encoding
-    from qkan.registers import RegisterLayout
     from qkan import operators as ops
 
     def random_encoding(eps):
         op = ops.Dense(ops.random_unitary(3, rng))
-        layout = RegisterLayout((("a", 1), ("sys", 2)))
-        be = primitive_encoding(op, 1, layout, name=f"u{rng.integers(1 << 30)}")
+        aux, system = (("a", 1),), (("sys", 2),)
+        be = primitive_encoding(op, aux, system, name=f"u{rng.integers(1 << 30)}")
         target = qkan.extract_block(be)
         return qkan.perturb(be, eps, int(rng.integers(1 << 30))), target
 

@@ -6,15 +6,13 @@ import qkan
 from qkan import operators as ops
 from qkan.block_encoding import BlockEncoding, pad_aux, primitive_encoding
 from qkan.errors import ContractViolationError
-from qkan.registers import RegisterLayout
 
 
 def random_exact_encoding(rng, n=2, aux=1, name=None):
     """A random unitary viewed as an exact (1, aux, 0)-encoding of its block."""
     op = ops.Dense(ops.random_unitary(aux + n, rng))
-    layout = RegisterLayout((("a", aux), ("sys", n)))
     name = name or f"u{rng.integers(1 << 30)}"
-    be = primitive_encoding(op, aux, layout, name)
+    be = primitive_encoding(op, (("a", aux),), (("sys", n),), name)
     return be, qkan.extract_block(be)
 
 
@@ -171,7 +169,7 @@ def test_hadamard_product_diagonal_vectors(rng):
 
 def test_remove_offdiagonal_of_hadamard_gate():
     h_gate = ops.hadamard_layer(1)
-    be = primitive_encoding(h_gate, 0, RegisterLayout((("sys", 1),)), "h")
+    be = primitive_encoding(h_gate, (), (("sys", 1),), "h")
     diag = qkan.remove_offdiagonal(be)
     expected = np.array([1.0, -1.0]) / np.sqrt(2)
     assert np.max(np.abs(qkan.extract_diagonal(diag) - expected)) < 1e-12
@@ -202,9 +200,9 @@ def test_dilate_repeats_entries():
 def test_dilate_ahead_of_trailing_register():
     x = np.array([[0.3, -0.7], [0.1, 0.9]])  # x[p, s] over [p | sample]
     be = qkan.split_system(qkan.encode_diagonal_exact(x.reshape(-1)), 1)
-    assert be.layout.registers == (("enc", 1), ("sys", 1), ("sample", 1))
+    assert (be.aux, be.system) == ((("enc", 1, False),), (("sys", 1), ("sample", 1)))
     dil = qkan.dilate(be, 1, trailing=1)
-    assert dil.layout.registers == (("enc", 1), ("sys", 1), ("dil", 1), ("sample", 1))
+    assert (dil.aux, dil.system) == ((("enc", 1, False),), (("sys", 1), ("dil", 1), ("sample", 1)))
     target = np.diag([x[p, s] for p in range(2) for q in range(2) for s in range(2)])
     assert qkan.verify(dil, target) <= 1e-15
     with pytest.raises(ContractViolationError):
@@ -322,9 +320,9 @@ def test_aux_field_matches_layout():
         (qkan.product(be, qkan.encode_diagonal_exact(x, name="y")), 0),
         (qkan.lcu([be, be], qkan.uniform_pair(2)), 0),
     ):
-        assert derived.num_aux + derived.num_system == derived.layout.n_qubits
+        assert derived.num_aux == sum(size for _, size, _ in derived.aux)
         assert derived.idle_aux == idle
-        assert derived.op.n == derived.layout.n_qubits - idle
+        assert derived.op.n == derived.num_aux + derived.num_system - idle
 
 
 def test_cost_survives_perturb_adjoint_and_control():
@@ -340,7 +338,7 @@ def test_idle_qsvt_ancilla_is_counted_but_not_simulated():
     x = np.array([0.3, -0.7])
     be = qkan.encode_diagonal_exact(x)
     cheb = qkan.chebyshev_be(be, 3)
-    assert cheb.layout.names == ("qsvt", "enc", "sys") and cheb.idle_registers == {"qsvt"}
+    assert (cheb.aux, cheb.system) == ((("qsvt", 1, True), ("enc", 1, False)), (("sys", 1),))
     assert (cheb.num_aux, cheb.idle_aux, cheb.live_aux, cheb.op.n) == (2, 1, 1, 2)
     assert cheb.live_qubits == (1, 2)
     # the identity on the idle qubit tensored with op: the full-space unitary
@@ -352,13 +350,21 @@ def test_idle_qsvt_ancilla_is_counted_but_not_simulated():
         BlockEncoding(cheb.op, 1.0, 0.0, live, cheb.system)  # op misses a layout qubit
 
 
-def test_primitive_ancillas_must_end_on_a_register_boundary():
-    layout = RegisterLayout((("a", 2), ("sys", 1)))
+def test_primitive_registers_must_not_have_negative_size():
     op = ops.Identity(3)
-    assert primitive_encoding(op, 2, layout, "u").aux == (("a", 2, False),)
-    for num_aux in (1, 4):
-        with pytest.raises(ContractViolationError, match="register boundaries"):
-            primitive_encoding(op, num_aux, layout, "u")
+    assert primitive_encoding(op, (("a", 2),), (("sys", 1),), "u").aux == (("a", 2, False),)
+    # the sizes sum to op.n, so only the sign check can reject them
+    cases = (((("a", -1), ("b", 4)), (("sys", 0),)), ((("a", 3),), (("sys", -1), ("t", 1))))
+    for aux, system in cases:
+        with pytest.raises(ContractViolationError, match="negative size"):
+            primitive_encoding(op, aux, system, "u")
+
+
+def test_primitive_registers_must_have_distinct_names():
+    op = ops.Identity(3)
+    for aux, system in (((("a", 1), ("a", 1)), (("sys", 1),)), ((("a", 2),), (("a", 1),))):
+        with pytest.raises(ContractViolationError, match="duplicate register names"):
+            primitive_encoding(op, aux, system, "u")
 
 
 def test_negative_alpha_or_epsilon_is_rejected():
@@ -375,12 +381,12 @@ def test_lcu_of_terms_with_idle_ancillas_at_other_positions():
     cheb = qkan.chebyshev_be(qkan.encode_diagonal_exact(x), 2)
     padded = pad_aux(qkan.encode_diagonal_exact(x, name="y"), 1)
     combo = qkan.lcu([cheb, padded], qkan.uniform_pair(2))
-    assert combo.idle_aux == 0 and combo.op.n == combo.layout.n_qubits == 4
+    assert combo.idle_aux == 0 and combo.op.n == combo.num_aux + combo.num_system == 4
     want = (oracles.chebyshev_values(x, 2)[2] + x) / 2
     assert np.max(np.abs(qkan.extract_diagonal(combo) - want)) <= 1e-12
     linear = qkan.chebyshev_be(qkan.encode_diagonal_exact(x), 1)
     same = qkan.lcu([cheb, linear], qkan.uniform_pair(2))  # idle QSVT ancillas line up
-    assert same.idle_aux == 1 and same.op.n == same.layout.n_qubits - 1
+    assert same.idle_aux == 1 and same.op.n == same.num_aux + same.num_system - 1
     assert np.max(np.abs(qkan.extract_diagonal(same) - want)) <= 1e-12
 
 
@@ -402,7 +408,9 @@ def _certificate_cases():
     exact = qkan.encode_diagonal_exact(x, name="x")
     other = qkan.encode_diagonal_exact(y, name="y")
     # the same operator as `exact`, but a plain primitive: diagonal-flagged only
-    plain = primitive_encoding(ops.LabelReflection(x), 1, exact.layout, "x", diagonal=True)
+    plain = primitive_encoding(
+        ops.LabelReflection(x), (("enc", 1),), exact.system, "x", diagonal=True
+    )
     psi = x / np.linalg.norm(x)
     hadamards = ops.hadamard_layer(1)
     kept = [
@@ -472,3 +480,32 @@ def test_pairs_are_marked_real_when_built():
     assert all(uniform_pair(m).real for m in range(1, 9))
     assert pair_for_weights(np.array([0.3, -0.6, 0.1])).real
     assert not pair_for_weights(np.array([0.3, 0.6j])).real
+
+
+def _contract_cases():
+    """pytest.param(call, message): each call breaks one combinator contract."""
+    be = qkan.encode_diagonal_exact(np.array([0.3, -0.7]))
+    wide = qkan.encode_diagonal_exact(np.full(4, 0.5), name="y")
+    halved = BlockEncoding(be.op, 0.5, 0.0, be.aux, be.system)
+    h_gate = primitive_encoding(ops.hadamard_layer(1), (), (("sys", 1),), "h")
+    pair = qkan.uniform_pair(2)
+    return [
+        pytest.param(lambda: qkan.lcu([], pair), "at least one encoding", id="lcu-no-terms"),
+        pytest.param(lambda: qkan.lcu([be, wide], pair), "share the system", id="lcu-systems"),
+        pytest.param(lambda: qkan.lcu([be, halved], pair), "share the subnormalization",
+                     id="lcu-alphas"),
+        pytest.param(lambda: qkan.lcu([be, be, be], pair), "3 terms exceed the 2 selector",
+                     id="lcu-selector"),
+        pytest.param(lambda: qkan.dilate(h_gate, 1), "requires a diagonal-flagged",
+                     id="dilate-flag"),
+        pytest.param(lambda: qkan.dilate(be, 1, trailing=2), "cannot dilate by 1 qubits",
+                     id="dilate-trailing"),
+        pytest.param(lambda: qkan.hadamard_product(be, wide), "system size mismatch",
+                     id="hadamard-systems"),
+    ]
+
+
+@pytest.mark.parametrize("call, message", _contract_cases())
+def test_combinator_contract_errors(call, message):
+    with pytest.raises(ContractViolationError, match=message):
+        call()

@@ -9,7 +9,6 @@ from qkan import operators as ops
 from qkan.block_encoding import BlockEncoding, primitive_encoding
 from qkan.chebyshev import _qsvt_shell, _require_hermitian_block
 from qkan.errors import ContractViolationError, DomainError
-from qkan.registers import RegisterLayout
 
 
 @dataclass(frozen=True)
@@ -258,11 +257,10 @@ def _dilation(block):
 
 def _encoding_of(block, epsilon=0.0):
     from qkan.block_encoding import primitive_encoding
-    from qkan.registers import RegisterLayout
 
     n = int(len(block)).bit_length() - 1
-    layout = RegisterLayout((("a", 1), ("sys", n)))
-    return primitive_encoding(ops.Dense(_dilation(block)), 1, layout, "a", epsilon=epsilon)
+    aux, system = (("a", 1),), (("sys", n),)
+    return primitive_encoding(ops.Dense(_dilation(block)), aux, system, "a", epsilon=epsilon)
 
 
 def _hermitian(rng, dim):
@@ -300,13 +298,12 @@ def test_probe_and_dense_guard_decisions_agree(qubits, rng, monkeypatch):
 
 def test_non_hermitian_block_above_the_dense_cap_is_rejected(rng):
     from qkan.block_encoding import primitive_encoding
-    from qkan.registers import RegisterLayout
 
     n = ops.DENSE_CAP_QUBITS + 1
     phases = ops.Diagonal(np.exp(1j * rng.uniform(0, 2 * np.pi, 1 << n)))
-    layout = RegisterLayout((("a", 1), ("sys", n)))
+    aux, system = (("a", 1),), (("sys", n),)
     op = ops.Embedded(phases, tuple(range(1, n + 1)), n + 1)
-    be = primitive_encoding(op, 1, layout, "z", diagonal=True)
+    be = primitive_encoding(op, aux, system, "z", diagonal=True)
     with pytest.raises(ContractViolationError, match="probe estimate"):
         qkan.chebyshev_be(be, 1)
 
@@ -319,8 +316,8 @@ def test_hermiticity_guard_rejects_nan(size):
     # diagonal primitive laid out like encode_diagonal_exact's
     values = np.ones(2 * size)
     values[1] = np.nan
-    layout = RegisterLayout((("enc", 1), ("sys", size.bit_length() - 1)))
-    be = primitive_encoding(ops.Diagonal(values), 1, layout, "x", diagonal=True)
+    aux, system = (("enc", 1),), (("sys", size.bit_length() - 1),)
+    be = primitive_encoding(ops.Diagonal(values), aux, system, "x", diagonal=True)
     wide = be.num_system > ops.DENSE_CAP_QUBITS
     message = "probe estimate" if wide else r"not Hermitian \(defect"
     with pytest.raises(ContractViolationError, match=message):
@@ -344,8 +341,8 @@ def _recording_probe(monkeypatch):
 def _uncertified_exact_input(x, name="x"):
     """The operator of encode_diagonal_exact(x) as a plain primitive: real,
     Hermitian and diagonal, but without the exact real diagonal certificate."""
-    layout = RegisterLayout((("enc", 1), ("sys", x.size.bit_length() - 1)))
-    return primitive_encoding(ops.LabelReflection(x), 1, layout, name, diagonal=True)
+    aux, system = (("enc", 1),), (("sys", x.size.bit_length() - 1),)
+    return primitive_encoding(ops.LabelReflection(x), aux, system, name, diagonal=True)
 
 
 def test_layer_guard_probes_the_undilated_input_once(monkeypatch):
@@ -364,8 +361,8 @@ def _unit_phase_input(n_in, seed):
     Hermitian: ||B - B^dag||_2 = max 2 |sin theta| > 0.9."""
     theta = np.random.default_rng(seed).uniform(0.5, 1.5, n_in)
     values = np.concatenate([np.exp(1j * theta), np.exp(-1j * theta)])
-    layout = RegisterLayout((("enc", 1), ("sys", n_in.bit_length() - 1)))
-    return primitive_encoding(ops.Diagonal(values), 1, layout, "x", diagonal=True)
+    aux, system = (("enc", 1),), (("sys", n_in.bit_length() - 1),)
+    return primitive_encoding(ops.Diagonal(values), aux, system, "x", diagonal=True)
 
 
 # N = 4 takes the dense test, N = 64 the probe (then its dense fallback)
@@ -386,8 +383,8 @@ def _non_hermitian_dense_input(n_in, seed):
     """Diagonal-flagged dense primitive whose block is far from Hermitian."""
     rng = np.random.default_rng(seed)
     block = 0.5 * _hermitian(rng, n_in) + 0.4j * _hermitian(rng, n_in)
-    layout = RegisterLayout((("a", 1), ("sys", n_in.bit_length() - 1)))
-    return primitive_encoding(ops.Dense(_dilation(block)), 1, layout, "x", diagonal=True)
+    aux, system = (("a", 1),), (("sys", n_in.bit_length() - 1),)
+    return primitive_encoding(ops.Dense(_dilation(block)), aux, system, "x", diagonal=True)
 
 
 @pytest.mark.parametrize("n_in", [4, 64])
@@ -436,7 +433,7 @@ def test_probe_estimate_of_a_later_layer_above_the_dense_cap(rng, monkeypatch):
         assert first.num_system == 1 + m
         assert first.exact_real_diagonal == (source is qkan.encode_diagonal_exact)
         be = qkan.build_layer(first, spec.layers[1], layer_index=1)
-        assert be.layout.n_qubits == 21 and calls == []
+        assert be.num_aux + be.num_system == 21 and calls == []
         if first.exact_real_diagonal:
             assert probes == []
             assert chebyshev._probe_hermiticity_defect(first) <= gate

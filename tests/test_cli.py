@@ -211,6 +211,18 @@ def test_prepare_state_command(tmp_path, capsys):
     assert results["l2_error"] <= 1e-9
 
 
+def test_package_error_exits_1(tmp_path, capsys):
+    """All-zero weights leave nothing to post-select: prepare-state raises a
+    package error (exit 1), while eval reads the zero outputs (exit 0)."""
+    zero = {"in": 2, "out": 2, "degree": 1, "weights": [[[0.0, 0.0]] * 2] * 2}
+    path = write_config(tmp_path, {"input": [0.1, 0.2], "layers": [zero]})
+    assert main(["prepare-state", "--config", path, "--no-timestamp"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: post-selection probability 0.0 is numerically zero")
+    assert main(["eval", "--config", path, "--no-timestamp"]) == 0
+
+
 def test_train_command_writes_trace(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     path = write_config(
@@ -421,6 +433,35 @@ def test_bad_readout_field_exits_2(tmp_path, command, field, value, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, field, value",
+    [
+        ("eval", "shots", 1),
+        ("eval", "shots", 100),
+        ("resources", "shots", 100),
+        ("eval", "node", 0),
+        ("eval", "node", 1),
+        ("verify", "node", 1),
+    ],
+)
+def test_shot_field_in_exact_readout_exits_2(tmp_path, command, field, value, capsys):
+    """Exact mode reads no shots and every node: a shot count or a node
+    there would be echoed in the report and then ignored."""
+    payload = {**SHOTS_CONFIG, "readout": {"mode": "exact", field: value}}
+    assert main([command, "--config", write_config(tmp_path, payload), "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"readout.{field}" in captured.err
+
+
+@pytest.mark.parametrize("field, value", [("shots", 0), ("delta", 0.05)])
+def test_exact_readout_accepts_zero_shots_and_a_delta(tmp_path, field, value, capsys):
+    payload = {**SHOTS_CONFIG, "readout": {"mode": "exact", field: value}}
+    path = write_config(tmp_path, payload)
+    for command in ("eval", "resources"):
+        code, report = run([command, "--config", path, "--no-timestamp"], capsys)
+        assert code == 0 and report["config"]["readout"][field] == value
+
+
+@pytest.mark.parametrize(
     "command, path, value",
     [
         ("eval", "layers.0.degree", 1.5),
@@ -575,10 +616,11 @@ def test_eval_shots_applies_the_output_operator_once(tmp_path, monkeypatch, node
 def test_shots_eval_budget_counts_the_hadamard_control_qubit(tmp_path, capsys):
     path = write_config(tmp_path, SHOTS_CONFIG)
     config = load_config(path)
-    n = cli.build_network(cli._input_encoding(config), config.spec).output.layout.n_qubits
+    out = cli.build_network(cli._input_encoding(config), config.spec).output
+    n = out.num_aux + out.num_system
     assert main(["eval", "--config", path, "--max-qubits", str(n)]) == 3
     assert main(["eval", "--config", path, "--max-qubits", str(n + 1)]) == 0
-    exact = write_config(tmp_path, with_field("readout.mode", "exact"), name="exact.json")
+    exact = write_config(tmp_path, {**SHOTS_CONFIG, "readout": {"mode": "exact"}}, name="exact.json")
     assert main(["eval", "--config", exact, "--max-qubits", str(n)]) == 0
 
 

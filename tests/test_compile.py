@@ -14,7 +14,6 @@ from qkan import operators as ops
 from qkan.block_encoding import compile_system_blocks, primitive_encoding
 from qkan.errors import ContractViolationError
 from qkan.readout import prepare_state_postselect, read_outputs
-from qkan.registers import RegisterLayout
 
 
 def random_spec(dims, degree, seed):
@@ -82,7 +81,7 @@ def test_compiled_layer_keeps_cost_and_describes_its_shape():
     be = qkan.build_layer(qkan.encode_diagonal_exact(np.array([0.3, -0.5])), spec.layers[0])
     compiled = compile_system_blocks(be)
     assert compiled.cost == be.cost
-    assert (compiled.num_aux, compiled.num_system, compiled.layout) == (be.num_aux, be.num_system, be.layout)
+    assert (compiled.aux, compiled.system) == (be.aux, be.system)
     assert (compiled.alpha, compiled.epsilon, compiled.diagonal_flag) == (be.alpha, be.epsilon, be.diagonal_flag)
     assert np.max(np.abs(compiled.op.dense() - be.op.dense())) <= 1e-13
     assert compiled.op.leaves == 1 and be.op.leaves == 20
@@ -134,12 +133,12 @@ def test_compile_check_rejects_a_tree_that_mixes_the_system_register():
     # a rotation by 1e-9 between two system states of aux |0> is caught too
     mixing = np.eye(4, dtype=np.complex128)
     mixing[:2, :2] = [[np.cos(1e-9), -np.sin(1e-9)], [np.sin(1e-9), np.cos(1e-9)]]
-    layout = RegisterLayout((("a", 1), ("sys", 1)))
+    aux, system = (("a", 1),), (("sys", 1),)
     with pytest.raises(ContractViolationError, match="mixes its system register"):
-        compile_system_blocks(primitive_encoding(ops.Dense(mixing), 1, layout, "u"))
+        compile_system_blocks(primitive_encoding(ops.Dense(mixing), aux, system, "u"))
     # a multiplexor over the system qubit compiles to the same matrix
     units = {j: ops.Dense(ops.random_unitary(1, np.random.default_rng(j))) for j in range(2)}
-    mux = primitive_encoding(ops.Multiplexed(units, (1,), 2), 1, layout, "u")
+    mux = primitive_encoding(ops.Multiplexed(units, (1,), 2), aux, system, "u")
     assert np.max(np.abs(compile_system_blocks(mux).op.dense() - mux.op.dense())) <= 1e-15
 
 
@@ -314,8 +313,8 @@ def test_network_assembler_charges_the_guard_of_uncertified_outputs_only(monkeyp
     assert seen == [True, True]
 
     def plain(vec, name):
-        layout = RegisterLayout((("enc", 1), ("sys", vec.size.bit_length() - 1)))
-        return primitive_encoding(ops.LabelReflection(vec), 1, layout, name, diagonal=True)
+        aux, system = (("enc", 1),), (("sys", vec.size.bit_length() - 1),)
+        return primitive_encoding(ops.LabelReflection(vec), aux, system, name, diagonal=True)
 
     seen.clear()
     qkan.build_network(qkan.encode_diagonal_exact(x), spec, weight_encoder=plain)

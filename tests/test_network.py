@@ -227,7 +227,7 @@ def test_build_network_two_layers_match_oracle():
     net = qkan.build_network(qkan.encode_diagonal_exact(x), qspec)
     want = qkan.classical_network_eval(x, qspec)
     assert np.max(np.abs(qkan.extract_diagonal(net.output) - want)) <= 1e-9
-    assert net.output.layout.n_qubits <= 22
+    assert net.output.num_aux + net.output.num_system <= 22
 
 
 def test_build_network_recursive_query_counts():
@@ -254,7 +254,7 @@ def test_build_network_three_layers():
     net = qkan.build_network(qkan.encode_diagonal_exact(x, name="x"), qspec)
     want = qkan.classical_network_eval(x, qspec)
     assert np.max(np.abs(qkan.extract_diagonal(net.output) - want)) <= 1e-9
-    assert net.output.layout.n_qubits <= 22
+    assert net.output.num_aux + net.output.num_system <= 22
 
 
 def test_build_network_mixed_degrees():
@@ -294,7 +294,7 @@ def test_layer_wider_than_the_dense_cap_matches_the_oracle(rng):
     spec = qkan.LayerSpec.random(1024, 4, 3, seed=71)
     x = rng.uniform(-1, 1, 1024)
     be = qkan.build_layer(qkan.encode_diagonal_exact(x, name="x"), spec)
-    assert be.layout.n_qubits == 17
+    assert be.num_aux + be.num_system == 17
     want = qkan.classical_layer_eval(x, spec)
     assert np.max(np.abs(qkan.extract_diagonal(be) - want)) <= 1e-9
     assert qkan.reconcile(qkan.analytic_cost(qkan.QkanSpec((spec,))), be).ok
@@ -335,8 +335,7 @@ def test_sum_over_inputs_absorbs_registers(rng):
     built = qkan.build_layer(qkan.encode_diagonal_exact(rng.uniform(-1, 1, 4)), spec)
     # input register absorbed: system is only the k output qubits
     assert built.num_system == 1
-    names = built.layout.names
-    assert names[-1].startswith("dil")
+    assert built.system[-1][0].startswith("dil")
 
 
 def _sample_register_input(xs):
@@ -352,11 +351,11 @@ def test_batched_layers_carry_the_sample_register(rng):
     )
     xs = rng.uniform(-1, 1, (4, 2))
     be, m = _sample_register_input(xs)
-    assert be.layout.registers[-2:] == (("sys", 1), ("sample", 2))
+    assert be.system[-2:] == (("sys", 1), ("sample", 2))
     first = qkan.build_layer(be, qspec.layers[0])
-    assert (first.num_system, first.layout.registers[-2:]) == (3, (("dil", 1), ("sample", 2)))
+    assert (first.num_system, first.system[-2:]) == (3, (("dil", 1), ("sample", 2)))
     second = qkan.build_layer(first, qspec.layers[1], layer_index=1)
-    assert (second.num_system, second.layout.registers[-2:]) == (3, (("dil.2", 1), ("sample", 2)))
+    assert (second.num_system, second.system[-2:]) == (3, (("dil.2", 1), ("sample", 2)))
     want = np.array([qkan.classical_network_eval(x, qspec) for x in xs])  # (S, K)
     got = qkan.extract_diagonal(second).real.reshape(2, 4).T  # index q * 2^m + s
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -375,7 +374,7 @@ def test_a_layer_reads_the_sample_width_from_its_input(rng):
     be, m = _sample_register_input(xs)
     built = qkan.build_layer(be, spec)
     assert m == 2 and be.sample_qubits == built.sample_qubits == m
-    assert built.layout.registers[-2:] == (("dil", 1), ("sample", 2))
+    assert built.system[-2:] == (("dil", 1), ("sample", 2))
     model = qkan.SimulatedModel(qkan.QkanSpec((spec,)), xs)
     assert model.sample_qubits == m
     got = qkan.extract_diagonal(built).real.reshape(-1, 1 << m).T  # index q * 2^m + s
@@ -457,7 +456,7 @@ def test_one_column_read_is_exact_with_a_sample_register(rng):
 def test_one_column_read_is_exact_on_the_widest_layer(rng):
     spec = qkan.LayerSpec(rng.uniform(-1, 1, (4, 256, 4)))  # N = 256, K = 4, d = 3
     be = qkan.build_layer(qkan.encode_diagonal_exact(rng.uniform(-1, 1, 256), name="x"), spec)
-    assert be.layout.n_qubits == 15
+    assert be.num_aux + be.num_system == 15
     assert np.array_equal(qkan.extract_diagonal(be), per_column_diagonal(be))
 
 
@@ -465,16 +464,15 @@ def test_one_column_readout_falls_back_when_epsilon_is_positive():
     rng = np.random.default_rng(7)
     unitary = qkan.random_unitary(3, rng)  # block over 2 system qubits, far from diagonal
     from qkan.block_encoding import primitive_encoding
-    from qkan.registers import RegisterLayout
 
-    layout = RegisterLayout((("a", 1), ("sys", 2)))
-    noisy = primitive_encoding(qkan.Dense(unitary), 1, layout, "u", epsilon=0.5, diagonal=True)
+    aux, system = (("a", 1),), (("sys", 2),)
+    noisy = primitive_encoding(qkan.Dense(unitary), aux, system, "u", epsilon=0.5, diagonal=True)
     diagonal = np.diag(unitary)[:4]
     assert np.allclose(qkan.extract_diagonal(noisy), diagonal, atol=1e-14)
     # the one-column read would have summed the off-diagonal entries into each row
     assert np.max(np.abs(unitary[:4, :4].sum(axis=1) - diagonal)) > 1e-2
     with pytest.raises(ContractViolationError):
-        qkan.extract_diagonal(primitive_encoding(qkan.Dense(unitary), 1, layout, "u"))
+        qkan.extract_diagonal(primitive_encoding(qkan.Dense(unitary), aux, system, "u"))
 
 
 def counting_encoder(calls):
@@ -573,7 +571,8 @@ def test_layer_budget_is_checked_before_any_transform(rng, eps_w, monkeypatch):
     encoder = perturbed_weight_encoder(eps_w, seed=7)
     be_x = qkan.encode_diagonal_exact(rng.uniform(-1, 1, 4), name="x")
     spec = qkan.LayerSpec.random(4, 2, 3, seed=126)
-    total = qkan.build_layer(be_x, spec, weight_encoder=encoder).layout.n_qubits
+    layer = qkan.build_layer(be_x, spec, weight_encoder=encoder)
+    total = layer.num_aux + layer.num_system
     calls = []
 
     def counting_chebyshev(*args, _real=network.chebyshev_be):
@@ -587,3 +586,31 @@ def test_layer_budget_is_checked_before_any_transform(rng, eps_w, monkeypatch):
     with qkan.qubit_budget(total):
         qkan.build_layer(be_x, spec, weight_encoder=encoder)
     assert len(calls) == 4
+
+
+def _contract_cases():
+    """pytest.param(call, message): each call breaks one layer contract."""
+    spec = qkan.LayerSpec.random(2, 2, 1, seed=3)
+    be_x = qkan.encode_diagonal_exact(np.array([0.1, 0.2]))
+    assembler = qkan.LayerAssembler(be_x, spec)
+
+    def narrow(vec, name):  # the weights of one input node only
+        return qkan.encode_diagonal_exact(vec[:2], name=name)
+
+    return [
+        pytest.param(lambda: qkan.LayerSpec(np.zeros((2, 2))), "must have shape \\(d\\+1, N, K\\)",
+                     id="weights-2d"),
+        pytest.param(lambda: qkan.QkanSpec(()), "at least one layer", id="no-layers"),
+        pytest.param(lambda: qkan.sum_over_inputs(be_x, 2), "cannot absorb 2 qubits",
+                     id="absorb-too-many"),
+        pytest.param(lambda: assembler.assemble(np.zeros((2, 2, 1))), "weight shape",
+                     id="assemble-shape"),
+        pytest.param(lambda: qkan.LayerAssembler(be_x, spec, weight_encoder=narrow),
+                     "weight encoding spans 1 qubits, expected 2", id="encoder-width"),
+    ]
+
+
+@pytest.mark.parametrize("call, message", _contract_cases())
+def test_layer_contract_errors(call, message):
+    with pytest.raises(ContractViolationError, match=message):
+        call()

@@ -429,7 +429,7 @@ def test_describe_single_layer_tree():
 
     walk(tree)
     # five layout qubits; the operator leaves out the idle QSVT ancilla
-    assert layer.layout.n_qubits == 5 and layer.idle_aux == 1
+    assert layer.num_aux + layer.num_system == 5 and layer.idle_aux == 1
     assert tree["kind"] == "Composed" and tree["n"] == 4
     # one Query per primitive application: x once (d = 1), each weight degree once
     queries = sorted(tuple(sorted(n["counts"].items())) for n in nodes if n["kind"] == "Query")

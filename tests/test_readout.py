@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qkan
-from qkan.errors import DegenerateOutputError, DomainError
+from qkan.errors import ContractViolationError, DegenerateOutputError, DomainError
 
 from oracles import binomial_ci_halfwidth, hadamard_test as oracle_hadamard_test
 from qkan.readout import read_outputs
@@ -107,13 +107,13 @@ def test_read_outputs_diagonal_is_extract_diagonal_bit_for_bit():
 
 def test_hadamard_readout_counts_the_control_qubit(half_layer):
     be, _ = half_layer
-    with qkan.qubit_budget(be.layout.n_qubits):
+    with qkan.qubit_budget(be.num_aux + be.num_system):
         with pytest.raises(qkan.ResourceLimitError):
             qkan.hadamard_test(be, 0)
         with pytest.raises(qkan.ResourceLimitError):
             read_outputs(be, 100, 1)
         qkan.extract_diagonal(be)  # the diagonal alone needs no control
-    with qkan.qubit_budget(be.layout.n_qubits + 1):
+    with qkan.qubit_budget(be.num_aux + be.num_system + 1):
         assert len(qkan.estimate_all_outputs(be, shots=10, seed=1)) == be.system_dim
 
 
@@ -157,6 +157,13 @@ def test_prepare_state_single_nonzero_entry():
     be = qkan.build_layer(qkan.encode_diagonal_exact(np.array([0.3, 0.8])), spec)
     prepared = qkan.prepare_state_postselect(be)
     assert np.allclose(np.abs(prepared.amplitudes.amplitudes), [0.0, 1.0], atol=1e-9)
+
+
+def test_statevector_norm_enforced():
+    with pytest.raises(ContractViolationError):
+        qkan.StateVector(np.array([1.0, 1.0]))
+    sv = qkan.StateVector(np.array([1.0, 1.0]) / np.sqrt(2))
+    assert abs(np.linalg.norm(sv.amplitudes) - 1.0) < 1e-12
 
 
 def test_prepare_state_degenerate():
