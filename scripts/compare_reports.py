@@ -24,7 +24,9 @@ The report lists every mismatch, which is any of:
 
 It also gives the largest deviation between the sides of every other number,
 per report field (for example ``eval/output``, ``eval/readout/value``,
-``prepare-state/amplitudes_real`` or ``train/losses``). The script exits 1
+``prepare-state/amplitudes_real`` or ``train/losses``), in ``max_deviation``,
+and the ``config/command`` run where each field first reaches it, in
+``max_deviation_at`` (null for a field that no run moved). The script exits 1
 when it finds a mismatch.
 """
 
@@ -196,10 +198,11 @@ def _walk(parent, change, field: str, where: str, exact: bool,
 
 def compare(parent: dict, change: dict) -> dict:
     """Mismatches and the largest deviation per report field of two workers'
-    runs (see the module docstring), with the count of compared runs and of
-    the change's runs per exit code."""
+    runs, with the run where it occurs (see the module docstring), the count
+    of compared runs and of the change's runs per exit code."""
     mismatches: list[str] = []
     deviations: dict[str, float] = {}
+    deviations_at: dict[str, str | None] = {}
     runs = 0
     for name in sorted(set(parent) | set(change)):
         ran = parent.get(name, {}).keys() | change.get(name, {}).keys()
@@ -216,8 +219,13 @@ def compare(parent: dict, change: dict) -> dict:
             if p["code"] == 3 and required_qubits(p["stderr"]) != required_qubits(c["stderr"]):
                 mismatches.append(f"{where}: exit 3 requires {required_qubits(p['stderr'])} "
                                   f"!= {required_qubits(c['stderr'])} qubits")
+            found: dict[str, float] = {}
             _walk(p["results"], c["results"], command, where, command == "resources",
-                  mismatches, deviations)
+                  mismatches, found)
+            for key, deviation in found.items():
+                if key not in deviations or deviation > deviations[key]:
+                    deviations[key] = deviation
+                    deviations_at[key] = f"{name}/{command}" if deviation > 0 else None
     codes: dict[str, int] = {}
     for runs_of_config in change.values():
         for run in runs_of_config.values():
@@ -227,6 +235,7 @@ def compare(parent: dict, change: dict) -> dict:
         "exit_codes": dict(sorted(codes.items())),
         "mismatches": mismatches,
         "max_deviation": dict(sorted(deviations.items())),
+        "max_deviation_at": dict(sorted(deviations_at.items())),
     }
 
 

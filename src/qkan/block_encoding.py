@@ -83,7 +83,11 @@ class BlockEncoding:
 
     `adjoint_op` is ``op.adjoint()``, built on first use and kept, as
     `live_qubits` is: the Chebyshev guard's probe and the transforms of
-    every degree of one encoding share one U^dag.
+    every degree of one encoding share one U^dag. `row_sums` is
+    (<0|_aux (x) I) U (|0>_aux (x) sum_j |j>), likewise read on first use
+    and kept: the exact diagonal read and the post-selected state share one
+    application of U. Both live and die with the encoding; a derived
+    encoding (``dataclasses.replace`` included) starts without them.
     """
 
     op: LinearOperator
@@ -154,6 +158,19 @@ class BlockEncoding:
     def adjoint_op(self) -> LinearOperator:
         """U^dag: ``op.adjoint()``, built once per encoding."""
         return self.op.adjoint()
+
+    @cached_property
+    def row_sums(self) -> np.ndarray:
+        """(<0|_aux (x) I) U (|0>_aux (x) sum_j |j>): the first system_dim rows
+        of one application of `op`, complex128 and read-only. Entry j is
+        sum_j' <0|_aux <j| U |0>_aux |j'>, so the row sums of the block
+        divided by alpha. The rows are copied, so the cached value never keeps
+        the whole 2^n column alive."""
+        column = np.zeros(self.op.dim)
+        column[: self.system_dim] = 1.0
+        rows = self.op.apply(column, self.system_dim).copy()
+        rows.flags.writeable = False
+        return rows
 
     @property
     def cost(self) -> dict[str, int]:
@@ -260,20 +277,20 @@ def column_blocks(be: BlockEncoding, nodes: np.ndarray):
 
 
 def extract_diagonal(be: BlockEncoding) -> np.ndarray:
-    """Entries alpha <0|_aux <j| U |0>_aux |j> of a diagonal-flagged block.
+    """Entries alpha <0|_aux <j| U |0>_aux |j> of a diagonal-flagged block,
+    as a new array.
 
     Applied to |0>_aux (x) sum_j |j>, the encoding returns sum_j' B[j, j'] on
     |0>_aux |j>, which is B[j, j] when the block is exactly diagonal
-    (epsilon == 0): one operator application. An encoding with epsilon > 0
-    may carry off-diagonal error, so it is read one column per entry, one
-    application per column block.
+    (epsilon == 0): alpha times :attr:`BlockEncoding.row_sums`, the one
+    application that every reader of that column shares. An encoding with
+    epsilon > 0 may carry off-diagonal error, so it is read one column per
+    entry, one application per column block.
     """
     if not be.diagonal_flag:
         raise ContractViolationError("extract_diagonal requires a diagonal-flagged encoding")
     if be.epsilon == 0:
-        column = np.zeros(be.op.dim)
-        column[: be.system_dim] = 1.0
-        return be.alpha * be.op.apply(column, be.system_dim)
+        return be.alpha * be.row_sums
     values = np.empty(be.system_dim, dtype=np.complex128)
     for idx, out in column_blocks(be, np.arange(be.system_dim)):
         values[idx] = out[idx, np.arange(idx.size)]

@@ -1,7 +1,8 @@
 """Batch front-end: JSON config in, JSON report out, CSV loss traces.
 
-Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 qubit budget
-exceeded.
+Exit codes: 0 success, 1 check failure, 2 usage/config error (a config,
+report or trace path that cannot be read or written included), 3 qubit
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -265,6 +266,9 @@ def main(argv: list[str] | None = None) -> int:
     except QkanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

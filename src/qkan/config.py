@@ -109,10 +109,15 @@ def _int(value, what: str, low: int = 0, high: float = np.inf) -> int:
     return int(value)
 
 
+def _finite(value) -> bool:
+    """Whether `value` is a finite real number; bools and strings are not."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and bool(np.isfinite(value))
+
+
 def _real(value, what: str, positive: bool = False) -> float:
     """`value` as a finite float, > 0 when `positive` and >= 0 otherwise."""
-    number = isinstance(value, numbers.Real) and not isinstance(value, bool) and np.isfinite(value)
-    ok = number and (value > 0 if positive else value >= 0)
+    ok = _finite(value) and (value > 0 if positive else value >= 0)
     _require(ok, f"{what} must be a finite number {'> 0' if positive else '>= 0'}, got {value!r}")
     return float(value)
 
@@ -161,7 +166,8 @@ def _train_from_dict(section: dict, default_seed: int, dims) -> tuple[TrainConfi
         target = _object(data_section.get("target", {}), "train.data.target")
         kind = target.get("kind", "cheb2_mean")
         _require(kind == "cheb2_mean", f"unknown training target {kind!r}")
-        scale = float(target.get("scale", 0.25))
+        scale = target.get("scale", 0.25)
+        _require(_finite(scale), f"train.data.target.scale must be a finite number, got {scale!r}")
         points = _int(data_section.get("grid_points_per_axis", 8), "grid_points_per_axis", 1)
         n_in = _int(data_section.get("n_in", dims[0]), "train.data.n_in", 1)
         _require(n_in == dims[0], f"train.data.n_in {n_in} != first layer in {dims[0]}")

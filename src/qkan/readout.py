@@ -133,12 +133,12 @@ def prepare_state_postselect(
     target: np.ndarray | None = None,
 ) -> PreparedState:
     """Apply the encoding to |0>_aux |+>_k, project the ancillas onto |0>, and
-    renormalize. `target` is the oracle output vector Phi(x); when given, the
-    report gives its l2 norm and the distance to the oracle state."""
-    k_dim = be.system_dim
-    state = np.zeros(be.op.dim)
-    state[:k_dim] = 1.0 / np.sqrt(k_dim)  # |0>_aux |+>_k
-    projected = be.op.apply(state, k_dim)
+    renormalize. |0>_aux |+>_k is |0>_aux (x) sum_j |j> scaled by 1/sqrt(K),
+    so the projected state is :attr:`~qkan.block_encoding.BlockEncoding.row_sums`
+    over sqrt(K): the application that the diagonal read makes, shared with
+    it. `target` is the oracle output vector Phi(x); when given, the report
+    gives its l2 norm and the distance to the oracle state."""
+    projected = be.row_sums / np.sqrt(be.system_dim)
     prob = float(np.sum(np.abs(projected) ** 2))
     if prob < 1e-12:
         raise DegenerateOutputError(f"post-selection probability {prob} is numerically zero")

@@ -4,7 +4,7 @@ import pytest
 import oracles
 import qkan
 from qkan import operators as ops
-from qkan.block_encoding import BlockEncoding, pad_aux, primitive_encoding
+from qkan.block_encoding import BlockEncoding, compile_system_blocks, pad_aux, primitive_encoding
 from qkan.errors import ContractViolationError
 
 
@@ -72,6 +72,46 @@ def test_noisy_diagonal_is_read_one_column_per_entry():
     applied = _count_applied_columns(be)
     qkan.extract_diagonal(be)
     assert applied == [4]  # one block holding the columns |0>_aux|j>
+
+
+@pytest.mark.parametrize("phase", [1.0, np.exp(0.3j)])
+def test_row_sums_are_a_read_only_copy_of_system_dim_rows(phase):
+    """The cached read holds its own system_dim entries, never a view that
+    keeps the whole 2^n column alive, for a real and a complex result."""
+    x = np.array([0.1, 0.9, -0.4, 0.0])
+    exact = qkan.encode_diagonal_exact(x)
+    be = primitive_encoding(ops.Dense(phase * exact.op.dense()), (("a", 1),), (("sys", 2),), "u")
+    perturbed = qkan.perturb(be, 1e-6, seed=2)
+    for enc in (be, perturbed):
+        rows = enc.row_sums
+        assert rows is enc.row_sums  # one application per encoding
+        assert rows.dtype == np.complex128 and rows.shape == (enc.system_dim,)
+        assert rows.base is None and not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0] = 1.0
+    assert np.array_equal(be.row_sums, phase * x)
+    assert np.max(np.abs(perturbed.row_sums - phase * x)) <= 1e-5
+
+
+def test_writing_into_a_read_diagonal_leaves_the_next_read_unchanged():
+    x = np.array([0.1, 0.9, -0.4, 0.0])
+    be = qkan.encode_diagonal_exact(x)
+    first = qkan.extract_diagonal(be)
+    first[:] = 7.0
+    assert np.array_equal(qkan.extract_diagonal(be), x)
+
+
+def test_compiled_encoding_reads_its_own_leaf():
+    """compile_system_blocks returns a new encoding, so a read cached on the
+    tree is not carried over: the compiled leaf is applied on its first read."""
+    spec = qkan.LayerSpec.random(2, 4, 1, seed=5)
+    be = qkan.build_layer(qkan.encode_diagonal_exact(np.array([0.3, -0.6])), spec)
+    values = qkan.extract_diagonal(be)
+    compiled = compile_system_blocks(be)
+    applied = _count_applied_columns(compiled)
+    assert np.max(np.abs(qkan.extract_diagonal(compiled) - values)) <= 1e-14
+    qkan.extract_diagonal(compiled)
+    assert applied == [1]
 
 
 def test_verify_exact_and_perturbed():

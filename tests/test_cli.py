@@ -799,3 +799,44 @@ def test_train_grid_width_defaults_to_the_first_layer_input(tmp_path, capsys):
         payload["train"]["data"]["n_in"] = n_in
         with pytest.raises(ConfigError, match=f"train.data.n_in {n_in} != first layer in 4"):
             load_config(write_config(tmp_path, payload))
+
+
+def test_unwritable_or_unreadable_paths_exit_2(tmp_path, hand_config, capsys):
+    """A report, trace or config path that cannot be opened is a usage error:
+    exit 2 with one error line and no report, never a traceback or exit 1."""
+    missing = tmp_path / "missing"
+    trace_payload = copy.deepcopy(TRAIN_CONFIG)
+    trace_payload["train"]["iterations"] = 1
+    train_config = write_config(tmp_path, trace_payload, name="train.json")
+    for args in (
+        ["eval", "--config", hand_config, "--out", str(missing / "r.json")],
+        ["eval", "--config", str(tmp_path)],
+        ["train", "--config", train_config, "--trace", str(missing / "t.csv")],
+    ):
+        assert main(args + ["--no-timestamp"]) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("scale", ["0.5", True, float("nan"), float("inf"), -float("inf"), None])
+def test_training_target_scale_must_be_a_finite_number(tmp_path, scale, capsys):
+    payload = copy.deepcopy(TRAIN_CONFIG)
+    payload["train"]["data"]["target"] = {"scale": scale}
+    config = write_config(tmp_path, payload)
+    assert main(["train", "--config", config, "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error: train.data.target.scale")
+    with pytest.raises(ConfigError, match="train.data.target.scale"):
+        load_config(config)
+
+
+@pytest.mark.parametrize("scale", [-0.25, 0, 0.5])
+def test_training_target_scale_of_any_sign_is_accepted(tmp_path, scale):
+    payload = copy.deepcopy(TRAIN_CONFIG)
+    payload["train"]["data"]["target"] = {"scale": scale}
+    dataset = load_config(write_config(tmp_path, payload)).dataset
+    xs = dataset.xs
+    expected = scale * np.mean(2 * xs**2 - 1, axis=1, keepdims=True)
+    assert np.allclose(dataset.ys, expected, rtol=0.0, atol=1e-15)

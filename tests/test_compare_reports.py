@@ -122,3 +122,19 @@ def test_train_runs_are_compared_like_the_others(compare_reports):
     assert out["mismatches"] == ["t train train/stop_reason: 'iterations' != 'plateau'"]
     del change["t"]["train"]
     assert compare_reports.compare(parent, change)["mismatches"] == ["t train: run on one side only"]
+
+
+def test_each_field_names_the_run_of_its_largest_deviation(compare_reports):
+    parent = {"a": runs(EVAL, RESOURCES), "b": runs(EVAL, RESOURCES), "c": runs(EVAL, RESOURCES)}
+    change = {
+        "a": runs(dict(EVAL, output=[0.25 + 1e-16, -0.5]), RESOURCES),
+        "b": runs(dict(EVAL, output=[0.25, -0.5 - 2e-16]), RESOURCES),
+        "c": runs(dict(EVAL, output=[0.25, -0.5 - 2e-16]), RESOURCES),
+    }
+    out = compare_reports.compare(parent, change)
+    assert out["max_deviation"]["eval/output"] == pytest.approx(2e-16)
+    # the first run that reaches the largest deviation; null where nothing moved
+    assert out["max_deviation_at"] == {
+        "eval/output": "b/eval", "eval/readout/stderr": None, "eval/readout/value": None,
+    }
+    assert list(out["max_deviation_at"]) == list(out["max_deviation"])

@@ -1,3 +1,5 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ import qkan
 from qkan.errors import ContractViolationError, DegenerateOutputError, DomainError
 
 from oracles import binomial_ci_halfwidth, hadamard_test as oracle_hadamard_test
+from qkan import operators as ops
+from qkan.block_encoding import primitive_encoding
 from qkan.readout import read_outputs
 
 
@@ -103,6 +107,35 @@ def test_hadamard_readout_matches_dense_circuit_oracle(dims, degrees, eps):
 def test_read_outputs_diagonal_is_extract_diagonal_bit_for_bit():
     be = _readout_case((2, 2, 2), (2, 1))
     assert np.array_equal(read_outputs(be, 100, 1)[0], qkan.extract_diagonal(be))
+
+
+@dataclass(frozen=True, eq=False)
+class CountingDense(ops.Dense):
+    """A dense leaf that records the column count of each application."""
+
+    calls: list = field(default_factory=list)
+
+    def _apply(self, cols):
+        self.calls.append(cols.shape[1])
+        return super()._apply(cols)
+
+
+def test_every_reader_of_the_row_sums_shares_one_application():
+    """extract_diagonal, read_outputs (exact and shots) and
+    prepare_state_postselect all read (<0|_aux (x) I) U (|0>_aux (x) sum_j |j>)
+    of one encoding: its leaf is applied once, to one column."""
+    x = np.array([0.6, -0.2, 0.0, 0.8])
+    leaf = CountingDense(qkan.encode_diagonal_exact(x).op.dense())
+    be = primitive_encoding(leaf, (("a", 1),), (("sys", 2),), "u", diagonal=True)
+    diagonal = qkan.extract_diagonal(be)
+    values, exact = read_outputs(be)
+    _, shots = read_outputs(be, shots=100, seed=3)
+    prepared = qkan.prepare_state_postselect(be, target=x)
+    assert leaf.calls == [1]
+    assert np.array_equal(diagonal, x) and np.array_equal(values, x)
+    assert [r.value for r in exact] == list(x) and len(shots) == 4
+    assert prepared.success_prob == pytest.approx(np.sum(x**2) / 4, abs=1e-15)
+    assert prepared.l2_error <= 1e-15
 
 
 def test_hadamard_readout_counts_the_control_qubit(half_layer):
