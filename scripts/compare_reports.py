@@ -8,8 +8,9 @@ change. Both sides are exported under one temporary directory, as
 ``bench_pairs.py`` does, and one worker process per side (BLAS pinned to one
 thread) runs ``qkan eval``, ``resources``, ``verify`` and ``prepare-state`` on
 every config of :func:`configs`: each shape of ``compile_shapes.SHAPES``, and
-one N = 64, K = 4, d = 3 layer wide enough for the probe Hermiticity guard, with
-seeded weights and input, under the exact, stateprep and real_weights input
+one N = 64, K = 4, d = 3 layer wide enough for the probe Hermiticity guard, and
+one N = 2, K = 8, d = 2 layer, whose prepared state sees a rounding change
+(1/sqrt(K) is not a power of two), with seeded weights and input, under the exact, stateprep and real_weights input
 encoders, exact and shots readout, unperturbed and perturbed, and under a
 tight qubit budget, unperturbed and perturbed (exit 3 where the layout does
 not fit). The configs with a
@@ -49,8 +50,10 @@ from compile_shapes import SHAPES as COMPILE_SHAPES  # noqa: E402
 
 COMMANDS = ("eval", "resources", "verify", "prepare-state")
 # (dims, degree): the compile shapes, then a layer whose 64 input states take
-# the probe guard (16 or fewer take the dense test)
-SHAPES = COMPILE_SHAPES + [((64, 4), 3)]
+# the probe guard (16 or fewer take the dense test), then a layer of K = 8
+# outputs, whose 1/sqrt(K) is not a power of two, so that a rounding change of
+# a prepared state shows
+SHAPES = COMPILE_SHAPES + [((64, 4), 3), ((2, 8), 2)]
 # (encoder, readout mode, perturbed, qubit budget or None) of every shape
 VARIANTS = [
     ("exact", "exact", False, None),

@@ -38,6 +38,7 @@ from .operators import (
     permutation_from_map,
     query_counts,
     random_unitary,
+    reflection_about_zero,
     state_prep_unitary,
 )
 
@@ -56,9 +57,12 @@ class BlockEncoding:
 
     `aux` lists the ancilla registers as (name, size, idle), most significant
     first; `system` lists the system registers that follow as (name, size).
-    They are the one representation of the registers: every count
-    (`num_aux`, `num_system`, `idle_aux`, `live_qubits`, ...) is derived from
-    them, once per encoding. `diagonal_flag` marks encodings whose block is
+    They are the one representation of the registers. Construction derives
+    the counts from them as plain attributes: `num_aux`, `live_aux` (the
+    ancilla qubits that `op` acts on, its leading ones), `idle_aux` (the
+    qubits of the idle registers), `num_system`, `system_dim` and
+    `sample_qubits` (the size of a trailing `sample` register, see
+    :func:`split_system`, 0 without one). `diagonal_flag` marks encodings whose block is
     promised diagonal (within epsilon). `check_results` keeps the outcome of
     expensive checks of this encoding by name (floats only, never a dense
     block), so a check made by several steps runs once. A derived encoding
@@ -83,11 +87,14 @@ class BlockEncoding:
 
     `adjoint_op` is ``op.adjoint()``, built on first use and kept, as
     `live_qubits` is: the Chebyshev guard's probe and the transforms of
-    every degree of one encoding share one U^dag. `row_sums` is
+    every degree of one encoding share one U^dag. So do they share
+    `zero_reflection`, the reflection about |0> on the live ancillas, which
+    is the qubitization reflection of the encoding. `row_sums` is
     (<0|_aux (x) I) U (|0>_aux (x) sum_j |j>), likewise read on first use
     and kept: the exact diagonal read and the post-selected state share one
-    application of U. Both live and die with the encoding; a derived
-    encoding (``dataclasses.replace`` included) starts without them.
+    application of U. All three live and die with the encoding; a derived
+    encoding (``dataclasses.replace`` included) starts without them, and
+    computes its counts again.
     """
 
     op: LinearOperator
@@ -109,39 +116,23 @@ class BlockEncoding:
         names = [reg[0] for reg in self.aux + self.system]
         if len(set(names)) != len(names):
             raise ContractViolationError(f"duplicate register names in {names}")
-        if self.op.n != self.live_aux + self.num_system:
+        num_aux = live_aux = 0
+        for _, size, idle in self.aux:
+            num_aux += size
+            if not idle:
+                live_aux += size
+        num_system = sum(size for _, size in self.system)
+        last, size = self.system[-1] if self.system else ("", 0)
+        self.__dict__.update(
+            num_aux=num_aux, live_aux=live_aux, idle_aux=num_aux - live_aux,
+            num_system=num_system, system_dim=1 << num_system,
+            sample_qubits=size if last == "sample" else 0,
+        )
+        if self.op.n != live_aux + num_system:
             raise ContractViolationError(
                 f"operator acts on {self.op.n} qubits, the registers have "
-                f"{self.live_aux + self.num_system} live ones"
+                f"{live_aux + num_system} live ones"
             )
-
-    @cached_property
-    def num_aux(self) -> int:
-        return sum(size for _, size, _ in self.aux)
-
-    @cached_property
-    def num_system(self) -> int:
-        return sum(size for _, size in self.system)
-
-    @cached_property
-    def system_dim(self) -> int:
-        return 1 << self.num_system
-
-    @cached_property
-    def live_aux(self) -> int:
-        """Ancilla qubits that `op` acts on: its leading qubits."""
-        return sum(size for _, size, idle in self.aux if not idle)
-
-    @cached_property
-    def idle_aux(self) -> int:
-        """Qubits of the idle registers."""
-        return self.num_aux - self.live_aux
-
-    @cached_property
-    def sample_qubits(self) -> int:
-        """Size of a trailing `sample` register (see :func:`split_system`), 0 without one."""
-        name, size = self.system[-1] if self.system else ("", 0)
-        return size if name == "sample" else 0
 
     @cached_property
     def live_qubits(self) -> tuple[int, ...]:
@@ -158,6 +149,12 @@ class BlockEncoding:
     def adjoint_op(self) -> LinearOperator:
         """U^dag: ``op.adjoint()``, built once per encoding."""
         return self.op.adjoint()
+
+    @cached_property
+    def zero_reflection(self) -> LinearOperator:
+        """2|0><0| - I on the live ancillas, identity on the system: built
+        once per encoding."""
+        return Embedded(reflection_about_zero(self.live_aux), tuple(range(self.live_aux)), self.op.n)
 
     @cached_property
     def row_sums(self) -> np.ndarray:
@@ -299,7 +296,9 @@ def extract_diagonal(be: BlockEncoding) -> np.ndarray:
 
 def compile_system_blocks(be: BlockEncoding) -> BlockEncoding:
     """The same encoding with its operator read into one SystemBlocks leaf,
-    inside a Query that carries the counts of the tree it replaces.
+    inside a Query that carries the counts of the tree it replaces. The leaf
+    is deferred (:meth:`SystemBlocks.deferred`): the read below, and its
+    check, run on its first apply, and the leaf keeps the tree until then.
 
     Every factor of a built network acts block-diagonally over the system
     register, so U = sum_j B_j (x) |j><j| with one 2^a x 2^a block B_j per
@@ -308,27 +307,31 @@ def compile_system_blocks(be: BlockEncoding) -> BlockEncoding:
     |.>_aux|j>: one application reads every block. The same application
     carries one seeded real Gaussian column, and the leaf must reproduce the
     tree's result on it within COMPILE_CHECK_TOL; otherwise the tree mixes
-    the system register and ContractViolationError is raised. The columns
-    are real, so a real tree is applied in float64; a nonzero off-block part
-    still maps the Gaussian column to a nonzero vector with probability 1."""
-    aux, systems = 1 << be.live_aux, be.system_dim
-    cols = np.zeros((aux, systems, aux + 1))
-    cols[np.arange(aux), :, np.arange(aux)] = 1.0
-    probe = cols[:, :, aux]
-    probe[:] = np.random.default_rng(COMPILE_CHECK_SEED).standard_normal(probe.shape)
-    out = be.op.apply(cols.reshape(be.op.dim, aux + 1)).reshape(aux, systems, aux + 1)
-    leaf = SystemBlocks(
-        np.ascontiguousarray(out[:, :, :aux].transpose(1, 0, 2)),
-        replaced_leaves=be.op.leaves,
-    )
-    expected = out[:, :, aux].reshape(-1)
-    deviation = float(np.max(np.abs(leaf.apply(probe.reshape(-1)) - expected)))
-    if not deviation <= COMPILE_CHECK_TOL:
-        raise ContractViolationError(
-            f"operator mixes its system register: system blocks miss a seeded column by "
-            f"{deviation:.3e}"
-        )
-    return replace(be, op=Query(leaf, query_counts(be.op)))
+    the system register and ContractViolationError is raised, at that first
+    apply, and again at every later one. The columns are real, so a real
+    tree is applied in float64; a nonzero off-block part still maps the
+    Gaussian column to a nonzero vector with probability 1."""
+    tree, a, s = be.op, be.live_aux, be.num_system
+
+    def read() -> SystemBlocks:
+        aux, systems = 1 << a, 1 << s
+        cols = np.zeros((aux, systems, aux + 1))
+        cols[np.arange(aux), :, np.arange(aux)] = 1.0
+        probe = cols[:, :, aux]
+        probe[:] = np.random.default_rng(COMPILE_CHECK_SEED).standard_normal(probe.shape)
+        out = tree.apply(cols.reshape(tree.dim, aux + 1)).reshape(aux, systems, aux + 1)
+        leaf = SystemBlocks(np.ascontiguousarray(out[:, :, :aux].transpose(1, 0, 2)))
+        expected = out[:, :, aux].reshape(-1)
+        deviation = float(np.max(np.abs(leaf.apply(probe.reshape(-1)) - expected)))
+        if not deviation <= COMPILE_CHECK_TOL:
+            raise ContractViolationError(
+                f"operator mixes its system register: system blocks miss a seeded column by "
+                f"{deviation:.3e}"
+            )
+        return leaf
+
+    leaf = SystemBlocks.deferred(read, a, s, replaced_leaves=tree.leaves)
+    return replace(be, op=Query(leaf, query_counts(tree)))
 
 
 def verify(be: BlockEncoding, target: np.ndarray) -> float:

@@ -18,12 +18,10 @@ from .block_encoding import BlockEncoding, _derived, extract_block
 from .errors import ContractViolationError, DomainError
 from .operators import (
     DENSE_CAP_QUBITS,
-    Embedded,
     Identity,
     LinearOperator,
     check_qubit_budget,
     compose,
-    reflection_about_zero,
 )
 
 HERMITICITY_SLACK = 1e-9
@@ -127,8 +125,9 @@ def chebyshev_be(be_x: BlockEncoding, r: int) -> BlockEncoding:
 
     Applies the underlying encoding (or its adjoint) exactly r times; r = 0
     yields an exact identity encoding at zero queries. The adjoint factors
-    are `be_x.adjoint_op`, built once per encoding, so every degree built on
-    one encoding, and the guard's probe of it, share one U^dag tree. The
+    are `be_x.adjoint_op` and the reflections `be_x.zero_reflection`, each
+    built once per encoding, so every degree built on one encoding, and the
+    guard's probe of it, share one U^dag tree and one Z node. The
     transform of an encoding certified exactly real and diagonal keeps the
     certificate: T_r of a real diagonal is one, and the reflection form
     realizes it exactly.
@@ -140,8 +139,7 @@ def chebyshev_be(be_x: BlockEncoding, r: int) -> BlockEncoding:
     if r == 0:
         return _qsvt_shell(be_x, [], 0.0, be_x.exact_real_diagonal)
     _require_hermitian_block(be_x)
-    u = be_x.op
-    z = Embedded(reflection_about_zero(be_x.live_aux), tuple(range(be_x.live_aux)), u.n)
+    u, z = be_x.op, be_x.zero_reflection
     factors: list[LinearOperator] = []
     if r % 2:
         factors += [u, z]

@@ -123,13 +123,26 @@ def cmd_eval(config: RunConfig, args) -> tuple[int, dict]:
     return EXIT_OK, report
 
 
+def _check_writable(path: str) -> None:
+    """Raise OSError unless `path` can be opened for writing; create nothing."""
+    target = Path(path)
+    existed = target.exists()
+    with open(target, "a"):
+        pass
+    if not existed:
+        target.unlink()
+
+
 def cmd_train(config: RunConfig, args) -> tuple[int, dict]:
     if config.train is None or config.dataset is None:
         raise ConfigError("train command needs a train section with data")
-    result = train(config.spec, config.dataset, config.train)
     trace_path = args.trace
     if trace_path is None and args.out:
         trace_path = str(Path(args.out).with_suffix(".trace.csv"))
+    for path in (args.out, trace_path):
+        if path:
+            _check_writable(path)  # before the training, not after it
+    result = train(config.spec, config.dataset, config.train)
     if trace_path:
         with open(trace_path, "w", newline="") as fh:
             writer = csv.writer(fh)

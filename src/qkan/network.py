@@ -26,6 +26,7 @@ import numpy as np
 
 from .block_encoding import (
     BlockEncoding,
+    StatePrepPair,
     _derived,
     _split_regs,
     compile_system_blocks,
@@ -241,7 +242,10 @@ class LayerAssembler:
     :func:`register_weights`): the same w[r, p, q] at every register state,
     or, for a stack of C candidate tensors, candidate c's at the states of
     its share of the register. One application then evaluates the layer on
-    all 2^m register states."""
+    all 2^m register states.
+
+    `pair` is the equal-weight LCU pair of the d + 1 degrees
+    (:func:`uniform_pair`), built here when not given."""
 
     def __init__(
         self,
@@ -250,6 +254,7 @@ class LayerAssembler:
         layer_index: int = 0,
         weight_encoder: WeightEncoder | None = None,
         weights: np.ndarray | None = None,
+        pair: StatePrepPair | None = None,
     ):
         m = self.sample_qubits = be_x.sample_qubits
         self.n = be_x.num_system - m
@@ -272,7 +277,7 @@ class LayerAssembler:
             dilate(chebyshev_be(be_x, r), self.k, trailing=m)
             for r in range(spec.degree + 1)
         ]
-        self.pair = uniform_pair(spec.degree + 1)
+        self.pair = uniform_pair(spec.degree + 1) if pair is None else pair
         # per degree: (bytes of the weight slice, its MUL term), the last one built
         self._terms: list[tuple[bytes, BlockEncoding] | None] = [None] * (spec.degree + 1)
         self._terms[0] = (key, product(self.cheb[0], w_be))
@@ -332,14 +337,16 @@ def build_layer(
     layer_index: int = 0,
     weight_encoder: WeightEncoder | None = None,
     weights: np.ndarray | None = None,
+    pair: StatePrepPair | None = None,
 ) -> BlockEncoding:
     """Diagonal (1, a, 4 d sqrt(eps_x) + eps_w)-encoding of Phi(x), with a and
     the system from :meth:`LayerSpec.output_qubits`, making
     :attr:`LayerSpec.input_applications` input and d+1 weight queries; on an
     input that ends in a sample register (see :class:`LayerAssembler`), of
     Phi on every register state at once, with the weights of `spec` or with
-    `weights`, a stack of candidate tensors of its shape."""
-    return LayerAssembler(be_x, spec, layer_index, weight_encoder, weights).assemble(
+    `weights`, a stack of candidate tensors of its shape, and the LCU `pair`
+    when given."""
+    return LayerAssembler(be_x, spec, layer_index, weight_encoder, weights, pair).assemble(
         spec.weights if weights is None else weights
     )
 
@@ -432,14 +439,17 @@ class NetworkAssembler:
     deeper weight builds on it again. Deeper layers are rebuilt, because
     their input changes with the upstream weights. Every layer carries the
     trailing sample register of the input, if it has one (see
-    :class:`LayerAssembler`).
+    :class:`LayerAssembler`). The assembler builds one LCU pair
+    (:func:`uniform_pair`) per term count and passes it to every layer it
+    builds.
 
     An exact (epsilon = 0) output of a layer that is not the last is
     replaced by one SystemBlocks leaf (:func:`compile_system_blocks`) when
     its tree has more leaves than :func:`compile_threshold` gives for the
     later applications that :func:`later_sites` lists. The leaf sits in a
     Query with the counts of the tree it replaces, so `cost` and the ledgers
-    are unchanged."""
+    are unchanged. The leaf reads the tree on its first apply, so a build
+    that is never applied (``qkan resources``) reads nothing."""
 
     def __init__(
         self,
@@ -448,7 +458,8 @@ class NetworkAssembler:
         weight_encoder: WeightEncoder | None = None,
     ):
         self.weight_encoder = weight_encoder
-        self.first = LayerAssembler(be_x0, first, 0, weight_encoder)
+        self._pairs: dict[int, StatePrepPair] = {}  # LCU term count -> its pair
+        self.first = LayerAssembler(be_x0, first, 0, weight_encoder, pair=self._pair(first))
         self._first_output: tuple[tuple, BlockEncoding] | None = None  # (key, output)
 
     def build(self, specs: Sequence[QkanSpec]) -> NetworkBuild:
@@ -468,9 +479,18 @@ class NetworkAssembler:
             self._first_output = (key, self._compiled(self.first.assemble(stacks[0]), later))
         outputs = [self._first_output[1]]
         for index, layer in enumerate(later, start=1):
-            be = build_layer(outputs[-1], layer, index, self.weight_encoder, stacks[index])
+            be = build_layer(
+                outputs[-1], layer, index, self.weight_encoder, stacks[index], self._pair(layer)
+            )
             outputs.append(self._compiled(be, layers[index + 1:]))
         return NetworkBuild(tuple(outputs))
+
+    def _pair(self, layer: LayerSpec) -> StatePrepPair:
+        """The LCU pair of the d + 1 degrees of `layer`, built once."""
+        terms = layer.degree + 1
+        if terms not in self._pairs:
+            self._pairs[terms] = uniform_pair(terms)
+        return self._pairs[terms]
 
     def _compiled(self, be: BlockEncoding, later: Sequence[LayerSpec]) -> BlockEncoding:
         """`be`, read into one SystemBlocks leaf when the compile rule says

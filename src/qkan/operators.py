@@ -67,7 +67,7 @@ def check_qubit_budget(n: int, what: str = "operator") -> None:
 
 def outside_unit_interval(x) -> bool:
     """True unless every entry of `x` lies in [-1, 1]; NaN counts as outside."""
-    return not np.all(np.abs(x) <= 1.0)
+    return not (np.abs(x) <= 1.0).all()
 
 
 def _as_columns(vec: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
@@ -337,7 +337,24 @@ class WalshHadamard(LinearOperator):
         return self
 
 
-@dataclass(frozen=True, eq=False)
+class _SharedBlocks:
+    """The (blocks, adjoint blocks) arrays of a SystemBlocks leaf and of its
+    adjoint, or `read`, a function that returns a leaf with given blocks. The
+    function is called once, on first use, and dropped with all it refers
+    to when it returns; when it raises, the next use calls it again."""
+
+    __slots__ = ("arrays", "read")
+
+    def __init__(self, arrays=None, read=None):
+        self.arrays, self.read = arrays, read
+
+    def get(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.arrays is None:
+            self.arrays = self.read()._shared.get()
+            self.read = None
+        return self.arrays
+
+
 class SystemBlocks(LinearOperator):
     """Block-diagonal operator over the trailing system qubits: the a leading
     qubits get blocks[j] when the s trailing ones read j, a quantum
@@ -347,40 +364,51 @@ class SystemBlocks(LinearOperator):
     the (2^a, 2^s, batch) view of the columns, transposed to put the system
     first; a batch narrower than SYSTEM_BLOCKS_MIN_COLUMNS is padded with
     zero columns, so a column gets the same bits in any batch.
-    `adjoint_blocks` holds the conjugate transposes, computed once when not
-    given; the adjoint swaps the two arrays, so every occurrence shares them
-    and no node refers back to another. `replaced_leaves` is
+    `adjoint_blocks` holds the conjugate transposes, computed once; the
+    adjoint swaps the two arrays, so every occurrence shares them and no
+    node refers back to another. `replaced_leaves` is
     the leaf count of the tree the blocks were read from (see
-    :func:`describe`)."""
+    :func:`describe`).
 
-    blocks: np.ndarray
-    adjoint_blocks: np.ndarray | None = None
-    replaced_leaves: int = 1
+    A leaf made by :meth:`deferred` knows a, s and `replaced_leaves` from
+    the start, and reads its blocks on its first apply or the first access
+    of `blocks` or `adjoint_blocks`, its own or its adjoint's: the two share
+    that one read."""
 
-    def __post_init__(self):
-        blocks = _real_if_exact(self.blocks)
+    def __init__(self, blocks, replaced_leaves: int = 1):
+        blocks = _real_if_exact(blocks)
         s = int(blocks.shape[0]).bit_length() - 1 if blocks.ndim == 3 else -1
         a = int(blocks.shape[1]).bit_length() - 1 if blocks.ndim == 3 else -1
         if a < 0 or s < 0 or blocks.shape != (1 << s, 1 << a, 1 << a):
             raise ContractViolationError(
                 f"system blocks need shape (2^s, 2^a, 2^a), got {blocks.shape}"
             )
-        if self.adjoint_blocks is None:
-            adjoint = np.conjugate(blocks.transpose(0, 2, 1), out=np.empty_like(blocks))
-        else:
-            adjoint = _real_if_exact(self.adjoint_blocks)
-        if adjoint.shape != blocks.shape:
-            raise ContractViolationError(
-                f"adjoint blocks {adjoint.shape} do not match blocks {blocks.shape}"
-            )
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "adjoint_blocks", adjoint)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "n", a + s)
+        adjoint = np.conjugate(blocks.transpose(0, 2, 1), out=np.empty_like(blocks))
+        self._share(_SharedBlocks((blocks, adjoint)), a, s, replaced_leaves, False)
+
+    @classmethod
+    def deferred(cls, read, a: int, s: int, replaced_leaves: int) -> "SystemBlocks":
+        """A leaf of 2^s blocks of 2^a x 2^a, whose blocks are those of the
+        leaf that `read()` returns, read on first use."""
+        leaf = cls.__new__(cls)
+        leaf._share(_SharedBlocks(read=read), a, s, replaced_leaves, False)
+        return leaf
+
+    def _share(self, shared: _SharedBlocks, a: int, s: int, replaced_leaves: int, flipped: bool):
+        self._shared, self._flipped = shared, flipped
+        self.a, self.s, self.n, self.replaced_leaves = a, s, a + s, replaced_leaves
+
+    @property
+    def blocks(self) -> np.ndarray:
+        return self._shared.get()[self._flipped]
+
+    @property
+    def adjoint_blocks(self) -> np.ndarray:
+        return self._shared.get()[not self._flipped]
 
     def _apply(self, cols):
-        systems, aux = self.blocks.shape[:2]
+        blocks = self.blocks
+        systems, aux = blocks.shape[:2]
         batch = cols.shape[1]
         view = cols.reshape(aux, systems, batch).transpose(1, 0, 2)
         if batch < SYSTEM_BLOCKS_MIN_COLUMNS:
@@ -388,12 +416,17 @@ class SystemBlocks(LinearOperator):
                 [view, np.zeros((systems, aux, SYSTEM_BLOCKS_MIN_COLUMNS - batch), cols.dtype)],
                 axis=2,
             )
-        out = np.empty((aux, systems, view.shape[2]), dtype=np.result_type(self.blocks, cols))
-        np.matmul(self.blocks, view, out=out.transpose(1, 0, 2))
+        out = np.empty((aux, systems, view.shape[2]), dtype=np.result_type(blocks, cols))
+        np.matmul(blocks, view, out=out.transpose(1, 0, 2))
         return out[:, :, :batch].reshape(cols.shape)
 
+    def __repr__(self) -> str:
+        return f"SystemBlocks(a={self.a}, s={self.s}, replaced_leaves={self.replaced_leaves})"
+
     def adjoint(self):
-        return SystemBlocks(self.adjoint_blocks, self.blocks, self.replaced_leaves)
+        leaf = SystemBlocks.__new__(SystemBlocks)
+        leaf._share(self._shared, self.a, self.s, self.replaced_leaves, not self._flipped)
+        return leaf
 
 
 @dataclass(frozen=True, eq=False)

@@ -365,6 +365,26 @@ def test_aux_field_matches_layout():
         assert derived.op.n == derived.num_aux + derived.num_system - idle
 
 
+def test_register_counts_are_plain_attributes_set_at_construction():
+    from dataclasses import replace
+
+    from qkan.block_encoding import split_system
+
+    x = np.array([0.3, -0.7, 0.1, 0.5])
+    be = split_system(qkan.chebyshev_be(qkan.encode_diagonal_exact(x), 2), 1)
+    want = {"num_aux": 2, "live_aux": 1, "idle_aux": 1, "num_system": 2, "system_dim": 4,
+            "sample_qubits": 1}
+    assert {key: vars(be)[key] for key in want} == want
+    assert be.num_aux == sum(size for _, size, _ in be.aux)
+    assert be.live_aux == sum(size for _, size, idle in be.aux if not idle)
+    assert be.num_system == sum(size for _, size in be.system)
+    # replace builds a new encoding, which counts its own registers
+    padded = pad_aux(qkan.encode_diagonal_exact(x), 2)
+    moved = replace(be, op=padded.op, aux=padded.aux, system=padded.system)
+    assert (moved.num_aux, moved.live_aux, moved.idle_aux) == (3, 3, 0)
+    assert (moved.num_system, moved.system_dim, moved.sample_qubits) == (2, 4, 0)
+
+
 def test_cost_survives_perturb_adjoint_and_control():
     be = qkan.chebyshev_be(qkan.encode_diagonal_exact(np.array([0.6, -0.2]), name="x"), 3)
     assert be.cost == {"x": 3}

@@ -549,6 +549,18 @@ def test_every_transform_of_an_encoding_shares_its_cached_adjoint():
         assert all(f is be.adjoint_op for f in adjoints)
 
 
+def test_every_transform_of_an_encoding_shares_one_zero_reflection():
+    be = qkan.encode_diagonal_exact(np.random.default_rng(5).uniform(-1, 1, 4), name="x")
+    z = be.zero_reflection
+    assert isinstance(z, ops.Embedded) and z.axes == (0,)
+    assert np.array_equal(z.dense(), np.diag([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0]))
+    for r in (1, 2, 3, 4):
+        factors = qkan.chebyshev_be(be, r).op.factors
+        reflections = [f for f in factors if isinstance(f, ops.Embedded)]
+        assert len(reflections) == 2 * (r // 2) + r % 2
+        assert all(f is z for f in reflections)
+
+
 def test_an_uncertified_input_builds_its_adjoint_once(monkeypatch):
     """Above 16 system states the guard probes with U^dag; the probe and the
     adjoint factors of every degree share one U^dag, in a layer build and in

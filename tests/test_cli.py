@@ -820,6 +820,28 @@ def test_unwritable_or_unreadable_paths_exit_2(tmp_path, hand_config, capsys):
     assert not missing.exists()
 
 
+def test_train_checks_its_trace_and_report_paths_before_training(tmp_path, monkeypatch, capsys):
+    """A trace or report path that cannot be written exits 2 before any
+    training: `train` is never called, and no file is left behind."""
+    def never(*args, **kwargs):
+        raise AssertionError("training ran before its destinations were checked")
+
+    monkeypatch.setattr(cli, "train", never)
+    missing = tmp_path / "missing"
+    config = write_config(tmp_path, TRAIN_CONFIG, name="train.json")
+    for paths in (
+        ["--trace", str(missing / "t.csv")],
+        ["--out", str(missing / "r.json")],
+        ["--out", str(tmp_path / "r.json"), "--trace", str(missing / "t.csv")],
+        ["--trace", str(tmp_path)],
+    ):
+        assert main(["train", "--config", config, "--no-timestamp", *paths]) == 2, paths
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["train.json"]
+
+
 @pytest.mark.parametrize("scale", ["0.5", True, float("nan"), float("inf"), -float("inf"), None])
 def test_training_target_scale_must_be_a_finite_number(tmp_path, scale, capsys):
     payload = copy.deepcopy(TRAIN_CONFIG)

@@ -85,10 +85,11 @@ def test_nan_on_one_side_is_an_infinite_deviation(compare_reports):
 
 def test_configs_cover_every_shape_encoder_readout_and_perturbation(compare_reports):
     named = compare_reports.configs(seed=3)
-    # the 10 compile shapes and the N = 64 layer of the probe guard, 8 variants
-    # each, and the 5 training runs
-    assert len(compare_reports.SHAPES) == 11 and len(compare_reports.VARIANTS) == 8
-    assert len(named) == 11 * 8 + len(compare_reports.TRAINING) == 93
+    # the 10 compile shapes, the N = 64 layer of the probe guard and the K = 8
+    # layer, 8 variants each, and the 5 training runs
+    assert len(compare_reports.SHAPES) == 12 and len(compare_reports.VARIANTS) == 8
+    assert len(named) == 12 * 8 + len(compare_reports.TRAINING) == 101
+    assert sum(len(c["layers"][-1]["weights"][0][0]) == 8 for c in named.values()) == 8
     shaped = [c for c in named.values() if "train" not in c]
     assert sum(len(c["input"]) == 64 for c in shaped) == len(compare_reports.VARIANTS)
     assert {c["encoder"] for c in shaped} == {"exact", "stateprep", "real_weights"}

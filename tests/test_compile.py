@@ -3,6 +3,7 @@ compile and its check, and the cost rule that decides when to compile."""
 
 import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -72,8 +73,6 @@ def test_system_blocks_adjoint_swaps_shared_arrays_without_a_cycle():
         ops.SystemBlocks(np.zeros((2, 2, 4)))
     with pytest.raises(ContractViolationError):
         ops.SystemBlocks(np.zeros((3, 2, 2)))
-    with pytest.raises(ContractViolationError):
-        ops.SystemBlocks(blocks, np.zeros((2, 2, 2)))
 
 
 def test_compiled_layer_keeps_cost_and_describes_its_shape():
@@ -126,20 +125,106 @@ def test_exact_build_stores_real_arrays():
 
 
 def test_compile_check_rejects_a_tree_that_mixes_the_system_register():
+    """The blocks are read and checked on the first apply, so a mixing tree
+    compiles, and is rejected by its first apply, and by every later one."""
     be = qkan.build_layer(qkan.encode_diagonal_exact(np.array([0.3, -0.5])),
                           random_spec((2, 2), 1, seed=2).layers[0])
-    with pytest.raises(ContractViolationError, match="mixes its system register"):
-        compile_system_blocks(qkan.perturb(be, 1e-3, seed=4))
-    # a rotation by 1e-9 between two system states of aux |0> is caught too
+    compiled = compile_system_blocks(qkan.perturb(be, 1e-3, seed=4))
+    for _ in range(2):
+        with pytest.raises(ContractViolationError, match="mixes its system register"):
+            qkan.extract_diagonal(compiled)
+    # a rotation by 1e-9 between two system states of aux |0> is caught too,
+    # by the adjoint's first apply as by the leaf's
     mixing = np.eye(4, dtype=np.complex128)
     mixing[:2, :2] = [[np.cos(1e-9), -np.sin(1e-9)], [np.sin(1e-9), np.cos(1e-9)]]
     aux, system = (("a", 1),), (("sys", 1),)
+    compiled = compile_system_blocks(primitive_encoding(ops.Dense(mixing), aux, system, "u"))
     with pytest.raises(ContractViolationError, match="mixes its system register"):
-        compile_system_blocks(primitive_encoding(ops.Dense(mixing), aux, system, "u"))
+        compiled.adjoint_op.apply(np.eye(4)[:, 0])
+    with pytest.raises(ContractViolationError, match="mixes its system register"):
+        compiled.op.dense()
     # a multiplexor over the system qubit compiles to the same matrix
     units = {j: ops.Dense(ops.random_unitary(1, np.random.default_rng(j))) for j in range(2)}
     mux = primitive_encoding(ops.Multiplexed(units, (1,), 2), aux, system, "u")
     assert np.max(np.abs(compile_system_blocks(mux).op.dense() - mux.op.dense())) <= 1e-15
+
+
+def _count_applications(monkeypatch):
+    """Every LinearOperator.apply call from now on, as (operator, columns)."""
+    applied = []
+    apply = ops.LinearOperator.apply
+
+    def counted(op, vec, rows=None):
+        applied.append((op, 1 if np.ndim(vec) == 1 else np.shape(vec)[1]))
+        return apply(op, vec, rows)
+
+    monkeypatch.setattr(ops.LinearOperator, "apply", counted)
+    return applied
+
+
+def test_a_compiled_encoding_that_was_never_read_keeps_its_description_and_cost(monkeypatch):
+    spec = random_spec((2, 2, 1), 3, seed=1)
+    be = qkan.build_layer(qkan.encode_diagonal_exact(np.array([0.3, -0.5])), spec.layers[0])
+    applied = _count_applications(monkeypatch)
+    compiled = compile_system_blocks(be)
+    assert compiled.cost == be.cost
+    text = ops.describe_text(compiled.op)
+    assert text.splitlines()[1] == "  SystemBlocks n=6 a=5 s=1 replaced_leaves=20 leaves=1"
+    assert ops.describe_text(compiled.adjoint_op).splitlines()[1] == text.splitlines()[1]
+    assert applied == []
+
+
+def test_the_leaf_and_its_adjoint_read_the_tree_once(monkeypatch):
+    spec = random_spec((2, 2, 1), 3, seed=1)
+    be = qkan.build_layer(qkan.encode_diagonal_exact(np.array([0.3, -0.5])), spec.layers[0])
+    want, want_adjoint = be.op.dense(), be.adjoint_op.dense()
+    compiled = compile_system_blocks(be)
+    leaf, adjoint = compiled.op.inner, compiled.adjoint_op.inner
+    applied = _count_applications(monkeypatch)
+    assert np.max(np.abs(compiled.adjoint_op.dense() - want_adjoint)) <= 1e-13
+    # the read: the tree applied once, to 2^a + 1 columns, and the check of the new leaf
+    assert [(op, columns) for op, columns in applied if op is be.op] == [(be.op, 33)]
+    assert len(applied) == 2
+    assert np.max(np.abs(compiled.op.dense() - want)) <= 1e-13
+    assert adjoint.blocks is leaf.adjoint_blocks and adjoint.adjoint_blocks is leaf.blocks
+    assert leaf.adjoint().blocks is adjoint.blocks
+    assert len(applied) == 2
+    # once read, the leaf no longer keeps the tree alive
+    tree = weakref.ref(be.op)
+    del be, applied[:]
+    gc.collect()
+    assert tree() is None
+
+
+def _deep_cli_config(tmp_path):
+    """A 2 -> 2 -> 2 -> 1, d = 3 config with a shots readout, as the CLI reads it."""
+    import json
+
+    rng = np.random.default_rng(7)
+    layers = [
+        {"in": n_in, "out": n_out, "degree": 3,
+         "weights": rng.uniform(-1.0, 1.0, (4, n_in, n_out)).tolist()}
+        for n_in, n_out in ((2, 2), (2, 2), (2, 1))
+    ]
+    config = {"input": [0.3, -0.5], "layers": layers, "seed": 3,
+              "readout": {"mode": "shots", "shots": 1000, "seed": 11, "delta": 0.05}}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, applications", [("resources", 2), ("eval", 5)])
+def test_cli_commands_apply_no_more_than_they_read(monkeypatch, tmp_path, capsys, command, applications):
+    """`resources` applies only the LCU pair's check (P_L and P_R on e0),
+    never the layer trees; `eval` adds the compile read of layer 1 and the
+    readout."""
+    from qkan.cli import main
+
+    config = _deep_cli_config(tmp_path)
+    applied = _count_applications(monkeypatch)
+    assert main([command, "--config", config, "--no-timestamp"]) == 0
+    capsys.readouterr()
+    assert len(applied) == applications
 
 
 @st.composite

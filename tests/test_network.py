@@ -270,6 +270,34 @@ def test_build_network_mixed_degrees():
     assert reconcile(analytic_cost(qspec), net.output).ok
 
 
+def test_network_assembler_builds_one_lcu_pair_per_term_count(monkeypatch):
+    from qkan import network
+
+    sizes = []
+    uniform_pair = network.uniform_pair
+
+    def counting(m):
+        sizes.append(m)
+        return uniform_pair(m)
+
+    monkeypatch.setattr(network, "uniform_pair", counting)
+    x = np.array([0.3, -0.5])
+    deep = qkan.QkanSpec(tuple(qkan.LayerSpec.random(2, k, 3, seed=70 + k) for k in (2, 2, 1)))
+    assembler = network.NetworkAssembler(qkan.encode_diagonal_exact(x), deep.layers[0])
+    built = assembler.build([deep])
+    assert sizes == [4]
+    assembler.build([deep.with_layer_weights(2, -deep.layers[2].weights)])
+    assert sizes == [4]
+    want = qkan.classical_network_eval(x, deep)
+    assert np.max(np.abs(qkan.extract_diagonal(built.output) - want)) <= 1e-9
+    sizes.clear()
+    mixed = qkan.QkanSpec((qkan.LayerSpec.random(2, 2, 3, seed=60),
+                           qkan.LayerSpec.random(2, 2, 1, seed=61),
+                           qkan.LayerSpec.random(2, 1, 3, seed=62)))
+    qkan.build_network(qkan.encode_diagonal_exact(x), mixed)
+    assert sizes == [4, 2]
+
+
 def test_candidates_of_differing_shapes_raise():
     from qkan.network import NetworkAssembler
 

@@ -628,3 +628,14 @@ def test_diagonal_leaves_act_in_place_exactly_as_transposed(case, seed):
     assert np.array_equal(op.apply(cols[: op.dim]), inner)  # the leaves' own apply
     assert np.array_equal(node.apply(cols[:, 0]), want[:, 0])
     assert np.array_equal(cols, before)
+
+
+@pytest.mark.parametrize("values, outside", [
+    (0.5, False), (1.0, False), (-1.0, False), (1.0000000000000002, True), (-1.5, True),
+    (float("nan"), True), (float("inf"), True), (3, True), (0, False),
+    ([], False), ([0.5, -1.0, 1.0], False), ([0.5, float("nan")], True), ([[0.2], [-2.0]], True),
+    (np.array([[1.0, -1.0], [0.0, 0.25]]), False), (np.array([1.0, 2.0]) * 1j, True),
+])
+def test_outside_unit_interval_of_scalars_lists_and_nan(values, outside):
+    assert ops.outside_unit_interval(values) is outside
+    assert outside is not bool(np.all(np.abs(values) <= 1.0))
