@@ -2,6 +2,7 @@
 compile and its check, and the cost rule that decides when to compile."""
 
 import gc
+import json
 import math
 import weakref
 
@@ -198,8 +199,6 @@ def test_the_leaf_and_its_adjoint_read_the_tree_once(monkeypatch):
 
 def _deep_cli_config(tmp_path):
     """A 2 -> 2 -> 2 -> 1, d = 3 config with a shots readout, as the CLI reads it."""
-    import json
-
     rng = np.random.default_rng(7)
     layers = [
         {"in": n_in, "out": n_out, "degree": 3,
