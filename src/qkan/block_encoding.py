@@ -49,6 +49,8 @@ PERTURB_BISECTION_STEPS = 200
 # tree it replaces, on one seeded column (see compile_system_blocks)
 COMPILE_CHECK_TOL = 1e-12
 COMPILE_CHECK_SEED = 0xB10C
+# largest number of amplitudes that read_block applies at once
+READ_BLOCK_AMPLITUDES = 1 << 26
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,11 +163,9 @@ class BlockEncoding:
         """(<0|_aux (x) I) U (|0>_aux (x) sum_j |j>): the first system_dim rows
         of one application of `op`, complex128 and read-only. Entry j is
         sum_j' <0|_aux <j| U |0>_aux |j'>, so the row sums of the block
-        divided by alpha. The rows are copied, so the cached value never keeps
-        the whole 2^n column alive."""
-        column = np.zeros(self.op.dim)
-        column[: self.system_dim] = 1.0
-        rows = self.op.apply(column, self.system_dim).copy()
+        divided by alpha. :func:`read_block` returns new rows, so the cached
+        value never keeps the whole 2^n column alive."""
+        rows = read_block(self.op, self.system_dim, np.ones(self.system_dim))
         rows.flags.writeable = False
         return rows
 
@@ -249,28 +249,39 @@ def identity_encoding(num_system: int) -> BlockEncoding:
     return _derived(Identity(num_system), 1.0, 0.0, (), (("sys", num_system),), diagonal=True)
 
 
-def extract_block(be: BlockEncoding, cap_qubits: int = DENSE_CAP_QUBITS) -> np.ndarray:
-    """alpha * (<0|_aux (x) I) U (|0>_aux (x) I), as a dense system-dim matrix."""
-    if be.num_system > cap_qubits:
+def _read_width(op: LinearOperator) -> int:
+    """Columns that :func:`read_block` passes to one application of `op`."""
+    return max(1, READ_BLOCK_AMPLITUDES // op.dim)
+
+
+def read_block(op: LinearOperator, system_dim: int, V: np.ndarray) -> np.ndarray:
+    """(<0|_aux (x) I) op (|0>_aux (x) V) as a new complex128 array of V's
+    shape, for `op` an encoding's U or its `adjoint_op` and V one system
+    column or a (system_dim, b) array of them. The system qubits trail, so
+    each column is V's zero-padded to op.dim rows, in V's dtype, and its
+    |0>_aux rows are the first system_dim; at most READ_BLOCK_AMPLITUDES
+    amplitudes (and at least one column) go through `op` at once."""
+    V = np.asarray(V)
+    out = np.empty(V.shape, dtype=np.complex128)
+    vs, rows = V.reshape(system_dim, -1), out.reshape(system_dim, -1)
+    width = _read_width(op)
+    for start in range(0, vs.shape[1], width):
+        part = vs[:, start : start + width]
+        cols = np.zeros((op.dim, part.shape[1]), dtype=V.dtype)
+        cols[:system_dim] = part
+        rows[:, start : start + width] = op.apply(cols, system_dim)
+    return out
+
+
+def extract_block(be: BlockEncoding) -> np.ndarray:
+    """alpha * (<0|_aux (x) I) U (|0>_aux (x) I), as a dense system-dim
+    matrix; at most DENSE_CAP_QUBITS system qubits."""
+    if be.num_system > DENSE_CAP_QUBITS:
         raise ResourceLimitError(
-            f"dense block extraction over {be.num_system} system qubits exceeds cap {cap_qubits}",
+            f"dense block extraction over {be.num_system} system qubits exceeds cap {DENSE_CAP_QUBITS}",
             required_qubits=be.num_system,
         )
-    s_dim = be.system_dim
-    cols = np.zeros((be.op.dim, s_dim))
-    cols[np.arange(s_dim), np.arange(s_dim)] = 1.0  # |0>_aux|j> has index j
-    return be.alpha * be.op.apply(cols, s_dim)
-
-
-def column_blocks(be: BlockEncoding, nodes: np.ndarray):
-    """Yield (j, (<0|_aux (x) I) U |0>_aux|j>) for the system states `nodes`,
-    the columns applied in blocks of at most 2^26 amplitudes."""
-    chunk = max(1, (1 << 26) // be.op.dim)
-    for start in range(0, nodes.size, chunk):
-        idx = nodes[start : start + chunk]
-        cols = np.zeros((be.op.dim, idx.size))
-        cols[idx, np.arange(idx.size)] = 1.0
-        yield idx, be.op.apply(cols, be.system_dim)
+    return be.alpha * read_block(be.op, be.system_dim, np.eye(be.system_dim))
 
 
 def extract_diagonal(be: BlockEncoding) -> np.ndarray:
@@ -281,16 +292,18 @@ def extract_diagonal(be: BlockEncoding) -> np.ndarray:
     |0>_aux |j>, which is B[j, j] when the block is exactly diagonal
     (epsilon == 0): alpha times :attr:`BlockEncoding.row_sums`, the one
     application that every reader of that column shares. An encoding with
-    epsilon > 0 may carry off-diagonal error, so it is read one column per
-    entry, one application per column block.
+    epsilon > 0 may carry off-diagonal error, so it is read one column
+    |0>_aux |j> per entry, one slice of the identity per application.
     """
     if not be.diagonal_flag:
         raise ContractViolationError("extract_diagonal requires a diagonal-flagged encoding")
     if be.epsilon == 0:
         return be.alpha * be.row_sums
-    values = np.empty(be.system_dim, dtype=np.complex128)
-    for idx, out in column_blocks(be, np.arange(be.system_dim)):
-        values[idx] = out[idx, np.arange(idx.size)]
+    dim, width = be.system_dim, _read_width(be.op)
+    values = np.empty(dim, dtype=np.complex128)
+    for start in range(0, dim, width):
+        part = read_block(be.op, dim, np.eye(dim, min(width, dim - start), -start))
+        values[start : start + width] = np.diagonal(part, -start)
     return be.alpha * values
 
 
@@ -632,7 +645,7 @@ def perturb(be: BlockEncoding, eps: float, seed: int) -> BlockEncoding:
         raise ContractViolationError(f"perturbation size must lie in [0, 2), got {eps}")
     if eps == 0.0:
         return be
-    base = be.op.dense(cap_qubits=DENSE_CAP_QUBITS)
+    base = be.op.dense()
     rng = np.random.default_rng(seed)
     basis = random_unitary(be.op.n, rng)
     phases = (np.pi - PERTURB_PHASE_MARGIN) * rng.uniform(-1.0, 1.0, be.op.dim)

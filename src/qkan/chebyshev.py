@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .block_encoding import BlockEncoding, _derived, extract_block
+from .block_encoding import BlockEncoding, _derived, extract_block, read_block
 from .errors import ContractViolationError, DomainError
 from .operators import (
     DENSE_CAP_QUBITS,
@@ -43,15 +43,13 @@ def _dense_hermiticity_defect(be: BlockEncoding, limit: float) -> float:
 
 def _probe_hermiticity_defect(be: BlockEncoding) -> float:
     """alpha * ||(B - B^dag) V||_F / sqrt(k) over HERMITICITY_PROBES seeded
-    complex Gaussian columns |0>_aux (x) v, E|v_i|^2 = 1: one application of
-    U and one of U^dag (`be.adjoint_op`), whose top-left blocks are B / alpha
-    and B^dag / alpha."""
+    complex Gaussian columns |0>_aux (x) v, E|v_i|^2 = 1: one
+    :func:`~qkan.block_encoding.read_block` of U and one of U^dag
+    (`be.adjoint_op`), whose top-left blocks are B / alpha and B^dag / alpha."""
     rng = np.random.default_rng(HERMITICITY_PROBE_SEED)
     shape = (be.system_dim, HERMITICITY_PROBES)
-    cols = np.zeros((be.op.dim, HERMITICITY_PROBES), dtype=np.complex128)
-    cols[: be.system_dim] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    cols /= np.sqrt(2.0)
-    gap = be.op.apply(cols, be.system_dim) - be.adjoint_op.apply(cols, be.system_dim)
+    probes = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    gap = read_block(be.op, be.system_dim, probes) - read_block(be.adjoint_op, be.system_dim, probes)
     return be.alpha * float(np.linalg.norm(gap)) / np.sqrt(HERMITICITY_PROBES)
 
 

@@ -127,10 +127,10 @@ class LinearOperator:
     def adjoint(self) -> "LinearOperator":
         raise NotImplementedError
 
-    def dense(self, cap_qubits: int = DENSE_CAP_QUBITS) -> np.ndarray:
-        if self.n > cap_qubits:
+    def dense(self) -> np.ndarray:
+        if self.n > DENSE_CAP_QUBITS:
             raise ResourceLimitError(
-                f"dense materialization of {self.n} qubits exceeds cap {cap_qubits}",
+                f"dense materialization of {self.n} qubits exceeds cap {DENSE_CAP_QUBITS}",
                 required_qubits=self.n,
             )
         return self._apply(np.eye(self.dim, dtype=np.complex128))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_encoding import BlockEncoding, column_blocks, extract_diagonal
+from .block_encoding import BlockEncoding, extract_diagonal, read_block
 from .errors import ContractViolationError, DegenerateOutputError, DomainError
 from .operators import check_qubit_budget
 
@@ -93,8 +93,8 @@ def hadamard_test(
     """Estimate Re <0|_aux <q| U |0>_aux |q> from one application of U: exactly
     (shots = 0) or from Bernoulli samples of the control qubit's Z value."""
     _check_hadamard_test(be, q)
-    ((_, out),) = column_blocks(be, np.array([q]))
-    return _branch_test(out[q, 0], shots, seed)
+    column = read_block(be.op, be.system_dim, np.eye(be.system_dim, 1, -q))
+    return _branch_test(column[q, 0], shots, seed)
 
 
 def read_outputs(

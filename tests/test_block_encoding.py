@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 import qkan
-from qkan import operators as ops
+from qkan import block_encoding, operators as ops
 from qkan.block_encoding import BlockEncoding, compile_system_blocks, pad_aux, primitive_encoding
 from qkan.errors import ContractViolationError
 
@@ -343,12 +343,32 @@ def test_hadamard_error_bound_seeded(rng):
 
 
 def test_extract_block_cap():
-    import qkan.operators as ops_mod
+    """11 system qubits exceed DENSE_CAP_QUBITS: refused before any application."""
+    be = qkan.encode_diagonal_exact(np.full(2048, 0.5))
+    assert be.num_system == ops.DENSE_CAP_QUBITS + 1
+    applied = _count_applied_columns(be)
+    with pytest.raises(qkan.ResourceLimitError, match="exceeds cap 10"):
+        qkan.extract_block(be)
+    assert applied == []
 
-    be = qkan.encode_diagonal_exact(np.full(4, 0.5))
-    with pytest.raises(qkan.ResourceLimitError):
-        qkan.extract_block(be, cap_qubits=1)
-    assert qkan.extract_block(be, cap_qubits=ops_mod.DENSE_CAP_QUBITS).shape == (4, 4)
+
+def test_block_reads_are_chunked_and_equal_an_unchunked_read(monkeypatch):
+    """extract_block and the epsilon > 0 diagonal apply at most
+    READ_BLOCK_AMPLITUDES amplitudes at once, and equal the one-batch read
+    bit for bit."""
+    be = qkan.perturb(qkan.encode_diagonal_exact(np.linspace(-0.9, 0.9, 8)), 1e-3, seed=4)
+    assert (be.op.dim, be.system_dim) == (16, 8) and be.epsilon > 0
+    applied = _count_applied_columns(be)
+    whole_block, whole_diagonal = qkan.extract_block(be), qkan.extract_diagonal(be)
+    assert applied == [8, 8]
+    applied.clear()
+    # 2 columns of 16 amplitudes per application
+    monkeypatch.setattr(block_encoding, "READ_BLOCK_AMPLITUDES", 32, raising=False)
+    assert np.array_equal(qkan.extract_block(be), whole_block)
+    assert applied == [2] * 4
+    applied.clear()
+    assert np.array_equal(qkan.extract_diagonal(be), whole_diagonal)
+    assert applied == [2] * 4
 
 
 def test_aux_field_matches_layout():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qkan
-from qkan.block_encoding import column_blocks
+from qkan.block_encoding import read_block
 from qkan.errors import ContractViolationError, DomainError, ResourceLimitError
 
 from oracles import layer_forward, network_forward
@@ -411,11 +411,10 @@ def test_a_layer_reads_the_sample_width_from_its_input(rng):
 
 
 def per_column_diagonal(be):
-    """The diagonal read one column |0>_aux|j> per entry, through `column_blocks`."""
-    values = np.empty(be.system_dim, dtype=np.complex128)
-    for idx, out in column_blocks(be, np.arange(be.system_dim)):
-        values[idx] = out[idx, np.arange(idx.size)]
-    return be.alpha * values
+    """The diagonal read one column |0>_aux|j> per entry, one `read_block` call each."""
+    basis = np.eye(be.system_dim)
+    values = [read_block(be.op, be.system_dim, e_j)[j] for j, e_j in enumerate(basis)]
+    return be.alpha * np.array(values)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])

@@ -52,3 +52,29 @@ def test_package_imports_only_numpy_and_the_standard_library():
             ]
     assert SOURCES
     assert found == []
+
+
+def test_only_read_block_keeps_the_aux_zero_rows_of_an_apply():
+    """`apply(cols, rows)` keeps the |0>_aux block of a result; only
+    `block_encoding.read_block` builds such columns, so no other call in the
+    package passes `rows`, positionally or by keyword."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside_reader = {
+            id(node)
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and func.name == "read_block"
+            for node in ast.walk(func)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "apply"
+            and (len(node.args) > 1 or any(kw.arg == "rows" for kw in node.keywords))
+            and id(node) not in inside_reader
+        ]
+    assert SOURCES
+    assert found == []
