@@ -25,6 +25,7 @@ import numpy as np
 from .errors import ContractViolationError, ResourceLimitError
 from .operators import (
     DENSE_CAP_QUBITS,
+    Composed,
     Dense,
     Embedded,
     Identity,
@@ -39,6 +40,7 @@ from .operators import (
     query_counts,
     random_unitary,
     reflection_about_zero,
+    restrict_to_leading,
     state_prep_unitary,
 )
 
@@ -159,6 +161,14 @@ class BlockEncoding:
         return Embedded(reflection_about_zero(self.live_aux), tuple(range(self.live_aux)), self.op.n)
 
     @cached_property
+    def label_chain(self) -> list[LinearOperator]:
+        """[M_1, M_2, ...]: the per-label leaves that the Chebyshev transforms
+        of an encoding whose `op` is one Query around a LabelBlocks leaf fold
+        to, extended by :func:`~qkan.chebyshev.chebyshev_be` as degrees are
+        asked for and kept, as `adjoint_op` is; empty until then."""
+        return []
+
+    @cached_property
     def row_sums(self) -> np.ndarray:
         """(<0|_aux (x) I) U (|0>_aux (x) sum_j |j>): the first system_dim rows
         of one application of `op`, complex128 and read-only. Entry j is
@@ -254,22 +264,62 @@ def _read_width(op: LinearOperator) -> int:
     return max(1, READ_BLOCK_AMPLITUDES // op.dim)
 
 
+def _peel(op: LinearOperator, a: int) -> tuple[list, LinearOperator, list]:
+    """(left, middle, right): the factors at the two ends of `op`'s
+    top-level product that act on its leading `a` qubits alone, each as the
+    operator on those qubits (:func:`~qkan.operators.restrict_to_leading`),
+    and the product of the factors between them, at least one."""
+    factors = op.factors if isinstance(op, Composed) else (op,)
+    lo, hi = 0, len(factors)
+    left: list = []
+    right: list = []
+    while hi - lo > 1 and (end := restrict_to_leading(factors[lo], a)) is not None:
+        left.append(end)
+        lo += 1
+    while hi - lo > 1 and (end := restrict_to_leading(factors[hi - 1], a)) is not None:
+        right.insert(0, end)
+        hi -= 1
+    if hi - lo == len(factors):
+        return left, op, right
+    return left, factors[lo] if hi - lo == 1 else Composed(factors[lo:hi]), right
+
+
 def read_block(op: LinearOperator, system_dim: int, V: np.ndarray) -> np.ndarray:
     """(<0|_aux (x) I) op (|0>_aux (x) V) as a new complex128 array of V's
     shape, for `op` an encoding's U or its `adjoint_op` and V one system
     column or a (system_dim, b) array of them. The system qubits trail, so
-    each column is V's zero-padded to op.dim rows, in V's dtype, and its
-    |0>_aux rows are the first system_dim; at most READ_BLOCK_AMPLITUDES
-    amplitudes (and at least one column) go through `op` at once."""
+    an op.dim column is 2^a ancilla slices of system_dim rows.
+
+    The factors at either end of U's top-level product that act on the
+    ancillas alone (:func:`_peel`: SUM's WalshHadamard, the LCU pair) are
+    not applied to the columns. The right ones R are applied to the 2^a
+    ancilla vector |0> once, and each column is R|0> (x) v, in the dtype of
+    V and R|0>; the left ones L make the row functional l = <0|L over the
+    ancilla index. The factors between them go through one
+    :meth:`~qkan.operators.LinearOperator.apply`, which contracts each
+    result with l and converts only those system_dim rows to complex128.
+    With nothing peeled, R|0> = |0> and l = <0|: each column is V's,
+    zero-padded, and the result its first system_dim rows. At most
+    READ_BLOCK_AMPLITUDES amplitudes (and at least one column) go through
+    `op` at once."""
     V = np.asarray(V)
     out = np.empty(V.shape, dtype=np.complex128)
     vs, rows = V.reshape(system_dim, -1), out.reshape(system_dim, -1)
+    aux = op.dim // system_dim
+    left, middle, right = _peel(op, aux.bit_length() - 1)
+    zero = np.zeros((aux, 1))
+    zero[0] = 1.0
+    prepared, functional = zero, zero
+    for end in reversed(right):
+        prepared = end._apply(prepared)
+    for end in left:  # l^dag = L^dag |0>
+        functional = end.adjoint()._apply(functional)
+    projection = functional[:, 0].conj() if left else system_dim
     width = _read_width(op)
     for start in range(0, vs.shape[1], width):
         part = vs[:, start : start + width]
-        cols = np.zeros((op.dim, part.shape[1]), dtype=V.dtype)
-        cols[:system_dim] = part
-        rows[:, start : start + width] = op.apply(cols, system_dim)
+        cols = prepared @ part.reshape(1, -1)  # R|0> (x) v, one product per entry
+        rows[:, start : start + width] = middle.apply(cols.reshape(op.dim, -1), projection)
     return out
 
 

@@ -7,7 +7,9 @@ For an exact encoding of a Hermitian block this realizes T_r exactly, with
 no residual global phase under the register convention used here (asserted
 by the grid tests). Z reflects about |0> on the ancillas that U acts on;
 the one QSVT ancilla each transform adds to the layout is idle in this
-form, so it is counted but not simulated (see BlockEncoding).
+form, so it is counted but not simulated (see BlockEncoding). When U is
+one per-label 2x2 leaf (the exact input encoding), every factor is one too,
+and the form is multiplied out per label into one leaf (see _folded).
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from .errors import ContractViolationError, DomainError
 from .operators import (
     DENSE_CAP_QUBITS,
     Identity,
+    LabelBlocks,
     LinearOperator,
+    Query,
     check_qubit_budget,
     compose,
 )
@@ -118,17 +122,43 @@ def _qsvt_shell(
     )
 
 
+def _folded(be_x: BlockEncoding, r: int) -> LinearOperator | None:
+    """T_r's reflection form multiplied out per label, when `be_x.op` is one
+    Query around a LabelBlocks leaf U on its one live ancilla and the
+    system; None otherwise.
+
+    Every factor is then a 2x2 block per label: with A = U Z and B = U^dag Z,
+    the form is M_r = A (B A)^((r-1)/2) for odd r and (B A)^(r/2) for even r,
+    so M_r = A M_(r-1) for odd r and B M_(r-1) for even r, one
+    :meth:`~qkan.operators.LabelBlocks.times` each. The chain M_1, M_2, ...
+    is kept on the encoding (`BlockEncoding.label_chain`), so the degrees
+    1..d cost d - 1 products. M_r goes in a Query with r times U's counts,
+    and its `folded_leaves` count the 2r factors it replaces."""
+    u = be_x.op.inner if isinstance(be_x.op, Query) else None
+    if not isinstance(u, LabelBlocks) or be_x.live_aux != 1:
+        return None
+    chain = be_x.label_chain
+    if not chain:
+        chain.append(u.reflected())  # M_1 = A
+    while len(chain) < r:  # M_(k+1) = B M_k for odd k, A M_k for even k
+        step = u.adjoint().reflected() if len(chain) % 2 else chain[0]
+        chain.append(step.times(chain[-1]))
+    return Query(chain[r - 1], {name: r * count for name, count in be_x.op.counts.items()})
+
+
 def chebyshev_be(be_x: BlockEncoding, r: int) -> BlockEncoding:
     """(1, a_x + 1, 4 r sqrt(eps_x))-encoding of diag(T_r(x_1), ..., T_r(x_N)).
 
     Applies the underlying encoding (or its adjoint) exactly r times; r = 0
-    yields an exact identity encoding at zero queries. The adjoint factors
-    are `be_x.adjoint_op` and the reflections `be_x.zero_reflection`, each
-    built once per encoding, so every degree built on one encoding, and the
-    guard's probe of it, share one U^dag tree and one Z node. The
-    transform of an encoding certified exactly real and diagonal keeps the
-    certificate: T_r of a real diagonal is one, and the reflection form
-    realizes it exactly.
+    yields an exact identity encoding at zero queries. When `be_x.op` is one
+    Query around a LabelBlocks leaf (the exact input encoding), the 2r
+    factors fold into one leaf (:func:`_folded`) with the same counts.
+    Otherwise the adjoint factors are `be_x.adjoint_op` and the reflections
+    `be_x.zero_reflection`, each built once per encoding, so every degree
+    built on one encoding, and the guard's probe of it, share one U^dag tree
+    and one Z node. The transform of an encoding certified exactly real and
+    diagonal keeps the certificate: T_r of a real diagonal is one, and the
+    reflection form realizes it exactly.
     """
     if r < 0:
         raise DomainError("Chebyshev degree must be non-negative")
@@ -137,12 +167,14 @@ def chebyshev_be(be_x: BlockEncoding, r: int) -> BlockEncoding:
     if r == 0:
         return _qsvt_shell(be_x, [], 0.0, be_x.exact_real_diagonal)
     _require_hermitian_block(be_x)
-    u, z = be_x.op, be_x.zero_reflection
-    factors: list[LinearOperator] = []
-    if r % 2:
-        factors += [u, z]
-    if r >= 2:
-        factors += [be_x.adjoint_op, z, u, z] * (r // 2)
+    folded = _folded(be_x, r)
+    if folded is not None:
+        factors = [folded]
+    else:
+        u, z = be_x.op, be_x.zero_reflection
+        factors = [u, z] if r % 2 else []
+        if r >= 2:  # U^dag is built only when a degree uses it
+            factors += [be_x.adjoint_op, z, u, z] * (r // 2)
     return _qsvt_shell(
         be_x, factors, 4.0 * r * np.sqrt(be_x.epsilon), be_x.exact_real_diagonal
     )

@@ -16,7 +16,7 @@ from .errors import ContractViolationError, DomainError
 from .operators import (
     Dense,
     Embedded,
-    LabelReflection,
+    LabelBlocks,
     LinearOperator,
     Permutation,
     Query,
@@ -54,7 +54,7 @@ def encode_diagonal_exact(x: np.ndarray, name: str = "x") -> BlockEncoding:
     if outside_unit_interval(x):
         raise DomainError(f"entries outside [-1, 1]: max |x| = {np.max(np.abs(x))}")
     return BlockEncoding(
-        op=Query(LabelReflection(x), {name: 1}),
+        op=Query(LabelBlocks.reflection(x), {name: 1}),
         alpha=1.0,
         epsilon=0.0,
         aux=(("enc", 1, False),),

@@ -43,6 +43,7 @@ from .operators import (
     check_qubit_budget,
     compose,
     outside_unit_interval,
+    unfolded_leaves,
 )
 
 WeightEncoder = Callable[[np.ndarray, str], BlockEncoding]
@@ -499,7 +500,12 @@ class NetworkAssembler:
             sites = later_sites(
                 be.num_aux, be.num_system, later, be.sample_qubits, be.exact_real_diagonal
             )
-            if be.op.leaves > compile_threshold(be.num_aux, be.num_system, sites):
+            threshold = compile_threshold(be.num_aux, be.num_system, sites)
+            # the leaves bound the unfolded leaves from below: walk the tree
+            # only when they alone do not decide
+            if threshold < math.inf and (
+                be.op.leaves > threshold or unfolded_leaves(be.op) > threshold
+            ):
                 return compile_system_blocks(be)
         return be
 

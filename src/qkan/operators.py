@@ -34,6 +34,11 @@ WALSH_MIN_PRODUCT_WIDTH = 8
 # sums a one-column (gemv) and a 2-4 column real product in another order than
 # wider ones, which all agree (measured up to 4099 columns, blocks up to 256)
 SYSTEM_BLOCKS_MIN_COLUMNS = 8
+# a LabelBlocks or Diagonal leaf followed by untouched qubits repeats its values
+# along them and the batch when they hold at most this many values, so that the
+# products run one long loop: measured 1.4-1.8x faster at 4, 8 and 32 values, and
+# 2.5x slower at 128, with a 9-qubit leaf on 12 qubits (one BLAS thread, 2 vCPU)
+LEAF_REPEAT_WIDTH = 32
 
 # construction budget (total qubits of any single operator) of the current context
 _max_qubits: ContextVar[int] = ContextVar("qkan_max_qubits", default=DEFAULT_MAX_QUBITS)
@@ -113,15 +118,22 @@ class LinearOperator:
     def _apply(self, cols: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def apply(self, vec: np.ndarray, rows: int | None = None) -> np.ndarray:
+    def apply(self, vec: np.ndarray, rows: int | np.ndarray | None = None) -> np.ndarray:
         """The operator applied to `vec`, one vector or a (dim, batch) array,
-        as complex128. With `rows`, only the leading `rows` entries of each
-        result are kept, and only they are converted from a real result: an
-        encoding's |0>_aux block is the first system_dim rows of a column,
-        since its system qubits trail."""
+        as complex128. With `rows`, each result is projected onto an
+        encoding's ancilla state, whose system qubits trail, and only the
+        projection is converted from a real result. `rows` is either the
+        system dimension S, and the leading S entries are kept (<0|_aux), or
+        a row vector l over the 2^a ancilla states, and the projection is
+        sum_i l_i times the i-th of the 2^a slices of S entries (<l|_aux, see
+        :func:`~qkan.block_encoding.read_block`)."""
         cols, squeeze = _as_columns(vec, self.dim)
         out = self._apply(cols)
-        out = (out if rows is None else out[:rows]).astype(np.complex128, copy=False)
+        if isinstance(rows, np.ndarray):
+            out = (rows @ out.reshape(rows.shape[0], -1)).reshape(-1, out.shape[1])
+        elif rows is not None:
+            out = out[:rows]
+        out = out.astype(np.complex128, copy=False)
         return out[:, 0] if squeeze else out
 
     def adjoint(self) -> "LinearOperator":
@@ -220,18 +232,36 @@ class Permutation(LinearOperator):
         return Permutation(inverse)
 
 
-@dataclass(frozen=True, eq=False)
-class LabelReflection(LinearOperator):
-    """Real reflection [[x_j, s_j], [s_j, -x_j]], s_j = sqrt(1 - x_j^2), between
-    |0>|j> and |1>|j> for every label j of the trailing qubits. Hermitian and
-    unitary for x in [-1, 1], stored in O(2^n) memory as [x; s], the first
-    column of its blocks. `x` is a read-only copy of the given values, so
-    later edits of the caller's array do not reach the operator."""
+class LabelBlocks(LinearOperator):
+    """One real orthogonal 2x2 block between |0>|j> and |1>|j> for every label
+    j of the trailing qubits: the reflection [[x_j, s_j], [s_j, -x_j]] or, with
+    `rotation`, the rotation [[x_j, -s_j], [s_j, x_j]]. Stored in O(2^n)
+    memory as the read-only array [x; s], the first column of a reflection's
+    blocks, of which `x`, the top-left entries, is the first half.
 
-    x: np.ndarray
+    Products of such leaves are such leaves (:meth:`times`), so a sequence of
+    them on the same qubits folds into one. `folded_leaves` is the number of
+    leaf applications, Z included, that a folded leaf stands for (see
+    :func:`unfolded_leaves` and :func:`describe`); 1 for a leaf built as it
+    is. :meth:`reflection` builds the reflection of given values."""
 
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
+    def __init__(self, xs: np.ndarray, rotation: bool = False, folded_leaves: int = 1):
+        xs = np.asarray(xs, dtype=np.float64)
+        labels = int(xs.shape[0]) // 2 if xs.ndim == 1 else 0
+        if labels & (labels - 1) or not labels or xs.shape != (2 * labels,):
+            raise ContractViolationError(f"label count of {xs.shape} is not a power of two")
+        if xs.flags.writeable or xs.base is not None:  # keep no view of the caller's array
+            xs = xs.copy()
+            xs.setflags(write=False)
+        self._xs, self.rotation, self.folded_leaves = xs, rotation, folded_leaves
+        self.x, self.n = xs[:labels], labels.bit_length()
+
+    @classmethod
+    def reflection(cls, x) -> "LabelBlocks":
+        """The reflection with s = sqrt(1 - x^2): Hermitian and unitary for x
+        in [-1, 1]. It holds a copy of `x`, so later edits of the caller's
+        array do not reach the operator."""
+        x = np.asarray(x, dtype=np.float64)
         labels = int(x.shape[0]) if x.ndim == 1 else 0
         if labels & (labels - 1) or not labels:
             raise ContractViolationError(f"label count {x.shape} is not a power of two")
@@ -241,28 +271,67 @@ class LabelReflection(LinearOperator):
         xs[:labels] = x
         np.sqrt(1.0 - x * x, out=xs[labels:])
         xs.setflags(write=False)
-        object.__setattr__(self, "x", xs[:labels])
-        object.__setattr__(self, "n", labels.bit_length())
-        object.__setattr__(self, "_xs", xs)
+        return cls(xs)
+
+    def reflected(self) -> "LabelBlocks":
+        """self @ Z, Z = diag(1, -1) on the first qubit: the same [x; s] with
+        the kind flipped, since a rotation times Z is the reflection of the
+        same angle and a reflection times Z the rotation."""
+        return LabelBlocks(self._xs, not self.rotation, self.folded_leaves + 1)
+
+    def times(self, other: "LabelBlocks") -> "LabelBlocks":
+        """self @ other, per label an angle addition (after a rotation) or
+        subtraction (after a reflection): 4 multiplies and 2 adds. Two leaves
+        of one kind give a rotation, two of different kinds a reflection."""
+        labels = self.x.shape[0]
+        if other.x.shape[0] != labels:
+            raise ContractViolationError(f"label counts {labels} and {other.x.shape[0]} differ")
+        c, s = self.x, self._xs[labels:]
+        c2, s2 = other.x, other._xs[labels:]
+        xs = np.empty(2 * labels)
+        if self.rotation:
+            np.subtract(c * c2, s * s2, out=xs[:labels])
+            np.add(s * c2, c * s2, out=xs[labels:])
+        else:
+            np.add(c * c2, s * s2, out=xs[:labels])
+            np.subtract(s * c2, c * s2, out=xs[labels:])
+        xs.setflags(write=False)
+        return LabelBlocks(
+            xs, self.rotation == other.rotation, self.folded_leaves + other.folded_leaves
+        )
 
     def _apply(self, cols):
         return self._act(cols, _leaf_plan(tuple(range(self.n)), self.n))
 
     def _act(self, cols, plan: _LeafPlan) -> np.ndarray:
-        """The reflection on the qubits that `plan` names (:func:`_leaf_plan`)."""
+        """The blocks on the qubits that `plan` names (:func:`_leaf_plan`)."""
         view = cols.reshape(plan.shape)
         xs = plan.spread_out(self._xs, view.shape[-1])
         x, s = xs[plan.top], xs[plan.bottom]
         top, bottom = view[plan.top], view[plan.bottom]
         out = xs * view  # [x * top; s * bottom]
         upper, lower = out[plan.top], out[plan.bottom]
-        upper += lower  # x * top + s * bottom
-        np.multiply(s, top, out=lower)
-        lower -= x * bottom
+        if self.rotation:
+            upper -= lower  # x * top - s * bottom
+            np.multiply(s, top, out=lower)
+            lower += x * bottom
+        else:
+            upper += lower  # x * top + s * bottom
+            np.multiply(s, top, out=lower)
+            lower -= x * bottom
         return out.reshape(cols.shape)
 
+    def __repr__(self) -> str:
+        kind = "rotation" if self.rotation else "reflection"
+        return f"LabelBlocks({kind}, n={self.n}, folded_leaves={self.folded_leaves})"
+
     def adjoint(self):
-        return self
+        if not self.rotation:
+            return self
+        labels = self.x.shape[0]
+        xs = np.concatenate((self.x, -self._xs[labels:]))
+        xs.setflags(write=False)
+        return LabelBlocks(xs, True, self.folded_leaves)
 
 
 @lru_cache(maxsize=None)
@@ -499,14 +568,17 @@ class _LeafPlan(NamedTuple):
     bottom: tuple  # ... and 1
     last: bool  # the leaf acts on the last qubit, so the batch is a run of its own
 
-    def spread_out(self, values: np.ndarray, batch: int) -> np.ndarray:
+    def spread_out(self, values: np.ndarray, trailing: int) -> np.ndarray:
         """The leaf's 2^k `values` as a tensor of its runs, spread against
-        the view. A batch of its own is the innermost loop of the products;
-        narrower than the leaf's last run, it gets the values repeated along
-        it, so that the loop runs over both."""
+        the view. The view's last dimension, of size `trailing`, is the
+        batch, with the untouched qubits after the leaf's last qubit if
+        there are any, and the innermost loop of the products. Narrower than
+        the leaf's last run, it gets the values repeated along it, so that
+        the loop runs over both: always when it is the batch alone, and up
+        to LEAF_REPEAT_WIDTH values with untouched qubits."""
         spread = values.reshape(self.runs).transpose(self.order)[self.spread]
-        if self.last and 1 < batch < spread.shape[-2]:
-            repeated = np.empty(spread.shape[:-1] + (batch,), spread.dtype)
+        if 1 < trailing < spread.shape[-2] and (self.last or trailing <= LEAF_REPEAT_WIDTH):
+            repeated = np.empty(spread.shape[:-1] + (trailing,), spread.dtype)
             repeated[...] = spread
             return repeated
         return spread
@@ -514,7 +586,7 @@ class _LeafPlan(NamedTuple):
 
 @lru_cache(maxsize=4096)
 def _leaf_plan(axes: tuple[int, ...], n: int) -> _LeafPlan:
-    """Views on which a LabelReflection or Diagonal acts on the qubit `axes`
+    """Views on which a LabelBlocks or Diagonal leaf acts on the qubit `axes`
     of a (2^n, batch) array where they are, by broadcast products. Adjacent
     qubits form one dimension when none is acted on, or when they are
     consecutive qubits of the leaf other than its first."""
@@ -543,9 +615,9 @@ def _leaf_plan(axes: tuple[int, ...], n: int) -> _LeafPlan:
 
 def _leaf_steps(op: LinearOperator, axes: tuple[int, ...], n: int) -> tuple | None:
     """(leaf, plan) pairs in the order they apply when `op`, on the qubit
-    `axes` of n, is made only of LabelReflection and Diagonal leaves under
+    `axes` of n, is made only of LabelBlocks and Diagonal leaves under
     Query, Composed and Embedded nodes; None otherwise."""
-    if isinstance(op, (LabelReflection, Diagonal)):
+    if isinstance(op, (LabelBlocks, Diagonal)):
         return ((op, _leaf_plan(axes, n)),)
     if isinstance(op, Embedded):
         axes = tuple(axes[a] for a in op.axes)
@@ -610,6 +682,17 @@ class Embedded(LinearOperator):
 
     def adjoint(self):
         return Embedded(self.inner.adjoint(), self.axes, self.n)
+
+
+def restrict_to_leading(op: LinearOperator, a: int) -> LinearOperator | None:
+    """The operator A on the leading `a` qubits with op = A (x) I, when `op`
+    is a WalshHadamard or an Embedded whose qubits all lie among them; None
+    for any other operator, and for one that acts on a later qubit."""
+    if isinstance(op, WalshHadamard) and op.start + op.count <= a:
+        return WalshHadamard(a, op.start, op.count)
+    if isinstance(op, Embedded) and max(op.axes) < a:
+        return Embedded(op.inner, op.axes, a)
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -719,14 +802,33 @@ def _query_counts(op: LinearOperator) -> Mapping[str, int]:
     return found
 
 
+def unfolded_leaves(op: LinearOperator) -> int:
+    """Leaf applications of one application of `op`, as
+    :attr:`~LinearOperator.leaves` counts them, but with each LabelBlocks
+    leaf counted as its `folded_leaves`: the leaf count of the tree that the
+    folds replaced. Kept on each node after the first walk, as
+    :func:`query_counts` is."""
+    found = op.__dict__.get("_unfolded_leaves")
+    if found is None:
+        children = _children(op)
+        if isinstance(op, LabelBlocks):
+            found = op.folded_leaves
+        elif children:
+            found = sum(unfolded_leaves(child) for child in children)
+        else:
+            found = op.leaves
+        object.__setattr__(op, "_unfolded_leaves", found)
+    return found
+
+
 def describe(op: LinearOperator, memo: dict | None = None) -> dict:
     """Nested view of an operator tree: for each node its `kind`, qubit count
     `n`, `leaves` (:attr:`LinearOperator.leaves`) and `children`, plus `axes`
     (Embedded), `selector_axes` and branch `values` (Multiplexed), `counts`
-    (Query), `start` and `count` (WalshHadamard) or `a`, `s` and
-    `replaced_leaves` (SystemBlocks). A subtree shared by several parents
-    appears once per occurrence, as its dict; `memo` caches the dicts by
-    node."""
+    (Query), `start` and `count` (WalshHadamard), `rotation` and `folded_leaves`
+    (LabelBlocks) or `a`, `s` and `replaced_leaves` (SystemBlocks). A
+    subtree shared by several parents appears once per occurrence, as its
+    dict; `memo` caches the dicts by node."""
     memo = {} if memo is None else memo
     found = memo.get(op)
     if found is not None:
@@ -743,6 +845,9 @@ def describe(op: LinearOperator, memo: dict | None = None) -> dict:
     elif isinstance(op, WalshHadamard):
         node["start"] = op.start
         node["count"] = op.count
+    elif isinstance(op, LabelBlocks):
+        node["rotation"] = op.rotation
+        node["folded_leaves"] = op.folded_leaves
     elif isinstance(op, SystemBlocks):
         node["a"] = op.a
         node["s"] = op.s
@@ -755,7 +860,7 @@ def describe(op: LinearOperator, memo: dict | None = None) -> dict:
 
 _DESCRIBED_FIELDS = (
     "n", "axes", "selector_axes", "values", "counts", "start", "count",
-    "a", "s", "replaced_leaves",
+    "rotation", "folded_leaves", "a", "s", "replaced_leaves",
 )
 
 

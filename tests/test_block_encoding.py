@@ -45,15 +45,18 @@ def test_extract_diagonal_matches_and_requires_flag():
 
 
 def _count_applied_columns(be):
-    """Record the column count of each application of `be.op` (on this instance only)."""
+    """Record the column count of each application of `be.op` (on this
+    instance only): of its middle, which is `be.op` itself unless factors
+    that act on the ancillas alone end its product (see read_block)."""
     applied = []
-    inner = be.op._apply
+    middle = block_encoding._peel(be.op, be.live_aux)[1]
+    inner = middle._apply
 
     def counted(cols):
         applied.append(cols.shape[1])
         return inner(cols)
 
-    object.__setattr__(be.op, "_apply", counted)
+    object.__setattr__(middle, "_apply", counted)
     return applied
 
 
@@ -371,6 +374,88 @@ def test_block_reads_are_chunked_and_equal_an_unchunked_read(monkeypatch):
     assert applied == [2] * 4
 
 
+def _dense_read(op, system_dim, V):
+    """(<0|_aux (x) I) op (|0>_aux (x) V) from the dense matrix: its
+    top-left system_dim block, since the system qubits trail."""
+    return op.dense()[:system_dim, :system_dim] @ V
+
+
+def _layer(degree, n_out=2, seed=5):
+    x = np.random.default_rng(seed).uniform(-1, 1, 2)
+    spec = qkan.LayerSpec.random(2, n_out, degree, seed=seed)
+    return qkan.build_layer(qkan.encode_diagonal_exact(x), spec)
+
+
+@pytest.mark.parametrize("degree, pair", [(3, ops.WalshHadamard), (2, ops.Dense)])
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_read_block_peels_the_ancilla_only_ends_of_a_layer(degree, pair, adjoint):
+    """SUM's WalshHadamard and the LCU pair (Hadamards for d + 1 = 4 terms,
+    a Dense pair for 3) end U's product on both sides and act on ancillas
+    alone: they are peeled, and the read equals the dense block on one,
+    on 8 real and on 8 complex columns."""
+    be = _layer(degree)
+    op = be.adjoint_op if adjoint else be.op
+    left, middle, right = block_encoding._peel(op, be.live_aux)
+    assert [type(end) for end in left] == [ops.WalshHadamard, ops.Embedded]
+    assert [type(end) for end in right] == [ops.Embedded, ops.WalshHadamard]
+    assert isinstance(left[1].inner, pair) and isinstance(right[0].inner, pair)
+    assert all(end.n == be.live_aux for end in left + right)
+    assert isinstance(middle, ops.Multiplexed)
+    rng = np.random.default_rng(degree)
+    S = be.system_dim
+    real = rng.standard_normal((S, 8))
+    for V in (np.ones(S), real, real + 1j * rng.standard_normal((S, 8))):
+        got = block_encoding.read_block(op, S, V)
+        assert got.dtype == np.complex128 and got.shape == V.shape
+        assert np.max(np.abs(got - _dense_read(op, S, V))) <= 1e-14
+
+
+def test_a_peeled_read_is_chunked_like_any_other(monkeypatch):
+    be = _layer(3, n_out=4)
+    S = be.system_dim
+    V = np.random.default_rng(1).standard_normal((S, 8))
+    whole = block_encoding.read_block(be.op, S, V)
+    applied = _count_applied_columns(be)
+    # 3 columns of 2^7 amplitudes per application
+    monkeypatch.setattr(block_encoding, "READ_BLOCK_AMPLITUDES", 3 * be.op.dim, raising=False)
+    chunked = block_encoding.read_block(be.op, S, V)
+    assert applied == [3, 3, 2]
+    assert np.max(np.abs(chunked - whole)) <= 1e-15
+    assert np.max(np.abs(chunked - _dense_read(be.op, S, V))) <= 1e-14
+
+
+def test_an_end_factor_on_a_system_qubit_is_not_peeled():
+    """Only factors on the leading (ancilla) qubits are peeled: a Hadamard
+    that also touches the system register, or a Diagonal on all qubits,
+    stays in the middle and the read still equals the dense block."""
+    be = _layer(1)
+    n, a, S = be.op.n, be.live_aux, be.system_dim
+    spill = ops.WalshHadamard(n, a - 1, 2)  # the last ancilla and the system qubit
+    phases = ops.Diagonal(np.random.default_rng(2).uniform(-1, 1, 1 << n))
+    for op in (ops.compose(spill, be.op, phases), ops.compose(phases, be.op, spill)):
+        left, middle, right = block_encoding._peel(op, a)
+        assert left == [] and right == [] and middle is op
+        V = np.random.default_rng(3).standard_normal((S, 3))
+        assert np.max(np.abs(block_encoding.read_block(op, S, V) - _dense_read(op, S, V))) <= 1e-14
+    inside = ops.compose(ops.WalshHadamard(n, 0, a), be.op, spill)
+    left, middle, right = block_encoding._peel(inside, a)
+    # the left end peels down to the select; the right end stops at `spill`
+    assert len(left) == 3 and right == [] and middle.factors[-1] is spill
+    V = np.random.default_rng(4).standard_normal((S, 2))
+    assert np.max(np.abs(block_encoding.read_block(inside, S, V) - _dense_read(inside, S, V))) <= 1e-14
+
+
+def test_a_read_with_nothing_to_peel_is_the_zero_padded_column():
+    """A primitive's U is one factor: R|0> = |0> and <0|, so the read applies
+    V zero-padded and keeps the first system_dim rows, bit for bit."""
+    be = qkan.encode_diagonal_exact(np.array([0.1, -0.9, 0.4, 0.0]))
+    V = np.random.default_rng(6).standard_normal((4, 2))
+    cols = np.zeros((8, 2))
+    cols[:4] = V
+    assert block_encoding._peel(be.op, 1) == ([], be.op, [])
+    assert np.array_equal(block_encoding.read_block(be.op, 4, V), be.op.apply(cols)[:4])
+
+
 def test_aux_field_matches_layout():
     x = np.array([0.3, -0.7])
     be = qkan.encode_diagonal_exact(x)
@@ -489,7 +574,7 @@ def _certificate_cases():
     other = qkan.encode_diagonal_exact(y, name="y")
     # the same operator as `exact`, but a plain primitive: diagonal-flagged only
     plain = primitive_encoding(
-        ops.LabelReflection(x), (("enc", 1),), exact.system, "x", diagonal=True
+        ops.LabelBlocks.reflection(x), (("enc", 1),), exact.system, "x", diagonal=True
     )
     psi = x / np.linalg.norm(x)
     hadamards = ops.hadamard_layer(1)

@@ -6,7 +6,7 @@ import pytest
 
 import qkan
 from qkan import operators as ops
-from qkan.block_encoding import BlockEncoding, primitive_encoding
+from qkan.block_encoding import BlockEncoding, compile_system_blocks, primitive_encoding
 from qkan.chebyshev import _qsvt_shell, _require_hermitian_block
 from qkan.errors import ContractViolationError, DomainError
 
@@ -342,7 +342,7 @@ def _uncertified_exact_input(x, name="x"):
     """The operator of encode_diagonal_exact(x) as a plain primitive: real,
     Hermitian and diagonal, but without the exact real diagonal certificate."""
     aux, system = (("enc", 1),), (("sys", x.size.bit_length() - 1),)
-    return primitive_encoding(ops.LabelReflection(x), aux, system, name, diagonal=True)
+    return primitive_encoding(ops.LabelBlocks.reflection(x), aux, system, name, diagonal=True)
 
 
 def test_layer_guard_probes_the_undilated_input_once(monkeypatch):
@@ -539,8 +539,15 @@ def test_stateprep_real_weights_and_custom_weight_encodings_take_the_probe(monke
     assert np.max(np.abs(got - qkan.classical_network_eval(x, spec))) <= 1e-9
 
 
+def _tree_input():
+    """A perturbed exact input: its operator is a dense Query, not a
+    LabelBlocks leaf, so its transforms keep the reflection-form tree."""
+    x = np.random.default_rng(5).uniform(-1, 1, 4)
+    return qkan.perturb(qkan.encode_diagonal_exact(x, name="x"), 1e-6, seed=3)
+
+
 def test_every_transform_of_an_encoding_shares_its_cached_adjoint():
-    be = qkan.encode_diagonal_exact(np.random.default_rng(5).uniform(-1, 1, 4), name="x")
+    be = _tree_input()
     assert be.adjoint_op is be.adjoint_op
     for r in (2, 3, 4):
         factors = qkan.chebyshev_be(be, r).op.factors
@@ -550,7 +557,7 @@ def test_every_transform_of_an_encoding_shares_its_cached_adjoint():
 
 
 def test_every_transform_of_an_encoding_shares_one_zero_reflection():
-    be = qkan.encode_diagonal_exact(np.random.default_rng(5).uniform(-1, 1, 4), name="x")
+    be = _tree_input()
     z = be.zero_reflection
     assert isinstance(z, ops.Embedded) and z.axes == (0,)
     assert np.array_equal(z.dense(), np.diag([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0]))
@@ -585,3 +592,105 @@ def test_an_uncertified_input_builds_its_adjoint_once(monkeypatch):
     assert [size for size, _ in probes] == [64, 64]
     got = qkan.extract_diagonal(built).real
     assert np.max(np.abs(got - qkan.classical_layer_eval(x, spec))) <= 1e-9
+
+
+def _reflection_form(be, r):
+    """Dense product of the reflection form's factor list of T_r on the live
+    qubits of `be`: U Z (U^dag Z U Z)^((r-1)/2) for odd r, (U^dag Z U Z)^(r/2)
+    for even r, with Z = 2|0><0| - I on the live ancillas."""
+    u = be.op.dense()
+    z = np.diag(np.where(np.arange(be.op.dim) < be.system_dim, 1.0, -1.0))
+    factors = [u, z] if r % 2 else []
+    factors += [u.conj().T, z, u, z] * (r // 2)
+    out = np.eye(be.op.dim, dtype=np.complex128)
+    for factor in factors:
+        out = out @ factor
+    return out
+
+
+FOLD_INPUTS = [
+    np.array([1.0, -1.0, 0.0, 0.5]),
+    np.array([-1.0, 0.0]),
+    np.random.default_rng(33).uniform(-1, 1, 8),
+    np.random.default_rng(34).uniform(-1, 1, 2),
+]
+
+
+@pytest.mark.parametrize("x", FOLD_INPUTS)
+@pytest.mark.parametrize("r", range(7))
+def test_folded_transform_equals_the_dense_reflection_form(x, r):
+    be = qkan.encode_diagonal_exact(x, name="x")
+    t = qkan.chebyshev_be(be, r)
+    assert t.cost == ({"x": r} if r else {})
+    assert (t.num_aux, t.idle_aux, t.exact_real_diagonal) == (2, 1, True)
+    assert np.max(np.abs(t.op.dense() - _reflection_form(be, r))) <= 1e-14
+    assert np.array_equal(t.op.adjoint().dense(), t.op.dense().T)
+    if r:
+        assert isinstance(t.op, ops.Query) and isinstance(t.op.inner, ops.LabelBlocks)
+        assert (t.op.leaves, ops.unfolded_leaves(t.op), t.op.inner.folded_leaves) == (1, 2 * r, 2 * r)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_a_folded_transform_of_a_folded_transform_folds_again(s):
+    """T_s of an exact input is a rotation leaf in a Query: its transforms
+    fold too, with U^dag the inverse rotation, and count r s queries."""
+    x = np.random.default_rng(s).uniform(-1, 1, 4)
+    inner = qkan.chebyshev_be(qkan.encode_diagonal_exact(x, name="x"), s)
+    for r in range(1, 5):
+        t = qkan.chebyshev_be(inner, r)
+        assert t.cost == {"x": r * s}
+        assert isinstance(t.op.inner, ops.LabelBlocks) and t.op.inner.folded_leaves == r * (2 * s + 1)
+        assert np.max(np.abs(t.op.dense() - _reflection_form(inner, r))) <= 1e-14
+        got = qkan.extract_diagonal(t).real
+        want = np.cos(r * s * np.arccos(x))
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_the_chain_of_one_encoding_costs_one_product_per_degree_above_1(monkeypatch):
+    products = []
+    times = ops.LabelBlocks.times
+
+    def counting(self, other):
+        products.append(other)
+        return times(self, other)
+
+    monkeypatch.setattr(ops.LabelBlocks, "times", counting)
+    be = qkan.encode_diagonal_exact(np.random.default_rng(4).uniform(-1, 1, 4))
+    leaves = [qkan.chebyshev_be(be, r).op.inner for r in (3, 1, 6, 2)]
+    assert len(products) == 5
+    assert [leaf is be.label_chain[r - 1] for leaf, r in zip(leaves, (3, 1, 6, 2))] == [True] * 4
+    # a derived encoding starts without the chain
+    assert qkan.dilate(be, 1).__dict__.get("label_chain") is None
+
+
+def _compiled_layer_input():
+    x = np.array([0.3, -0.5])
+    layer = qkan.build_layer(qkan.encode_diagonal_exact(x), qkan.LayerSpec.random(2, 2, 1, seed=3))
+    return compile_system_blocks(layer)
+
+
+@pytest.mark.parametrize("kind", ["perturbed", "stateprep", "compiled", "tree"])
+def test_every_other_input_keeps_the_reflection_form_tree(kind):
+    rng = np.random.default_rng(9)
+    if kind == "perturbed":
+        be = _tree_input()
+    elif kind == "stateprep":
+        psi = rng.normal(size=4)
+        be = qkan.encode_from_stateprep(ops.state_prep_unitary(psi / np.linalg.norm(psi)))
+    elif kind == "compiled":
+        be = _compiled_layer_input()
+    else:
+        be = qkan.build_layer(qkan.encode_diagonal_exact(np.array([0.3, -0.5])),
+                              qkan.LayerSpec.random(2, 2, 1, seed=3))
+    for r in (1, 2, 3):
+        t = qkan.chebyshev_be(be, r)
+        # U^dag is built only when a degree applies it
+        assert ("adjoint_op" in be.__dict__) == (r >= 2)
+        want = [be.op, be.zero_reflection] if r % 2 else []
+        want += [be.adjoint_op, be.zero_reflection, be.op, be.zero_reflection] * (r // 2)
+        assert t.op.factors == ops.compose(*want).factors  # a tree input is flattened
+        # no new fold: only the r applications of the input's own folded leaves
+        folded = ops.unfolded_leaves(be.op) - be.op.leaves
+        assert ops.unfolded_leaves(t.op) - t.op.leaves == r * folded
+        if be.op.n <= ops.DENSE_CAP_QUBITS:
+            assert np.max(np.abs(t.op.dense() - _reflection_form(be, r))) <= 1e-12

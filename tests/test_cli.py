@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from qkan import cli, operators
+from qkan import block_encoding, cli, operators
 from qkan.cli import main
 from qkan.config import ConfigError, load_config
 from qkan.resources import analytic_cost
@@ -595,7 +595,8 @@ def test_eval_shots_applies_the_output_operator_once(tmp_path, monkeypatch, node
 
     def counting_build(*args, **kwargs):
         built = real_build(*args, **kwargs)
-        op = built.output.op
+        # the factors between the ancilla-only ends that read_block peels
+        op = block_encoding._peel(built.output.op, built.output.live_aux)[1]
         inner = op._apply
 
         def counted(cols):

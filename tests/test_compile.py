@@ -84,13 +84,15 @@ def test_compiled_layer_keeps_cost_and_describes_its_shape():
     assert (compiled.aux, compiled.system) == (be.aux, be.system)
     assert (compiled.alpha, compiled.epsilon, compiled.diagonal_flag) == (be.alpha, be.epsilon, be.diagonal_flag)
     assert np.max(np.abs(compiled.op.dense() - be.op.dense())) <= 1e-13
-    assert compiled.op.leaves == 1 and be.op.leaves == 20
+    # each T_r is one folded leaf: 11 leaves, of the 20 that the factors make
+    assert compiled.op.leaves == 1 and be.op.leaves == 11
+    assert ops.unfolded_leaves(be.op) == 20
     text = ops.describe_text(compiled.op)
     # the blocks span the live ancillas: the layout's 6 less the idle QSVT ancilla
     assert (be.num_aux, be.idle_aux) == (6, 1)
-    assert text.splitlines()[1] == "  SystemBlocks n=6 a=5 s=1 replaced_leaves=20 leaves=1"
+    assert text.splitlines()[1] == "  SystemBlocks n=6 a=5 s=1 replaced_leaves=11 leaves=1"
     node = ops.describe(compiled.op)["children"][0]
-    assert (node["a"], node["s"], node["replaced_leaves"]) == (5, 1, 20)
+    assert (node["a"], node["s"], node["replaced_leaves"]) == (5, 1, 11)
 
 
 def test_exact_build_stores_real_arrays():
@@ -170,7 +172,7 @@ def test_a_compiled_encoding_that_was_never_read_keeps_its_description_and_cost(
     compiled = compile_system_blocks(be)
     assert compiled.cost == be.cost
     text = ops.describe_text(compiled.op)
-    assert text.splitlines()[1] == "  SystemBlocks n=6 a=5 s=1 replaced_leaves=20 leaves=1"
+    assert text.splitlines()[1] == "  SystemBlocks n=6 a=5 s=1 replaced_leaves=11 leaves=1"
     assert ops.describe_text(compiled.adjoint_op).splitlines()[1] == text.splitlines()[1]
     assert applied == []
 
@@ -398,7 +400,7 @@ def test_network_assembler_charges_the_guard_of_uncertified_outputs_only(monkeyp
 
     def plain(vec, name):
         aux, system = (("enc", 1),), (("sys", vec.size.bit_length() - 1),)
-        return primitive_encoding(ops.LabelReflection(vec), aux, system, name, diagonal=True)
+        return primitive_encoding(ops.LabelBlocks.reflection(vec), aux, system, name, diagonal=True)
 
     seen.clear()
     qkan.build_network(qkan.encode_diagonal_exact(x), spec, weight_encoder=plain)

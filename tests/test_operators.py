@@ -140,7 +140,7 @@ def test_real_leaves_keep_real_columns_real():
     rng = np.random.default_rng(8)
     tree = ops.compose(
         ops.Multiplexed({1: ops.Diagonal(rng.uniform(-1, 1, 4))}, (0,), 3),
-        ops.Embedded(ops.LabelReflection(rng.uniform(-1, 1, 2)), (2, 0), 3),
+        ops.Embedded(ops.LabelBlocks.reflection(rng.uniform(-1, 1, 2)), (2, 0), 3),
         ops.WalshHadamard(3, 1),
         ops.Dense(ops.random_unitary(3, rng).real),
         ops.SystemBlocks(rng.standard_normal((2, 4, 4))),
@@ -155,7 +155,7 @@ def test_real_leaves_keep_real_columns_real():
 
 def test_apply_keeps_the_leading_rows_as_complex():
     rng = np.random.default_rng(9)
-    reflection = ops.LabelReflection(rng.uniform(-1, 1, 8))
+    reflection = ops.LabelBlocks.reflection(rng.uniform(-1, 1, 8))
     real = ops.compose(ops.WalshHadamard(4, 1), ops.Embedded(reflection, (3, 0, 1, 2), 4))
     phased = ops.compose(real, ops.Diagonal(np.exp(1j * rng.uniform(0, 6, 16))))
     for op in (real, phased):
@@ -278,18 +278,102 @@ def test_qubit_budget_does_not_leak_across_threads():
 def test_label_reflection_matches_dense_blocks():
     x = np.array([0.3, -1.0, 0.0, 0.8])
     s = np.sqrt(1.0 - x * x)
-    op = ops.LabelReflection(x)
+    op = ops.LabelBlocks.reflection(x)
     assert op.n == 3
     want = np.block([[np.diag(x), np.diag(s)], [np.diag(s), -np.diag(x)]])
     assert np.max(np.abs(op.dense() - want)) <= 1e-15
     assert op.adjoint() is op
     assert ops.unitarity_defect(op) <= 1e-15
     with pytest.raises(ContractViolationError):
-        ops.LabelReflection(np.zeros(3))
+        ops.LabelBlocks.reflection(np.zeros(3))
     with pytest.raises(ContractViolationError):
-        ops.LabelReflection(np.array([0.5, 1.5]))
+        ops.LabelBlocks.reflection(np.array([0.5, 1.5]))
     with pytest.raises(ContractViolationError):
-        ops.LabelReflection(np.array([np.nan, 0.0]))
+        ops.LabelBlocks.reflection(np.array([np.nan, 0.0]))
+
+
+def _blocks_dense(leaf):
+    """Dense matrix of a LabelBlocks leaf from its [x; s] and kind."""
+    labels = leaf.x.shape[0]
+    c, s = np.diag(leaf.x), np.diag(leaf._xs[labels:])
+    if leaf.rotation:
+        return np.block([[c, -s], [s, c]])
+    return np.block([[c, s], [s, -c]])
+
+
+def test_label_blocks_products_fold_per_label():
+    """times multiplies two leaves per label by an angle addition or
+    subtraction, reflected multiplies by Z, and the adjoint of a rotation is
+    its transpose: each agrees with the dense product."""
+    rng = np.random.default_rng(12)
+    x = rng.uniform(-1, 1, 8)
+    x[:3] = (-1.0, 0.0, 1.0)
+    u = ops.LabelBlocks.reflection(x)
+    z = np.diag(np.repeat([1.0, -1.0], 8))
+    r = u.reflected()
+    assert r.rotation and r.folded_leaves == 2 and u.adjoint() is u
+    assert np.array_equal(r.dense(), u.dense() @ z)
+    assert r.adjoint().rotation and r.adjoint().folded_leaves == 2
+    assert np.array_equal(r.adjoint().dense(), r.dense().T)
+    for left in (u, r, r.adjoint()):
+        for right in (u, r, r.adjoint(), r.reflected()):
+            got = left.times(right)
+            assert got.rotation == (left.rotation == right.rotation)
+            assert got.folded_leaves == left.folded_leaves + right.folded_leaves
+            assert np.max(np.abs(got.dense() - left.dense() @ right.dense())) <= 1e-15
+            assert np.array_equal(got.dense(), _blocks_dense(got))
+    with pytest.raises(ContractViolationError, match="label counts"):
+        u.times(ops.LabelBlocks.reflection(x[:4]))
+    with pytest.raises(ContractViolationError):
+        ops.LabelBlocks(np.zeros(6))
+
+
+def test_a_rotation_leaf_matches_the_two_half_formula_exactly():
+    rng = np.random.default_rng(13)
+    theta = rng.uniform(0, 2 * np.pi, 16)
+    c, s = np.cos(theta), np.sin(theta)
+    op = ops.LabelBlocks(np.concatenate((c, s)), rotation=True)
+    cols = rng.normal(size=(32, 3))
+    top, bottom = cols[:16], cols[16:]
+    c, s = c[:, None], s[:, None]
+    want = np.concatenate((c * top - s * bottom, s * top + c * bottom))
+    assert np.array_equal(op.apply(cols), want)
+
+
+def test_apply_projects_onto_a_row_functional():
+    """apply(vec, l) keeps sum_i l_i (slice i) of each result, converted to
+    complex128 only then; l = e_0 keeps the leading rows."""
+    rng = np.random.default_rng(14)
+    reflection = ops.LabelBlocks.reflection(rng.uniform(-1, 1, 8))
+    op = ops.compose(ops.WalshHadamard(5, 0, 3), ops.Embedded(reflection, (1, 2, 3, 4), 5))
+    cols = rng.standard_normal((32, 3))
+    ell = rng.standard_normal(8)
+    whole = op.apply(cols)
+    got = op.apply(cols, ell)
+    assert got.dtype == np.complex128 and got.shape == (4, 3)
+    assert np.max(np.abs(got - np.einsum("i,ijb->jb", ell, whole.reshape(8, 4, 3)))) <= 1e-14
+    e0 = np.zeros(8)
+    e0[0] = 1.0
+    assert np.array_equal(op.apply(cols, e0), op.apply(cols, 4))
+
+
+def test_describe_shows_the_factors_of_a_folded_leaf():
+    from qkan.chebyshev import chebyshev_be
+    from qkan.encoders import encode_diagonal_exact
+
+    be = encode_diagonal_exact(np.array([0.3, -0.5]), name="x")
+    t3 = chebyshev_be(be, 3)
+    node = ops.describe(t3.op)["children"][0]
+    assert (node["kind"], node["rotation"], node["folded_leaves"]) == ("LabelBlocks", True, 6)
+    assert node["leaves"] == 1
+    text = ops.describe_text(t3.op).splitlines()
+    assert text == [
+        "Query n=2 counts={'x': 3} leaves=1",
+        "  LabelBlocks n=2 rotation=True folded_leaves=6 leaves=1",
+    ]
+    plain = ops.describe_text(be.op).splitlines()[1]
+    assert plain == "  LabelBlocks n=2 rotation=False folded_leaves=1 leaves=1"
+    assert ops.unfolded_leaves(ops.compose(t3.op, be.op, be.zero_reflection)) == 8
 
 
 def test_label_reflection_copies_its_input():
@@ -534,7 +618,7 @@ def test_label_reflection_matches_the_two_half_formula_exactly():
     rng = np.random.default_rng(4)
     x = rng.uniform(-1, 1, 64)
     x[:3] = (-1.0, 0.0, 1.0)
-    op = ops.LabelReflection(x)
+    op = ops.LabelBlocks.reflection(x)
     cols = rng.normal(size=(128, 5)) + 1j * rng.normal(size=(128, 5))
     before = cols.copy()
     top, bottom = cols[:64], cols[64:]
@@ -554,11 +638,14 @@ def _moved_reference(kind, values, axes, n, cols):
     perm = list(axes) + rest + [n]
     tensor = cols.reshape((2,) * n + (cols.shape[1],)).transpose(perm)
     moved = np.ascontiguousarray(tensor).reshape(1 << len(axes), -1)
+    half = moved.shape[0] // 2
+    top, bottom = moved[:half], moved[half:]
     if kind == "reflection":
-        half = moved.shape[0] // 2
         x, s = values[:, None], np.sqrt(1.0 - values * values)[:, None]
-        top, bottom = moved[:half], moved[half:]
         out = np.concatenate((x * top + s * bottom, s * top - x * bottom))
+    elif kind == "rotation":
+        x, s = values[:half, None], values[half:, None]
+        out = np.concatenate((x * top - s * bottom, s * top + x * bottom))
     else:
         out = values[:, None] * moved
     back = out.reshape(tensor.shape).transpose(np.argsort(perm))
@@ -568,8 +655,9 @@ def _moved_reference(kind, values, axes, n, cols):
 @st.composite
 def diagonal_subtrees(draw, k):
     """(operator on k qubits, [(kind, values, axes)] in the order they
-    apply): a LabelReflection, a real or complex Diagonal, either inside a
-    Query, or a Composed of such leaves embedded on some of the k qubits."""
+    apply): a LabelBlocks reflection or rotation, a real or complex
+    Diagonal, either inside a Query, or a Composed of such leaves embedded
+    on some of the k qubits."""
     seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
 
@@ -577,20 +665,24 @@ def diagonal_subtrees(draw, k):
         if kind == "reflection":
             values = rng.uniform(-1, 1, 1 << (j - 1))
             values[: min(2, values.size)] = rng.choice([-1.0, 0.0, 1.0], min(2, values.size))
-            return ops.LabelReflection(values), values
+            return ops.LabelBlocks.reflection(values), values
+        if kind == "rotation":
+            theta = rng.uniform(0, 2 * np.pi, 1 << (j - 1))
+            values = np.concatenate((np.cos(theta), np.sin(theta)))
+            return ops.LabelBlocks(values, rotation=True), values
         values = rng.normal(size=1 << j)
         if kind == "complex":
             values = values + 1j * rng.normal(size=1 << j)
         return ops.Diagonal(values), values
 
-    shape = draw(st.sampled_from(["reflection", "real", "complex", "query", "composed"]))
+    shape = draw(st.sampled_from(["reflection", "rotation", "real", "complex", "query", "composed"]))
     if shape != "composed":
         kind = "reflection" if shape == "query" else shape
         op, values = leaf(kind, k)
         return (ops.Query(op, {"q": 1}) if shape == "query" else op), [(kind, values, tuple(range(k)))]
     factors, steps = [], []
     for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["reflection", "real", "complex"]))
+        kind = draw(st.sampled_from(["reflection", "rotation", "real", "complex"]))
         sub = tuple(draw(st.permutations(range(k)))[: draw(st.integers(1, k))])
         op, values = leaf(kind, len(sub))
         if draw(st.booleans()):
