@@ -161,11 +161,11 @@ class BlockEncoding:
         return Embedded(reflection_about_zero(self.live_aux), tuple(range(self.live_aux)), self.op.n)
 
     @cached_property
-    def label_chain(self) -> list[LinearOperator]:
-        """[M_1, M_2, ...]: the per-label leaves that the Chebyshev transforms
-        of an encoding whose `op` is one Query around a LabelBlocks leaf fold
-        to, extended by :func:`~qkan.chebyshev.chebyshev_be` as degrees are
-        asked for and kept, as `adjoint_op` is; empty until then."""
+    def fold_chain(self) -> list[LinearOperator]:
+        """[M_1, M_2, ...]: the leaves that the Chebyshev transforms of an
+        encoding whose `op` is one Query around a LabelBlocks or SystemBlocks
+        leaf fold to (see :func:`~qkan.chebyshev.chebyshev_be`), extended as
+        degrees are asked for and kept, as `adjoint_op` is; empty until then."""
         return []
 
     @cached_property

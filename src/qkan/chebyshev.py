@@ -8,8 +8,11 @@ no residual global phase under the register convention used here (asserted
 by the grid tests). Z reflects about |0> on the ancillas that U acts on;
 the one QSVT ancilla each transform adds to the layout is idle in this
 form, so it is counted but not simulated (see BlockEncoding). When U is
-one per-label 2x2 leaf (the exact input encoding), every factor is one too,
-and the form is multiplied out per label into one leaf (see _folded).
+one leaf that is block-diagonal over the system, every factor is one too,
+and the form is multiplied out block by block into one leaf per degree
+(see _folded): per label for the 2x2 leaf of the exact input encoding, and
+per system state for the SystemBlocks leaf of a compiled layer output whose
+blocks are small enough (FOLD_MAX_PRODUCT).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .operators import (
     LabelBlocks,
     LinearOperator,
     Query,
+    SystemBlocks,
     check_qubit_budget,
     compose,
 )
@@ -31,6 +35,13 @@ from .operators import (
 HERMITICITY_SLACK = 1e-9
 HERMITICITY_PROBES = 8
 HERMITICITY_PROBE_SEED = 0x5EED
+# a SystemBlocks leaf U folds into one leaf per degree (see _folded) when one
+# product of its blocks takes at most this many multiply-adds, 2^s 8^a. Measured
+# on a 2-layer build and one-column read with the first layer compiled (one BLAS
+# thread, 2 vCPU), fold against tree: 0.62 against 0.65 ms at 2^16 (a = 5, s = 1),
+# 0.74 against 0.74 ms at 2^18 (a = 5, s = 3), 0.73 against 0.69 ms at 2^19,
+# 0.95 against 0.68 ms at 2^21 and 5.0 against 1.2 ms at 2^25
+FOLD_MAX_PRODUCT = 1 << 18
 
 
 def _dense_hermiticity_defect(be: BlockEncoding, limit: float) -> float:
@@ -123,21 +134,32 @@ def _qsvt_shell(
 
 
 def _folded(be_x: BlockEncoding, r: int) -> LinearOperator | None:
-    """T_r's reflection form multiplied out per label, when `be_x.op` is one
-    Query around a LabelBlocks leaf U on its one live ancilla and the
-    system; None otherwise.
+    """T_r's reflection form multiplied out block by block, when `be_x.op` is
+    one Query around a leaf U that is block-diagonal over the system: a
+    LabelBlocks leaf on one live ancilla (the exact input encoding), or a
+    SystemBlocks leaf over all the live ancillas (a compiled layer output)
+    whose blocks multiply in at most FOLD_MAX_PRODUCT multiply-adds. None
+    otherwise.
 
-    Every factor is then a 2x2 block per label: with A = U Z and B = U^dag Z,
-    the form is M_r = A (B A)^((r-1)/2) for odd r and (B A)^(r/2) for even r,
-    so M_r = A M_(r-1) for odd r and B M_(r-1) for even r, one
-    :meth:`~qkan.operators.LabelBlocks.times` each. The chain M_1, M_2, ...
-    is kept on the encoding (`BlockEncoding.label_chain`), so the degrees
-    1..d cost d - 1 products. M_r goes in a Query with r times U's counts,
-    and its `folded_leaves` count the 2r factors it replaces."""
+    Every factor is then one block per label or system state: with A = U Z
+    and B = U^dag Z, the form is M_r = A (B A)^((r-1)/2) for odd r and
+    (B A)^(r/2) for even r, so M_r = A M_(r-1) for odd r and B M_(r-1) for
+    even r, one `times` each (a 2x2 product per label, or one batched
+    matmul of the blocks). The chain M_1, M_2, ... is kept on the encoding
+    (`BlockEncoding.fold_chain`), so the degrees 1..d cost d - 1 products.
+    M_r goes in a Query with r times U's counts, and its `folded_leaves`
+    count the 2r factors it replaces. A SystemBlocks product is deferred: it
+    reads U's blocks on its first apply, so a build that is never applied
+    forms no product."""
     u = be_x.op.inner if isinstance(be_x.op, Query) else None
-    if not isinstance(u, LabelBlocks) or be_x.live_aux != 1:
+    if isinstance(u, LabelBlocks):
+        if be_x.live_aux != 1:
+            return None
+    elif not isinstance(u, SystemBlocks) or u.a != be_x.live_aux or (
+        (8 ** u.a) << u.s > FOLD_MAX_PRODUCT
+    ):
         return None
-    chain = be_x.label_chain
+    chain = be_x.fold_chain
     if not chain:
         chain.append(u.reflected())  # M_1 = A
     while len(chain) < r:  # M_(k+1) = B M_k for odd k, A M_k for even k
@@ -151,8 +173,9 @@ def chebyshev_be(be_x: BlockEncoding, r: int) -> BlockEncoding:
 
     Applies the underlying encoding (or its adjoint) exactly r times; r = 0
     yields an exact identity encoding at zero queries. When `be_x.op` is one
-    Query around a LabelBlocks leaf (the exact input encoding), the 2r
-    factors fold into one leaf (:func:`_folded`) with the same counts.
+    Query around a LabelBlocks leaf (the exact input encoding) or a small
+    enough SystemBlocks leaf (a compiled layer output), the 2r factors fold
+    into one leaf (:func:`_folded`) with the same counts.
     Otherwise the adjoint factors are `be_x.adjoint_op` and the reflections
     `be_x.zero_reflection`, each built once per encoding, so every degree
     built on one encoding, and the guard's probe of it, share one U^dag tree

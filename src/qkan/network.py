@@ -245,8 +245,10 @@ class LayerAssembler:
     its share of the register. One application then evaluates the layer on
     all 2^m register states.
 
-    `pair` is the equal-weight LCU pair of the d + 1 degrees
-    (:func:`uniform_pair`), built here when not given."""
+    The equal-weight LCU pair of the d + 1 degrees (:func:`uniform_pair`) is
+    taken from `pairs`, a cache by term count that the layers of one network
+    share, or built into it after the qubit-budget check: the pair of an
+    over-budget degree is never built."""
 
     def __init__(
         self,
@@ -255,7 +257,7 @@ class LayerAssembler:
         layer_index: int = 0,
         weight_encoder: WeightEncoder | None = None,
         weights: np.ndarray | None = None,
-        pair: StatePrepPair | None = None,
+        pairs: dict[int, StatePrepPair] | None = None,
     ):
         m = self.sample_qubits = be_x.sample_qubits
         self.n = be_x.num_system - m
@@ -278,7 +280,10 @@ class LayerAssembler:
             dilate(chebyshev_be(be_x, r), self.k, trailing=m)
             for r in range(spec.degree + 1)
         ]
-        self.pair = uniform_pair(spec.degree + 1) if pair is None else pair
+        pairs = {} if pairs is None else pairs
+        if spec.degree + 1 not in pairs:
+            pairs[spec.degree + 1] = uniform_pair(spec.degree + 1)
+        self.pair = pairs[spec.degree + 1]
         # per degree: (bytes of the weight slice, its MUL term), the last one built
         self._terms: list[tuple[bytes, BlockEncoding] | None] = [None] * (spec.degree + 1)
         self._terms[0] = (key, product(self.cheb[0], w_be))
@@ -338,16 +343,16 @@ def build_layer(
     layer_index: int = 0,
     weight_encoder: WeightEncoder | None = None,
     weights: np.ndarray | None = None,
-    pair: StatePrepPair | None = None,
+    pairs: dict[int, StatePrepPair] | None = None,
 ) -> BlockEncoding:
     """Diagonal (1, a, 4 d sqrt(eps_x) + eps_w)-encoding of Phi(x), with a and
     the system from :meth:`LayerSpec.output_qubits`, making
     :attr:`LayerSpec.input_applications` input and d+1 weight queries; on an
     input that ends in a sample register (see :class:`LayerAssembler`), of
     Phi on every register state at once, with the weights of `spec` or with
-    `weights`, a stack of candidate tensors of its shape, and the LCU `pair`
-    when given."""
-    return LayerAssembler(be_x, spec, layer_index, weight_encoder, weights, pair).assemble(
+    `weights`, a stack of candidate tensors of its shape, and the LCU pair
+    cache `pairs` (see :class:`LayerAssembler`)."""
+    return LayerAssembler(be_x, spec, layer_index, weight_encoder, weights, pairs).assemble(
         spec.weights if weights is None else weights
     )
 
@@ -440,9 +445,9 @@ class NetworkAssembler:
     deeper weight builds on it again. Deeper layers are rebuilt, because
     their input changes with the upstream weights. Every layer carries the
     trailing sample register of the input, if it has one (see
-    :class:`LayerAssembler`). The assembler builds one LCU pair
-    (:func:`uniform_pair`) per term count and passes it to every layer it
-    builds.
+    :class:`LayerAssembler`). The layers it builds share one LCU pair
+    (:func:`uniform_pair`) per term count, each built once a layer with
+    that count has passed its qubit-budget check.
 
     An exact (epsilon = 0) output of a layer that is not the last is
     replaced by one SystemBlocks leaf (:func:`compile_system_blocks`) when
@@ -460,7 +465,7 @@ class NetworkAssembler:
     ):
         self.weight_encoder = weight_encoder
         self._pairs: dict[int, StatePrepPair] = {}  # LCU term count -> its pair
-        self.first = LayerAssembler(be_x0, first, 0, weight_encoder, pair=self._pair(first))
+        self.first = LayerAssembler(be_x0, first, 0, weight_encoder, pairs=self._pairs)
         self._first_output: tuple[tuple, BlockEncoding] | None = None  # (key, output)
 
     def build(self, specs: Sequence[QkanSpec]) -> NetworkBuild:
@@ -481,17 +486,10 @@ class NetworkAssembler:
         outputs = [self._first_output[1]]
         for index, layer in enumerate(later, start=1):
             be = build_layer(
-                outputs[-1], layer, index, self.weight_encoder, stacks[index], self._pair(layer)
+                outputs[-1], layer, index, self.weight_encoder, stacks[index], self._pairs
             )
             outputs.append(self._compiled(be, layers[index + 1:]))
         return NetworkBuild(tuple(outputs))
-
-    def _pair(self, layer: LayerSpec) -> StatePrepPair:
-        """The LCU pair of the d + 1 degrees of `layer`, built once."""
-        terms = layer.degree + 1
-        if terms not in self._pairs:
-            self._pairs[terms] = uniform_pair(terms)
-        return self._pairs[terms]
 
     def _compiled(self, be: BlockEncoding, later: Sequence[LayerSpec]) -> BlockEncoding:
         """`be`, read into one SystemBlocks leaf when the compile rule says

@@ -39,6 +39,11 @@ SYSTEM_BLOCKS_MIN_COLUMNS = 8
 # products run one long loop: measured 1.4-1.8x faster at 4, 8 and 32 values, and
 # 2.5x slower at 128, with a 9-qubit leaf on 12 qubits (one BLAS thread, 2 vCPU)
 LEAF_REPEAT_WIDTH = 32
+# ... and a leaf on the last qubit repeats its values along a batch of at most
+# this many columns: with an 11-qubit leaf on 12 qubits (real columns, one BLAS
+# thread, 2 vCPU) 37 against 96 us at 2 columns and 108 against 134 us at 16,
+# but 748 against 310 us at 32 and 1652 against 710 us at 64; 3-6-qubit leaves tie
+LEAF_REPEAT_BATCH = 16
 
 # construction budget (total qubits of any single operator) of the current context
 _max_qubits: ContextVar[int] = ContextVar("qkan_max_qubits", default=DEFAULT_MAX_QUBITS)
@@ -436,13 +441,20 @@ class SystemBlocks(LinearOperator):
     `adjoint_blocks` holds the conjugate transposes, computed once; the
     adjoint swaps the two arrays, so every occurrence shares them and no
     node refers back to another. `replaced_leaves` is
-    the leaf count of the tree the blocks were read from (see
-    :func:`describe`).
+    the leaf count of the tree the blocks were read from, and a product's is
+    its left factor's (see :func:`describe`).
 
     A leaf made by :meth:`deferred` knows a, s and `replaced_leaves` from
     the start, and reads its blocks on its first apply or the first access
     of `blocks` or `adjoint_blocks`, its own or its adjoint's: the two share
-    that one read."""
+    that one read.
+
+    Products of such leaves over the same a and s are such leaves
+    (:meth:`times`, :meth:`reflected`), as they are of LabelBlocks leaves,
+    and are deferred too: a product reads its factors' blocks on its own
+    first use. `folded_leaves` is the number of leaf applications, Z
+    included, that a product stands for (see :func:`unfolded_leaves`); 1
+    for a leaf built or read as it is."""
 
     def __init__(self, blocks, replaced_leaves: int = 1):
         blocks = _real_if_exact(blocks)
@@ -453,19 +465,23 @@ class SystemBlocks(LinearOperator):
                 f"system blocks need shape (2^s, 2^a, 2^a), got {blocks.shape}"
             )
         adjoint = np.conjugate(blocks.transpose(0, 2, 1), out=np.empty_like(blocks))
-        self._share(_SharedBlocks((blocks, adjoint)), a, s, replaced_leaves, False)
+        self._share(_SharedBlocks((blocks, adjoint)), a, s, replaced_leaves, 1, False)
 
     @classmethod
-    def deferred(cls, read, a: int, s: int, replaced_leaves: int) -> "SystemBlocks":
+    def deferred(
+        cls, read, a: int, s: int, replaced_leaves: int, folded_leaves: int = 1
+    ) -> "SystemBlocks":
         """A leaf of 2^s blocks of 2^a x 2^a, whose blocks are those of the
         leaf that `read()` returns, read on first use."""
         leaf = cls.__new__(cls)
-        leaf._share(_SharedBlocks(read=read), a, s, replaced_leaves, False)
+        leaf._share(_SharedBlocks(read=read), a, s, replaced_leaves, folded_leaves, False)
         return leaf
 
-    def _share(self, shared: _SharedBlocks, a: int, s: int, replaced_leaves: int, flipped: bool):
+    def _share(self, shared: _SharedBlocks, a: int, s: int, replaced_leaves: int,
+               folded_leaves: int, flipped: bool):
         self._shared, self._flipped = shared, flipped
-        self.a, self.s, self.n, self.replaced_leaves = a, s, a + s, replaced_leaves
+        self.a, self.s, self.n = a, s, a + s
+        self.replaced_leaves, self.folded_leaves = replaced_leaves, folded_leaves
 
     @property
     def blocks(self) -> np.ndarray:
@@ -489,12 +505,41 @@ class SystemBlocks(LinearOperator):
         np.matmul(blocks, view, out=out.transpose(1, 0, 2))
         return out[:, :, :batch].reshape(cols.shape)
 
+    def reflected(self) -> "SystemBlocks":
+        """self @ Z, Z = 2|0><0| - I on the a leading qubits: every block with
+        all its columns but the first negated."""
+
+        def read() -> SystemBlocks:
+            blocks = self.blocks.copy()
+            blocks[:, :, 1:] *= -1
+            return SystemBlocks(blocks)
+
+        return SystemBlocks.deferred(
+            read, self.a, self.s, self.replaced_leaves, self.folded_leaves + 1
+        )
+
+    def times(self, other: "SystemBlocks") -> "SystemBlocks":
+        """self @ other, block by block: one batched matmul of the
+        (2^s, 2^a, 2^a) arrays."""
+        if (other.a, other.s) != (self.a, self.s):
+            raise ContractViolationError(
+                f"system blocks of (a, s) = {(self.a, self.s)} and {(other.a, other.s)} differ"
+            )
+        return SystemBlocks.deferred(
+            lambda: SystemBlocks(np.matmul(self.blocks, other.blocks)), self.a, self.s,
+            self.replaced_leaves, self.folded_leaves + other.folded_leaves,
+        )
+
     def __repr__(self) -> str:
-        return f"SystemBlocks(a={self.a}, s={self.s}, replaced_leaves={self.replaced_leaves})"
+        return (
+            f"SystemBlocks(a={self.a}, s={self.s}, replaced_leaves={self.replaced_leaves}, "
+            f"folded_leaves={self.folded_leaves})"
+        )
 
     def adjoint(self):
         leaf = SystemBlocks.__new__(SystemBlocks)
-        leaf._share(self._shared, self.a, self.s, self.replaced_leaves, not self._flipped)
+        leaf._share(self._shared, self.a, self.s, self.replaced_leaves, self.folded_leaves,
+                    not self._flipped)
         return leaf
 
 
@@ -574,10 +619,12 @@ class _LeafPlan(NamedTuple):
         batch, with the untouched qubits after the leaf's last qubit if
         there are any, and the innermost loop of the products. Narrower than
         the leaf's last run, it gets the values repeated along it, so that
-        the loop runs over both: always when it is the batch alone, and up
-        to LEAF_REPEAT_WIDTH values with untouched qubits."""
+        the loop runs over both: up to LEAF_REPEAT_BATCH columns when it is
+        the batch alone, and up to LEAF_REPEAT_WIDTH values with untouched
+        qubits."""
         spread = values.reshape(self.runs).transpose(self.order)[self.spread]
-        if 1 < trailing < spread.shape[-2] and (self.last or trailing <= LEAF_REPEAT_WIDTH):
+        limit = LEAF_REPEAT_BATCH if self.last else LEAF_REPEAT_WIDTH
+        if 1 < trailing < spread.shape[-2] and trailing <= limit:
             repeated = np.empty(spread.shape[:-1] + (trailing,), spread.dtype)
             repeated[...] = spread
             return repeated
@@ -805,13 +852,13 @@ def _query_counts(op: LinearOperator) -> Mapping[str, int]:
 def unfolded_leaves(op: LinearOperator) -> int:
     """Leaf applications of one application of `op`, as
     :attr:`~LinearOperator.leaves` counts them, but with each LabelBlocks
-    leaf counted as its `folded_leaves`: the leaf count of the tree that the
-    folds replaced. Kept on each node after the first walk, as
-    :func:`query_counts` is."""
+    or SystemBlocks leaf counted as its `folded_leaves`: the leaf count of
+    the tree that the folds replaced. Kept on each node after the first
+    walk, as :func:`query_counts` is."""
     found = op.__dict__.get("_unfolded_leaves")
     if found is None:
         children = _children(op)
-        if isinstance(op, LabelBlocks):
+        if isinstance(op, (LabelBlocks, SystemBlocks)):
             found = op.folded_leaves
         elif children:
             found = sum(unfolded_leaves(child) for child in children)
@@ -826,9 +873,9 @@ def describe(op: LinearOperator, memo: dict | None = None) -> dict:
     `n`, `leaves` (:attr:`LinearOperator.leaves`) and `children`, plus `axes`
     (Embedded), `selector_axes` and branch `values` (Multiplexed), `counts`
     (Query), `start` and `count` (WalshHadamard), `rotation` and `folded_leaves`
-    (LabelBlocks) or `a`, `s` and `replaced_leaves` (SystemBlocks). A
-    subtree shared by several parents appears once per occurrence, as its
-    dict; `memo` caches the dicts by node."""
+    (LabelBlocks) or `a`, `s`, `replaced_leaves` and `folded_leaves`
+    (SystemBlocks). A subtree shared by several parents appears once per
+    occurrence, as its dict; `memo` caches the dicts by node."""
     memo = {} if memo is None else memo
     found = memo.get(op)
     if found is not None:
@@ -852,6 +899,7 @@ def describe(op: LinearOperator, memo: dict | None = None) -> dict:
         node["a"] = op.a
         node["s"] = op.s
         node["replaced_leaves"] = op.replaced_leaves
+        node["folded_leaves"] = op.folded_leaves
     node["leaves"] = op.leaves
     node["children"] = children
     memo[op] = node
@@ -860,7 +908,7 @@ def describe(op: LinearOperator, memo: dict | None = None) -> dict:
 
 _DESCRIBED_FIELDS = (
     "n", "axes", "selector_axes", "values", "counts", "start", "count",
-    "rotation", "folded_leaves", "a", "s", "replaced_leaves",
+    "rotation", "a", "s", "replaced_leaves", "folded_leaves",
 )
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qkan
+from qkan import chebyshev
 from qkan import operators as ops
 from qkan.block_encoding import BlockEncoding, compile_system_blocks, primitive_encoding
 from qkan.chebyshev import _qsvt_shell, _require_hermitian_block
@@ -658,9 +659,9 @@ def test_the_chain_of_one_encoding_costs_one_product_per_degree_above_1(monkeypa
     be = qkan.encode_diagonal_exact(np.random.default_rng(4).uniform(-1, 1, 4))
     leaves = [qkan.chebyshev_be(be, r).op.inner for r in (3, 1, 6, 2)]
     assert len(products) == 5
-    assert [leaf is be.label_chain[r - 1] for leaf, r in zip(leaves, (3, 1, 6, 2))] == [True] * 4
+    assert [leaf is be.fold_chain[r - 1] for leaf, r in zip(leaves, (3, 1, 6, 2))] == [True] * 4
     # a derived encoding starts without the chain
-    assert qkan.dilate(be, 1).__dict__.get("label_chain") is None
+    assert qkan.dilate(be, 1).__dict__.get("fold_chain") is None
 
 
 def _compiled_layer_input():
@@ -684,6 +685,13 @@ def test_every_other_input_keeps_the_reflection_form_tree(kind):
                               qkan.LayerSpec.random(2, 2, 1, seed=3))
     for r in (1, 2, 3):
         t = qkan.chebyshev_be(be, r)
+        if kind == "compiled":  # a compiled layer output folds, as an exact input does
+            assert t.op.inner is be.fold_chain[r - 1] and isinstance(t.op.inner, ops.SystemBlocks)
+            assert (t.op.leaves, ops.unfolded_leaves(t.op), t.cost) == (1, 2 * r, {
+                name: r * count for name, count in be.cost.items()})
+            assert "adjoint_op" not in be.__dict__
+            assert np.max(np.abs(t.op.dense() - _reflection_form(be, r))) <= 1e-12
+            continue
         # U^dag is built only when a degree applies it
         assert ("adjoint_op" in be.__dict__) == (r >= 2)
         want = [be.op, be.zero_reflection] if r % 2 else []
@@ -694,3 +702,112 @@ def test_every_other_input_keeps_the_reflection_form_tree(kind):
         assert ops.unfolded_leaves(t.op) - t.op.leaves == r * folded
         if be.op.n <= ops.DENSE_CAP_QUBITS:
             assert np.max(np.abs(t.op.dense() - _reflection_form(be, r))) <= 1e-12
+
+
+def _compiled_blocks_input(a, s, complex_blocks, seed=0):
+    """A compiled (deferred SystemBlocks) encoding of 2^s random unitary
+    blocks of 2^a x 2^a, each with a real top-left entry, so that the
+    encoded diagonal is Hermitian."""
+    rng = np.random.default_rng([a, s, complex_blocks, seed])
+    blocks = []
+    for _ in range(1 << s):
+        g = rng.normal(size=(1 << a, 1 << a))
+        if complex_blocks:
+            g = g + 1j * rng.normal(size=g.shape)
+        q, _ = np.linalg.qr(g)
+        q[0] *= np.conj(q[0, 0]) / abs(q[0, 0])  # a phase on row 0 keeps it unitary
+        blocks.append(q)
+    leaf = ops.SystemBlocks(np.stack(blocks))
+    system = (("sys", s),) if s else ()
+    return compile_system_blocks(primitive_encoding(leaf, (("anc", a),), system, "u", diagonal=True))
+
+
+@pytest.mark.parametrize("complex_blocks", [False, True])
+@pytest.mark.parametrize("a, s", [(1, 0), (1, 2), (2, 1), (3, 0), (3, 2), (4, 1), (4, 2)])
+def test_folded_transform_of_a_compiled_encoding_equals_the_dense_reflection_form(a, s, complex_blocks):
+    be = _compiled_blocks_input(a, s, complex_blocks)
+    for r in range(7):
+        t = qkan.chebyshev_be(be, r)
+        assert t.cost == ({"u": r} if r else {})
+        assert np.max(np.abs(t.op.dense() - _reflection_form(be, r))) <= 1e-14
+        assert np.max(np.abs(t.op.adjoint().dense() - t.op.dense().conj().T)) <= 1e-14
+        if r:
+            leaf = t.op.inner
+            assert isinstance(leaf, ops.SystemBlocks) and (leaf.a, leaf.s) == (a, s)
+            assert (t.op.leaves, ops.unfolded_leaves(t.op), leaf.folded_leaves) == (1, 2 * r, 2 * r)
+            # the adjoint shares the leaf's arrays
+            assert t.op.adjoint().inner.blocks is leaf.adjoint_blocks
+            assert t.op.adjoint().inner.adjoint_blocks is leaf.blocks
+    assert "adjoint_op" not in be.__dict__
+
+
+def test_the_fold_of_a_compiled_layer_keeps_cost_and_reads_the_same_diagonal():
+    """T_r of a compiled layer output: r times the layer's counts, the
+    described leaf, and the diagonal of the reflection-form tree."""
+    be = _compiled_layer_input()
+    tree_input = qkan.build_layer(qkan.encode_diagonal_exact(np.array([0.3, -0.5])),
+                                  qkan.LayerSpec.random(2, 2, 1, seed=3))
+    for r in (1, 2, 3):
+        t = qkan.chebyshev_be(be, r)
+        assert t.cost == {name: r * count for name, count in tree_input.cost.items()}
+        want = qkan.extract_diagonal(qkan.chebyshev_be(tree_input, r))
+        assert np.max(np.abs(qkan.extract_diagonal(t) - want)) <= 1e-14
+        assert ops.describe_text(t.op).splitlines()[1] == (
+            f"  SystemBlocks n=5 a=4 s=1 replaced_leaves=7 folded_leaves={2 * r} leaves=1"
+        )
+
+
+def test_the_chain_of_a_compiled_encoding_costs_one_product_per_degree_above_1(monkeypatch):
+    products = []
+    times = ops.SystemBlocks.times
+
+    def counting(self, other):
+        products.append(other)
+        return times(self, other)
+
+    monkeypatch.setattr(ops.SystemBlocks, "times", counting)
+    be = _compiled_blocks_input(2, 1, True)
+    leaves = [qkan.chebyshev_be(be, r).op.inner for r in (3, 1, 6, 2)]
+    assert len(products) == 5
+    assert [leaf is be.fold_chain[r - 1] for leaf, r in zip(leaves, (3, 1, 6, 2))] == [True] * 4
+
+
+def test_folded_leaves_of_a_compiled_encoding_read_nothing_until_applied(monkeypatch):
+    """The compiled leaf and every fold on it are deferred: the transforms
+    and their counts apply nothing, and the first apply of the last degree
+    reads the compiled leaf once and forms each product once."""
+    reads = []
+    get = ops._SharedBlocks.get
+
+    def recording(shared):
+        if shared.arrays is None:
+            reads.append(shared)
+        return get(shared)
+
+    monkeypatch.setattr(ops._SharedBlocks, "get", recording)
+    be = _compiled_layer_input()  # certified exact: its guard applies nothing either
+    transforms = [qkan.chebyshev_be(be, r) for r in range(4)]
+    assert [ops.unfolded_leaves(t.op) for t in transforms] == [1, 2, 4, 6]  # T_0 is the identity leaf
+    assert [t.cost for t in transforms[1:]] == [
+        {name: r * count for name, count in be.cost.items()} for r in (1, 2, 3)]
+    assert reads == []
+    transforms[3].op.apply(np.eye(transforms[3].op.dim)[:, 0])
+    # M_3 = A B A: the compiled leaf, its adjoint's Z product B, A, M_2 and M_3
+    assert len(reads) == 5
+    transforms[2].op.adjoint().apply(np.eye(transforms[2].op.dim)[:, 0])
+    assert len(reads) == 5
+
+
+def test_a_compiled_encoding_above_the_fold_bound_keeps_the_tree(monkeypatch):
+    be = _compiled_blocks_input(3, 1, True)
+    monkeypatch.setattr(chebyshev, "FOLD_MAX_PRODUCT", (8 ** 3 << 1) - 1)
+    for r in (1, 2, 3):
+        t = qkan.chebyshev_be(be, r)
+        want = [be.op, be.zero_reflection] if r % 2 else []
+        want += [be.adjoint_op, be.zero_reflection, be.op, be.zero_reflection] * (r // 2)
+        assert t.op.factors == ops.compose(*want).factors
+        assert np.max(np.abs(t.op.dense() - _reflection_form(be, r))) <= 1e-14
+    assert "fold_chain" not in be.__dict__
+    monkeypatch.setattr(chebyshev, "FOLD_MAX_PRODUCT", 8 ** 3 << 1)
+    be = _compiled_blocks_input(3, 1, True)
+    assert isinstance(qkan.chebyshev_be(be, 2).op.inner, ops.SystemBlocks)

@@ -863,3 +863,36 @@ def test_training_target_scale_of_any_sign_is_accepted(tmp_path, scale):
     xs = dataset.xs
     expected = scale * np.mean(2 * xs**2 - 1, axis=1, keepdims=True)
     assert np.allclose(dataset.ys, expected, rtol=0.0, atol=1e-15)
+
+
+# layers, and the qubits of the first layer over the 22-qubit budget
+OVER_BUDGET_DEGREES = {
+    # 2 -> 1 at degree 10^6: 20 selector qubits, 24 in all
+    "one layer": (({"in": 2, "out": 1, "degree": 1000000, "weight_seed": 1},), 24),
+    # 2 -> 2 -> 1 whose second layer alone is over the budget: 5 + 22 qubits
+    "second layer": (({"in": 2, "out": 2, "degree": 1, "weight_seed": 1},
+                      {"in": 2, "out": 1, "degree": 300000, "weight_seed": 2}), 27),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "resources", "prepare-state", "train", "verify"])
+@pytest.mark.parametrize("case", sorted(OVER_BUDGET_DEGREES))
+def test_an_over_budget_degree_exits_3_before_building_its_lcu_pair(
+    monkeypatch, tmp_path, capsys, command, case
+):
+    """The layer's qubit budget is checked before its LCU pair, whose dense
+    state preparation over 2^b selector states would not fit in memory."""
+    from qkan import network
+
+    uniform_pair = network.uniform_pair
+
+    def bounded(m):
+        assert m <= 1 << 12, f"an LCU pair of {m} terms was built"
+        return uniform_pair(m)
+
+    monkeypatch.setattr(network, "uniform_pair", bounded)
+    layers, needed = OVER_BUDGET_DEGREES[case]
+    payload = {"input": [0.1, -0.2], "layers": list(layers),
+               "train": {"optimizer": "spsa", "iterations": 1, "data": {"grid_points_per_axis": 2}}}
+    assert main([command, "--config", write_config(tmp_path, payload), "--no-timestamp"]) == 3
+    assert f"(requires {needed} qubits)" in capsys.readouterr().err

@@ -90,7 +90,7 @@ def test_compiled_layer_keeps_cost_and_describes_its_shape():
     text = ops.describe_text(compiled.op)
     # the blocks span the live ancillas: the layout's 6 less the idle QSVT ancilla
     assert (be.num_aux, be.idle_aux) == (6, 1)
-    assert text.splitlines()[1] == "  SystemBlocks n=6 a=5 s=1 replaced_leaves=11 leaves=1"
+    assert text.splitlines()[1] == "  SystemBlocks n=6 a=5 s=1 replaced_leaves=11 folded_leaves=1 leaves=1"
     node = ops.describe(compiled.op)["children"][0]
     assert (node["a"], node["s"], node["replaced_leaves"]) == (5, 1, 11)
 
@@ -172,7 +172,7 @@ def test_a_compiled_encoding_that_was_never_read_keeps_its_description_and_cost(
     compiled = compile_system_blocks(be)
     assert compiled.cost == be.cost
     text = ops.describe_text(compiled.op)
-    assert text.splitlines()[1] == "  SystemBlocks n=6 a=5 s=1 replaced_leaves=11 leaves=1"
+    assert text.splitlines()[1] == "  SystemBlocks n=6 a=5 s=1 replaced_leaves=11 folded_leaves=1 leaves=1"
     assert ops.describe_text(compiled.adjoint_op).splitlines()[1] == text.splitlines()[1]
     assert applied == []
 
@@ -226,6 +226,34 @@ def test_cli_commands_apply_no_more_than_they_read(monkeypatch, tmp_path, capsys
     assert main([command, "--config", config, "--no-timestamp"]) == 0
     capsys.readouterr()
     assert len(applied) == applications
+
+
+def test_resources_reads_no_blocks_of_a_compiled_layer_or_its_folds(monkeypatch, tmp_path, capsys):
+    """Layer 2 of the deep config folds the transforms of the compiled layer
+    1 into SystemBlocks leaves; `resources` builds them and reads none."""
+    from qkan.cli import main
+
+    config = _deep_cli_config(tmp_path)
+    reads, builds = [], []
+    get, build = ops._SharedBlocks.get, network.NetworkAssembler.build
+    monkeypatch.setattr(ops._SharedBlocks, "get", lambda shared: reads.append(shared) or get(shared))
+    monkeypatch.setattr(network.NetworkAssembler, "build",
+                        lambda self, specs: builds.append(build(self, specs)) or builds[-1])
+    applied = _count_applications(monkeypatch)
+    assert main(["resources", "--config", config, "--no-timestamp"]) == 0
+    capsys.readouterr()
+    assert reads == []
+    assert not any(op is output.op for output in builds[0].layer_outputs for op, _ in applied)
+    folds = []
+
+    def walk(op):
+        if isinstance(op, ops.SystemBlocks) and op.folded_leaves > 1:
+            folds.append(op.folded_leaves)
+        for child in ops._children(op):
+            walk(child)
+
+    walk(builds[0].layer_outputs[1].op)
+    assert sorted(set(folds)) == [2, 4, 6]
 
 
 @st.composite

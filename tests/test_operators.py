@@ -376,6 +376,29 @@ def test_describe_shows_the_factors_of_a_folded_leaf():
     assert ops.unfolded_leaves(ops.compose(t3.op, be.op, be.zero_reflection)) == 8
 
 
+@pytest.mark.parametrize("axes, n, limit", [
+    (tuple(range(1, 12)), 12, ops.LEAF_REPEAT_BATCH),  # the batch alone trails the leaf
+    (tuple(range(0, 9)), 12, ops.LEAF_REPEAT_WIDTH),  # 3 untouched qubits and the batch
+])
+def test_a_leaf_repeats_its_values_only_along_a_bounded_trailing_loop(axes, n, limit):
+    """A leaf repeats its values along the loop after its last qubit up to
+    `limit` values, and broadcasts them along a longer one; either way each
+    column gets the bits it gets alone."""
+    rng = np.random.default_rng(11)
+    leaf = ops.LabelBlocks.reflection(rng.uniform(-1, 1, 1 << (len(axes) - 1)))
+    plan = ops._leaf_plan(axes, n)
+    assert plan.last == (axes[-1] == n - 1)
+    per_column = (1 << (n - 1 - axes[-1])) if not plan.last else 1
+    for trailing in (2, limit, limit + 1, 4 * limit):
+        spread = plan.spread_out(leaf._xs, trailing)
+        assert spread.shape[-1] == (trailing if trailing <= limit else 1), trailing
+    embedded = ops.Embedded(leaf, axes, n)
+    for width in (2, limit // per_column, 2 * limit // per_column):
+        cols = rng.normal(size=(1 << n, width))
+        alone = np.stack([embedded._apply(cols[:, [j]])[:, 0] for j in range(width)], axis=1)
+        assert np.array_equal(embedded._apply(cols), alone)
+
+
 def test_label_reflection_copies_its_input():
     from qkan.block_encoding import extract_diagonal
     from qkan.encoders import encode_diagonal_exact
