@@ -16,8 +16,12 @@ weights on every row of ``GRADIENT``, and keeps the minimum of ``--reps``
 repetitions. The JSON report gives, per row and side, the runs with their
 median and quartiles, the leaf count of the output tree (of the first
 chunk's at the widest register the model built, for a model row), the
-rounds the change won, and the largest entry difference between the two
-sides' diagonals (model outputs, for a model row).
+rounds the change won, the largest entry difference between the two
+sides' diagonals (model outputs, for a model row), and a verdict that the
+spread of both sides decides: ``slower`` when the change's first quartile
+lies above the parent's third, ``faster`` when the change's third quartile
+lies below the parent's first, and ``within spread`` otherwise. The report
+lists the slower rows under ``slower``.
 
 Round r runs both sides with ``PYTHONHASHSEED=r`` and the rows in the
 order of a shuffle seeded with r. Heap layout alone moves the time of a
@@ -187,8 +191,24 @@ def summarize(rounds: list[dict]) -> dict:
             for r in rounds
             for c, p in zip(r["change"][name]["diagonal"], r["parent"][name]["diagonal"])
         )
+        entry["verdict"] = verdict(entry["parent"], entry["change"])
         report[name] = entry
     return report
+
+
+def verdict(parent: dict, change: dict) -> str:
+    """How the change's times compare with the parent's, from the quartiles
+    of each side's rounds: only quartile ranges that do not overlap decide."""
+    if change["q1"] > parent["q3"]:
+        return "slower"
+    if change["q3"] < parent["q1"]:
+        return "faster"
+    return "within spread"
+
+
+def slower_rows(shapes: dict) -> list[str]:
+    """The rows of a :func:`summarize` report whose verdict is ``slower``."""
+    return [name for name, entry in shapes.items() if entry["verdict"] == "slower"]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -222,6 +242,7 @@ def main(argv: list[str] | None = None) -> int:
                 for side in order
             })
     report["shapes"] = summarize(rounds)
+    report["slower"] = slower_rows(report["shapes"])
     text = json.dumps(report, indent=2)
     if args.out:
         args.out.write_text(text + "\n")

@@ -28,6 +28,7 @@ from .operators import (
     Composed,
     Dense,
     Embedded,
+    Householder,
     Identity,
     LinearOperator,
     Multiplexed,
@@ -117,15 +118,19 @@ class BlockEncoding:
             raise ContractViolationError(
                 "an exact real diagonal certificate needs epsilon 0 and the diagonal flag"
             )
-        names = [reg[0] for reg in self.aux + self.system]
-        if len(set(names)) != len(names):
-            raise ContractViolationError(f"duplicate register names in {names}")
-        num_aux = live_aux = 0
-        for _, size, idle in self.aux:
+        seen: set[str] = set()
+        num_aux = live_aux = num_system = 0
+        for name, size, idle in self.aux:
+            seen.add(name)
             num_aux += size
             if not idle:
                 live_aux += size
-        num_system = sum(size for _, size in self.system)
+        for name, size in self.system:
+            seen.add(name)
+            num_system += size
+        if len(seen) != len(self.aux) + len(self.system):
+            names = [reg[0] for reg in self.aux + self.system]
+            raise ContractViolationError(f"duplicate register names in {names}")
         last, size = self.system[-1] if self.system else ("", 0)
         self.__dict__.update(
             num_aux=num_aux, live_aux=live_aux, idle_aux=num_aux - live_aux,
@@ -169,6 +174,13 @@ class BlockEncoding:
         return []
 
     @cached_property
+    def fold_step(self) -> LinearOperator:
+        """B = U^dag Z, the leaf by which `fold_chain` takes each even
+        degree from the odd one below it, for U the leaf inside `op`'s Query:
+        built once per encoding, on first use."""
+        return self.op.inner.adjoint().reflected()
+
+    @cached_property
     def row_sums(self) -> np.ndarray:
         """(<0|_aux (x) I) U (|0>_aux (x) sum_j |j>): the first system_dim rows
         of one application of `op`, complex128 and read-only. Entry j is
@@ -195,24 +207,27 @@ def _derived(
     diagonal: bool,
     exact_real_diagonal: bool = False,
 ) -> BlockEncoding:
-    """An encoding over the registers `aux` then `system`; a repeated
-    register name gets the suffix .2, .3, ..."""
+    """An encoding over the registers `aux` then `system`. Names are taken
+    in that order, in one pass: the first occurrence of a name keeps it, and
+    a later one gets the first free suffix of .2, .3, ... (so a repeated
+    ``qsvt.2`` becomes ``qsvt.2.2``). Registers are kept as given when no
+    name repeats."""
     taken: set[str] = set()
-
-    def fresh(name: str) -> str:
-        candidate, k = name, 1
+    renamed = []
+    for reg in aux + system:
+        name = candidate = reg[0]
+        k = 1
         while candidate in taken:
             k += 1
             candidate = f"{name}.{k}"
         taken.add(candidate)
-        return candidate
-
+        renamed.append(reg if k == 1 else (candidate, *reg[1:]))
     return BlockEncoding(
         op=op,
         alpha=alpha,
         epsilon=epsilon,
-        aux=tuple((fresh(name), size, idle) for name, size, idle in aux),
-        system=tuple((fresh(name), size) for name, size in system),
+        aux=tuple(renamed[: len(aux)]),
+        system=tuple(renamed[len(aux):]),
         diagonal_flag=diagonal,
         exact_real_diagonal=exact_real_diagonal,
     )
@@ -514,17 +529,21 @@ def _checked_exact(pair: StatePrepPair, y: np.ndarray) -> StatePrepPair:
 
 def uniform_pair(m: int) -> StatePrepPair:
     """Equal-weight pair for m terms: Hadamards when m is a power of two,
-    otherwise a completed unitary preparing the uniform superposition over the
-    first m selector values (zero weight on padding slots)."""
+    otherwise the Householder reflection H = I - 2 w w^T with
+    w = (e0 - u) / |e0 - u|, which maps |0> to u, the uniform superposition
+    over the first m selector values (zero weight on padding slots). H is
+    real and its own adjoint, and it is stored as w: 2^b values, not a
+    2^b x 2^b matrix."""
     if m < 1:
         raise ContractViolationError("need at least one LCU term")
     b = max(0, (m - 1).bit_length())
     if m == 1 << b or m == 1:
         prep = hadamard_layer(b)
     else:
-        vec = np.zeros(1 << b)
-        vec[:m] = 1.0 / np.sqrt(m)
-        prep = state_prep_unitary(vec)
+        w = np.zeros(1 << b)
+        w[:m] = -1.0 / np.sqrt(m)
+        w[0] += 1.0
+        prep = Householder(w / np.linalg.norm(w))
     return _checked_exact(StatePrepPair(prep, prep, 1.0, b), np.full(m, 1.0 / m))
 
 

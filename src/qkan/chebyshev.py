@@ -146,7 +146,8 @@ def _folded(be_x: BlockEncoding, r: int) -> LinearOperator | None:
     (B A)^(r/2) for even r, so M_r = A M_(r-1) for odd r and B M_(r-1) for
     even r, one `times` each (a 2x2 product per label, or one batched
     matmul of the blocks). The chain M_1, M_2, ... is kept on the encoding
-    (`BlockEncoding.fold_chain`), so the degrees 1..d cost d - 1 products.
+    (`BlockEncoding.fold_chain`), and so is B (`BlockEncoding.fold_step`),
+    so the degrees 1..d cost d - 1 products and A and B are built once.
     M_r goes in a Query with r times U's counts, and its `folded_leaves`
     count the 2r factors it replaces. A SystemBlocks product is deferred: it
     reads U's blocks on its first apply, so a build that is never applied
@@ -163,7 +164,7 @@ def _folded(be_x: BlockEncoding, r: int) -> LinearOperator | None:
     if not chain:
         chain.append(u.reflected())  # M_1 = A
     while len(chain) < r:  # M_(k+1) = B M_k for odd k, A M_k for even k
-        step = u.adjoint().reflected() if len(chain) % 2 else chain[0]
+        step = be_x.fold_step if len(chain) % 2 else chain[0]
         chain.append(step.times(chain[-1]))
     return Query(chain[r - 1], {name: r * count for name, count in be_x.op.counts.items()})
 

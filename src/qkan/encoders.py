@@ -21,7 +21,6 @@ from .operators import (
     Permutation,
     Query,
     compose,
-    outside_unit_interval,
     state_prep_unitary,
 )
 
@@ -39,10 +38,20 @@ def encode_diagonal_exact(x: np.ndarray, name: str = "x") -> BlockEncoding:
     Per basis label p the single ancilla carries the reflection block
     [[x_p, s_p], [s_p, -x_p]] with s_p = sqrt(1 - x_p^2); the full operator
     is Hermitian and unitary, which the Chebyshev step relies on. It is
-    stored as the N values, not as a dense 2N x 2N matrix. The block diag(x)
-    is exactly real, so the encoding carries the exact real diagonal
-    certificate (see :class:`~qkan.block_encoding.BlockEncoding`); an entry
-    with an imaginary part is rejected, not cast away.
+    stored as the 2N values [x; s] of one LabelBlocks leaf, not as a dense
+    2N x 2N matrix. The block diag(x) is exactly real, so the encoding
+    carries the exact real diagonal certificate (see
+    :class:`~qkan.block_encoding.BlockEncoding`); an entry with an imaginary
+    part is rejected, not cast away.
+
+    The interval is tested once, on the way to s: in float64, 1 - x^2 >= 0
+    holds exactly when |x| <= 1 (NaN and +-inf fail it), so 1 - x^2 is
+    written into the s half of [x; s], every entry is tested, and the square
+    root is taken in place (a finite |x| above about 1.3e154 squares to
+    inf, and numpy warns of the overflow before the DomainError). [x; s]
+    is then bit for bit that of
+    :meth:`~qkan.operators.LabelBlocks.reflection`, and the leaf keeps it
+    without a copy or a second test.
     """
     x = np.asarray(x)
     if np.iscomplexobj(x):
@@ -51,10 +60,18 @@ def encode_diagonal_exact(x: np.ndarray, name: str = "x") -> BlockEncoding:
         x = x.real
     x = np.asarray(x, dtype=np.float64)
     n = _log2_exact(x.size, "input vector")
-    if outside_unit_interval(x):
+    xs = np.empty(2 * x.size)
+    xs[: x.size] = x.reshape(-1)
+    s = xs[x.size:]
+    np.subtract(1.0, xs[: x.size] * xs[: x.size], out=s)
+    if not (s >= 0.0).all():
         raise DomainError(f"entries outside [-1, 1]: max |x| = {np.max(np.abs(x))}")
+    np.sqrt(s, out=s)
+    xs.setflags(write=False)
+    # a vector of another shape gets the reflection's own label-count error
+    leaf = LabelBlocks(xs) if x.ndim == 1 else LabelBlocks.reflection(x)
     return BlockEncoding(
-        op=Query(LabelBlocks.reflection(x), {name: 1}),
+        op=Query(leaf, {name: 1}),
         alpha=1.0,
         epsilon=0.0,
         aux=(("enc", 1, False),),

@@ -447,7 +447,9 @@ class NetworkAssembler:
     trailing sample register of the input, if it has one (see
     :class:`LayerAssembler`). The layers it builds share one LCU pair
     (:func:`uniform_pair`) per term count, each built once a layer with
-    that count has passed its qubit-budget check.
+    that count has passed its qubit-budget check, in `pairs`: a cache by
+    term count, its own unless one is passed, which several assemblers may
+    share.
 
     An exact (epsilon = 0) output of a layer that is not the last is
     replaced by one SystemBlocks leaf (:func:`compile_system_blocks`) when
@@ -462,9 +464,10 @@ class NetworkAssembler:
         be_x0: BlockEncoding,
         first: LayerSpec,
         weight_encoder: WeightEncoder | None = None,
+        pairs: dict[int, StatePrepPair] | None = None,
     ):
         self.weight_encoder = weight_encoder
-        self._pairs: dict[int, StatePrepPair] = {}  # LCU term count -> its pair
+        self._pairs = {} if pairs is None else pairs  # LCU term count -> its pair
         self.first = LayerAssembler(be_x0, first, 0, weight_encoder, pairs=self._pairs)
         self._first_output: tuple[tuple, BlockEncoding] | None = None  # (key, output)
 

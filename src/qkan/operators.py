@@ -237,6 +237,34 @@ class Permutation(LinearOperator):
         return Permutation(inverse)
 
 
+@dataclass(frozen=True, eq=False)
+class Householder(LinearOperator):
+    """The reflection I - 2 w w^T for a real unit vector `w` (Householder,
+    JACM 1958): real, symmetric and its own adjoint. It is applied as
+    cols - 2 w (w^T cols), two passes over the columns, and stored as the
+    2^n values of w (a read-only copy), not as a matrix."""
+
+    w: np.ndarray
+
+    def __post_init__(self):
+        w = np.asarray(self.w)
+        n = int(w.shape[0]).bit_length() - 1 if w.ndim == 1 else -1
+        if n < 0 or 1 << n != w.shape[0]:
+            raise ContractViolationError(f"reflection vector length {w.shape} is not a power of two")
+        if np.iscomplexobj(w) or abs(np.linalg.norm(w) - 1.0) > 1e-10:
+            raise ContractViolationError("a Householder reflection needs a real unit vector")
+        w = np.array(w, dtype=np.float64)
+        w.setflags(write=False)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "n", n)
+
+    def _apply(self, cols):
+        return cols - 2.0 * self.w[:, None] * (self.w @ cols)
+
+    def adjoint(self):
+        return self
+
+
 class LabelBlocks(LinearOperator):
     """One real orthogonal 2x2 block between |0>|j> and |1>|j> for every label
     j of the trailing qubits: the reflection [[x_j, s_j], [s_j, -x_j]] or, with
@@ -801,8 +829,9 @@ class Query(LinearOperator):
 
     def __post_init__(self):
         counts = dict(self.counts)
-        if any(value < 0 for value in counts.values()):
-            raise ContractViolationError(f"negative query counts {counts}")
+        for value in counts.values():
+            if value < 0:
+                raise ContractViolationError(f"negative query counts {counts}")
         object.__setattr__(self, "counts", MappingProxyType(counts))
         object.__setattr__(self, "n", self.inner.n)
         object.__setattr__(self, "leaves", self.inner.leaves)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .block_encoding import extract_diagonal, split_system
+from .block_encoding import StatePrepPair, extract_diagonal, split_system
 from .encoders import encode_diagonal_exact
 from .errors import ContractViolationError, DivergenceError, DomainError
 from .network import LayerSpec, NetworkAssembler, QkanSpec, classical_network_eval
@@ -145,7 +145,9 @@ class SimulatedModel:
     candidate width at construction and for a wider register on first use),
     which keeps the first layer's input-only Chebyshev encodings and its
     MUL term of each degree whose weight slice is unchanged, and rebuilds
-    the deeper layers, whose input changes with the upstream weights.
+    the deeper layers, whose input changes with the upstream weights. All
+    of them share one LCU pair cache (`pairs`), so the model builds the
+    pair of each term count once, whatever the register widths and chunks.
     """
 
     def __init__(self, spec: QkanSpec, xs: np.ndarray):
@@ -159,6 +161,7 @@ class SimulatedModel:
         self._slot_qubits = max(0, (self.xs.shape[0] - 1).bit_length())
         self.sample_qubits = sample_register_width(spec, self.xs.shape[0])
         self._widths = {1: self.sample_qubits}  # register width per candidate count
+        self.pairs: dict[int, StatePrepPair] = {}  # LCU term count -> its pair
         self.assemblers: dict[int, list[NetworkAssembler]] = {}
         self._assemblers(self.sample_qubits)
 
@@ -172,7 +175,9 @@ class SimulatedModel:
             for part in rows.reshape(-1, slot, rows.shape[1]):
                 register = np.tile(part, (per, 1))
                 be_x = encode_diagonal_exact(register.T.reshape(-1), name="x")  # index p * 2^m + t
-                chunks.append(NetworkAssembler(split_system(be_x, m), self.spec.layers[0]))
+                chunks.append(NetworkAssembler(
+                    split_system(be_x, m), self.spec.layers[0], pairs=self.pairs
+                ))
             self.assemblers[m] = chunks
         return self.assemblers[m]
 

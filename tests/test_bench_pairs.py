@@ -85,10 +85,7 @@ def test_run_once_records_the_child_page_faults(bench_pairs, tmp_path):
 
 
 def test_compile_shapes_summary_counts_wins_and_the_largest_deviation():
-    script = SCRIPT.with_name("compile_shapes.py")
-    spec = importlib.util.spec_from_file_location("compile_shapes", script)
-    compile_shapes = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(compile_shapes)
+    compile_shapes = _compile_shapes()
 
     def worker_result(scale, diagonal):
         return {
@@ -110,6 +107,44 @@ def test_compile_shapes_summary_counts_wins_and_the_largest_deviation():
     assert first["parent"]["runs"] == [1.0, 1.0, 1.0] and first["change"]["median"] == 1.0
     assert first["median_ratio"] == 1.0 and first["change"]["leaves"] == 3
     assert first["max_deviation"] == pytest.approx(3e-16)
+    assert first["verdict"] == "within spread"  # quartiles 0.75-1.5 against 1.0-1.0
+
+
+def _compile_shapes():
+    script = SCRIPT.with_name("compile_shapes.py")
+    spec = importlib.util.spec_from_file_location("compile_shapes", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("parent, change, want", [
+    ([1.0, 1.1, 1.2, 1.3, 1.4], [1.31, 1.4, 1.5, 1.6, 1.7], "slower"),
+    ([1.0, 1.1, 1.2, 1.3, 1.4], [1.0, 1.3, 1.5, 1.6, 1.7], "within spread"),
+    ([1.0, 1.1, 1.2, 1.3, 1.4], [1.1, 1.2, 1.3, 1.4, 1.5], "within spread"),
+    ([1.0, 1.1, 1.2, 1.3, 1.4], [0.5, 0.6, 0.7, 0.8, 1.09], "faster"),
+    ([1.0, 1.1, 1.2, 1.3, 1.4], [0.5, 0.6, 0.7, 1.1, 1.2], "within spread"),
+    ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], "within spread"),
+])
+def test_compile_shapes_verdict_needs_quartile_ranges_that_do_not_overlap(parent, change, want):
+    """slower when the change's q1 lies above the parent's q3, faster when
+    the change's q3 lies below the parent's q1; ties at the edge decide
+    nothing. Each row's verdict comes from its own rounds, and the report
+    lists the slower rows."""
+    compile_shapes = _compile_shapes()
+    spread = compile_shapes.spread
+    assert compile_shapes.verdict(spread(parent), spread(change)) == want
+    names = compile_shapes.ROWS
+    rounds = [
+        {side: {name: {"min_s": (times if name == names[1] else [1.0] * len(parent))[i],
+                       "leaves": 1, "diagonal": [[0.0, 0.0]]} for name in names}
+         for side, times in (("parent", parent), ("change", change))}
+        for i in range(len(parent))
+    ]
+    report = compile_shapes.summarize(rounds)
+    assert report[names[1]]["verdict"] == want
+    assert all(report[name]["verdict"] == "within spread" for name in names if name != names[1])
+    assert compile_shapes.slower_rows(report) == ([names[1]] if want == "slower" else [])
 
 
 def test_both_sides_are_exported_under_one_root(bench_pairs, tmp_path):

@@ -193,6 +193,54 @@ def test_state_prep_pair_zero_weight_tail():
     assert abs(weights[3]) < 1e-14
 
 
+@pytest.mark.parametrize("m", [3, 5, 6, 7, 9, 100, 1000])
+def test_uniform_pair_reflection_maps_zero_to_the_uniform_state(m):
+    """Past a power of two the pair is one Householder reflection
+    H = I - 2 w w^T, w = (e0 - u) / |e0 - u|: real, its own adjoint, and
+    H |0> = u, the uniform state over the first m selector values."""
+    pair = qkan.uniform_pair(m)
+    h = pair.p_left
+    assert isinstance(h, ops.Householder) and pair.p_right is h and h.adjoint() is h
+    assert pair.b == (m - 1).bit_length() and pair.real
+    u = np.zeros(1 << pair.b)
+    u[:m] = 1.0 / np.sqrt(m)
+    if h.n <= ops.DENSE_CAP_QUBITS:
+        dense = h.dense()
+        assert np.max(np.abs(dense[:, 0] - u)) <= 1e-15
+        assert np.max(np.abs(dense - dense.T)) == 0.0 and not np.any(dense.imag)
+        assert np.max(np.abs(dense @ dense - np.eye(1 << h.n))) <= 1e-14
+    assert np.max(np.abs(h.apply(np.eye(1 << h.n)[:, 0]) - u)) <= 1e-15
+    weights = pair.realized_weights()
+    assert np.max(np.abs(weights[:m] - 1.0 / m)) <= 1e-15 and not np.any(weights[m:])
+
+
+def test_uniform_pair_of_8193_terms_allocates_no_selector_matrix():
+    """b = 14 selector qubits: a dense 2^14 x 2^14 complex matrix would
+    take 4 GiB. The reflection vector takes 128 KiB, and the pair builds
+    and passes its check within a few MiB."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        pair = qkan.uniform_pair(8193)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pair.b == 14 and pair.real and peak <= 4 << 20
+    weights = pair.realized_weights()
+    assert np.sum(np.abs(weights[:8193] - 1.0 / 8193)) < 1e-12 and not np.any(weights[8193:])
+
+
+def test_a_householder_leaf_needs_a_real_unit_vector_of_power_of_two_length():
+    for w in (np.ones(3) / np.sqrt(3), np.ones(4), np.ones((2, 2)) / 2, np.array([0.6, 0.8j])):
+        with pytest.raises(ContractViolationError):
+            ops.Householder(w)
+    w = np.array([0.6, 0.8])
+    leaf = ops.Householder(w)
+    w[0] = 1.0  # the leaf holds its own read-only copy
+    assert leaf.w.tolist() == [0.6, 0.8] and not leaf.w.flags.writeable
+
+
 def test_hadamard_product_offdiagonal_removal(rng):
     be, block = random_exact_encoding(rng)
     diag = qkan.remove_offdiagonal(be)
@@ -386,11 +434,11 @@ def _layer(degree, n_out=2, seed=5):
     return qkan.build_layer(qkan.encode_diagonal_exact(x), spec)
 
 
-@pytest.mark.parametrize("degree, pair", [(3, ops.WalshHadamard), (2, ops.Dense)])
+@pytest.mark.parametrize("degree, pair", [(3, ops.WalshHadamard), (2, ops.Householder)])
 @pytest.mark.parametrize("adjoint", [False, True])
 def test_read_block_peels_the_ancilla_only_ends_of_a_layer(degree, pair, adjoint):
     """SUM's WalshHadamard and the LCU pair (Hadamards for d + 1 = 4 terms,
-    a Dense pair for 3) end U's product on both sides and act on ancillas
+    a Householder pair for 3) end U's product on both sides and act on ancillas
     alone: they are peeled, and the read equals the dense block on one,
     on 8 real and on 8 complex columns."""
     be = _layer(degree)
@@ -530,6 +578,39 @@ def test_primitive_registers_must_have_distinct_names():
     for aux, system in (((("a", 1), ("a", 1)), (("sys", 1),)), ((("a", 2),), (("a", 1),))):
         with pytest.raises(ContractViolationError, match="duplicate register names"):
             primitive_encoding(op, aux, system, "u")
+
+
+def test_derived_names_keep_the_first_occurrence_and_suffix_the_later_ones():
+    """A repeated name gets .2, .3, ... in register order over aux then
+    system, and a suffixed name that repeats is suffixed again."""
+    aux = (("qsvt", 1, True), ("qsvt", 1, True), ("qsvt.2", 1, True), ("enc", 1, False),
+           ("sys", 1, False))
+    system = (("sys", 1), ("sys", 2), ("dil", 1))
+    be = block_encoding._derived(ops.Identity(6), 1.0, 0.0, aux, system, True)
+    assert be.aux == (("qsvt", 1, True), ("qsvt.2", 1, True), ("qsvt.2.2", 1, True),
+                      ("enc", 1, False), ("sys", 1, False))
+    assert be.system == (("sys.2", 1), ("sys.3", 2), ("dil", 1))
+    # the QSVT ancillas of nested transforms
+    x = qkan.encode_diagonal_exact(np.array([0.3, -0.7]))
+    nested = qkan.chebyshev_be(qkan.chebyshev_be(qkan.chebyshev_be(x, 1), 2), 1)
+    assert [name for name, _, _ in nested.aux] == ["qsvt", "qsvt.2", "qsvt.2.2", "enc"]
+    assert [name for name, _, _ in qkan.product(x, x).aux] == ["enc", "enc.2"]
+
+
+def test_duplicate_register_names_and_a_live_qubit_mismatch_keep_their_messages():
+    op = ops.Identity(3)
+    with pytest.raises(ContractViolationError) as raised:
+        BlockEncoding(op, 1.0, 0.0, (("a", 1, False), ("b", 1, True), ("a", 1, False)),
+                      (("sys", 1),))
+    assert str(raised.value) == "duplicate register names in ['a', 'b', 'a', 'sys']"
+    with pytest.raises(ContractViolationError) as raised:
+        BlockEncoding(op, 1.0, 0.0, (("a", 1, False),), (("sys", 1), ("a", 1)))
+    assert str(raised.value) == "duplicate register names in ['a', 'sys', 'a']"
+    with pytest.raises(ContractViolationError) as raised:
+        BlockEncoding(op, 1.0, 0.0, (("a", 1, False), ("b", 1, True), ("c", 1, False)),
+                      (("sys", 2),))
+    assert str(raised.value) == "operator acts on 3 qubits, the registers have 4 live ones"
+    assert BlockEncoding(op, 1.0, 0.0, (("a", 1, False), ("b", 1, True)), (("sys", 2),)).idle_aux == 1
 
 
 def test_negative_alpha_or_epsilon_is_rejected():

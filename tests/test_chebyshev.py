@@ -772,6 +772,37 @@ def test_the_chain_of_a_compiled_encoding_costs_one_product_per_degree_above_1(m
     assert [leaf is be.fold_chain[r - 1] for leaf, r in zip(leaves, (3, 1, 6, 2))] == [True] * 4
 
 
+def test_the_chain_of_a_compiled_encoding_reflects_u_and_its_adjoint_once(monkeypatch):
+    """Degrees 0-7 take A = U Z and B = U^dag Z, each built once per
+    encoding, and give the leaves of a chain that builds B at every even
+    step, bit for bit."""
+    def reference_chain(be, r):  # M_(k+1) = B M_k for odd k, A M_k for even k
+        u = be.op.inner
+        chain = [u.reflected()]
+        while len(chain) < r:
+            chain.append((u.adjoint().reflected() if len(chain) % 2 else chain[0]).times(chain[-1]))
+        return chain[r - 1]
+
+    reflections = []
+    reflected = ops.SystemBlocks.reflected
+
+    def counting(self):
+        reflections.append(self)
+        return reflected(self)
+
+    be = _compiled_blocks_input(2, 1, True)
+    monkeypatch.setattr(ops.SystemBlocks, "reflected", counting)
+    leaves = [qkan.chebyshev_be(be, r).op for r in range(8)]
+    assert len(reflections) == 2
+    monkeypatch.setattr(ops.SystemBlocks, "reflected", reflected)
+    other = _compiled_blocks_input(2, 1, True)
+    for r, leaf in enumerate(leaves[1:], start=1):
+        want = reference_chain(other, r)
+        assert leaf.inner.blocks.tobytes() == want.blocks.tobytes()
+        assert leaf.inner.adjoint_blocks.tobytes() == want.adjoint_blocks.tobytes()
+    assert isinstance(leaves[0], ops.Identity)
+
+
 def test_folded_leaves_of_a_compiled_encoding_read_nothing_until_applied(monkeypatch):
     """The compiled leaf and every fold on it are deferred: the transforms
     and their counts apply nothing, and the first apply of the last degree

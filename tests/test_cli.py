@@ -880,8 +880,8 @@ OVER_BUDGET_DEGREES = {
 def test_an_over_budget_degree_exits_3_before_building_its_lcu_pair(
     monkeypatch, tmp_path, capsys, command, case
 ):
-    """The layer's qubit budget is checked before its LCU pair, whose dense
-    state preparation over 2^b selector states would not fit in memory."""
+    """The layer's qubit budget is checked before its LCU pair is built:
+    no pair of more than 2^12 terms is asked for."""
     from qkan import network
 
     uniform_pair = network.uniform_pair

@@ -96,10 +96,10 @@ def test_compiled_layer_keeps_cost_and_describes_its_shape():
 
 
 def test_exact_build_stores_real_arrays():
-    """Every factor of an exact network is real: its Diagonal, Dense and
-    compiled SystemBlocks leaves hold float64 arrays, and a real column is
-    applied in float64 throughout."""
-    spec = random_spec((2, 2, 2, 1), 2, seed=5)  # 3 Chebyshev terms: a Dense state preparation
+    """Every factor of an exact network is real: its Diagonal, Householder
+    and compiled SystemBlocks leaves hold float64 arrays, and a real column
+    is applied in float64 throughout."""
+    spec = random_spec((2, 2, 2, 1), 2, seed=5)  # 3 Chebyshev terms: a Householder state preparation
     built = qkan.build_network(qkan.encode_diagonal_exact(np.array([0.3, -0.5])), spec)
     assert is_compiled(built.layer_outputs[0])
     arrays: dict[str, list[np.ndarray]] = {}
@@ -107,15 +107,15 @@ def test_exact_build_stores_real_arrays():
     def walk(op):
         if isinstance(op, ops.Diagonal):
             arrays.setdefault("Diagonal", []).append(op.values)
-        elif isinstance(op, ops.Dense):
-            arrays.setdefault("Dense", []).append(op.matrix)
+        elif isinstance(op, ops.Householder):
+            arrays.setdefault("Householder", []).append(op.w)
         elif isinstance(op, ops.SystemBlocks):
             arrays.setdefault("SystemBlocks", []).extend((op.blocks, op.adjoint_blocks))
         for child in ops._children(op):
             walk(child)
 
     walk(built.output.op)
-    assert sorted(arrays) == ["Dense", "Diagonal", "SystemBlocks"]
+    assert sorted(arrays) == ["Diagonal", "Householder", "SystemBlocks"]
     assert all(array.dtype == np.float64 for found in arrays.values() for array in found)
     column = np.zeros((built.output.op.dim, 1))
     column[: built.output.system_dim] = 1.0

@@ -43,6 +43,49 @@ def test_exact_domain_errors():
         qkan.encode_diagonal_exact(np.array([0.3, np.nan]))
 
 
+@pytest.mark.parametrize("value, shown", [
+    (np.nextafter(1.0, 2.0), "1.0000000000000002"),
+    (-np.nextafter(1.0, 2.0), "1.0000000000000002"),
+    (np.nan, "nan"),
+    (np.inf, "inf"),
+    (-np.inf, "inf"),
+    (1e200, "1e+200"),
+])
+# squaring a finite |x| above about 1.3e154 overflows to inf, and numpy warns
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_exact_encoder_rejects_every_entry_outside_the_unit_interval_with_one_message(value, shown):
+    with pytest.raises(DomainError) as raised:
+        qkan.encode_diagonal_exact(np.array([0.3, value]))
+    assert str(raised.value) == f"entries outside [-1, 1]: max |x| = {shown}"
+
+
+def test_exact_encoder_accepts_the_interval_ends_with_s_0():
+    x = np.array([1.0, -1.0, 0.0, -0.0])
+    leaf = qkan.encode_diagonal_exact(x).op.inner
+    assert np.array_equal(leaf._xs, [1.0, -1.0, 0.0, -0.0, 0.0, 0.0, 1.0, 1.0])
+
+
+def test_exact_encoder_leaf_is_bit_identical_to_the_reflection_of_its_values():
+    for seed in range(4):
+        x = np.random.default_rng(seed).uniform(-1, 1, 1 << seed)
+        leaf = qkan.encode_diagonal_exact(x).op.inner
+        want = ops.LabelBlocks.reflection(x)
+        assert leaf._xs.tobytes() == want._xs.tobytes()
+        assert not leaf._xs.flags.writeable and leaf.folded_leaves == 1 and not leaf.rotation
+        kept = x.copy()
+        x[:] = 2.0  # the leaf holds its own copy
+        assert np.array_equal(leaf.x, kept)
+
+
+def test_exact_encoder_takes_complex_input_only_without_an_imaginary_part():
+    x = np.array([0.3 + 0j, -0.7 + 0j])
+    leaf = qkan.encode_diagonal_exact(x).op.inner
+    assert leaf._xs.tobytes() == ops.LabelBlocks.reflection(x.real)._xs.tobytes()
+    with pytest.raises(DomainError) as raised:
+        qkan.encode_diagonal_exact(np.array([0.3, -0.7 + 1e-300j]))
+    assert str(raised.value) == "entries must be real"
+
+
 @given(st.integers(0, 2**16))
 def test_exact_encoder_verifies_everywhere(seed):
     x = np.random.default_rng(seed).uniform(-1, 1, 4)

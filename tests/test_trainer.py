@@ -585,3 +585,30 @@ def test_finite_differences_compile_the_first_layer_once_per_weight_tensor(monke
         kept = qkan.loss(candidate, data, model=model)
         assert kept == qkan.loss(candidate, data, model=FreshModel(spec, data.xs))
     assert len(compiles) == len(first_weights) + 2  # the two fresh models only
+
+
+def test_one_train_call_builds_one_lcu_pair_per_term_count(monkeypatch):
+    """The assemblers of every register width and chunk of one model share
+    one LCU pair per term count: a train call on 64 samples reads its losses
+    at m = 6 and its gradients at m = 10, and builds the d + 1 = 4 pair once."""
+    sizes = []
+    uniform_pair = qkan.network.uniform_pair
+
+    def counting(m):
+        sizes.append(m)
+        return uniform_pair(m)
+
+    monkeypatch.setattr(qkan.network, "uniform_pair", counting)
+    spec = qkan.QkanSpec((qkan.LayerSpec.random(2, 1, 3, seed=132, scale=0.5),))
+    data = quadratic_target_dataset(points=8)
+    qkan.train(spec, data, qkan.TrainConfig(iterations=2, eta=1.0))
+    assert sizes == [4]
+    # two layers of different term counts, candidates in chunks one after another
+    sizes.clear()
+    deep = qkan.QkanSpec((qkan.LayerSpec.random(2, 2, 2, seed=3, scale=0.5),
+                          qkan.LayerSpec.random(2, 1, 1, seed=4, scale=0.5)))
+    with qkan.qubit_budget(14):
+        model = qkan.SimulatedModel(deep, data.xs)
+        qkan.finite_diff_grad(deep, data, 1e-4, model=model)
+        assert list(model.assemblers) == [4] and len(model.assemblers[4]) == 4
+    assert sorted(sizes) == [2, 3]
